@@ -1,7 +1,7 @@
 # Convenience targets for the lmas emulation library. Everything here is a
 # thin wrapper over the go tool; no target is required by CI or the build.
 
-.PHONY: all build test race bench bench-smoke bench-allocs baseline monitor
+.PHONY: all build test race bench bench-smoke bench-allocs baseline monitor perf perf-compare
 
 all: build
 
@@ -54,3 +54,14 @@ baseline:
 monitor:
 	go run ./cmd/lmasreport bench -quick -stamp=false -o /dev/null \
 		-record runs -serve 127.0.0.1:8070
+
+# Host-time benchmark (perf/README.md): all four workloads, 20-s windows,
+# one record per workload appended to .perf_out/runs.jsonl.
+perf:
+	go run ./perf
+
+# Noise-aware comparison of two sets of perf runs, e.g. parent vs change:
+#   make perf-compare A=parent.jsonl B=change.jsonl
+perf-compare:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then echo "usage: make perf-compare A=runs_a.jsonl B=runs_b.jsonl"; exit 2; fi
+	go run ./perf compare $(A) $(B)

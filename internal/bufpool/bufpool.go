@@ -4,7 +4,8 @@
 // GC'd several times per hop on the emulation host. This pool gives that
 // memory the buffer-recycling discipline TPIE's memory manager imposes on
 // external-memory streams: buffers are drawn from per-size-class free lists
-// and returned when their owner releases them.
+// and returned when their owner releases them. Each free list holds at most
+// perClassCapBytes bytes of idle storage, whatever the class's buffer size.
 //
 // Ownership rules (the contract every layer above follows):
 //
@@ -37,9 +38,13 @@ const (
 	maxShift = 24 // largest class: 16 MiB
 	classes  = maxShift - minShift + 1
 
-	// perClassCap bounds each free list so a burst of releases cannot pin
-	// unbounded memory; overflow is dropped to the GC.
-	perClassCap = 512
+	// perClassCapBytes bounds each free list, in BYTES of pooled storage
+	// (not buffers), so a burst of releases cannot pin unbounded memory;
+	// overflow is dropped to the GC. Every class gets the same budget — half
+	// a million 64-B buffers, two 16-MiB ones — sized so that a bench cell's
+	// input and output (16 MiB each at 2^17 records, all in one class) both
+	// fit when the harness hands them back.
+	perClassCapBytes = 32 << 20
 
 	// Poison fills released buffers in debug mode. 0xDB ("dead buffer")
 	// makes use-after-release failures loud: record keys and checksums
@@ -180,7 +185,7 @@ func (p *Pool) Put(b []byte) {
 		return
 	}
 	c := classFor(cs)
-	if len(p.free[c]) >= perClassCap {
+	if len(p.free[c]) >= perClassCapBytes/cs {
 		p.drops++
 		if p.debug {
 			delete(p.pooled, base(b))

@@ -156,6 +156,32 @@ func TestOversizeFallsBack(t *testing.T) {
 	}
 }
 
+// TestFreeListByteCap: every class's free list admits perClassCapBytes worth
+// of buffers, whatever their size, and drops the next release to the GC.
+func TestFreeListByteCap(t *testing.T) {
+	for _, size := range []int{1 << 16, 1 << 20, 1 << maxShift} {
+		var p Pool
+		admit := perClassCapBytes / size
+		bufs := make([][]byte, admit+1)
+		for i := range bufs {
+			bufs[i] = p.Get(size)
+		}
+		for _, b := range bufs {
+			p.Put(b)
+		}
+		held := len(p.free[classFor(size)])
+		if held != admit {
+			t.Errorf("class %d: free list holds %d buffers, want %d", size, held, admit)
+		}
+		if held*size > perClassCapBytes {
+			t.Errorf("class %d: free list holds %d bytes, budget %d", size, held*size, perClassCapBytes)
+		}
+		if _, _, puts, drops := p.Stats(); puts != uint64(admit+1) || drops != 1 {
+			t.Errorf("class %d: puts=%d drops=%d, want %d/1", size, puts, drops, admit+1)
+		}
+	}
+}
+
 // TestConcurrent exercises the lock paths under the race detector (the
 // parallel experiment sweeps share one pool across goroutines).
 func TestConcurrent(t *testing.T) {

@@ -3,6 +3,7 @@ package dsmsort
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -348,24 +349,67 @@ func TestSortTinyInputs(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsCorruption damages a validated output in ways that keep
+// it sorted, complete and inside its bucket ranges, so only the multiset
+// checksum stands between the damage and a passing validation. Packets alias
+// stored blocks, so mutating through ForEach hits the store.
 func TestValidateDetectsCorruption(t *testing.T) {
-	cl := cluster.New(testParams(1, 2))
-	in := MakeInput(cl, 1000, records.Uniform{}, 5, 32)
-	res, err := Sort(cl, smallConfig(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt one stored output byte; packets alias stored blocks, so
-	// mutating through ForEach hits the store.
-	res.Output.Streams[0].ForEach(func(pk container.Packet) bool {
-		if pk.Len() > 0 {
-			pk.Buf.Record(0)[8] ^= 0xff
-			return false
+	// firstRecords returns record 0 of the first n non-empty output packets.
+	firstRecords := func(out *OutputStore, n int) [][]byte {
+		var recs [][]byte
+		for _, st := range out.Streams {
+			st.ForEach(func(pk container.Packet) bool {
+				if pk.Len() > 0 {
+					recs = append(recs, pk.Buf.Record(0))
+				}
+				return len(recs) < n
+			})
 		}
-		return true
-	})
-	if err := res.Output.Validate(in, smallConfig().Alpha); err == nil {
-		t.Fatal("corrupted output validated")
+		return recs[:n]
+	}
+	cases := []struct {
+		name    string
+		dist    records.KeyDist
+		corrupt func(t *testing.T, out *OutputStore)
+	}{
+		{"payload byte", records.Uniform{}, func(t *testing.T, out *OutputStore) {
+			firstRecords(out, 1)[0][8] ^= 0xff
+		}},
+		{"one bit in the last payload word", records.Uniform{}, func(t *testing.T, out *OutputStore) {
+			rec := firstRecords(out, 1)[0]
+			rec[len(rec)-1] ^= 0x80
+		}},
+		{"two payload words swapped in one record", records.Uniform{}, func(t *testing.T, out *OutputStore) {
+			rec := firstRecords(out, 1)[0]
+			var w [8]byte
+			copy(w[:], rec[8:16])
+			copy(rec[8:16], rec[16:24])
+			copy(rec[16:24], w[:])
+		}},
+		// Every key is equal, so overwriting one record with another from a
+		// different packet leaves count, order and bucket ranges intact.
+		{"record replaced by a duplicate from another packet", constDist{}, func(t *testing.T, out *OutputStore) {
+			recs := firstRecords(out, 2)
+			if string(recs[0]) == string(recs[1]) {
+				t.Fatal("test needs two distinct records")
+			}
+			copy(recs[1], recs[0])
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := cluster.New(testParams(1, 2))
+			in := MakeInput(cl, 1000, tc.dist, 5, 32)
+			res, err := Sort(cl, smallConfig(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(t, res.Output)
+			err = res.Output.Validate(in, smallConfig().Alpha)
+			if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("corrupted output: Validate = %v, want a checksum mismatch", err)
+			}
+		})
 	}
 }
 

@@ -26,12 +26,14 @@ func Sort(cl *cluster.Cluster, cfg Config, in *Input) (*Result, error) {
 		return nil, err
 	}
 	out, mr, err := MergePass(cl, cfg, rs)
+	// The runs have been merged into out (or the pass failed and nothing
+	// will read them); recycle their block storage.
+	rs.Free()
 	if err != nil {
 		return nil, err
 	}
-	// The runs have been merged into out; recycle their block storage.
-	rs.Free()
 	if err := out.ValidateExec(in, cfg.Alpha, harnessExec(cl, validateLabel)); err != nil {
+		out.Free()
 		return nil, fmt.Errorf("dsmsort: output validation failed: %w", err)
 	}
 	return &Result{

@@ -44,18 +44,12 @@ func packetAudit(pks []container.Packet, bucketOf func(i int) int, sp []records.
 		for i := lo; i < hi; i++ {
 			pk := pks[i]
 			sums[ci].Add(pk.Buf)
-			if unsorted[ci] < 0 && !pk.Buf.IsSorted() {
+			sorted := pk.Buf.IsSorted()
+			if !sorted && unsorted[ci] < 0 {
 				unsorted[ci] = i
 			}
-			if misbucket[ci] < 0 {
-				want := bucketOf(i)
-				n := pk.Len()
-				for r := 0; r < n; r++ {
-					if records.BucketOf(pk.Buf.Key(r), sp) != want {
-						misbucket[ci] = i
-						break
-					}
-				}
+			if misbucket[ci] < 0 && !inBucket(pk.Buf, sorted, bucketOf(i), sp) {
+				misbucket[ci] = i
 			}
 		}
 	})
@@ -70,6 +64,26 @@ func packetAudit(pks []container.Packet, bucketOf func(i int) int, sp []records.
 		}
 	}
 	return sum, badSorted, badBucket
+}
+
+// inBucket reports whether every key in b falls in bucket want of sp. BucketOf
+// is monotone in the key, so a buffer known to be sorted is inside the bucket
+// exactly when its first and last keys are; an unsorted one is scanned record
+// by record.
+func inBucket(b records.Buffer, sorted bool, want int, sp []records.Key) bool {
+	n := b.Len()
+	if n == 0 {
+		return true
+	}
+	if sorted {
+		return records.BucketOf(b.Key(0), sp) == want && records.BucketOf(b.Key(n-1), sp) == want
+	}
+	for r := 0; r < n; r++ {
+		if records.BucketOf(b.Key(r), sp) != want {
+			return false
+		}
+	}
+	return true
 }
 
 // runLoc names a run packet's position in the run store.

@@ -65,6 +65,12 @@ type SortRunSpec struct {
 // report alongside the raw result. The input-loading phase runs before
 // AttachTelemetry's traces see any activity it shouldn't; utilization
 // series therefore cover load + sort, exactly what the simulator executed.
+//
+// The cell's record storage — the striped input and the validated output —
+// goes back to the buffer pool before RunSortReport returns, on every path,
+// so the next cell reuses it. The result's Output is therefore already freed
+// (empty streams); no caller reads its records, and one that needs them calls
+// dsmsort.Sort itself.
 func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, error) {
 	params := cluster.DefaultParams()
 	params.Hosts, params.ASUs, params.C = spec.Hosts, spec.ASUs, spec.C
@@ -113,6 +119,7 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
+	defer in.Free()
 	pol, err := route.ByName(spec.Policy, spec.Alpha, spec.Seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
@@ -134,6 +141,7 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 		}
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
+	res.Output.Free()
 	cl.FinishSampling()
 	rep := cl.BuildReport(spec.Name, spec.Seed, res.Elapsed)
 	rep.Workload = workload

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"lmas/internal/bufpool"
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/route"
@@ -201,5 +203,39 @@ func TestAdaptDecisionAudit(t *testing.T) {
 	}
 	if !sawTrigger || !sawSwitch {
 		t.Fatalf("audit incomplete (trigger=%v switch=%v): %+v", sawTrigger, sawSwitch, cell.Decisions)
+	}
+}
+
+// TestRunSortReportReturnsStorage: under the pool's debug mode, a cell leaves
+// no pooled buffer outstanding — when it succeeds, when the sort fails after
+// run formation has stored its runs (γ2 = 1 cannot merge), and when the
+// harness gives up after loading the input (unknown routing policy).
+func TestRunSortReportReturnsStorage(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*SortRunSpec)
+		wantErr string
+	}{
+		{"ok", func(*SortRunSpec) {}, ""},
+		{"sort fails", func(s *SortRunSpec) { s.Gamma2 = 1 }, "gamma2 must be >= 2"},
+		{"policy fails", func(s *SortRunSpec) { s.Policy = "nope" }, "unknown policy"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := bufpool.SetDebug(true)
+			defer bufpool.SetDebug(prev)
+			spec := smallSpec()
+			tc.mutate(&spec)
+			_, _, err := RunSortReport(spec)
+			if tc.wantErr == "" && err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("RunSortReport = %v, want an error containing %q", err, tc.wantErr)
+			}
+			if err := bufpool.LeakCheck(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

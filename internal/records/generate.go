@@ -1,8 +1,10 @@
 package records
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // KeyDist generates sort keys for synthetic workloads. Implementations must
@@ -102,17 +104,33 @@ func GenerateHalves(n, size int, seed int64, first, second KeyDist) Buffer {
 
 func fill(b Buffer, lo, hi int, rng *rand.Rand, dist KeyDist) {
 	for i := lo; i < hi; i++ {
-		rec := b.Record(i)
 		// Pseudorandom payload; cheaper than rng.Read and just as good
 		// for checksum purposes.
-		x := rng.Uint64()
-		for j := KeyBytes; j < len(rec); j++ {
-			rec[j] = byte(x >> (uint(j%8) * 8))
-			if j%8 == 7 {
-				x = x*6364136223846793005 + 1442695040888963407
-			}
-		}
+		fillPayload(b.Record(i), rng.Uint64())
 		b.SetKey(i, dist.Draw(rng))
+	}
+}
+
+// fillPayload expands x into rec's payload (the bytes after the key): byte j
+// is byte j%8 of the current word, and the word takes one LCG step at every
+// 8-byte boundary of the record. So the first word, which shares its 8 bytes
+// with the key, contributes only its upper bytes; every later whole word is
+// one store; and a trailing partial word contributes its low bytes.
+func fillPayload(rec []byte, x uint64) {
+	const mul, inc = 6364136223846793005, 1442695040888963407
+	j := KeyBytes
+	for ; j < 8 && j < len(rec); j++ {
+		rec[j] = byte(x >> (uint(j) * 8))
+	}
+	for ; j+8 <= len(rec); j += 8 {
+		x = x*mul + inc
+		binary.LittleEndian.PutUint64(rec[j:], x)
+	}
+	if j < len(rec) {
+		x = x*mul + inc
+		for k := uint(0); j < len(rec); j, k = j+1, k+8 {
+			rec[j] = byte(x >> k)
+		}
 	}
 }
 
@@ -164,67 +182,12 @@ func SampleSplitters(b Buffer, alpha, sampleSize int, seed int64) []Key {
 	for i := range keys {
 		keys[i] = b.Key(rng.Intn(n))
 	}
-	sortKeys(keys)
+	slices.Sort(keys)
 	sp := make([]Key, alpha-1)
 	for i := range sp {
 		sp[i] = keys[(i+1)*sampleSize/alpha]
 	}
 	return sp
-}
-
-func sortKeys(keys []Key) {
-	// Insertion-free path: keys fit in uint32; use sort.Slice.
-	sortSlice(keys)
-}
-
-func sortSlice(keys []Key) {
-	// Small helper kept separate for testability.
-	quickSortKeys(keys, 0, len(keys)-1)
-}
-
-func quickSortKeys(a []Key, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && a[j] < a[j-1]; j-- {
-					a[j], a[j-1] = a[j-1], a[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		p := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortKeys(a, lo, j)
-			lo = i
-		} else {
-			quickSortKeys(a, i, hi)
-			hi = j
-		}
-	}
 }
 
 // ExpectedShare reports the expected fraction of keys falling in bucket i of

@@ -92,7 +92,7 @@ func GenerateHalvesExec(n, size int, seed int64, first, second KeyDist, exec Exe
 // fillExec fills records [lo, hi) like fill does, but splits the
 // rng-independent payload expansion across exec. The rng draws cannot be
 // parallelized (each depends on the previous state), but they are a small
-// fraction of generation cost; the per-byte payload expansion — a pure
+// fraction of generation cost; the payload expansion (fillPayload) — a pure
 // function of each record's drawn seed — dominates and chunks cleanly.
 func fillExec(b Buffer, lo, hi int, rng *rand.Rand, dist KeyDist, exec Executor) {
 	n := hi - lo
@@ -113,14 +113,7 @@ func fillExec(b Buffer, lo, hi int, rng *rand.Rand, dist KeyDist, exec Executor)
 	exec(nc, func(ci int) {
 		clo, chi := chunkBounds(ci, n)
 		for i := clo; i < chi; i++ {
-			rec := b.Record(lo + i)
-			x := xs[i]
-			for j := KeyBytes; j < len(rec); j++ {
-				rec[j] = byte(x >> (uint(j%8) * 8))
-				if j%8 == 7 {
-					x = x*6364136223846793005 + 1442695040888963407
-				}
-			}
+			fillPayload(b.Record(lo+i), xs[i])
 			b.SetKey(lo+i, keys[i])
 		}
 	})

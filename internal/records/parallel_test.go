@@ -43,13 +43,18 @@ var execs = []struct {
 var execSizes = []int{0, 1, chunkRecords - 1, 2 * chunkRecords, 3*chunkRecords + 17}
 
 func TestChecksumExecMatchesAdd(t *testing.T) {
-	for _, n := range execSizes {
-		b := Generate(n, 64, 42, Uniform{})
-		var want Checksum
-		want.Add(b)
-		for _, e := range execs {
-			if got := ChecksumExec(b, e.exec); got != want {
-				t.Fatalf("n=%d %s: ChecksumExec = %+v, Add = %+v", n, e.name, got, want)
+	for _, size := range append([]int{64}, hashSizes...) {
+		for _, n := range execSizes {
+			b := Generate(n, size, 42, Uniform{})
+			var want Checksum
+			want.Add(b)
+			if want.Count != n {
+				t.Fatalf("size=%d n=%d: Add counted %d records", size, n, want.Count)
+			}
+			for _, e := range execs {
+				if got := ChecksumExec(b, e.exec); got != want {
+					t.Fatalf("size=%d n=%d %s: ChecksumExec = %+v, Add = %+v", size, n, e.name, got, want)
+				}
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lmas/internal/bufpool"
 )
@@ -200,7 +201,7 @@ func (b Buffer) MaxKeyIn() (k Key, ok bool) {
 // record exactly once and corrupted none.
 type Checksum struct {
 	Count int
-	Sum   uint64 // sum of per-record FNV-1a hashes, wrapping
+	Sum   uint64 // sum of per-record hashes (hashRecord), wrapping
 	Xor   uint64 // xor of per-record hashes
 }
 
@@ -208,7 +209,7 @@ type Checksum struct {
 func (c *Checksum) Add(b Buffer) {
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		h := fnv1a(b.Record(i))
+		h := hashRecord(b.Record(i))
 		c.Count++
 		c.Sum += h
 		c.Xor ^= h
@@ -225,12 +226,45 @@ func (c Checksum) String() string {
 	return fmt.Sprintf("{n=%d sum=%016x xor=%016x}", c.Count, c.Sum, c.Xor)
 }
 
-func fnv1a(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= prime
+// Odd 64-bit constants for hashRecord (the wyhash family's secrets).
+const (
+	hashK0 = 0xa0761d6478bd642f
+	hashK1 = 0xe7037ed1a0b428db
+	hashK2 = 0x8ebc6af09c88c6e3
+	hashK3 = 0x589965cc75374cc3
+)
+
+// mulFold multiplies a and b to 128 bits and folds the halves together, so
+// every input bit can reach every output bit in one step.
+func mulFold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// hashRecord is the per-record hash under Checksum: a multiply-fold hash that
+// reads rec as little-endian 8-byte words. Whole 32-byte blocks feed two
+// independent lanes (two words each), so the multiplies of one block overlap;
+// leftover words then rotate through the lanes one at a time, and the final
+// len(rec)%8 bytes are gathered bytewise into one more word. Each word is
+// mixed with its lane's running state before the multiply, which makes the
+// hash sensitive to where in the record a word sits; the length seeds lane a,
+// so a zero-padded tail cannot pass for a shorter record. The values are
+// never persisted — no report, store segment or baseline holds a checksum —
+// so the function may change whenever a faster or stronger one turns up.
+func hashRecord(rec []byte) uint64 {
+	a, b := uint64(len(rec))^hashK0, uint64(hashK1)
+	for ; len(rec) >= 32; rec = rec[32:] {
+		a = mulFold(binary.LittleEndian.Uint64(rec)^hashK2, binary.LittleEndian.Uint64(rec[8:])^a)
+		b = mulFold(binary.LittleEndian.Uint64(rec[16:])^hashK3, binary.LittleEndian.Uint64(rec[24:])^b)
 	}
-	return h
+	for ; len(rec) >= 8; rec = rec[8:] {
+		a, b = b, mulFold(binary.LittleEndian.Uint64(rec)^hashK2, a^hashK3)
+	}
+	var tail uint64
+	for i, x := range rec {
+		tail |= uint64(x) << (8 * uint(i))
+	}
+	// Final avalanche: fold the lanes and the tail together, then once more
+	// against a constant so Sum and Xor see well-mixed bits.
+	return mulFold(mulFold(a^tail^hashK2, b^hashK3)^hashK0, hashK1)
 }

@@ -329,19 +329,19 @@ func TestZipfDraws(t *testing.T) {
 	}
 }
 
-func TestQuickSortKeysProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		keys := make([]Key, len(raw))
+// TestSampleSplittersSorted: whatever keys the sample draws, the splitters
+// come back nondecreasing (BucketOf's binary search depends on it).
+func TestSampleSplittersSorted(t *testing.T) {
+	f := func(raw []uint32, alpha uint8) bool {
+		if len(raw) == 0 {
+			return true // SampleSplitters needs something to sample
+		}
+		b := NewBuffer(len(raw), KeyBytes)
 		for i, k := range raw {
-			keys[i] = Key(k)
+			b.SetKey(i, Key(k))
 		}
-		sortKeys(keys)
-		for i := 1; i < len(keys); i++ {
-			if keys[i] < keys[i-1] {
-				return false
-			}
-		}
-		return true
+		sp := SampleSplitters(b, int(alpha), len(raw), 1)
+		return sort.SliceIsSorted(sp, func(i, j int) bool { return sp[i] < sp[j] })
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
