@@ -458,6 +458,8 @@ func (c *Cluster) wireTraceStream() {
 	if t == nil || rec == nil {
 		return
 	}
+	// args is reused for every event: Recorder.Span does not retain it.
+	var args []recorder.SpanArg
 	t.SetStreamer(func(e trace.StreamEvent) {
 		sp := recorder.Span{
 			T:     e.TS,
@@ -470,10 +472,11 @@ func (c *Cluster) wireTraceStream() {
 			Cat:   e.Cat,
 		}
 		if len(e.Args) > 0 {
-			sp.Args = make([]recorder.SpanArg, len(e.Args))
-			for i, a := range e.Args {
-				sp.Args[i] = recorder.SpanArg{Key: a.Key, Val: a.Val}
+			args = args[:0]
+			for _, a := range e.Args {
+				args = append(args, recorder.SpanArg(a))
 			}
+			sp.Args = args
 		}
 		rec.Span(sp)
 	})

@@ -382,6 +382,12 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	})
 
 	if err := s.Run(); err != nil {
+		// The only exit between Begin and Finish: leave a closed segment
+		// that ends in a nil-report finish, and no writer goroutine.
+		if rec != nil {
+			cl.FinishSampling()
+			rec.Finish(nil)
+		}
 		return nil, err
 	}
 	cl.FinishSampling()

@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lmas/internal/dsmsort"
 	"lmas/internal/recorder"
@@ -212,25 +213,8 @@ func TestStoreDeterminism(t *testing.T) {
 		if _, _, err := RunSortReport(spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Err(); err != nil {
-			t.Fatal(err)
-		}
-		runs, err := st.Runs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(runs) != 1 {
-			t.Fatalf("%d segments, want 1", len(runs))
-		}
-		b, err := os.ReadFile(runs[0].Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := bytes.IndexByte(b, '\n')
-		if i < 0 {
-			t.Fatalf("segment has no header line")
-		}
-		return b[i+1:]
+		_, body := segmentBody(t, st)
+		return body
 	}
 	a, b := segment(), segment()
 	if !bytes.Equal(a, b) {
@@ -357,5 +341,63 @@ func TestTraceRecordingNeutrality(t *testing.T) {
 	}
 	if !bytes.Equal(s1, s2) {
 		t.Fatalf("span streams differ across recordings (%d vs %d bytes)", len(s1), len(s2))
+	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it is at most want or a
+// second has passed: a goroutine that has signalled its exit is still counted
+// for an instant afterwards.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestEarlyErrorFinishesSegment: a recorded run that fails between Begin and
+// the sort (unknown distribution, unknown routing policy) still leaves a
+// closed, parseable segment whose last record is a finish with no report, and
+// no goroutine — sampler daemon or segment writer — outlives the call.
+func TestEarlyErrorFinishesSegment(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*SortRunSpec)
+	}{
+		{"unknown dist", func(s *SortRunSpec) { s.Dist = "no-such-dist" }},
+		{"unknown policy", func(s *SortRunSpec) { s.Policy = "no-such-policy" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := recorder.OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			spec := recordSpec("cell")
+			spec.Record = st
+			spec.Trace = trace.New()
+			spec.Experiment = "early-error"
+			c.edit(&spec)
+			if _, _, err := RunSortReport(spec); err == nil {
+				t.Fatal("RunSortReport accepted the spec")
+			}
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if after := settledGoroutines(before); after > before {
+				t.Errorf("%d goroutines before the run, %d after", before, after)
+			}
+			runs, err := st.Runs()
+			if err != nil {
+				t.Fatalf("segment does not parse: %v", err)
+			}
+			if len(runs) != 1 || len(runs[0].Records) == 0 {
+				t.Fatalf("store has %d runs, want one with records", len(runs))
+			}
+			last := runs[0].Records[len(runs[0].Records)-1]
+			if last.Finish == nil || last.Finish.Report != nil {
+				t.Fatalf("last record = %+v, want a finish with a nil report", last)
+			}
+		})
 	}
 }

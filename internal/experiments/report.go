@@ -98,6 +98,7 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 		"dist":      spec.Dist,
 	}
 	var rec recorder.Recorder
+	finished := false
 	if spec.Record != nil {
 		rec = spec.Record.NewRun()
 		cfg := cl.Config()
@@ -110,6 +111,15 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 			Workload:   workload,
 		})
 		cl.AttachRecorder(rec, spec.SampleEvery)
+		// Every exit after Begin finishes the recorder: a run that fails
+		// still leaves a closed segment ending in a nil-report finish, and
+		// the store's writer goroutine never outlives the call.
+		defer func() {
+			if !finished {
+				cl.FinishSampling()
+				rec.Finish(nil)
+			}
+		}()
 	}
 	if spec.GaugeInterval > 0 {
 		cl.AttachPeriodicGauges(spec.GaugeInterval)
@@ -135,10 +145,6 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 	}
 	res, err := dsmsort.Sort(cl, cfg, in)
 	if err != nil {
-		if rec != nil {
-			cl.FinishSampling()
-			rec.Finish(nil)
-		}
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	res.Output.Free()
@@ -153,6 +159,7 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 	}
 	if rec != nil {
 		rec.Finish(rep)
+		finished = true
 	}
 	return rep, res, nil
 }

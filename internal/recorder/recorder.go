@@ -98,9 +98,8 @@ type Event struct {
 	Fields map[string]float64 `json:"fields,omitempty"`
 }
 
-// SpanArg is one ordered key/value annotation on a stored span, mirroring
-// trace.Arg without importing it (this package must stay importable from the
-// trace-consuming layers without a cycle).
+// SpanArg is one ordered key/value annotation on a stored span: trace.Arg
+// with the segment's field names.
 type SpanArg struct {
 	Key string `json:"k"`
 	Val any    `json:"v"`
@@ -153,7 +152,9 @@ type Recorder interface {
 	// Event records one streamed event.
 	Event(e Event)
 	// Span records one streamed trace event. Backends that do not keep
-	// traces (the live dashboard) may drop spans.
+	// traces (the live dashboard) may drop spans. sp.Args is the caller's
+	// scratch slice, overwritten by the next call: a backend that keeps the
+	// span past its return copies Args.
 	Span(sp Span)
 	// Finish closes the run with its completed report (nil if the run
 	// failed before reporting).

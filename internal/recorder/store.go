@@ -59,11 +59,14 @@ func (st *Store) setErr(err error) {
 // NewRun opens a recorder for one run; the segment file is created at Begin.
 func (st *Store) NewRun() Recorder { return &storeRun{st: st} }
 
+// storeRun writes one segment. Lines are encoded into out's current chunk on
+// the caller's goroutine and reach the file from out's writer goroutine, which
+// lives from Begin to Finish.
 type storeRun struct {
 	st   *Store
-	f    *os.File
-	w    *bufio.Writer
-	dead bool
+	f    io.WriteCloser // the segment file
+	out  *chunkWriter   // nil before Begin, after Finish, and when Begin failed
+	dead bool           // an encode error ended the stream; later lines are dropped
 }
 
 // sanitizeID maps an experiment or cell name onto the segment-filename
@@ -118,38 +121,61 @@ func (r *storeRun) Begin(h *Header) {
 		}
 	}
 	r.st.mu.Unlock()
-	r.w = bufio.NewWriter(r.f)
+	r.out = newChunkWriter(r.f, r.st.setErr)
 	r.writeLine(h)
 }
 
+// fail latches an encode error and ends the stream: a segment with a line
+// missing from its middle would parse as a complete run.
+func (r *storeRun) fail(err error) {
+	r.st.setErr(err)
+	r.dead = true
+}
+
 func (r *storeRun) writeLine(v any) {
-	if r.dead {
+	if r.out == nil || r.dead {
 		return
 	}
 	b, err := json.Marshal(v)
-	if err == nil {
-		_, err = r.w.Write(append(b, '\n'))
-	}
 	if err != nil {
-		r.st.setErr(err)
-		r.dead = true
+		r.fail(err)
+		return
 	}
+	r.out.buf = append(append(r.out.buf, b...), '\n')
+	r.out.lineDone()
 }
 
 func (r *storeRun) Sample(s Sample) { r.writeLine(Record{Sample: &s}) }
 func (r *storeRun) Event(e Event)   { r.writeLine(Record{Event: &e}) }
-func (r *storeRun) Span(sp Span)    { r.writeLine(Record{Span: &sp}) }
 
-func (r *storeRun) Finish(rep *telemetry.RunReport) {
-	r.writeLine(Record{Finish: &Finish{Report: rep}})
-	if r.f == nil {
+// Span is the one high-rate record (one per trace event, 10^5 per sort cell),
+// so its line is appended in place by appendSpanLine rather than marshalled.
+func (r *storeRun) Span(sp Span) {
+	if r.out == nil || r.dead {
 		return
 	}
-	if !r.dead {
-		r.st.setErr(r.w.Flush())
+	n := len(r.out.buf)
+	b, err := appendSpanLine(r.out.buf, &sp)
+	if err != nil {
+		r.out.buf = b[:n]
+		r.fail(err)
+		return
 	}
+	r.out.buf = b
+	r.out.lineDone()
+}
+
+// Finish writes the closing record, then flushes, joins the writer goroutine
+// and closes the file, so every error is latched in the store and the segment
+// is complete on disk when it returns.
+func (r *storeRun) Finish(rep *telemetry.RunReport) {
+	if r.out == nil {
+		return
+	}
+	r.writeLine(Record{Finish: &Finish{Report: rep}})
+	r.out.close()
 	r.st.setErr(r.f.Close())
-	r.f, r.w, r.dead = nil, nil, true
+	r.f, r.out = nil, nil
 }
 
 // RunRecord is one loaded store segment: the identifying header plus every
@@ -238,9 +264,14 @@ func LoadRun(path string) (*RunRecord, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return readRun(path, f)
+}
+
+// readRun decodes one segment from r; path only labels the result and errors.
+func readRun(path string, r io.Reader) (*RunRecord, error) {
 	// Lines embed whole RunReports, so read unbounded lines rather than
 	// relying on a scanner's token cap.
-	br := bufio.NewReader(f)
+	br := bufio.NewReader(r)
 	headerLine, err := br.ReadBytes('\n')
 	if err != nil && err != io.EOF {
 		return nil, err

@@ -1,11 +1,10 @@
 package recorder
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+
+	"lmas/internal/trace"
 )
 
 // ComposeTrace merges the stored trace spans of any set of runs into one
@@ -16,20 +15,7 @@ import (
 // trace file cannot give. Runs contribute in the order given, spans in stream
 // (emission) order; the output is byte-stable for identical inputs.
 func ComposeTrace(w io.Writer, runs []*RunRecord) error {
-	var sb strings.Builder
-	sb.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	first := true
-	sep := func() {
-		if !first {
-			sb.WriteByte(',')
-		}
-		first = false
-		sb.WriteString("\n")
-	}
-	writeStr := func(v string) {
-		b, _ := json.Marshal(v)
-		sb.Write(b)
-	}
+	cw := trace.NewChromeWriter(w)
 	// Pass 1: name every process and thread before any event references it.
 	// pids are assigned by first appearance across the given run order;
 	// tids reuse the stored per-run track ids (unique within a run, and
@@ -51,72 +37,31 @@ func ComposeTrace(w io.Writer, runs []*RunRecord) error {
 			if !ok {
 				pid = len(pids)
 				pids[pk] = pid
-				sep()
-				fmt.Fprintf(&sb, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":`, pid)
-				writeStr(run.Header.RunID + "/" + sp.Group)
-				sb.WriteString(`}}`)
+				cw.Process(pid, run.Header.RunID+"/"+sp.Group)
 			}
 			tk := tidKey{ri, sp.TID}
 			if !namedTIDs[tk] {
 				namedTIDs[tk] = true
-				sep()
-				fmt.Fprintf(&sb, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":`, pid, sp.TID)
-				writeStr(sp.Track)
-				sb.WriteString(`}}`)
+				cw.Thread(pid, sp.TID, sp.Track)
 			}
 		}
 	}
 	// Pass 2: the events themselves.
+	var args []trace.Arg
 	for ri, run := range runs {
 		for _, sp := range run.Spans() {
-			sep()
-			sb.WriteString(`{"name":`)
-			writeStr(sp.Name)
-			if sp.Cat != "" {
-				sb.WriteString(`,"cat":`)
-				writeStr(sp.Cat)
+			args = args[:0]
+			for _, a := range sp.Args {
+				args = append(args, trace.Arg(a))
 			}
-			fmt.Fprintf(&sb, `,"ph":%s,"ts":%s`, mustJSONString(sp.Ph), composeUsec(sp.T))
-			if sp.Ph == "X" {
-				fmt.Fprintf(&sb, `,"dur":%s`, composeUsec(sp.DurNs))
+			e := trace.StreamEvent{TS: sp.T, Dur: sp.DurNs, TID: sp.TID, Name: sp.Name, Cat: sp.Cat, Args: args}
+			if len(sp.Ph) == 1 { // anything else stays 0, which Event rejects
+				e.Ph = sp.Ph[0]
 			}
-			if sp.Ph == "i" {
-				sb.WriteString(`,"s":"t"`)
+			if err := cw.Event(pids[pidKey{ri, sp.Group}], e); err != nil {
+				return fmt.Errorf("compose trace: run %s: %w", run.Header.RunID, err)
 			}
-			fmt.Fprintf(&sb, `,"pid":%d,"tid":%d`, pids[pidKey{ri, sp.Group}], sp.TID)
-			if len(sp.Args) > 0 {
-				sb.WriteString(`,"args":{`)
-				for i, a := range sp.Args {
-					if i > 0 {
-						sb.WriteByte(',')
-					}
-					writeStr(a.Key)
-					sb.WriteByte(':')
-					b, err := json.Marshal(a.Val)
-					if err != nil {
-						return fmt.Errorf("compose trace: run %s arg %q: %w",
-							run.Header.RunID, a.Key, err)
-					}
-					sb.Write(b)
-				}
-				sb.WriteByte('}')
-			}
-			sb.WriteString(`}`)
 		}
 	}
-	sb.WriteString("\n]}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// composeUsec renders a nanosecond stamp as the microseconds the trace
-// format expects, with fixed precision so output is byte-stable (mirrors
-// trace.usec, which this package cannot import).
-func composeUsec(ns int64) string {
-	return strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64)
-}
-
-func mustJSONString(v string) string {
-	b, _ := json.Marshal(v)
-	return string(b)
+	return cw.Close()
 }

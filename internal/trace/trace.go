@@ -19,10 +19,9 @@
 package trace
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -72,9 +71,15 @@ type Sink struct {
 	groupIdx map[string]int
 	tracks   []trackInfo // tracks[i] describes Track(i+1)
 	shared   map[string]Track
-	events   []event
+	// chunks holds the events in record order. Every chunk but the last is
+	// full, and none is ever regrown, so recording copies nothing it already
+	// holds however long the run.
+	chunks   [][]event
 	streamer func(StreamEvent)
 }
+
+// eventChunk is the number of events per storage chunk (320 KiB of events).
+const eventChunk = 4096
 
 // StreamEvent is one trace event in self-describing form: track identity is
 // resolved to group/track names so a consumer outside this package (the run
@@ -91,7 +96,7 @@ type StreamEvent struct {
 	Args  []Arg
 }
 
-func (s *Sink) streamEvent(e event) StreamEvent {
+func (s *Sink) streamEvent(e *event) StreamEvent {
 	ti := s.tracks[e.track-1]
 	return StreamEvent{
 		TS:    e.ts,
@@ -123,8 +128,10 @@ func (s *Sink) SetStreamer(fn func(StreamEvent)) {
 	if fn == nil {
 		return
 	}
-	for _, e := range s.events {
-		fn(s.streamEvent(e))
+	for _, chunk := range s.chunks {
+		for i := range chunk {
+			fn(s.streamEvent(&chunk[i]))
+		}
 	}
 }
 
@@ -199,16 +206,25 @@ func (s *Sink) Events() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.events)
+	n := 0
+	for _, chunk := range s.chunks {
+		n += len(chunk)
+	}
+	return n
 }
 
 func (s *Sink) add(e event) {
 	if s == nil || e.track == 0 {
 		return
 	}
-	s.events = append(s.events, e)
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == eventChunk {
+		s.chunks = append(s.chunks, make([]event, 0, eventChunk))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], e)
 	if s.streamer != nil {
-		s.streamer(s.streamEvent(e))
+		s.streamer(s.streamEvent(&e))
 	}
 }
 
@@ -245,36 +261,6 @@ func (s *Sink) Counter(tr Track, ts Time, name string, value int64) {
 	s.add(event{track: tr, ph: phaseCounter, ts: ts, name: name, args: []Arg{{Key: "value", Val: value}}})
 }
 
-// usec renders a virtual-time nanosecond stamp as the microseconds the
-// Chrome trace-event format expects, with fixed sub-microsecond precision so
-// output is byte-stable.
-func usec(t Time) string {
-	return strconv.FormatFloat(float64(t)/1e3, 'f', 3, 64)
-}
-
-func writeJSONString(w *strings.Builder, v string) {
-	b, _ := json.Marshal(v)
-	w.Write(b)
-}
-
-func writeArgs(w *strings.Builder, args []Arg) error {
-	w.WriteByte('{')
-	for i, a := range args {
-		if i > 0 {
-			w.WriteByte(',')
-		}
-		writeJSONString(w, a.Key)
-		w.WriteByte(':')
-		b, err := json.Marshal(a.Val)
-		if err != nil {
-			return fmt.Errorf("trace: arg %q: %w", a.Key, err)
-		}
-		w.Write(b)
-	}
-	w.WriteByte('}')
-	return nil
-}
-
 // WriteJSON exports the trace in Chrome trace-event JSON ("JSON object
 // format"): open the file in Perfetto (ui.perfetto.dev) or chrome://tracing.
 // Each track group becomes a process and each track a thread, named via
@@ -284,56 +270,22 @@ func (s *Sink) WriteJSON(w io.Writer) error {
 		_, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[]}`+"\n")
 		return err
 	}
-	var sb strings.Builder
-	sb.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	first := true
-	sep := func() {
-		if !first {
-			sb.WriteByte(',')
-		}
-		first = false
-		sb.WriteString("\n")
-	}
+	cw := NewChromeWriter(w)
 	for g, name := range s.groups {
-		sep()
-		fmt.Fprintf(&sb, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":`, g)
-		writeJSONString(&sb, name)
-		sb.WriteString(`}}`)
+		cw.Process(g, name)
 	}
 	for i, ti := range s.tracks {
-		sep()
-		fmt.Fprintf(&sb, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":`, ti.group, i+1)
-		writeJSONString(&sb, ti.name)
-		sb.WriteString(`}}`)
+		cw.Thread(ti.group, int32(i+1), ti.name)
 	}
-	for _, e := range s.events {
-		ti := s.tracks[e.track-1]
-		sep()
-		sb.WriteString(`{"name":`)
-		writeJSONString(&sb, e.name)
-		if e.cat != "" {
-			sb.WriteString(`,"cat":`)
-			writeJSONString(&sb, e.cat)
-		}
-		fmt.Fprintf(&sb, `,"ph":"%c","ts":%s`, e.ph, usec(e.ts))
-		if e.ph == phaseSpan {
-			fmt.Fprintf(&sb, `,"dur":%s`, usec(e.dur))
-		}
-		if e.ph == phaseInstant {
-			sb.WriteString(`,"s":"t"`) // thread-scoped instant
-		}
-		fmt.Fprintf(&sb, `,"pid":%d,"tid":%d`, ti.group, e.track)
-		if len(e.args) > 0 {
-			sb.WriteString(`,"args":`)
-			if err := writeArgs(&sb, e.args); err != nil {
+	for _, chunk := range s.chunks {
+		for i := range chunk {
+			e := &chunk[i]
+			if err := cw.Event(s.tracks[e.track-1].group, s.streamEvent(e)); err != nil {
 				return err
 			}
 		}
-		sb.WriteString(`}`)
 	}
-	sb.WriteString("\n]}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return cw.Close()
 }
 
 // WriteCSV exports the trace as a flat time series, one event per row:
@@ -343,26 +295,29 @@ func (s *Sink) WriteJSON(w io.Writer) error {
 // args are rendered as semicolon-separated key=value pairs. The CSV fallback
 // feeds plotting tools that do not speak the Chrome trace format.
 func (s *Sink) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("ts_ns,dur_ns,phase,group,track,name,cat,args\n")
+	bw := bufio.NewWriter(w)
+	bw.WriteString("ts_ns,dur_ns,phase,group,track,name,cat,args\n")
 	if s != nil {
-		for _, e := range s.events {
-			ti := s.tracks[e.track-1]
-			var args strings.Builder
-			for i, a := range e.args {
-				if i > 0 {
-					args.WriteByte(';')
+		var args strings.Builder
+		for _, chunk := range s.chunks {
+			for i := range chunk {
+				e := &chunk[i]
+				ti := s.tracks[e.track-1]
+				args.Reset()
+				for k, a := range e.args {
+					if k > 0 {
+						args.WriteByte(';')
+					}
+					fmt.Fprintf(&args, "%s=%v", a.Key, a.Val)
 				}
-				fmt.Fprintf(&args, "%s=%v", a.Key, a.Val)
+				fmt.Fprintf(bw, "%d,%d,%c,%s,%s,%s,%s,%s\n",
+					e.ts, e.dur, e.ph,
+					csvField(s.groups[ti.group]), csvField(ti.name),
+					csvField(e.name), csvField(e.cat), csvField(args.String()))
 			}
-			fmt.Fprintf(&sb, "%d,%d,%c,%s,%s,%s,%s,%s\n",
-				e.ts, e.dur, e.ph,
-				csvField(s.groups[ti.group]), csvField(ti.name),
-				csvField(e.name), csvField(e.cat), csvField(args.String()))
 		}
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return bw.Flush() // bufio errors are sticky: Flush reports the first
 }
 
 func csvField(v string) string {
