@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"lmas/internal/cluster"
@@ -33,25 +32,12 @@ import (
 )
 
 func main() {
-	// Global flags precede the subcommand (asulab -engine parallel fig10 ...)
-	// and apply to every cluster any subcommand builds, via the env fallbacks
-	// cluster.Params.EngineSpec consults. Engine choice never changes
-	// results — only wall clock.
+	// asulab itself takes no flags; parsing the arguments before the
+	// subcommand still gives -h its usage text and any other flag Go's
+	// "flag provided but not defined" error (exit 2).
 	global := flag.NewFlagSet("asulab", flag.ExitOnError)
 	global.Usage = usage
-	engine := global.String("engine", "", "sim engine for all subcommands: serial|parallel (results identical; equivalent to LMAS_SIM_ENGINE)")
-	workers := global.Int("workers", 0, "parallel-engine worker goroutines (0 = one per CPU; equivalent to LMAS_SIM_WORKERS)")
-	groups := global.Int("groups", 0, "parallel-engine partition groups (0 = shared worker pool; equivalent to LMAS_SIM_GROUPS)")
 	global.Parse(os.Args[1:]) // stops at the first non-flag: the subcommand
-	if *engine != "" {
-		os.Setenv("LMAS_SIM_ENGINE", *engine)
-	}
-	if *workers != 0 {
-		os.Setenv("LMAS_SIM_WORKERS", strconv.Itoa(*workers))
-	}
-	if *groups != 0 {
-		os.Setenv("LMAS_SIM_GROUPS", strconv.Itoa(*groups))
-	}
 	if global.NArg() < 1 {
 		usage()
 		os.Exit(2)
@@ -358,7 +344,7 @@ func runOpenLoop(args []string) error {
 	fs.Int64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
 	timeoutMs := fs.Float64("timeout", opt.Timeout.Seconds()*1e3,
 		"base SLO deadline in virtual ms; the ladder arms horizons 1..deadlines times this")
-	report := fs.String("report", "", "write the run's RunReport here (engine-independent: CI cmps serial vs parallel)")
+	report := fs.String("report", "", "write the run's RunReport here (byte-identical run to run: CI cmps two runs)")
 	record := fs.String("record", "", "also stream the run into this run-store directory")
 	fs.StringVar(&opt.Experiment, "experiment", opt.Experiment, "experiment label for recorded runs")
 	fs.Parse(args)

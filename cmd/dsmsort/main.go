@@ -45,9 +45,6 @@ func main() {
 		report    = flag.String("report", "", "write a machine-readable RunReport (JSON) of the run")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		engine    = flag.String("engine", "", "sim engine: serial|parallel (default serial; results are identical, parallel only changes wall clock)")
-		workers   = flag.Int("workers", 0, "parallel-engine worker goroutines (0 = one per CPU)")
-		groups    = flag.Int("groups", 0, "parallel-engine partition groups (0 = shared worker pool)")
 		record    = flag.String("record", "", "record the run into this run store directory")
 		expName   = flag.String("experiment", "adhoc", "experiment name for the recorded run")
 		sampleMs  = flag.Int("sample", 100, "recorder sampling interval in virtual ms")
@@ -63,7 +60,6 @@ func main() {
 
 	params := cluster.DefaultParams()
 	params.Hosts, params.ASUs, params.C = *hosts, *asus, *c
-	params.Engine, params.EngineWorkers, params.EngineGroups = *engine, *workers, *groups
 	if *netMBps > 0 {
 		params.NetBandwidth = *netMBps * 1e6
 	}

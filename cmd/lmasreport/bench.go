@@ -24,9 +24,6 @@ func runBench(args []string) error {
 		"stamp the trajectory with wall-clock time; disable for byte-reproducible baselines")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	engine := fs.String("engine", "", "sim engine for every cell: serial|parallel (output is byte-identical either way)")
-	workers := fs.Int("workers", 0, "parallel-engine worker goroutines (0 = one per CPU)")
-	groups := fs.Int("groups", 0, "parallel-engine partition groups (0 = shared worker pool)")
 	record := fs.String("record", "", "record every cell into this run store directory")
 	experiment := fs.String("experiment", "bench", "experiment name for recorded runs")
 	serveAddr := fs.String("serve", "", "serve the live monitoring dashboard on this address while running (blocks after the bench so the page stays up)")
@@ -71,7 +68,6 @@ func runBench(args []string) error {
 	}
 	opt := experiments.BenchOptions{
 		Quick: *quick, Seed: *seed, Jobs: *jobs,
-		Engine: *engine, EngineWorkers: *workers, EngineGroups: *groups,
 		Experiment:  *experiment,
 		SampleEvery: sim.Duration(*sampleMs) * sim.Millisecond,
 		Progress: func(spec experiments.SortRunSpec) {

@@ -13,8 +13,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"lmas/internal/critpath"
 	"lmas/internal/disk"
@@ -132,69 +130,6 @@ type Params struct {
 	// applications. Zero disables isolation: functor work holds the CPU
 	// for its full duration.
 	IsolationQuantum sim.Duration
-
-	// Engine selects the simulator's event-loop engine: "serial" or
-	// "parallel". Empty consults the LMAS_SIM_ENGINE environment variable
-	// and then defaults to serial. The choice never changes results —
-	// both engines are byte-identical — only wall-clock behaviour, so it
-	// deliberately stays out of RunReports.
-	Engine string
-	// EngineWorkers sets the parallel engine's worker-goroutine count;
-	// 0 consults LMAS_SIM_WORKERS and then defaults to one per CPU.
-	EngineWorkers int
-	// EngineGroups, when positive, runs the parallel engine in partition-
-	// group mode: that many dedicated workers, each owning the offload ring
-	// of node group (partition mod groups). 0 consults LMAS_SIM_GROUPS and
-	// then defaults to the shared worker pool. Requires the parallel engine;
-	// like Engine/EngineWorkers it never changes results.
-	EngineGroups int
-}
-
-// EngineSpec resolves the engine selection, applying the environment
-// fallbacks described on Params.Engine.
-func (p Params) EngineSpec() (sim.EngineSpec, error) {
-	name := p.Engine
-	if name == "" {
-		name = os.Getenv("LMAS_SIM_ENGINE")
-	}
-	workers := p.EngineWorkers
-	if workers == 0 {
-		if v := os.Getenv("LMAS_SIM_WORKERS"); v != "" {
-			w, err := strconv.Atoi(v)
-			if err != nil {
-				return sim.EngineSpec{}, fmt.Errorf("cluster: bad LMAS_SIM_WORKERS %q: %w", v, err)
-			}
-			workers = w
-		}
-	}
-	groups, groupsFromEnv := p.EngineGroups, false
-	if groups == 0 {
-		if v := os.Getenv("LMAS_SIM_GROUPS"); v != "" {
-			g, err := strconv.Atoi(v)
-			if err != nil {
-				return sim.EngineSpec{}, fmt.Errorf("cluster: bad LMAS_SIM_GROUPS %q: %w", v, err)
-			}
-			groups, groupsFromEnv = g, true
-		}
-	}
-	spec, err := sim.ParseEngineSpec(name, workers)
-	if err != nil {
-		return sim.EngineSpec{}, err
-	}
-	if groups > 0 {
-		if spec.Kind != sim.EngineParallel {
-			// An explicit param on the serial engine is a configuration
-			// error; the env fallback is advisory so a suite-wide
-			// LMAS_SIM_GROUPS override composes with runs that explicitly
-			// select serial (e.g. differential references).
-			if !groupsFromEnv {
-				return sim.EngineSpec{}, fmt.Errorf("cluster: engine groups (%d) require the parallel engine", groups)
-			}
-		} else {
-			spec.Groups = groups
-		}
-	}
-	return spec, nil
 }
 
 // DefaultParams returns the baseline configuration used throughout the
@@ -236,9 +171,6 @@ func (p Params) Validate() error {
 	case p.HostMemRecords < 1 || p.ASUMemRecords < 1:
 		return fmt.Errorf("cluster: memory bounds must be positive")
 	}
-	if _, err := p.EngineSpec(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -250,7 +182,7 @@ type Node struct {
 
 	// Part is the node's event-ordering partition in the simulator: procs
 	// pinned to this node (sim.SpawnOn) break same-instant ties by
-	// (partition, per-node seq), the engine-independent key.
+	// (partition, per-node seq).
 	Part int
 
 	CPU       *sim.Resource
@@ -363,16 +295,7 @@ func New(p Params) *Cluster {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	spec, err := p.EngineSpec()
-	if err != nil {
-		panic(err) // Validate caught syntax; this is unreachable
-	}
-	s := sim.NewWithEngine(spec)
-	// The network latency is the conservative lookahead: an offloaded
-	// closure's results cannot re-enter another node's timeline sooner
-	// than one message latency, so the parallel engine joins workers at
-	// windows of this width.
-	s.SetLookahead(p.NetLatency)
+	s := sim.New()
 	c := &Cluster{Params: p, Sim: s, Net: netsim.New(s, p.NetLatency)}
 	for i := 0; i < p.Hosts; i++ {
 		name := fmt.Sprintf("host%d", i)
@@ -449,9 +372,8 @@ func (c *Cluster) AttachTrace(t *trace.Sink) {
 // every trace event also lands in the run record as a Span. Called from both
 // AttachTrace and AttachRecorder, so either attach order works; the sink
 // replays already-buffered events on hookup, so nothing is lost either way.
-// Trace emission happens on the event-loop side only and event order is
-// engine-independent, so the streamed spans keep segments deterministic
-// below the header.
+// Event order is deterministic, so the streamed spans keep segments
+// deterministic below the header.
 func (c *Cluster) wireTraceStream() {
 	t := c.Sim.Tracer()
 	rec := c.Recorder
@@ -583,7 +505,7 @@ func (c *Cluster) BuildReport(name string, seed int64, elapsed sim.Duration) *te
 // hits, near-deadline heap spills, recycled proc shells) into the telemetry
 // registry, so every RunReport — and hence `lmasreport show` — can explain
 // scheduler behavior per run. The kernel counts non-daemon events only, so
-// these counters are byte-identical across engines and recording.
+// these counters are byte-identical with or without a recorder attached.
 func (c *Cluster) fillSchedStats() {
 	st := c.Sim.SchedStats()
 	c.Telemetry.Counter("sim.scheduler.wheel_hits").Add(int64(st.WheelHits - c.lastSched.WheelHits))

@@ -245,63 +245,3 @@ func TestServeRequestJumpsQueuedFunctorWork(t *testing.T) {
 		t.Fatalf("order %v; request must precede queued functor work", order)
 	}
 }
-
-func TestEngineSpecGroups(t *testing.T) {
-	p := DefaultParams()
-	p.Engine, p.EngineGroups = "parallel", 4
-	spec, err := p.EngineSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Kind != sim.EngineParallel || spec.Groups != 4 {
-		t.Fatalf("spec = %+v, want parallel with 4 groups", spec)
-	}
-	// Groups demand the parallel engine: a serial selection must fail
-	// loudly instead of silently ignoring the partition-group request.
-	p.Engine = "serial"
-	if _, err := p.EngineSpec(); err == nil {
-		t.Fatal("EngineSpec accepted groups on the serial engine")
-	}
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate accepted groups on the serial engine")
-	}
-}
-
-func TestEngineSpecGroupsEnvFallback(t *testing.T) {
-	t.Setenv("LMAS_SIM_ENGINE", "parallel")
-	t.Setenv("LMAS_SIM_GROUPS", "3")
-	spec, err := DefaultParams().EngineSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Kind != sim.EngineParallel || spec.Groups != 3 {
-		t.Fatalf("spec = %+v, want parallel with 3 groups from env", spec)
-	}
-	t.Setenv("LMAS_SIM_GROUPS", "nope")
-	if _, err := DefaultParams().EngineSpec(); err == nil {
-		t.Fatal("EngineSpec accepted a malformed LMAS_SIM_GROUPS")
-	}
-	// Env-sourced groups are advisory: a run that explicitly selects the
-	// serial engine must ignore them (suite-wide overrides compose), unlike
-	// an explicit EngineGroups param, which errors.
-	t.Setenv("LMAS_SIM_GROUPS", "3")
-	ps := DefaultParams()
-	ps.Engine = "serial"
-	spec2, err := ps.EngineSpec()
-	if err != nil {
-		t.Fatalf("env groups on explicit serial engine: %v", err)
-	}
-	if spec2.Kind != sim.EngineSerial || spec2.Groups != 0 {
-		t.Fatalf("env groups leaked into serial spec: %+v", spec2)
-	}
-	// An explicit param outranks the env var.
-	p := DefaultParams()
-	p.Engine, p.EngineGroups = "parallel", 2
-	spec, err = p.EngineSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Groups != 2 {
-		t.Fatalf("explicit EngineGroups lost to env: %+v", spec)
-	}
-}

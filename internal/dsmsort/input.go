@@ -18,29 +18,11 @@ type Input struct {
 	Checksum records.Checksum
 }
 
-// Harness offload labels: generation and validation run through the same
-// engine seam as in-simulation kernels, so bench sweeps under the parallel
-// engine stop serializing on setup/teardown. All Exec variants are
-// byte-identical to their serial counterparts, so this never changes inputs,
-// checksums, or validation verdicts.
-var (
-	generateLabel = &sim.OffloadLabel{Kernel: "generate", Stage: "harness"}
-	checksumLabel = &sim.OffloadLabel{Kernel: "checksum", Stage: "harness"}
-	validateLabel = &sim.OffloadLabel{Kernel: "validate", Stage: "harness"}
-)
-
-// harnessExec adapts cl's engine offload hook into a records.Executor. The
-// returned executor is only safe from the goroutine driving the simulation
-// (see Sim.ExecChunks) — exactly where the harness runs.
-func harnessExec(cl *cluster.Cluster, lbl *sim.OffloadLabel) records.Executor {
-	return func(n int, task func(i int)) { cl.Sim.ExecChunks(lbl, n, task) }
-}
-
 // MakeInput generates n records from dist and stripes them packet-by-packet
 // across the cluster's ASUs. Loading happens outside measured time (the
 // simulator clock is advanced and the writes flushed before return).
 func MakeInput(cl *cluster.Cluster, n int, dist records.KeyDist, seed int64, packetRecords int) *Input {
-	buf := records.GenerateExec(n, cl.Params.RecordSize, seed, dist, harnessExec(cl, generateLabel))
+	buf := records.GenerateExec(n, cl.Params.RecordSize, seed, dist, records.Serial)
 	return loadInput(cl, buf, packetRecords)
 }
 
@@ -48,7 +30,7 @@ func MakeInput(cl *cluster.Cluster, n int, dist records.KeyDist, seed int64, pac
 // second half from second) striped across ASUs so that, scanned in
 // parallel, the skewed half arrives in the second half of the run.
 func MakeInputHalves(cl *cluster.Cluster, n int, first, second records.KeyDist, seed int64, packetRecords int) *Input {
-	buf := records.GenerateHalvesExec(n, cl.Params.RecordSize, seed, first, second, harnessExec(cl, generateLabel))
+	buf := records.GenerateHalvesExec(n, cl.Params.RecordSize, seed, first, second, records.Serial)
 	return loadInput(cl, buf, packetRecords)
 }
 
@@ -78,7 +60,7 @@ func loadInput(cl *cluster.Cluster, buf records.Buffer, packetRecords int) *Inpu
 	}
 	n := buf.Len()
 	in := &Input{N: n}
-	in.Checksum = records.ChecksumExec(buf, harnessExec(cl, checksumLabel))
+	in.Checksum = records.ChecksumExec(buf, records.Serial)
 	d := len(cl.ASUs)
 	for _, asu := range cl.ASUs {
 		set := container.NewSet(fmt.Sprintf("input@%s", asu.Name), bte.NewDisk(asu.Disk), cl.Params.RecordSize)

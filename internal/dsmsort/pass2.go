@@ -68,17 +68,7 @@ type MergeResult struct {
 	ASUMergeLevels int
 	HostOps        float64
 	ASUOps         float64
-	// OffloadedOps is the share of HostOps+ASUOps whose record-moving
-	// inner loop ran behind the engine's offload seam (staged merges).
-	// Deterministic: the staged path runs under every engine.
-	OffloadedOps float64
 }
-
-// Offload labels for the merge pass's staged kernels (see sim.OffloadLabel).
-var (
-	asuMergeLabel  = &sim.OffloadLabel{Kernel: "asumerge", Stage: "merge"}
-	hostMergeLabel = &sim.OffloadLabel{Kernel: "hostmerge", Stage: "merge"}
-)
 
 // mergeHeap is a loser-tree-equivalent k-way merge frontier. It is a
 // hand-rolled binary heap rather than container/heap because heap.Pop
@@ -337,7 +327,6 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 		reg.Counter("dsmsort.merge.levels").Add(int64(res.ASUMergeLevels))
 		reg.Counter("dsmsort.merge.host_ops").Add(int64(res.HostOps))
 		reg.Counter("dsmsort.merge.asu_ops").Add(int64(res.ASUOps))
-		reg.Counter("dsmsort.merge.offload_ops").Add(int64(res.OffloadedOps))
 		reg.Gauge("dsmsort.merge.elapsed_sec").Set(cl.Sim.Now(), res.Elapsed.Seconds())
 		now := cl.Sim.Now()
 		flushQueue := func(q *sim.Queue[container.Packet]) {
@@ -412,13 +401,11 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 			}
 			ops := float64(nrec) * (touch + log2f(len(batch))*cm.CompareOps)
 			res.ASUOps += ops
-			res.OffloadedOps += ops
 			merged := records.NewPooled(nrec, recSize)
 			bufpool.Guard(merged.Raw(), "asumerge")
 			im.batch, im.out = batch, merged
-			job := p.GoLabeled(asuMergeLabel, imStep)
+			imStep()
 			asu.Compute(p, ops)
-			job.Wait()
 			// The batch's records now live in merged; recycle the pooled
 			// intermediate inputs (engine-owned level-0 runs stay put).
 			for i := lo; i < hi; i++ {
@@ -478,7 +465,6 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 		pk := container.Packet{Buf: pending.Slice(0, pendingFill), Sorted: true, Bucket: -1, Run: -1, Owned: true, Prov: id}
 		ops := float64(pendingFill) * perRec
 		res.ASUOps += ops
-		res.OffloadedOps += ops
 		asu.Compute(p, ops)
 		// Stream to the consuming host merger; the network hop is
 		// charged by the host side on receipt (it knows its NIC).
@@ -516,9 +502,8 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 		outBuf := records.NewPooled(cfg.PacketRecords, recSize)
 		bufpool.Guard(outBuf.Raw(), "asumerge")
 		burst.out, burst.fill = outBuf, fill
-		job := p.GoLabeled(asuMergeLabel, burstStep)
+		burstStep()
 		flushPending()
-		job.Wait()
 		pending, pendingFill = outBuf, fill
 		rem -= fill
 	}
@@ -603,7 +588,6 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 		seq++
 		ops := float64(pendingFill) * (touch + log2f(gamma1)*cm.CompareOps)
 		res.HostOps += ops
-		res.OffloadedOps += ops
 		host.Compute(p, ops)
 		dest := *stripe % len(collectors)
 		*stripe++
@@ -636,9 +620,8 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 	}
 	for len(h) > 0 {
 		bufpool.Guard(outBuf.Raw(), "hostmerge")
-		job := p.GoLabeled(hostMergeLabel, burst)
+		burst()
 		flushPending()
-		job.Wait()
 		if src := exhausted; src >= 0 {
 			exhausted = -1
 			heads[src].Release() // exhausted upstream packet (it owned its buffer)

@@ -32,7 +32,7 @@ func Sort(cl *cluster.Cluster, cfg Config, in *Input) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := out.ValidateExec(in, cfg.Alpha, harnessExec(cl, validateLabel)); err != nil {
+	if err := out.Validate(in, cfg.Alpha); err != nil {
 		out.Free()
 		return nil, fmt.Errorf("dsmsort: output validation failed: %w", err)
 	}

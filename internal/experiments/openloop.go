@@ -166,9 +166,9 @@ type jobTrack struct {
 }
 
 // RunOpenLoop executes the open-loop churn workload. The dispatch history is
-// engine-independent: the generator is a single proc, every shared mutation
-// happens inside dispatched events, and the report it builds must be
-// byte-identical across the serial and parallel engines (CI cmps it).
+// a pure function of the options: the generator is a single proc, every
+// shared mutation happens inside dispatched events, and the report it builds
+// must be byte-identical from run to run (CI cmps two runs).
 func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	params := opt.Base
 	params.Hosts, params.ASUs = opt.Hosts, opt.ASUs

@@ -33,12 +33,6 @@ type SortRunSpec struct {
 	// Critpath attaches the critical-path profiler and adds a latency
 	// attribution section (with the Pass1Model prediction) to the report.
 	Critpath bool
-	// Engine/EngineWorkers/EngineGroups select the sim event-loop engine
-	// (see cluster.Params). The choice never changes the report's bytes, so
-	// it is deliberately absent from the Workload map.
-	Engine        string
-	EngineWorkers int
-	EngineGroups  int
 	// Record, when non-nil, streams the run into a recorder sink (store
 	// and/or live dashboard): header at start, periodic samples and
 	// decisions during the run, the finished report at the end. Recording
@@ -74,7 +68,6 @@ type SortRunSpec struct {
 func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, error) {
 	params := cluster.DefaultParams()
 	params.Hosts, params.ASUs, params.C = spec.Hosts, spec.ASUs, spec.C
-	params.Engine, params.EngineWorkers, params.EngineGroups = spec.Engine, spec.EngineWorkers, spec.EngineGroups
 	if err := params.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
@@ -227,28 +220,14 @@ func BenchMatrix(quick bool, seed int64) []SortRunSpec {
 // GeneratedAt (wall-clock time stays out of this package so runs are
 // reproducible byte for byte).
 func RunBench(quick bool, seed int64, jobs int, progress func(spec SortRunSpec)) (*telemetry.Trajectory, error) {
-	return RunBenchEngine(quick, seed, jobs, "", 0, progress)
-}
-
-// RunBenchEngine is RunBench with every cell running on the named sim engine
-// (see sim.ParseEngineSpec; "" = serial). Engine choice only affects wall
-// clock — the trajectory bytes are identical for every engine and worker
-// count, which is exactly what the differential tests pin.
-func RunBenchEngine(quick bool, seed int64, jobs int, engine string, workers int, progress func(spec SortRunSpec)) (*telemetry.Trajectory, error) {
-	return RunBenchWith(BenchOptions{
-		Quick: quick, Seed: seed, Jobs: jobs,
-		Engine: engine, EngineWorkers: workers, Progress: progress,
-	})
+	return RunBenchWith(BenchOptions{Quick: quick, Seed: seed, Jobs: jobs, Progress: progress})
 }
 
 // BenchOptions parameterizes a bench-matrix execution.
 type BenchOptions struct {
-	Quick         bool
-	Seed          int64
-	Jobs          int
-	Engine        string
-	EngineWorkers int
-	EngineGroups  int
+	Quick bool
+	Seed  int64
+	Jobs  int
 	// Record streams every cell into the sink (each cell is its own run);
 	// Experiment and SampleEvery are passed through to the cells' specs.
 	Record      recorder.Sink
@@ -264,9 +243,6 @@ func RunBenchWith(opt BenchOptions) (*telemetry.Trajectory, error) {
 	tr := &telemetry.Trajectory{Schema: telemetry.TrajectorySchema, Quick: quick}
 	specs := BenchMatrix(quick, opt.Seed)
 	for i := range specs {
-		specs[i].Engine = opt.Engine
-		specs[i].EngineWorkers = opt.EngineWorkers
-		specs[i].EngineGroups = opt.EngineGroups
 		specs[i].Record = opt.Record
 		specs[i].Experiment = opt.Experiment
 		specs[i].SampleEvery = opt.SampleEvery

@@ -7,7 +7,6 @@ import (
 	"lmas/internal/bufpool"
 	"lmas/internal/container"
 	"lmas/internal/records"
-	"lmas/internal/sim"
 )
 
 // log2 returns log2(n) clamped at zero, the per-record comparison count the
@@ -171,14 +170,6 @@ type AsyncKernel interface {
 	Stage(ctx *Ctx, pk container.Packet) (compute func(), commit func(emit Emit))
 }
 
-// OffloadLabeled is optionally implemented by AsyncKernels to tag their
-// offloaded compute closures with a pprof label (see sim.OffloadLabel), so
-// CPU profiles attribute worker time per kernel. Return a package-level
-// label so labeling stays allocation-free.
-type OffloadLabeled interface {
-	OffloadLabel() *sim.OffloadLabel
-}
-
 // stagedRun is a full block captured by Stage: compute sorts buf off the
 // event loop, commit emits it with the run number assigned at stage time.
 type stagedRun struct {
@@ -248,14 +239,6 @@ func (b *BlockSort) Stage(ctx *Ctx, pk container.Packet) (compute func(), commit
 }
 
 var _ AsyncKernel = (*BlockSort)(nil)
-
-// blockSortLabel tags BlockSort's offloaded sorts in CPU profiles.
-var blockSortLabel = &sim.OffloadLabel{Kernel: "blocksort", Stage: "sort"}
-
-// OffloadLabel attributes offloaded sort time to the blocksort kernel.
-func (b *BlockSort) OffloadLabel() *sim.OffloadLabel { return blockSortLabel }
-
-var _ OffloadLabeled = (*BlockSort)(nil)
 
 // Sink is a terminal kernel that hands every packet to a user function —
 // typically one that appends to a container on the instance's node,

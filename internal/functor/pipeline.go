@@ -48,10 +48,6 @@ type Instance struct {
 	PacketsIn, RecordsIn   int64
 	PacketsOut, RecordsOut int64
 	OpsCharged             float64
-	// OpsOffloaded is the share of OpsCharged whose pure compute ran
-	// behind the offload seam (staged kernels with a non-nil compute).
-	// Deterministic: the staged path runs under every engine.
-	OpsOffloaded float64
 }
 
 // Label identifies the instance for routing diagnostics.
@@ -500,17 +496,7 @@ func (in *Instance) run(proc *sim.Proc) {
 	}
 	pf := ctx.Cluster.Profiler
 	pf.Bind(proc, in.Stage.Name, in.Node.Name, nodeClass(in.Node), stageBlame(in.Stage, in.Node))
-	// Kernels that implement AsyncKernel run the staged path under every
-	// engine: the serial engine executes the compute closure inline, the
-	// parallel engine overlaps it with the virtual Compute charge on a
-	// worker goroutine. Same path, same observable behaviour.
 	async, _ := in.kernel.(AsyncKernel)
-	var lbl *sim.OffloadLabel
-	if async != nil {
-		if l, ok := in.kernel.(OffloadLabeled); ok {
-			lbl = l.OffloadLabel()
-		}
-	}
 	emit := func(pk container.Packet) {
 		if pf != nil && pk.Prov == 0 {
 			// A freshly produced packet (rather than a re-emitted input)
@@ -550,24 +536,15 @@ func (in *Instance) run(proc *sim.Proc) {
 			proc.TraceBegin("packet", "functor", trace.Arg{Key: "records", Val: pk.Len()})
 		}
 		if async != nil {
-			// Stage captures the pure compute before the virtual charge so
-			// the engine can run it concurrently with other procs' events
-			// inside the lookahead window; Wait joins it (wall clock only)
-			// before commit emits.
 			compute, commit := async.Stage(ctx, pk)
-			var job *sim.Job
 			if compute != nil {
-				job = proc.GoLabeled(lbl, compute)
+				compute()
 			}
 			if !in.Stage.NoCPU {
 				ops := cm.PacketOps + float64(pk.Len())*(touch+in.kernel.Compares(pk)*cm.CompareOps)
 				in.OpsCharged += ops
-				if job != nil {
-					in.OpsOffloaded += ops
-				}
 				in.Node.Compute(proc, ops)
 			}
-			job.Wait()
 			commit(emit)
 		} else {
 			if !in.Stage.NoCPU {
@@ -617,20 +594,16 @@ func (p *Pipeline) FlushTelemetry() {
 	}
 	for _, st := range p.stages {
 		var pks, recs int64
-		var ops, offl float64
+		var ops float64
 		for _, inst := range st.instances {
 			pks += inst.PacketsIn
 			recs += inst.RecordsIn
 			ops += inst.OpsCharged
-			offl += inst.OpsOffloaded
 		}
 		pre := "functor." + st.Name
 		reg.Counter(pre + ".packets").Add(pks)
 		reg.Counter(pre + ".records").Add(recs)
 		reg.Counter(pre + ".ops").Add(int64(ops))
-		if offl > 0 {
-			reg.Counter(pre + ".offload_ops").Add(int64(offl))
-		}
 		if e, ok := st.out.(*Edge); ok {
 			reg.Counter(pre + ".out.net_bytes").Add(e.NetBytes)
 			reg.Counter(pre + ".out.cross_node").Add(e.CrossNode)

@@ -11,14 +11,12 @@ import (
 
 // event is a scheduled callback or proc resumption. Events with equal times
 // fire in (partition, per-partition seq) order: within a partition, schedule
-// order; across partitions, ascending partition rank. The per-partition seq
-// replaces the old global counter so the tie-break key is stable under any
-// engine — a partition's numbering depends only on that partition's schedule
-// history, not on how unrelated partitions' events interleaved. An event
-// resumes proc when proc is non-nil and calls fn otherwise; tagging
-// resumptions with the proc (instead of closing over it) keeps the hot
-// scheduling paths allocation-free and lets a parking proc hand control
-// straight to the next runnable proc.
+// order; across partitions, ascending partition rank. A partition's seq
+// numbering depends only on that partition's schedule history, not on how
+// unrelated partitions' events interleaved. An event resumes proc when proc
+// is non-nil and calls fn otherwise; tagging resumptions with the proc
+// (instead of closing over it) keeps the hot scheduling paths allocation-free
+// and lets a parking proc hand control straight to the next runnable proc.
 type event struct {
 	t    Time
 	part int32
@@ -81,14 +79,6 @@ type Sim struct {
 	// events and spawns scheduled from inside it inherit this partition.
 	curPart int32
 
-	// engine is the event-loop strategy (serial or parallel); par is the
-	// same pointer, pre-downcast, when the parallel engine is active —
-	// the run loop's window check is then one nil test instead of an
-	// interface call per event.
-	engine    Engine
-	par       *parallelEngine
-	lookahead Duration
-
 	parked chan struct{}  // handoff: running proc -> scheduler
 	procs  map[*Proc]bool // all live procs
 	inProc bool           // true while a proc goroutine has control
@@ -122,8 +112,8 @@ type Sim struct {
 	freeProcs []*Proc
 
 	// stats counts scheduler-tier activity for non-daemon events only, so
-	// the numbers are identical across engines and with or without a
-	// recorder attached (daemon samplers never contribute).
+	// the numbers are identical with or without a recorder attached (daemon
+	// samplers never contribute).
 	stats SchedStats
 }
 
@@ -131,7 +121,7 @@ type Sim struct {
 // the timer wheel absorbed, how many of those were spilled into the heap
 // and dispatched, and how many proc spawns reused a pooled shell. Daemon
 // events are excluded throughout, keeping every count a pure function of
-// the non-daemon schedule (byte-identical across engines and recording).
+// the non-daemon schedule (byte-identical with or without recording).
 type SchedStats struct {
 	WheelHits  uint64
 	HeapSpills uint64
@@ -156,9 +146,16 @@ func (s *Sim) SetTracer(t *trace.Sink) { s.tracer = t }
 // the sim (disk, netsim) record their transfers through it.
 func (s *Sim) Tracer() *trace.Sink { return s.tracer }
 
-// New creates an empty simulation at time zero on the serial engine.
+// New creates an empty simulation at time zero.
 func New() *Sim {
-	return NewWithEngine(EngineSpec{})
+	return &Sim{
+		parked: make(chan struct{}),
+		procs:  make(map[*Proc]bool),
+		// Partition 0 (the global/unpinned partition) always exists.
+		seqs:      make([]uint64, 1),
+		nowqs:     make([]nowRing, 1),
+		nowActive: make([]uint64, 1),
+	}
 }
 
 // Now reports the current virtual time.
@@ -505,6 +502,28 @@ func (s *Sim) SpawnOn(part int, name string, fn func(p *Proc)) *Proc {
 	return s.spawn(part, name, fn, false)
 }
 
+// AddPartition allocates a new event-ordering partition and returns its id.
+// Partitions are the deterministic tie-break domains of the event key
+// (time, partition, per-partition seq): clusters allocate one per node and
+// pin each node's procs to it with SpawnOn, which makes same-instant
+// ordering independent of global scheduling history. Partition 0 is the
+// global partition for unpinned work and always exists.
+func (s *Sim) AddPartition() int {
+	id := len(s.seqs)
+	s.seqs = append(s.seqs, 0)
+	s.nowqs = append(s.nowqs, nowRing{})
+	if id>>6 >= len(s.nowActive) {
+		s.nowActive = append(s.nowActive, 0)
+	}
+	return id
+}
+
+// Partitions reports the number of allocated partitions (at least 1).
+func (s *Sim) Partitions() int { return len(s.seqs) }
+
+// Partition reports the partition p is pinned to (0 = global).
+func (p *Proc) Partition() int { return int(p.part) }
+
 // SpawnDaemon starts a background observer proc: its queued wakeups do not
 // count toward Run's exit condition, so a daemon that sleeps on a fixed
 // interval (a periodic sampler) never extends a run's virtual end time — Run
@@ -766,15 +785,9 @@ func (s *Sim) Run() error {
 		if !ok {
 			break
 		}
-		// Conservative window check, devirtualized: one nil test on the
-		// serial hot path (see Sim.par).
-		if par := s.par; par != nil && ev.t > s.now {
-			par.maybeBarrier(ev.t)
-		}
 		s.now = ev.t
 		s.dispatch(ev)
 	}
-	s.engine.drain()
 	var names []string
 	for p := range s.procs {
 		if !p.daemon {
@@ -804,13 +817,9 @@ func (s *Sim) RunFor(d Duration) {
 			break
 		}
 		s.popNext()
-		if par := s.par; par != nil && ev.t > s.now {
-			par.maybeBarrier(ev.t)
-		}
 		s.now = ev.t
 		s.dispatch(ev)
 	}
-	s.engine.drain()
 	if s.now < deadline {
 		s.now = deadline
 	}
@@ -820,7 +829,6 @@ func (s *Sim) RunFor(d Duration) {
 // internal panic that Shutdown recovers). It is safe to call after Run or
 // RunFor; it must not be called from proc context.
 func (s *Sim) Shutdown() {
-	s.engine.drain()
 	s.killProcs()
 }
 

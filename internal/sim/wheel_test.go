@@ -14,9 +14,9 @@ import (
 // final Run to completion. The log captures (virtual now, event id) per
 // dispatch plus the end-of-phase clocks, so two runs agree iff their entire
 // dispatch histories agree.
-func wheelTrace(t *testing.T, seed int64, spec EngineSpec, disableWheel bool) []string {
+func wheelTrace(t *testing.T, seed int64, disableWheel bool) []string {
 	t.Helper()
-	s := NewWithEngine(spec)
+	s := New()
 	s.disableWheel = disableWheel
 	for i := 0; i < 3; i++ {
 		s.AddPartition()
@@ -118,26 +118,17 @@ func wheelTrace(t *testing.T, seed int64, spec EngineSpec, disableWheel bool) []
 // TestWheelMatchesReferenceHeap is the determinism proof for the timer
 // tier: under adversarial randomized schedules, the dispatch sequence with
 // the wheel enabled must be identical — event for event, instant for
-// instant — to the pure reference heap (disableWheel), on the serial and
-// parallel engines alike.
+// instant — to the pure reference heap (disableWheel).
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		ref := wheelTrace(t, seed, EngineSpec{}, true)
-		for _, tc := range []struct {
-			name string
-			spec EngineSpec
-		}{
-			{"serial", EngineSpec{}},
-			{"parallel2", EngineSpec{Kind: EngineParallel, Workers: 2}},
-		} {
-			got := wheelTrace(t, seed, tc.spec, false)
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d %s: %d dispatches, reference %d", seed, tc.name, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("seed %d %s: dispatch %d = %q, reference %q", seed, tc.name, i, got[i], ref[i])
-				}
+		ref := wheelTrace(t, seed, true)
+		got := wheelTrace(t, seed, false)
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: %d dispatches, reference %d", seed, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("seed %d: dispatch %d = %q, reference %q", seed, i, got[i], ref[i])
 			}
 		}
 	}
