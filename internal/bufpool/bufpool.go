@@ -65,10 +65,6 @@ type Pool struct {
 	debug       bool
 	outstanding map[*byte]int // live Get buffers: base pointer -> class
 	pooled      map[*byte]bool
-	// guarded marks buffers currently referenced by an offloaded compute
-	// closure (sim engine seam): releasing one panics. Keyed by base
-	// pointer, valued by the guarding kernel's name. Debug mode only.
-	guarded map[*byte]string
 }
 
 // classCounters is one size class's lifetime accounting.
@@ -165,9 +161,6 @@ func (p *Pool) Put(b []byte) {
 	}
 	if p.debug {
 		bp := base(b)
-		if who, ok := p.guarded[bp]; ok {
-			panic(fmt.Sprintf("bufpool: %d-byte buffer released while an offloaded %q closure may still reference it (missing Job.Wait before release across the offload seam?)", cs, who))
-		}
 		if p.pooled[bp] {
 			panic(fmt.Sprintf("bufpool: double release of %d-byte buffer", cs))
 		}
@@ -209,43 +202,10 @@ func (p *Pool) SetDebug(on bool) bool {
 	if on {
 		p.outstanding = make(map[*byte]int)
 		p.pooled = make(map[*byte]bool)
-		p.guarded = make(map[*byte]string)
 	} else {
-		p.outstanding, p.pooled, p.guarded = nil, nil, nil
+		p.outstanding, p.pooled = nil, nil
 	}
 	return prev
-}
-
-// Guard marks b as referenced by an offloaded compute closure named who:
-// until Unguard, any Put of b panics — catching code that releases a pooled
-// buffer while a worker goroutine may still be reading or writing it
-// (use-after-return across the sim engine's offload seam). The discipline:
-// guard every pooled buffer a compute closure captures when the closure is
-// built, and make the closure's LAST action the Unguard, so a release racing
-// the closure trips the check at the moment of misuse under both engines.
-// No-op unless debug mode is on; nil and unpooled buffers are ignored.
-func (p *Pool) Guard(b []byte, who string) {
-	if cap(b) == 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.debug {
-		p.guarded[base(b)] = who
-	}
-	p.mu.Unlock()
-}
-
-// Unguard clears a Guard mark. Safe to call from worker goroutines (it is
-// designed to be the closing act of an offloaded closure).
-func (p *Pool) Unguard(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.debug {
-		delete(p.guarded, base(b))
-	}
-	p.mu.Unlock()
 }
 
 // Outstanding reports how many tracked buffers have been drawn but not
@@ -330,9 +290,3 @@ func Outstanding() int { return Default.Outstanding() }
 
 // ClassStatsSnapshot reports the default pool's per-class counters.
 func ClassStatsSnapshot() []ClassStats { return Default.ClassStatsSnapshot() }
-
-// Guard marks a default-pool buffer as held by an offloaded closure.
-func Guard(b []byte, who string) { Default.Guard(b, who) }
-
-// Unguard clears a default-pool Guard mark.
-func Unguard(b []byte) { Default.Unguard(b) }

@@ -204,48 +204,3 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("gets=%d puts=%d, want 1600/1600", gets, puts)
 	}
 }
-
-func TestGuardedReleasePanics(t *testing.T) {
-	// The offload-seam check: releasing a buffer an offloaded closure may
-	// still reference (guarded, not yet unguarded) must panic — the
-	// commit-before-Wait bug the guard exists to catch.
-	var p Pool
-	p.SetDebug(true)
-	b := p.Get(64)
-	p.Guard(b, "mergekern")
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("release of guarded buffer did not panic")
-		}
-		if !strings.Contains(r.(string), "mergekern") {
-			t.Fatalf("panic does not name the guarding kernel: %v", r)
-		}
-	}()
-	p.Put(b)
-}
-
-func TestUnguardAllowsRelease(t *testing.T) {
-	// Guard then Unguard — the disciplined closure lifecycle — must leave
-	// the buffer releasable and reusable.
-	var p Pool
-	p.SetDebug(true)
-	b := p.Get(64)
-	p.Guard(b, "mergekern")
-	p.Unguard(b)
-	p.Put(b)
-	if err := p.LeakCheck(); err != nil {
-		t.Fatalf("leak after guarded round-trip: %v", err)
-	}
-	p.Get(64) // poison check must pass: the buffer really was pooled
-}
-
-func TestGuardNoopWithoutDebug(t *testing.T) {
-	var p Pool
-	b := p.Get(64)
-	p.Guard(b, "mergekern")
-	p.Put(b) // must not panic: guard tracking is debug-only
-	p.Unguard(b)
-	p.Guard(nil, "x") // nil and empty buffers are ignored
-	p.Unguard(nil)
-}

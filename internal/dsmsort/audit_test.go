@@ -2,7 +2,6 @@ package dsmsort
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"lmas/internal/container"
@@ -27,23 +26,10 @@ func packetAuditFullScan(pks []container.Packet, bucketOf func(i int) int, sp []
 	return sum, badSorted, badBucket
 }
 
-func goExec(n int, task func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			task(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // TestPacketAuditMatchesFullScan builds random packet lists — sorted packets
 // inside their bucket's key range, with unsorted, mis-bucketed and
 // unsorted-and-mis-bucketed packets injected — and requires the audit's
-// checksum and both lowest-index verdicts to equal the full scan's, for the
-// serial path and for a concurrent executor.
+// checksum and both lowest-index verdicts to equal the full scan's.
 func TestPacketAuditMatchesFullScan(t *testing.T) {
 	const alpha, recSize = 8, 16
 	sp := records.Splitters(alpha)
@@ -57,7 +43,7 @@ func TestPacketAuditMatchesFullScan(t *testing.T) {
 	width := sp[0]
 	var sawUnsorted, sawMisbucket, sawClean int
 	for trial := 0; trial < 300; trial++ {
-		pks := make([]container.Packet, rng.Intn(5*auditGrain))
+		pks := make([]container.Packet, rng.Intn(160))
 		var faults [3]int
 		for i := range pks {
 			bucket := rng.Intn(alpha)
@@ -104,12 +90,10 @@ func TestPacketAuditMatchesFullScan(t *testing.T) {
 		if wantSorted < 0 && wantBucket < 0 {
 			sawClean++
 		}
-		for name, exec := range map[string]records.Executor{"serial": nil, "concurrent": goExec} {
-			sum, badSorted, badBucket := packetAudit(pks, bucketOf, sp, exec)
-			if sum != wantSum || badSorted != wantSorted || badBucket != wantBucket {
-				t.Fatalf("trial %d (%d packets, faults %v) %s: audit = (%v, %d, %d), full scan = (%v, %d, %d)",
-					trial, len(pks), faults, name, sum, badSorted, badBucket, wantSum, wantSorted, wantBucket)
-			}
+		sum, badSorted, badBucket := packetAudit(pks, bucketOf, sp)
+		if sum != wantSum || badSorted != wantSorted || badBucket != wantBucket {
+			t.Fatalf("trial %d (%d packets, faults %v): audit = (%v, %d, %d), full scan = (%v, %d, %d)",
+				trial, len(pks), faults, sum, badSorted, badBucket, wantSum, wantSorted, wantBucket)
 		}
 	}
 	if sawUnsorted < 50 || sawMisbucket < 50 || sawClean < 50 {

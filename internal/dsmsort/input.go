@@ -22,7 +22,7 @@ type Input struct {
 // across the cluster's ASUs. Loading happens outside measured time (the
 // simulator clock is advanced and the writes flushed before return).
 func MakeInput(cl *cluster.Cluster, n int, dist records.KeyDist, seed int64, packetRecords int) *Input {
-	buf := records.GenerateExec(n, cl.Params.RecordSize, seed, dist, records.Serial)
+	buf := records.Generate(n, cl.Params.RecordSize, seed, dist)
 	return loadInput(cl, buf, packetRecords)
 }
 
@@ -30,7 +30,7 @@ func MakeInput(cl *cluster.Cluster, n int, dist records.KeyDist, seed int64, pac
 // second half from second) striped across ASUs so that, scanned in
 // parallel, the skewed half arrives in the second half of the run.
 func MakeInputHalves(cl *cluster.Cluster, n int, first, second records.KeyDist, seed int64, packetRecords int) *Input {
-	buf := records.GenerateHalvesExec(n, cl.Params.RecordSize, seed, first, second, records.Serial)
+	buf := records.GenerateHalves(n, cl.Params.RecordSize, seed, first, second)
 	return loadInput(cl, buf, packetRecords)
 }
 
@@ -60,7 +60,7 @@ func loadInput(cl *cluster.Cluster, buf records.Buffer, packetRecords int) *Inpu
 	}
 	n := buf.Len()
 	in := &Input{N: n}
-	in.Checksum = records.ChecksumExec(buf, records.Serial)
+	in.Checksum.Add(buf)
 	d := len(cl.ASUs)
 	for _, asu := range cl.ASUs {
 		set := container.NewSet(fmt.Sprintf("input@%s", asu.Name), bte.NewDisk(asu.Disk), cl.Params.RecordSize)

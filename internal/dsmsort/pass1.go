@@ -102,39 +102,6 @@ func (rs *RunStore) Checksum() records.Checksum {
 	return sum
 }
 
-// sortedRunsOK verifies every stored run is sorted and in its key range,
-// outside virtual time.
-func (rs *RunStore) sortedRunsOK(alpha int) error {
-	sp := records.Splitters(alpha)
-	var err error
-	for asu, row := range rs.Streams {
-		for bucket, st := range row {
-			if st == nil {
-				continue
-			}
-			asu, bucket := asu, bucket
-			st.ForEach(func(pk container.Packet) bool {
-				if !pk.Buf.IsSorted() {
-					err = fmt.Errorf("run on asu%d bucket %d not sorted", asu, bucket)
-					return false
-				}
-				n := pk.Len()
-				for i := 0; i < n; i++ {
-					if records.BucketOf(pk.Buf.Key(i), sp) != bucket {
-						err = fmt.Errorf("record in wrong bucket on asu%d: bucket %d", asu, bucket)
-						return false
-					}
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return err
-}
-
 // Pass1Result reports run formation outcomes.
 type Pass1Result struct {
 	Elapsed sim.Duration
@@ -294,7 +261,7 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 	if got := rs.Records(); got != int64(in.N) {
 		return nil, nil, fmt.Errorf("dsmsort: stored %d records, want %d", got, in.N)
 	}
-	sum, err := rs.auditExec(cfg.Alpha, nil)
+	sum, err := rs.audit(cfg.Alpha)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -50,15 +50,6 @@ func (o *OutputStore) Records() int64 {
 	return n
 }
 
-// Validate checks that the output is a complete ascending sort of in:
-// right count, matching multiset checksum, every packet sorted, packets
-// within a bucket nondecreasing across sequence numbers, and bucket key
-// ranges respected. It runs outside virtual time, serially; ValidateExec
-// (validate.go) chunks the per-packet work through an executor.
-func (o *OutputStore) Validate(in *Input, alpha int) error {
-	return o.ValidateExec(in, alpha, nil)
-}
-
 // MergeResult reports merge-pass outcomes.
 type MergeResult struct {
 	Elapsed sim.Duration
@@ -141,12 +132,16 @@ func putMergeScratch(sc *mergeScratch) {
 	mergePool.Put(sc)
 }
 
-// mergeBody merges k sorted buffers into out (which must hold exactly their
-// total record count). It is pure computation over memory the caller owns —
-// the merge-pass kernel that runs behind the engine's offload seam. Scratch
-// is drawn from the merge pool inside (scratch pools are contention-free and
-// have no report-visible state, so worker-side draws are safe).
-func mergeBody(out records.Buffer, bufs []records.Buffer) {
+// mergeBuffers merges k sorted buffers into one sorted buffer (pure
+// computation; callers charge the CPU cost separately). The result is drawn
+// from the buffer pool and owned by the caller; every record position is
+// written before return.
+func mergeBuffers(bufs []records.Buffer, recSize int) records.Buffer {
+	total := 0
+	for _, b := range bufs {
+		total += b.Len()
+	}
+	out := records.NewPooled(total, recSize)
 	sc := mergePool.Get()
 	pos := scratch.Grow(sc.pos, len(bufs))
 	h := sc.h[:0]
@@ -173,20 +168,6 @@ func mergeBody(out records.Buffer, bufs []records.Buffer) {
 	}
 	sc.pos, sc.h = pos, h
 	putMergeScratch(sc)
-}
-
-// mergeBuffers merges k sorted buffers into one sorted buffer (pure
-// computation; callers charge the CPU cost separately). The result is drawn
-// from the buffer pool and owned by the caller; every record position is
-// written before return. This is the inline reference the staged offload
-// path is differential-tested against.
-func mergeBuffers(bufs []records.Buffer, recSize int) records.Buffer {
-	total := 0
-	for _, b := range bufs {
-		total += b.Len()
-	}
-	out := records.NewPooled(total, recSize)
-	mergeBody(out, bufs)
 	return out
 }
 
@@ -371,20 +352,8 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 	levels := 0
 	// Intermediate levels: merge batches of γ2 runs into longer runs,
 	// charging CPU plus the write+read round trip intermediate data
-	// makes through local storage. The merge body runs behind the offload
-	// seam, overlapping the virtual Compute charge; the output draw stays
-	// on the event loop (pool gauges are report-visible) and is guarded so
-	// a premature release trips bufpool's debug check. One closure over a
-	// mutable capture struct keeps the batch loop allocation-light.
+	// makes through local storage.
 	eng := st.Engine()
-	var im struct {
-		batch []records.Buffer
-		out   records.Buffer
-	}
-	imStep := func() {
-		mergeBody(im.out, im.batch)
-		bufpool.Unguard(im.out.Raw())
-	}
 	for len(runs) > cfg.Gamma2 {
 		levels++
 		var next []records.Buffer
@@ -401,10 +370,7 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 			}
 			ops := float64(nrec) * (touch + log2f(len(batch))*cm.CompareOps)
 			res.ASUOps += ops
-			merged := records.NewPooled(nrec, recSize)
-			bufpool.Guard(merged.Raw(), "asumerge")
-			im.batch, im.out = batch, merged
-			imStep()
+			merged := mergeBuffers(batch, recSize)
 			asu.Compute(p, ops)
 			// The batch's records now live in merged; recycle the pooled
 			// intermediate inputs (engine-owned level-0 runs stay put).
@@ -428,22 +394,14 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 		runs, owned = next, nextOwned
 	}
 	levels++
-	// Final level: streaming γ2-way merge emitting packets to the host,
-	// one offloaded burst per output packet. The proc pipelines: issue
-	// the burst filling packet k, run packet k-1's virtual-time flush
-	// (StartChain/Compute/Put) while the burst executes on a worker, then
-	// join. The record copies are invisible to the simulation, so the
-	// virtual-op order is identical to the old inline loop — results stay
-	// byte-identical across engines; only wall clock overlaps. Scratch is
-	// held across queue parks: the proc owns it exclusively until the
-	// merge completes, which is exactly the pool contract.
+	// Final level: streaming γ2-way merge emitting packets to the host.
+	// The scratch is held across queue parks: the proc owns it exclusively
+	// until the merge completes, which is exactly the pool contract.
 	msc := mergePool.Get()
 	frontier := scratch.Grow(msc.pos, len(runs))
 	h := msc.h[:0]
-	total := 0
 	for i, b := range runs {
 		frontier[i] = 0
-		total += b.Len()
 		if b.Len() > 0 {
 			h = append(h, mergeItem{key: b.Key(0), src: i})
 		}
@@ -451,19 +409,16 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 	h.init()
 	pf := cl.Profiler
 	perRec := touch + log2f(len(runs))*cm.CompareOps
-	var pending records.Buffer
-	pendingFill := 0
-	flushPending := func() {
-		if pendingFill == 0 {
-			return
-		}
+	var outBuf records.Buffer
+	fill := 0
+	flush := func() {
 		// Merged packets root fresh provenance chains: their inputs were
 		// stored by pass 1, and chains do not persist through storage.
 		id := pf.StartChain(p)
 		// The packet owns its pooled buffer; the host merger releases it
 		// once the records are copied into the bucket's output.
-		pk := container.Packet{Buf: pending.Slice(0, pendingFill), Sorted: true, Bucket: -1, Run: -1, Owned: true, Prov: id}
-		ops := float64(pendingFill) * perRec
+		pk := container.Packet{Buf: outBuf.Slice(0, fill), Sorted: true, Bucket: -1, Run: -1, Owned: true, Prov: id}
+		ops := float64(fill) * perRec
 		res.ASUOps += ops
 		asu.Compute(p, ops)
 		// Stream to the consuming host merger; the network hop is
@@ -472,42 +427,32 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 			panic(err)
 		}
 		pf.EndPacket(p)
-		pending, pendingFill = records.Buffer{}, 0
+		fill = 0
 	}
-	var burst struct {
-		out  records.Buffer
-		fill int
-	}
-	burstStep := func() {
-		out, n := burst.out, burst.fill
-		for w := 0; w < n; w++ {
-			it := h[0]
-			b := runs[it.src]
-			copy(out.Record(w), b.Record(frontier[it.src]))
-			frontier[it.src]++
-			if frontier[it.src] < b.Len() {
-				h[0] = mergeItem{key: b.Key(frontier[it.src]), src: it.src}
-				h.fixTop()
-			} else {
-				h.popTop()
-			}
+	for len(h) > 0 {
+		if fill == 0 {
+			// One pooled buffer per emitted packet, drawn when its first
+			// record arrives.
+			outBuf = records.NewPooled(cfg.PacketRecords, recSize)
 		}
-		bufpool.Unguard(out.Raw())
-	}
-	for rem := total; rem > 0; {
-		fill := cfg.PacketRecords
-		if rem < fill {
-			fill = rem
+		it := h[0]
+		b := runs[it.src]
+		copy(outBuf.Record(fill), b.Record(frontier[it.src]))
+		fill++
+		frontier[it.src]++
+		if frontier[it.src] < b.Len() {
+			h[0] = mergeItem{key: b.Key(frontier[it.src]), src: it.src}
+			h.fixTop()
+		} else {
+			h.popTop()
 		}
-		outBuf := records.NewPooled(cfg.PacketRecords, recSize)
-		bufpool.Guard(outBuf.Raw(), "asumerge")
-		burst.out, burst.fill = outBuf, fill
-		burstStep()
-		flushPending()
-		pending, pendingFill = outBuf, fill
-		rem -= fill
+		if fill == cfg.PacketRecords {
+			flush()
+		}
 	}
-	flushPending()
+	if fill > 0 {
+		flush()
+	}
 	for i := range runs {
 		if owned[i] {
 			runs[i].Release()
@@ -548,10 +493,6 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 		pf.EndPacket(p)
 		heads[i] = pk
 		pos[i] = 0
-		// The merge bursts read this head on a worker goroutine; guard it
-		// so a premature release trips bufpool's debug check. The burst
-		// unguards it at the moment of exhaustion.
-		bufpool.Guard(pk.Buf.Raw(), "hostmerge")
 		return true
 	}
 	h := sc.h[:0]
@@ -562,31 +503,17 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 	}
 	h.init()
 
-	// The inner merge runs as offloaded bursts: each burst copies records
-	// into outBuf until the packet is full or an input head exhausts —
-	// exhaustion hands control back to the proc, whose queue Get and
-	// network charge (virtual ops) must interleave the merge exactly where
-	// the old inline loop put them. Completed packets are flushed one
-	// burst later, overlapping their virtual Compute/Stream/Put with the
-	// next burst's wall-clock work; the virtual-op order is unchanged, so
-	// results stay byte-identical across engines.
-	outBuf := records.NewPooled(cfg.PacketRecords, recSize)
-	fill, seq := 0, 0
-	var pending records.Buffer
-	pendingFill := 0
-	flushPending := func() {
-		if pendingFill == 0 {
-			return
-		}
+	seq := 0
+	flush := func(buf records.Buffer) {
 		// Output packets derive from the most recent input chain the merger
 		// consumed, keeping the dependency walk rooted in the ASU mergers.
 		id := pf.Derive(p)
 		pf.BeginPacket(p, id)
 		// The collector appends the packet to the output stream, which
 		// transfers the pooled buffer's ownership to the ASU's engine.
-		pk := container.Packet{Buf: pending.Slice(0, pendingFill), Sorted: true, Bucket: bucket, Run: seq, Owned: true, Prov: id}
+		pk := container.Packet{Buf: buf, Sorted: true, Bucket: bucket, Run: seq, Owned: true, Prov: id}
 		seq++
-		ops := float64(pendingFill) * (touch + log2f(gamma1)*cm.CompareOps)
+		ops := float64(buf.Len()) * (touch + log2f(gamma1)*cm.CompareOps)
 		res.HostOps += ops
 		host.Compute(p, ops)
 		dest := *stripe % len(collectors)
@@ -596,34 +523,20 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 			panic(err)
 		}
 		pf.EndPacket(p)
-		pending, pendingFill = records.Buffer{}, 0
 	}
-	exhausted := -1
-	burst := func() {
-		for fill < cfg.PacketRecords && len(h) > 0 {
-			it := h[0]
-			src := it.src
-			copy(outBuf.Record(fill), heads[src].Buf.Record(pos[src]))
-			fill++
-			pos[src]++
-			if pos[src] == heads[src].Len() {
-				// Hand back to the proc: releasing the head and pulling
-				// the next packet are simulator-visible operations.
-				exhausted = src
-				bufpool.Unguard(heads[src].Buf.Raw())
-				break
-			}
-			h[0] = mergeItem{key: heads[src].Buf.Key(pos[src]), src: src}
-			h.fixTop()
-		}
-		bufpool.Unguard(outBuf.Raw())
-	}
+	// The pool-call order is pinned: the next staging buffer is drawn before
+	// the full one is flushed, and a trailing unused one is released.
+	// `dsmsort -report` snapshots the pool's per-class gets/hits/high-water;
+	// drawing one buffer per emitted packet instead would lower gets by one
+	// for every bucket whose record count is a multiple of the packet size.
+	outBuf := records.NewPooled(cfg.PacketRecords, recSize)
+	fill := 0
 	for len(h) > 0 {
-		bufpool.Guard(outBuf.Raw(), "hostmerge")
-		burst()
-		flushPending()
-		if src := exhausted; src >= 0 {
-			exhausted = -1
+		src := h[0].src
+		copy(outBuf.Record(fill), heads[src].Buf.Record(pos[src]))
+		fill++
+		pos[src]++
+		if pos[src] == heads[src].Len() {
 			heads[src].Release() // exhausted upstream packet (it owned its buffer)
 			if !advance(src) {
 				h.popTop()
@@ -631,17 +544,19 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 				h[0] = mergeItem{key: heads[src].Buf.Key(0), src: src}
 				h.fixTop()
 			}
+		} else {
+			h[0] = mergeItem{key: heads[src].Buf.Key(pos[src]), src: src}
+			h.fixTop()
 		}
 		if fill == cfg.PacketRecords {
-			pending, pendingFill = outBuf, fill
+			full := outBuf
 			outBuf = records.NewPooled(cfg.PacketRecords, recSize)
 			fill = 0
+			flush(full)
 		}
 	}
-	flushPending()
 	if fill > 0 {
-		pending, pendingFill = outBuf, fill
-		flushPending()
+		flush(outBuf.Slice(0, fill))
 	} else {
 		outBuf.Release() // last staging buffer never entered a packet
 	}

@@ -8,59 +8,25 @@ import (
 	"lmas/internal/records"
 )
 
-// This file holds the chunked integrity audits the sort's harness runs
-// outside virtual time: the run-store check between passes and the final
-// output validation. Both walk every stored packet — digesting records,
-// verifying sortedness, and checking bucket key ranges — which is the
-// dominant teardown cost of a bench cell, so the per-packet work dispatches
-// through the engine's offload seam (records.Executor over Sim.ExecChunks).
-// Verdicts and checksums are identical for every executor: chunks own
-// disjoint packet ranges, partial checksums combine commutatively, and the
-// first offending packet is selected by index after the scan.
-
-// auditGrain is the packets-per-chunk grain (~2k records at the default
-// 64-record packet size).
-const auditGrain = 32
+// This file holds the integrity audits the sort's harness runs outside
+// virtual time: the run-store check between passes and the final output
+// validation. Both walk every stored packet — digesting records, verifying
+// sortedness, and checking bucket key ranges.
 
 // packetAudit digests every packet in pks and locates integrity violations:
 // the lowest-index packet that is not sorted, and the lowest-index packet
 // containing a record outside its expected bucket (per bucketOf). Either
-// index is -1 when no packet offends. The per-chunk scans run through exec;
-// nil or small inputs scan serially.
-func packetAudit(pks []container.Packet, bucketOf func(i int) int, sp []records.Key, exec records.Executor) (sum records.Checksum, badSorted, badBucket int) {
-	nc := (len(pks) + auditGrain - 1) / auditGrain
-	if exec == nil || nc < 2 {
-		exec = records.Serial
-	}
-	sums := make([]records.Checksum, nc)
-	unsorted := make([]int, nc)
-	misbucket := make([]int, nc)
-	exec(nc, func(ci int) {
-		unsorted[ci], misbucket[ci] = -1, -1
-		lo, hi := ci*auditGrain, (ci+1)*auditGrain
-		if hi > len(pks) {
-			hi = len(pks)
-		}
-		for i := lo; i < hi; i++ {
-			pk := pks[i]
-			sums[ci].Add(pk.Buf)
-			sorted := pk.Buf.IsSorted()
-			if !sorted && unsorted[ci] < 0 {
-				unsorted[ci] = i
-			}
-			if misbucket[ci] < 0 && !inBucket(pk.Buf, sorted, bucketOf(i), sp) {
-				misbucket[ci] = i
-			}
-		}
-	})
+// index is -1 when no packet offends.
+func packetAudit(pks []container.Packet, bucketOf func(i int) int, sp []records.Key) (sum records.Checksum, badSorted, badBucket int) {
 	badSorted, badBucket = -1, -1
-	for ci := 0; ci < nc; ci++ {
-		sum.Combine(sums[ci])
-		if badSorted < 0 && unsorted[ci] >= 0 {
-			badSorted = unsorted[ci]
+	for i, pk := range pks {
+		sum.Add(pk.Buf)
+		sorted := pk.Buf.IsSorted()
+		if !sorted && badSorted < 0 {
+			badSorted = i
 		}
-		if badBucket < 0 && misbucket[ci] >= 0 {
-			badBucket = misbucket[ci]
+		if badBucket < 0 && !inBucket(pk.Buf, sorted, bucketOf(i), sp) {
+			badBucket = i
 		}
 	}
 	return sum, badSorted, badBucket
@@ -89,11 +55,9 @@ func inBucket(b records.Buffer, sorted bool, want int, sp []records.Key) bool {
 // runLoc names a run packet's position in the run store.
 type runLoc struct{ asu, bucket int }
 
-// auditExec digests every stored record and verifies run integrity (each run
-// sorted and inside its bucket's key range) in one chunked scan through exec.
-// It subsumes Checksum + sortedRunsOK; results match those serial references
-// for every executor.
-func (rs *RunStore) auditExec(alpha int, exec records.Executor) (records.Checksum, error) {
+// audit digests every stored record and verifies run integrity (each run
+// sorted and inside its bucket's key range) in one scan.
+func (rs *RunStore) audit(alpha int) (records.Checksum, error) {
 	sp := records.Splitters(alpha)
 	var pks []container.Packet
 	var locs []runLoc
@@ -110,9 +74,8 @@ func (rs *RunStore) auditExec(alpha int, exec records.Executor) (records.Checksu
 		}
 	}
 	sum, badSorted, badBucket := packetAudit(pks,
-		func(i int) int { return locs[i].bucket }, sp, exec)
-	// Sortedness outranks bucket placement when one packet violates both,
-	// matching sortedRunsOK's per-packet check order.
+		func(i int) int { return locs[i].bucket }, sp)
+	// Sortedness outranks bucket placement when one packet violates both.
 	if badSorted >= 0 && (badBucket < 0 || badSorted <= badBucket) {
 		l := locs[badSorted]
 		return sum, fmt.Errorf("run on asu%d bucket %d not sorted", l.asu, l.bucket)
@@ -124,12 +87,11 @@ func (rs *RunStore) auditExec(alpha int, exec records.Executor) (records.Checksu
 	return sum, nil
 }
 
-// ValidateExec is OutputStore.Validate with the per-packet checks (multiset
-// checksum, packet sortedness, bucket key ranges) chunked through exec. The
-// cross-packet order check within each bucket stays on the calling goroutine
-// (it is a cheap boundary-key walk). Verdicts are identical to Validate for
-// every executor.
-func (o *OutputStore) ValidateExec(in *Input, alpha int, exec records.Executor) error {
+// Validate checks that the output is a complete ascending sort of in:
+// right count, matching multiset checksum, every packet sorted, packets
+// within a bucket nondecreasing across sequence numbers, and bucket key
+// ranges respected. It runs outside virtual time.
+func (o *OutputStore) Validate(in *Input, alpha int) error {
 	if got := o.Records(); got != int64(in.N) {
 		return fmt.Errorf("dsmsort: output has %d records, want %d", got, in.N)
 	}
@@ -141,7 +103,7 @@ func (o *OutputStore) ValidateExec(in *Input, alpha int, exec records.Executor) 
 		})
 	}
 	sum, badSorted, badBucket := packetAudit(pks,
-		func(i int) int { return pks[i].Bucket }, records.Splitters(alpha), exec)
+		func(i int) int { return pks[i].Bucket }, records.Splitters(alpha))
 	if badSorted >= 0 {
 		return fmt.Errorf("dsmsort: unsorted output packet in bucket %d", pks[badSorted].Bucket)
 	}

@@ -8,9 +8,7 @@ import (
 	"lmas/internal/sim"
 )
 
-// mustJSON marshals an experiment result for byte comparison. Callers that
-// compare sweeps at different -j zero the result's Options field first: its
-// Jobs value legitimately differs — everything else must not.
+// mustJSON marshals an experiment result for byte comparison.
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -20,78 +18,70 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// requireSameAcrossJobs runs a sweep one cell at a time and on the worker
+// pool and requires byte-identical results. run zeroes the result's Options
+// field before returning it: its Jobs value legitimately differs.
+func requireSameAcrossJobs(t *testing.T, run func(jobs int) any) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if mustJSON(t, run(1)) != mustJSON(t, run(4)) {
+		t.Fatal("result bytes differ between -j 1 and -j 4")
+	}
+}
+
 // TestFig10ByteIdenticalAcrossJobs: the full Figure-10 comparison — traced
 // runs, utilization series, imbalance metrics, complete RunReports — must
 // serialize to identical bytes whether its runs execute one at a time or on
 // the sweep worker pool.
 func TestFig10ByteIdenticalAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	opt := DefaultFig10Options()
 	opt.N = 1 << 16
 	opt.Window = 25 * sim.Millisecond
-	run := func(jobs int) string {
-		o := opt
-		o.Jobs = jobs
-		res, err := RunFig10(o)
+	requireSameAcrossJobs(t, func(jobs int) any {
+		opt.Jobs = jobs
+		res, err := RunFig10(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Options = Fig10Options{}
-		return mustJSON(t, res)
-	}
-	if run(1) != run(4) {
-		t.Fatal("Fig10 result bytes differ between -j 1 and -j 4")
-	}
+		return res
+	})
 }
 
 // TestIsolationByteIdenticalAcrossJobs covers the isolation sweep: the
 // foreground-latency percentiles and co-scheduled sort timings must not move
 // with the sweep's concurrency.
 func TestIsolationByteIdenticalAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	opt := DefaultIsolationOptions()
 	opt.N = 1 << 15
-	run := func(jobs int) string {
-		o := opt
-		o.Jobs = jobs
-		res, err := RunIsolation(o)
+	requireSameAcrossJobs(t, func(jobs int) any {
+		opt.Jobs = jobs
+		res, err := RunIsolation(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Options = IsolationOptions{}
-		return mustJSON(t, res)
-	}
-	if run(1) != run(4) {
-		t.Fatal("isolation result bytes differ between -j 1 and -j 4")
-	}
+		return res
+	})
 }
 
 // TestAdaptByteIdenticalAcrossJobs covers mid-run adaptation: trigger
 // instants and the load-manager decision log are schedule-sensitive, so byte
 // identity here exercises the tie-break key hardest.
 func TestAdaptByteIdenticalAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	opt := DefaultAdaptOptions()
 	opt.N = 1 << 14
-	run := func(jobs int) string {
-		o := opt
-		o.Jobs = jobs
-		res, err := RunAdapt(o)
+	requireSameAcrossJobs(t, func(jobs int) any {
+		opt.Jobs = jobs
+		res, err := RunAdapt(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Options = AdaptOptions{}
-		return mustJSON(t, res)
-	}
-	if run(1) != run(4) {
-		t.Fatal("adaptation result bytes differ between -j 1 and -j 4")
-	}
+		return res
+	})
 }
 
 // TestMergeHeavyDeterministic runs the one shape that reaches intermediate

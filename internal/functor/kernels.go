@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lmas/internal/bufpool"
 	"lmas/internal/container"
 	"lmas/internal/records"
 )
@@ -81,14 +80,6 @@ type BlockSort struct {
 	blocks []records.Buffer
 	fill   []int
 	runSeq int
-
-	// Staged-path state, reused across Stage calls so the hot loop stays
-	// allocation-free: an instance stages at most one packet at a time
-	// (Stage -> compute -> commit complete before the next Get).
-	staged    []stagedRun
-	stagedPk  container.Packet
-	computeFn func()
-	commitFn  func(emit Emit)
 }
 
 // NewBlockSort builds a run-formation kernel with run length beta.
@@ -154,91 +145,6 @@ func (b *BlockSort) emitRun(idx int, emit Emit) {
 func (b *BlockSort) ASUEligible() {}
 
 var _ Kernel = (*BlockSort)(nil)
-
-// AsyncKernel is implemented by kernels that can split Process into a staged
-// form, letting the instance loop overlap the pure compute with the virtual
-// Compute charge via Proc.Go. The contract: Stage performs every
-// simulator-visible effect of Process except the emissions (buffer
-// allocation, record copies, kernel-state updates), compute is a closure
-// free of side effects on simulation state (it may only touch memory staged
-// for it, so it is safe on a worker goroutine), and commit performs the
-// emissions and releases the input packet. Stage -> compute -> commit must
-// be observationally identical to Process, so both engines run the staged
-// path and stay byte-identical.
-type AsyncKernel interface {
-	Kernel
-	Stage(ctx *Ctx, pk container.Packet) (compute func(), commit func(emit Emit))
-}
-
-// stagedRun is a full block captured by Stage: compute sorts buf off the
-// event loop, commit emits it with the run number assigned at stage time.
-type stagedRun struct {
-	buf    records.Buffer
-	bucket int
-	run    int
-}
-
-// Stage splits Process: the copy loop and run numbering happen inline (they
-// mutate kernel state and draw from the shared buffer pool, both of which
-// must stay on the event loop), while the sort of each completed block — the
-// kernel's entire CPU cost — is deferred to the returned compute closure.
-// compute is nil when the packet completed no block. The closures are built
-// once and reused, so the per-packet path is allocation-free.
-func (b *BlockSort) Stage(ctx *Ctx, pk container.Packet) (compute func(), commit func(emit Emit)) {
-	if b.commitFn == nil {
-		b.computeFn = func() {
-			for i := range b.staged {
-				b.staged[i].buf.Sort()
-			}
-			// Unguard last: a release racing this closure panics in
-			// bufpool debug mode instead of corrupting the sort.
-			for i := range b.staged {
-				bufpool.Unguard(b.staged[i].buf.Raw())
-			}
-		}
-		b.commitFn = func(emit Emit) {
-			for i := range b.staged {
-				r := b.staged[i]
-				b.staged[i] = stagedRun{} // don't pin emitted buffers
-				emit(container.Packet{Buf: r.buf, Sorted: true, Bucket: r.bucket, Run: r.run, Owned: true})
-			}
-			b.staged = b.staged[:0]
-			b.stagedPk.Release() // input records now live in the run blocks
-			b.stagedPk = container.Packet{}
-		}
-	}
-	n := pk.Len()
-	idx := pk.Bucket + 1
-	if idx < 0 {
-		panic(fmt.Sprintf("functor: blocksort bucket %d < -1", pk.Bucket))
-	}
-	for idx >= len(b.blocks) {
-		b.blocks = append(b.blocks, records.Buffer{})
-		b.fill = append(b.fill, 0)
-	}
-	for i := 0; i < n; i++ {
-		if b.blocks[idx].Len() == 0 {
-			b.blocks[idx] = records.NewPooled(b.Beta, b.RecSize)
-		}
-		copy(b.blocks[idx].Record(b.fill[idx]), pk.Buf.Record(i))
-		b.fill[idx]++
-		if b.fill[idx] == b.Beta {
-			buf := b.blocks[idx].Slice(0, b.fill[idx])
-			b.blocks[idx] = records.Buffer{}
-			b.fill[idx] = 0
-			b.runSeq++
-			bufpool.Guard(buf.Raw(), "blocksort")
-			b.staged = append(b.staged, stagedRun{buf: buf, bucket: idx - 1, run: b.runSeq})
-		}
-	}
-	b.stagedPk = pk
-	if len(b.staged) == 0 {
-		return nil, b.commitFn
-	}
-	return b.computeFn, b.commitFn
-}
-
-var _ AsyncKernel = (*BlockSort)(nil)
 
 // Sink is a terminal kernel that hands every packet to a user function —
 // typically one that appends to a container on the instance's node,

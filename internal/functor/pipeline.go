@@ -496,7 +496,6 @@ func (in *Instance) run(proc *sim.Proc) {
 	}
 	pf := ctx.Cluster.Profiler
 	pf.Bind(proc, in.Stage.Name, in.Node.Name, nodeClass(in.Node), stageBlame(in.Stage, in.Node))
-	async, _ := in.kernel.(AsyncKernel)
 	emit := func(pk container.Packet) {
 		if pf != nil && pk.Prov == 0 {
 			// A freshly produced packet (rather than a re-emitted input)
@@ -535,25 +534,12 @@ func (in *Instance) run(proc *sim.Proc) {
 		if traced {
 			proc.TraceBegin("packet", "functor", trace.Arg{Key: "records", Val: pk.Len()})
 		}
-		if async != nil {
-			compute, commit := async.Stage(ctx, pk)
-			if compute != nil {
-				compute()
-			}
-			if !in.Stage.NoCPU {
-				ops := cm.PacketOps + float64(pk.Len())*(touch+in.kernel.Compares(pk)*cm.CompareOps)
-				in.OpsCharged += ops
-				in.Node.Compute(proc, ops)
-			}
-			commit(emit)
-		} else {
-			if !in.Stage.NoCPU {
-				ops := cm.PacketOps + float64(pk.Len())*(touch+in.kernel.Compares(pk)*cm.CompareOps)
-				in.OpsCharged += ops
-				in.Node.Compute(proc, ops)
-			}
-			in.kernel.Process(ctx, pk, emit)
+		if !in.Stage.NoCPU {
+			ops := cm.PacketOps + float64(pk.Len())*(touch+in.kernel.Compares(pk)*cm.CompareOps)
+			in.OpsCharged += ops
+			in.Node.Compute(proc, ops)
 		}
+		in.kernel.Process(ctx, pk, emit)
 		svc := sim.Duration(proc.Now() - svcStart)
 		svcH.ObserveDuration(svc)
 		latH.ObserveDuration(wait + svc)

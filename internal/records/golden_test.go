@@ -7,18 +7,15 @@ import (
 	"testing"
 )
 
-// goldenN is large enough that every fill range (including each half of
-// GenerateHalves) crosses the 2*chunkRecords threshold, so the Exec variants
-// take their chunked path, and odd so chunk and half boundaries land
-// mid-stride.
-const goldenN = 4*chunkRecords + 75
+// goldenN is the record count the hashes below were captured at; odd, so the
+// boundary between the halves of GenerateHalves lands mid-stride.
+const goldenN = 4*4096 + 75
 
 // goldenGenerate pins the generators' output bytes: sha256 of Raw() for
 // n=goldenN, seed 20020724, per "<family>/<dist>/<size>". The hashes were
 // captured from the byte-at-a-time filler (commit ef8c6e9); keys, buckets,
 // virtual time and every recorded statistic depend on these bytes, so a
-// faster filler must reproduce them exactly. Generate and GenerateExec share
-// one entry, as do GenerateHalves and GenerateHalvesExec.
+// faster filler must reproduce them exactly.
 var goldenGenerate = map[string]string{
 	"generate/exp/4":       "0ae5eb1c9ee7039b8f51b4aa6d4314815395d7fe4ed7556a250d66703229f5ee",
 	"generate/exp/5":       "ff5827745c5701a725fa78d74fdcbd0ffd0e8072600b55cb82d16258c676ff62",
@@ -80,19 +77,15 @@ func TestGenerateGolden(t *testing.T) {
 	for di, dist := range dists {
 		second := dists[(di+1)%len(dists)]
 		for _, size := range []int{4, 5, 12, 100, 128, 131} {
-			check := func(family, variant string, b Buffer) {
+			check := func(family string, b Buffer) {
 				t.Helper()
 				key := fmt.Sprintf("%s/%s/%d", family, dist, size)
 				if got := sum(b); got != goldenGenerate[key] {
-					t.Errorf("%s (%s): sha256 %s, want %s", key, variant, got, goldenGenerate[key])
+					t.Errorf("%s: sha256 %s, want %s", key, got, goldenGenerate[key])
 				}
 			}
-			check("generate", "Generate", Generate(goldenN, size, seed, goldenDist(dist)))
-			check("generate", "GenerateExec", GenerateExec(goldenN, size, seed, goldenDist(dist), concurrentExec))
-			check("halves", "GenerateHalves",
-				GenerateHalves(goldenN, size, seed, goldenDist(dist), goldenDist(second)))
-			check("halves", "GenerateHalvesExec",
-				GenerateHalvesExec(goldenN, size, seed, goldenDist(dist), goldenDist(second), concurrentExec))
+			check("generate", Generate(goldenN, size, seed, goldenDist(dist)))
+			check("halves", GenerateHalves(goldenN, size, seed, goldenDist(dist), goldenDist(second)))
 		}
 	}
 }

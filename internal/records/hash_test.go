@@ -85,7 +85,21 @@ func TestChecksumEmpty(t *testing.T) {
 	if c != (Checksum{}) {
 		t.Fatalf("empty buffers digest to %v, want the zero Checksum", c)
 	}
-	if got := ChecksumExec(NewBuffer(0, DefaultSize), concurrentExec); got != (Checksum{}) {
-		t.Fatalf("ChecksumExec of an empty buffer = %v, want the zero Checksum", got)
+}
+
+// TestChecksumPiecewise: validation digests the output packet by packet and
+// compares with the input digested whole, so adding a buffer's pieces to one
+// Checksum must give the whole buffer's digest at any split point.
+func TestChecksumPiecewise(t *testing.T) {
+	b := Generate(1000, 64, 7, Uniform{})
+	var whole Checksum
+	whole.Add(b)
+	for _, cut := range []int{0, 1, 500, 999, 1000} {
+		var pieces Checksum
+		pieces.Add(b.Slice(0, cut))
+		pieces.Add(b.Slice(cut, 1000))
+		if pieces != whole {
+			t.Fatalf("cut=%d: pieces digest to %+v, whole %+v", cut, pieces, whole)
+		}
 	}
 }

@@ -3,114 +3,63 @@
 // sort scratch in records, run-decode buffers in pqueue, and merge
 // frontiers in dsmsort. Pooling this memory is a pure wall-clock
 // optimisation — it never touches virtual time — and it stays safe under
-// the parallel engine's offload workers because the pool is sharded and
-// contention-free: a Get or Put never blocks on another goroutine (TryLock
-// probing), and a pool miss just allocates.
-//
-// Scratch pools are the one allocator offloaded closures may draw from on
-// worker goroutines: unlike bufpool, they keep no report-visible gauges, so
-// worker-side draws cannot perturb deterministic output.
+// the parallel experiment sweeps (`-j`), whose cells share these pools
+// across worker goroutines: every Get and Put takes the pool's lock, and
+// every borrower returns only memory it owns exclusively.
 //
 // The cardinal rule: never Put memory that anything else may still
 // reference. Buffers that escape into containers, packets, or bte engines
 // are owned by those structures and must not be pooled.
 package scratch
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-const (
-	// shardCount spreads free lists across independently locked shards so
-	// offload workers draining merge or sort kernels never serialize on one
-	// mutex. Power of two for mask indexing; a few shards per worker at
-	// typical offload worker counts.
-	shardCount = 8
-	// shardCap bounds each shard's list so a burst of returns cannot pin
-	// unbounded memory; overflow is dropped to the GC.
-	shardCap = 64
-)
+// poolCap bounds the free list so a burst of returns cannot pin unbounded
+// memory; overflow is dropped to the GC.
+const poolCap = 512
 
-// Pool is a typed free list of *T, sharded for contention-free concurrent
-// use. Pooling pointers (rather than slice or struct values) keeps Get/Put
-// allocation-free in steady state. The zero value is ready to use.
-//
-// Get and Put only ever TryLock: under contention they move to the next
-// shard rather than block, so the pool adds no lock-wait to the offload
-// fast path — the worst case is a fresh allocation (Get) or a dropped
-// buffer (Put), never a stall.
+// Pool is a typed free list of *T. Pooling pointers (rather than slice or
+// struct values) keeps Get/Put allocation-free in steady state. The zero
+// value is ready to use; all methods are safe for concurrent use.
 type Pool[T any] struct {
-	// tick rotates the starting shard so concurrent borrowers spread out
-	// instead of convoying on shard 0.
-	tick   atomic.Uint32
-	shards [shardCount]poolShard[T]
-}
-
-type poolShard[T any] struct {
 	mu   sync.Mutex
 	free []*T
-	// Pad each shard past a cache line so neighbouring shard locks do not
-	// false-share.
-	_ [32]byte
 }
 
-// Get returns a pooled *T, or a new zero T if every shard is empty or busy.
+// Get returns a pooled *T, or a new zero T if the pool is empty.
 func (p *Pool[T]) Get() *T {
-	start := p.tick.Add(1)
-	for i := uint32(0); i < shardCount; i++ {
-		s := &p.shards[(start+i)&(shardCount-1)]
-		if !s.mu.TryLock() {
-			continue
-		}
-		var v *T
-		if n := len(s.free); n > 0 {
-			v = s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-		}
-		s.mu.Unlock()
-		if v != nil {
-			return v
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
 	}
-	return new(T)
+	v := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return v
 }
 
 // Put returns v to the pool; v must not be used afterwards. Callers are
 // responsible for not retaining references out of *v that would pin large
-// memory (truncate, don't nil, slices you intend to reuse). When every
-// shard is full or busy, v is dropped to the GC.
+// memory (truncate, don't nil, slices you intend to reuse). When the pool
+// is full, v is dropped to the GC.
 func (p *Pool[T]) Put(v *T) {
 	if v == nil {
 		return
 	}
-	start := p.tick.Add(1)
-	for i := uint32(0); i < shardCount; i++ {
-		s := &p.shards[(start+i)&(shardCount-1)]
-		if !s.mu.TryLock() {
-			continue
-		}
-		if len(s.free) < shardCap {
-			s.free = append(s.free, v)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < poolCap {
+		p.free = append(p.free, v)
 	}
 }
 
-// Pooled reports how many items are currently parked across all shards
-// (approximate under concurrency; exact when quiescent). Test hook.
+// Pooled reports how many items are currently parked. Test hook.
 func (p *Pool[T]) Pooled() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += len(s.free)
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
 }
 
 // Grow returns sl resized to length n, reallocating only when the backing

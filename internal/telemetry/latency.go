@@ -14,8 +14,8 @@ import (
 //
 // Unlike the float Histogram, every operation here is pure integer
 // arithmetic on a layout that is a function of nothing but the value, so two
-// runs that observe the same latencies — on any engine, at any worker count —
-// produce byte-identical reports. That is the property the open-loop and
+// runs that observe the same latencies — in any order — produce
+// byte-identical reports. That is the property the open-loop and
 // R-tree latency sections rely on: the quantiles exported in a RunReport are
 // deterministic bucket upper bounds, clamped to the observed min/max, never
 // interpolated floats.

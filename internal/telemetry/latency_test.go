@@ -126,8 +126,7 @@ func TestLatencyQuantileDifferential(t *testing.T) {
 }
 
 // TestLatencyReportDeterministic: two histograms fed the same values in
-// different orders produce identical reports — the property that keeps
-// serial and parallel engines byte-identical.
+// different orders produce identical reports.
 func TestLatencyReportDeterministic(t *testing.T) {
 	vals := []int64{0, 1, 31, 32, 33, 64, 999, 1 << 20, 1 << 33, 12345678}
 	a := &LatencyHistogram{name: "h"}

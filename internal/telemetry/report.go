@@ -110,7 +110,7 @@ type LatencyBucket struct {
 
 // LatencyReport is one latency histogram's distribution and summary
 // quantiles. All values are integer nanoseconds of virtual time — pure
-// functions of the bucket layout, byte-identical across engines.
+// functions of the bucket layout, byte-identical from run to run.
 type LatencyReport struct {
 	Name    string          `json:"name"`
 	Count   int64           `json:"count"`

@@ -117,9 +117,8 @@ func (s *Sink) streamEvent(e *event) StreamEvent {
 // the stream is complete regardless of when during setup the streamer is
 // attached. Nil clears it; no-op on a nil sink.
 //
-// Events are appended from the simulation's event-loop side only, and event
-// order is engine-independent (pinned by the cross-engine trace tests), so
-// the stream a deterministic run produces is itself deterministic.
+// Events are appended in dispatch order, which is deterministic, so the
+// stream a deterministic run produces is itself deterministic.
 func (s *Sink) SetStreamer(fn func(StreamEvent)) {
 	if s == nil {
 		return
