@@ -44,6 +44,7 @@ endef
 bench-allocs:
 	@$(call alloc_gate,./internal/dsmsort,BenchmarkRunFormationOnly,10x,$(ALLOC_BUDGET),run formation copies instead of pooling)
 	@$(call alloc_gate,./internal/sim,BenchmarkSpawnKillSteadyState,100000x,0,proc recycling broken?)
+	@$(call alloc_gate,./internal/sim,BenchmarkResourceContention,100000x,0,park reason allocates per contended acquire)
 	@$(call alloc_gate,./internal/recorder,BenchmarkStoreSpan,1000000x,0,span encoder or chunk hand-off allocates per span)
 	@$(call alloc_gate,./internal/trace,BenchmarkSinkSpan,1000000x,0,trace sink allocates per event instead of per chunk)
 	@$(call alloc_gate,./internal/experiments,BenchmarkObservedQuickCell,10x,$(OBSERVED_ALLOC_BUDGET),traced+recorded quick cell over budget)

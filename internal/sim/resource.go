@@ -21,6 +21,8 @@ type Resource struct {
 	high  []*Proc
 	low   []*Proc
 
+	acquireWhat string // "acquire " + name, precomputed so a contended acquire is allocation-free
+
 	busy      Duration // total busy time, completed holds only
 	busyStart Time     // start of current hold, valid when owner != nil
 	recorder  BusyRecorder
@@ -39,7 +41,7 @@ type BusyRecorder interface {
 
 // NewResource creates an idle resource.
 func NewResource(s *Sim, name string) *Resource {
-	r := &Resource{sim: s, name: name}
+	r := &Resource{sim: s, name: name, acquireWhat: "acquire " + name}
 	s.registerPurger(r)
 	return r
 }
@@ -80,10 +82,10 @@ func (r *Resource) acquire(p *Proc, high bool) {
 	}
 	if pf := r.sim.profiler; pf != nil {
 		from := r.sim.now
-		p.park("acquire " + r.name)
+		p.park(r.acquireWhat)
 		pf.Charge(p, ChargeQueueWait, r.name, from, r.sim.now)
 	} else {
-		p.park("acquire " + r.name)
+		p.park(r.acquireWhat)
 	}
 	// Ownership was transferred to us by Release before the wakeup.
 	if r.owner != p {

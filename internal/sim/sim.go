@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 	"strings"
@@ -15,8 +16,7 @@ import (
 // numbering depends only on that partition's schedule history, not on how
 // unrelated partitions' events interleaved. An event resumes proc when proc
 // is non-nil and calls fn otherwise; tagging resumptions with the proc
-// (instead of closing over it) keeps the hot scheduling paths allocation-free
-// and lets a parking proc hand control straight to the next runnable proc.
+// (instead of closing over it) keeps the hot scheduling paths allocation-free.
 type event struct {
 	t    Time
 	part int32
@@ -42,9 +42,12 @@ func (e event) before(f event) bool {
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
-// one with New. A Sim must be used from a single OS-level flow of control:
-// either the caller of Run, or the currently running Proc (there is never
-// more than one).
+// one with New. The goroutine that calls Run, RunFor, Kill or Shutdown is
+// the scheduler and the only dispatcher: it pops events in (time, partition,
+// seq) order and runs each callback or proc resumption to completion before
+// the next. Procs are runtime coroutines (iter.Pull) that the scheduler
+// switches into and that switch back when they park, so exactly one flow of
+// control touches the Sim at any moment and no locking is needed.
 type Sim struct {
 	now Time
 	// events is a hand-rolled binary min-heap ordered by (t, part, seq).
@@ -79,13 +82,8 @@ type Sim struct {
 	// events and spawns scheduled from inside it inherit this partition.
 	curPart int32
 
-	parked chan struct{}  // handoff: running proc -> scheduler
 	procs  map[*Proc]bool // all live procs
-	inProc bool           // true while a proc goroutine has control
-
-	// panicVal carries a panic out of a proc goroutine so runProc can
-	// rethrow it in the Run caller's stack.
-	panicVal any
+	inProc bool           // true while a proc has control
 
 	// tracer, when non-nil, receives structured events from the kernel and
 	// from device models built on it. Untraced runs pay one nil check.
@@ -105,8 +103,8 @@ type Sim struct {
 	// virtual end time, and a later Run resumes it alongside new work.
 	liveEvents int
 
-	// freeProcs is the pool of exited proc shells whose goroutines are
-	// parked awaiting reuse; see procRun. Daemons and profiled sims never
+	// freeProcs is the pool of exited proc shells whose coroutines are
+	// suspended awaiting reuse; see Proc.run. Daemons and profiled sims never
 	// pool (daemon spawns must not perturb pool state across recorded and
 	// unrecorded runs, and the critpath profiler keys state by *Proc).
 	freeProcs []*Proc
@@ -149,8 +147,7 @@ func (s *Sim) Tracer() *trace.Sink { return s.tracer }
 // New creates an empty simulation at time zero.
 func New() *Sim {
 	return &Sim{
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]bool),
+		procs: make(map[*Proc]bool),
 		// Partition 0 (the global/unpinned partition) always exists.
 		seqs:      make([]uint64, 1),
 		nowqs:     make([]nowRing, 1),
@@ -450,25 +447,26 @@ func (s *Sim) clearEvents() {
 	s.liveEvents = 0
 }
 
-// Proc is an emulated thread of control: a goroutine that runs only when the
-// scheduler hands it the simulation. All blocking operations (Sleep, queue
-// and resource operations, condition waits) must be called with the Proc
-// that is currently running.
+// Proc is an emulated thread of control: a coroutine that runs only when the
+// scheduler switches into it. All blocking operations (Sleep, queue and
+// resource operations, condition waits) must be called with the Proc that is
+// currently running.
 type Proc struct {
-	sim    *Sim
-	name   string
-	part   int32 // event-ordering partition (0 = global)
-	resume chan struct{}
+	sim  *Sim
+	name string
+	part int32 // event-ordering partition (0 = global)
+	// next switches from the scheduler into the proc and returns when the
+	// proc parks or its coroutine ends; yield is the switch back. A panic in
+	// the proc resurfaces from next with its original value.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
 	killed bool
 	// daemon marks a background observer proc whose queued wakeups never
 	// keep Run alive (see SpawnDaemon).
 	daemon bool
-	// poolExit tells a pooled goroutine (parked in procRun awaiting reuse)
-	// to terminate instead of running another incarnation; see drainPool.
-	poolExit bool
 	// fn is the body of the current incarnation, held on the Proc instead
-	// of closed over so a recycled shell's goroutine restarts without
-	// allocating.
+	// of closed over so a recycled shell restarts without allocating. It is
+	// nil while the shell sits in the pool.
 	fn func(p *Proc)
 	// blocked describes what the proc is waiting on, for deadlock reports.
 	blocked string
@@ -545,11 +543,11 @@ func (s *Sim) spawn(part int, name string, fn func(p *Proc), daemon bool) *Proc 
 		panic(fmt.Sprintf("sim: SpawnOn partition %d of %d", part, len(s.seqs)))
 	}
 	var p *Proc
-	// Reuse a pooled shell (and its parked goroutine) when one is free.
+	// Reuse a pooled shell (and its suspended coroutine) when one is free.
 	// Daemon spawns always allocate: a recorder's samplers must not
 	// perturb the pool state the workload's own spawns observe, or
 	// recorded and unrecorded runs would diverge in SchedStats. Profiled
-	// sims never reach here (the pool stays empty; see procRun).
+	// sims never reach here (the pool stays empty; see Proc.run).
 	if n := len(s.freeProcs); n > 0 && !daemon {
 		p = s.freeProcs[n-1]
 		s.freeProcs[n-1] = nil
@@ -562,8 +560,8 @@ func (s *Sim) spawn(part int, name string, fn func(p *Proc), daemon bool) *Proc 
 		p.fn = fn
 		s.stats.ProcReuses++
 	} else {
-		p = &Proc{sim: s, name: name, part: int32(part), resume: make(chan struct{}), daemon: daemon, fn: fn}
-		go procMain(p)
+		p = &Proc{sim: s, name: name, part: int32(part), daemon: daemon, fn: fn}
+		p.next, _ = iter.Pull(p.main)
 	}
 	if t := s.tracer; t != nil {
 		p.track = t.NewTrack("procs", name)
@@ -574,51 +572,46 @@ func (s *Sim) spawn(part int, name string, fn func(p *Proc), daemon bool) *Proc 
 	return p
 }
 
-// procMain is the body of every proc goroutine: it runs incarnations of p
-// until one ends without parking the shell on the free list (kill, panic,
-// pool cap, or a drain request). A plain function rather than a closure so
-// recycled spawns allocate nothing.
-func procMain(p *Proc) {
-	for procRun(p) {
+// main is the body of every proc coroutine: it runs incarnations of p until
+// one ends without pooling the shell (kill, panic, pool cap), or until
+// drainPool resumes a pooled shell without giving it a body.
+func (p *Proc) main(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.run() {
+		yield(struct{}{}) // pooled: suspended until the next spawn or a drain
+		if p.fn == nil {
+			return
+		}
 	}
 }
 
-// procRun waits for the scheduler to start p, executes one incarnation,
-// and reports whether the shell was pooled for reuse. Only a normal return
-// pools: a proc that is running holds no queued resumption (wakeups are
-// consumed before it runs, and nothing can target a running proc), so on
-// clean exit no stale event can reference the recycled pointer. A killed
-// proc's pending wakeup may still sit in the queue, so its shell — and a
-// panicking proc's — is never reused. Profiled sims never pool either: the
-// critical-path profiler keys per-proc state by *Proc and must see a fresh
-// pointer per logical proc.
-func procRun(p *Proc) (pooled bool) {
-	<-p.resume // wait for the scheduler to start us
-	if p.poolExit {
-		return false
-	}
+// run executes one incarnation and reports whether the shell was pooled for
+// reuse. Only a normal return pools: a proc that is running holds no queued
+// resumption (wakeups are consumed before it runs, and nothing can target a
+// running proc), so on clean exit no stale event can reference the recycled
+// pointer. A killed proc's pending wakeup may still sit in the queue, so its
+// shell is never reused, and a panicking proc's coroutine is over — the
+// panic leaves through next and reaches the caller of Run. Profiled sims
+// never pool either: the critical-path profiler keys per-proc state by *Proc
+// and must see a fresh pointer per logical proc.
+func (p *Proc) run() (pooled bool) {
 	s := p.sim
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedSentinel); !ok {
-				// Re-panic in the scheduler's context so the
-				// failure surfaces to the caller of Run.
-				delete(s.procs, p)
-				s.panicVal = r
-				s.parked <- struct{}{}
-				return
-			}
-			s.tracer.Instant(p.track, int64(s.now), "killed", "proc")
-		} else {
+		delete(s.procs, p)
+		switch r := recover().(type) {
+		case nil:
 			s.tracer.Instant(p.track, int64(s.now), "exit", "proc")
 			if !p.daemon && s.profiler == nil && len(s.freeProcs) < maxFreeProcs {
 				p.fn = nil
 				s.freeProcs = append(s.freeProcs, p)
 				pooled = true
 			}
+		case killedSentinel:
+			s.tracer.Instant(p.track, int64(s.now), "killed", "proc")
+		default:
+			s.inProc = false // runProc's reset is skipped by the unwinding
+			panic(r)
 		}
-		delete(s.procs, p)
-		s.parked <- struct{}{} // final handoff back to the scheduler
 	}()
 	if p.killed {
 		panic(killedSentinel{p.name})
@@ -627,49 +620,31 @@ func procRun(p *Proc) (pooled bool) {
 	return
 }
 
-// drainPool terminates the goroutines parked on the free list. Run,
-// Shutdown, and killProcs drain so a finished or abandoned Sim leaks no
-// goroutines; RunFor keeps the pool warm across adaptive windows.
+// drainPool ends the coroutines suspended on the free list. Run, Shutdown,
+// and killProcs drain so a finished or abandoned Sim leaks no goroutines;
+// RunFor keeps the pool warm across adaptive windows.
 func (s *Sim) drainPool() {
 	for i, p := range s.freeProcs {
-		p.poolExit = true
-		p.resume <- struct{}{}
+		p.next() // fn is nil: main returns
 		s.freeProcs[i] = nil
 	}
 	s.freeProcs = s.freeProcs[:0]
 }
 
-// runProc transfers control to p until it parks or exits. Must be called
-// from scheduler context (inside an event callback). While p runs it may
-// hand control directly to further procs (see park's fast path); the
-// scheduler stays blocked here until whichever proc ends the chain parks
-// with nothing left to chain to.
+// runProc switches into p and returns when it parks or exits. Must be called
+// from scheduler context (inside an event callback).
 func (s *Sim) runProc(p *Proc) {
 	if !s.procs[p] {
 		return // proc already exited (e.g. killed)
 	}
 	p.blocked = ""
 	s.inProc = true
-	p.resume <- struct{}{}
-	<-s.parked
+	p.next()
 	s.inProc = false
-	if s.panicVal != nil {
-		v := s.panicVal
-		s.panicVal = nil
-		panic(v)
-	}
 }
 
 // park suspends the calling proc until the scheduler resumes it. The caller
 // must have arranged for a wakeup (a scheduled event or a cond signal).
-//
-// Fast path: when the next event is another proc's resumption at the
-// current instant, the parking proc hands control straight to that proc
-// instead of bouncing through the scheduler goroutine, cutting the
-// park/resume round trip from two channel handoffs to one. The scheduler
-// (blocked in runProc) regains control only when a proc parks with no
-// immediately-runnable successor. Event order is unchanged: the handoff
-// consumes exactly the event the scheduler would have dispatched next.
 func (p *Proc) park(why string) {
 	// The traced flag is local so a sink attached mid-park cannot see an
 	// End without its Begin.
@@ -679,38 +654,7 @@ func (p *Proc) park(why string) {
 		t.Begin(p.track, int64(p.sim.now), why, "park")
 	}
 	p.blocked = why
-	s := p.sim
-	handed := false
-	for {
-		ev, ok := s.peekNext()
-		if !ok || ev.proc == nil || ev.t != s.now {
-			break
-		}
-		s.popNext()
-		q := ev.proc
-		if !s.procs[q] {
-			continue // stale wakeup for an exited proc
-		}
-		// The handoff bypasses dispatch, so update the scheduling
-		// context's partition here.
-		s.curPart = q.part
-		q.blocked = ""
-		if q == p {
-			// Our own wakeup is next: skip the channel round trip
-			// entirely (Yield with no competing events).
-			if traced {
-				t.End(p.track, int64(p.sim.now))
-			}
-			return
-		}
-		q.resume <- struct{}{}
-		handed = true
-		break
-	}
-	if !handed {
-		s.parked <- struct{}{}
-	}
-	<-p.resume
+	p.yield(struct{}{})
 	if traced {
 		t.End(p.track, int64(p.sim.now))
 	}
@@ -799,9 +743,9 @@ func (s *Sim) Run() error {
 		s.killProcs()
 		return &DeadlockError{Blocked: names}
 	}
-	// Release the recycling pool's goroutines: a Sim dropped after Run must
-	// not leak them. RunFor deliberately keeps the pool warm so churn keeps
-	// reusing shells across adaptive windows.
+	// End the recycling pool's coroutines: a Sim dropped after Run must not
+	// leak their goroutines. RunFor deliberately keeps the pool warm so
+	// churn keeps reusing shells across adaptive windows.
 	s.drainPool()
 	return nil
 }
@@ -825,8 +769,8 @@ func (s *Sim) RunFor(d Duration) {
 	}
 }
 
-// Shutdown force-terminates all live procs (their goroutines unwind via an
-// internal panic that Shutdown recovers). It is safe to call after Run or
+// Shutdown force-terminates all live procs (each unwinds via an internal
+// panic its own coroutine recovers). It is safe to call after Run or
 // RunFor; it must not be called from proc context.
 func (s *Sim) Shutdown() {
 	s.killProcs()
@@ -845,8 +789,7 @@ func (s *Sim) Kill(p *Proc) {
 		return
 	}
 	p.killed = true
-	p.resume <- struct{}{}
-	<-s.parked
+	p.next()
 	for _, wl := range s.waitLists {
 		wl.purge(p)
 	}
@@ -858,8 +801,7 @@ func (s *Sim) killProcs() {
 		for p := range s.procs {
 			p.killed = true
 			killed = append(killed, p)
-			p.resume <- struct{}{}
-			<-s.parked
+			p.next()
 			break // map may have changed; restart iteration
 		}
 	}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -180,16 +182,148 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// runPanics runs s and returns the value Run panicked with (nil if it
+// returned).
+func runPanics(s *Sim) (r any) {
+	defer func() { r = recover() }()
+	s.Run()
+	return
+}
+
+// TestProcPanicPropagates: a proc's panic reaches Run's caller with its
+// original value and leaves the sim in scheduler context, so the survivors
+// can still be shut down.
 func TestProcPanicPropagates(t *testing.T) {
 	s := New()
-	s.Spawn("boom", func(p *Proc) { panic("kaboom") })
-	defer func() {
-		if r := recover(); r != "kaboom" {
-			t.Fatalf("recovered %v, want kaboom", r)
-		}
-	}()
-	s.Run()
-	t.Fatal("Run returned; want panic")
+	c := NewCond(s, "never")
+	unwound := false
+	s.Spawn("bystander", func(p *Proc) {
+		defer func() { unwound = true }()
+		c.Wait(p)
+	})
+	s.Spawn("boom", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("kaboom")
+	})
+	if r := runPanics(s); r != "kaboom" {
+		t.Fatalf("recovered %v, want kaboom", r)
+	}
+	if s.inProc {
+		t.Error("inProc still set after the panic left Run")
+	}
+	if len(s.procs) != 1 {
+		t.Errorf("%d live procs after the panic, want 1 (the bystander)", len(s.procs))
+	}
+	s.Shutdown()
+	if !unwound || len(s.procs) != 0 || c.Waiters() != 0 {
+		t.Errorf("Shutdown after panic: unwound=%v procs=%d waiters=%d", unwound, len(s.procs), c.Waiters())
+	}
+}
+
+// TestKillUnstartedProc: a proc killed between Spawn and its first dispatch
+// never runs its body, and its queued start event is ignored.
+func TestKillUnstartedProc(t *testing.T) {
+	s := New()
+	ran := false
+	p := s.Spawn("unstarted", func(p *Proc) { ran = true })
+	s.Spawn("worker", func(p *Proc) { p.Sleep(Microsecond) })
+	s.Kill(p)
+	if len(s.procs) != 1 {
+		t.Fatalf("%d live procs after Kill, want 1", len(s.procs))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Error("killed proc ran its body")
+	}
+	if got, want := s.Now(), Time(Microsecond); got != want {
+		t.Errorf("end time %v, want %v", got, want)
+	}
+}
+
+// TestNoGoroutineLeak: every proc is a coroutine with a goroutine behind it;
+// each way a sim can end must leave none behind.
+func TestNoGoroutineLeak(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"pooled procs then Run", func(t *testing.T) {
+			s := New()
+			s.Spawn("gen", func(p *Proc) {
+				for round := 0; round < 10; round++ {
+					for i := 0; i < 10; i++ {
+						s.Spawn("w", func(q *Proc) { q.Sleep(Microsecond) })
+					}
+					p.Sleep(2 * Microsecond)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.SchedStats(); st.ProcReuses != 90 {
+				t.Errorf("proc reuses = %d, want 90", st.ProcReuses)
+			}
+		}},
+		{"cond deadlock", func(t *testing.T) {
+			s := New()
+			c := NewCond(s, "never")
+			for i := 0; i < 10; i++ {
+				s.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+			}
+			var dl *DeadlockError
+			if err := s.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 10 {
+				t.Fatalf("Run = %v, want DeadlockError naming 10 procs", err)
+			}
+		}},
+		{"RunFor, late Spawn, Shutdown", func(t *testing.T) {
+			s := New()
+			for i := 0; i < 5; i++ {
+				s.Spawn("short", func(p *Proc) { p.Sleep(Microsecond) })
+				s.Spawn("long", func(p *Proc) { p.Sleep(Second) })
+			}
+			s.RunFor(Millisecond) // the short shells are pooled, the long procs parked
+			for i := 0; i < 5; i++ {
+				s.Spawn("late", func(p *Proc) { p.Sleep(Second) })
+			}
+			s.Shutdown()
+		}},
+		{"Spawn, Shutdown, Run never called", func(t *testing.T) {
+			s := New()
+			for i := 0; i < 5; i++ {
+				s.Spawn("unstarted", func(p *Proc) { t.Error("unstarted proc ran") })
+			}
+			s.Shutdown()
+		}},
+		{"proc panic then Shutdown", func(t *testing.T) {
+			s := New()
+			for i := 0; i < 5; i++ {
+				s.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+			}
+			s.Spawn("boom", func(p *Proc) {
+				p.Sleep(Microsecond)
+				panic("kaboom")
+			})
+			if r := runPanics(s); r != "kaboom" {
+				t.Fatalf("recovered %v, want kaboom", r)
+			}
+			s.Shutdown()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			tc.run(t)
+			// A coroutine's goroutine is destroyed inside the switch that
+			// ends it, so nothing has to be waited for. The previous
+			// subtest's own goroutine may still be exiting and make before
+			// read one high; every case leaks at least five when broken.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines: %d before, %d after", before, after)
+			}
+		})
+	}
 }
 
 func TestQueueFIFO(t *testing.T) {

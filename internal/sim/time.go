@@ -6,9 +6,10 @@
 // separated by calls into the simulation library; an event queue keeps all
 // communication and I/O events in temporal (causal) order; blocking
 // synchronization is provided by condition variables whose waiters are woken
-// by signal events. Each emulated thread of control is a goroutine, but the
-// scheduler runs exactly one goroutine at a time with explicit channel
-// handoff, so simulations are fully deterministic and never race.
+// by signal events. Each emulated thread of control is a runtime coroutine
+// (iter.Pull) that the scheduler switches into and that switches back when it
+// blocks, so exactly one runs at a time and simulations are fully
+// deterministic and never race.
 package sim
 
 import "fmt"
