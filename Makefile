@@ -1,7 +1,7 @@
 # Convenience targets for the lmas emulation library. Everything here is a
 # thin wrapper over the go tool; no target is required by CI or the build.
 
-.PHONY: all build test race bench bench-smoke bench-allocs baseline monitor perf perf-compare
+.PHONY: all build test race bench bench-smoke bench-allocs baseline tables monitor perf perf-compare
 
 all: build
 
@@ -54,6 +54,13 @@ bench-allocs:
 # the file byte-reproducible; commit the result.
 baseline:
 	go run ./cmd/lmasreport bench -quick -stamp=false -o bench/baseline.json
+
+# Regenerate the committed output of every asulab experiment after an
+# INTENTIONAL change to a table (CI cmps `asulab all` against this file, so
+# EXPERIMENTS.md cannot drift from the commands it documents); commit the
+# result and update the Measured blocks that quote it.
+tables:
+	go run ./cmd/asulab all > bench/asulab_all.txt
 
 # Run the quick bench with the live dashboard and a run store attached:
 # open the printed address in a browser to watch cells stream in, and query

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"lmas/internal/recorder"
 )
 
 // runMainEnv makes the test binary stand in for the command: TestMain runs
@@ -43,5 +46,55 @@ func TestEngineFlagsAreGone(t *testing.T) {
 		if want := "flag provided but not defined: " + flagName; !strings.Contains(stderr.String(), want) {
 			t.Errorf("%v: stderr %q does not contain %q", args, stderr.String(), want)
 		}
+	}
+}
+
+// TestFailedRunLeavesClosedSegment: a recorded run that fails after the store
+// header is written (unknown -dist) exits 1 and leaves a closed segment ending
+// in a nil-report finish — never the zero-byte file that used to make the
+// whole store unreadable — and a good run recorded beside it exits 0. A bad
+// -placement is refused before anything is written.
+func TestFailedRunLeavesClosedSegment(t *testing.T) {
+	dir := t.TempDir()
+	run := func(wantExit int, args ...string) {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], append([]string{"-n", "4096", "-asus", "4", "-record", dir}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		exit := 0
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if exit != wantExit {
+			t.Fatalf("%v: exit %d, want %d\n%s", args, exit, wantExit, out)
+		}
+	}
+	run(1, "-placement", "bogus")
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(segs) != 0 {
+		t.Fatalf("a bad -placement left segments behind: %v", segs)
+	}
+	run(1, "-dist", "bogus")
+	run(0)
+
+	st, err := recorder.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := st.Runs()
+	if err != nil {
+		t.Fatalf("store does not parse: %v", err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("store has %d runs, want the failed one and the good one", len(runs))
+	}
+	failed, good := runs[0], runs[1]
+	if !failed.Finished() || failed.Report() != nil {
+		t.Errorf("failed run: Finished=%v Report=%v, want a finish without a report", failed.Finished(), failed.Report())
+	}
+	if good.Report() == nil {
+		t.Error("good run has no report")
 	}
 }

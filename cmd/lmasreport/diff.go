@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -109,6 +110,22 @@ func openStoreRead(dir string) (*recorder.Store, error) {
 		return nil, fmt.Errorf("run store %s: not a directory", dir)
 	}
 	return &recorder.Store{Dir: dir}, nil
+}
+
+// warnSkipped downgrades a store read's unreadable segments to a warning on
+// stderr, one line per segment: the readable runs came back beside the error,
+// and a listing or a plot is still worth having without the ones a killed
+// process left behind. Anything else is returned unchanged. Commands whose
+// verdict could hinge on a missing run (gate) do not call it.
+func warnSkipped(err error) error {
+	var skipped *recorder.SkippedError
+	if !errors.As(err, &skipped) {
+		return err
+	}
+	for _, e := range skipped.Skipped {
+		fmt.Fprintln(os.Stderr, "lmasreport: skipping unreadable segment:", e)
+	}
+	return nil
 }
 
 // storeTrajectory selects an experiment's finished runs as a trajectory,

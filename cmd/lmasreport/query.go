@@ -58,7 +58,7 @@ func queryList(dir string, args []string) error {
 		return err
 	}
 	runs, err := st.Runs()
-	if err != nil {
+	if err = warnSkipped(err); err != nil {
 		return err
 	}
 	t := metrics.NewTable(fmt.Sprintf("Run store %s", dir),
@@ -73,6 +73,8 @@ func queryList(dir string, args []string) error {
 		if rep := run.Report(); rep != nil {
 			runtime = fmt.Sprintf("%.4f", rep.RuntimeSec)
 			state = "finished"
+		} else if run.Finished() {
+			state = "failed (no report)"
 		}
 		t.AddRow(h.RunID, h.Experiment, h.Name, h.StartedAt, h.ConfigHash, h.GitRev,
 			runtime, len(run.Samples()), state)
@@ -96,7 +98,7 @@ func queryShow(dir string, args []string) error {
 		return err
 	}
 	runs, err := st.Runs()
-	if err != nil {
+	if err = warnSkipped(err); err != nil {
 		return err
 	}
 	for _, run := range runs {
@@ -130,7 +132,7 @@ func queryMetric(dir string, args []string) error {
 		return err
 	}
 	runs, err := st.Select(*exp)
-	if err != nil {
+	if err = warnSkipped(err); err != nil {
 		return err
 	}
 	t := metrics.NewTable(fmt.Sprintf("Metric %s", name),
@@ -205,7 +207,7 @@ func queryTrace(dir string, args []string) error {
 		return err
 	}
 	runs, err := st.Runs()
-	if err != nil {
+	if err = warnSkipped(err); err != nil {
 		return err
 	}
 	var chosen []*recorder.RunRecord
@@ -274,7 +276,7 @@ func queryPrune(dir string, args []string) error {
 		return err
 	}
 	victims, err := st.Prune(*keep, *dry)
-	if err != nil {
+	if err = warnSkipped(err); err != nil {
 		return err
 	}
 	verb := "pruned"

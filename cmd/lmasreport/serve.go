@@ -22,7 +22,7 @@ func runServe(args []string) error {
 
 	var runs []*recorder.RunRecord
 	if st, err := openStoreRead(pos[0]); err == nil {
-		if runs, err = st.Runs(); err != nil {
+		if runs, err = st.Runs(); warnSkipped(err) != nil {
 			return err
 		}
 	} else if run, ferr := recorder.LoadRun(pos[0]); ferr == nil {

@@ -40,7 +40,7 @@ func runTrend(args []string) error {
 		return err
 	}
 	runs, err := st.Runs()
-	if err != nil {
+	if err = warnSkipped(err); err != nil {
 		return err
 	}
 

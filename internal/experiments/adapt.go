@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"lmas/internal/bte"
 	"lmas/internal/cluster"
-	"lmas/internal/container"
-	"lmas/internal/functor"
 	"lmas/internal/loadmgr"
 	"lmas/internal/metrics"
 	"lmas/internal/records"
@@ -92,21 +89,18 @@ func (r *AdaptResult) Table() *metrics.Table {
 
 // RunAdapt measures static, adaptive-switch, and SR-from-the-start.
 func RunAdapt(opt AdaptOptions) (*AdaptResult, error) {
-	res := &AdaptResult{Options: opt}
 	strategies := []string{"static", "adaptive", "sr"}
-	res.Cells = make([]AdaptCell, len(strategies))
-	err := runCells(len(strategies), opt.Jobs, func(i int) error {
+	cells, err := runCells(len(strategies), opt.Jobs, func(i int) (AdaptCell, error) {
 		cell, err := runAdaptCell(opt, strategies[i])
 		if err != nil {
-			return fmt.Errorf("adapt %s: %w", strategies[i], err)
+			err = fmt.Errorf("adapt %s: %w", strategies[i], err)
 		}
-		res.Cells[i] = cell
-		return nil
+		return cell, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &AdaptResult{Options: opt, Cells: cells}, nil
 }
 
 func runAdaptCell(opt AdaptOptions, strategy string) (AdaptCell, error) {
@@ -116,48 +110,22 @@ func runAdaptCell(opt AdaptOptions, strategy string) (AdaptCell, error) {
 	cl := cluster.New(params)
 	reg := telemetry.NewRegistry()
 	cl.AttachTelemetry(reg, opt.Window)
-	recSize := params.RecordSize
 
 	// Figure 10 input: uniform first half, skewed second half.
-	buf := records.GenerateHalves(opt.N, recSize, opt.Seed,
+	buf := records.GenerateHalves(opt.N, params.RecordSize, opt.Seed,
 		records.Uniform{}, records.Exponential{Mean: opt.SkewMean})
-	sets := make([]*container.Set, opt.ASUs)
-	cl.Sim.Spawn("load", func(p *sim.Proc) {
-		for i, asu := range cl.ASUs {
-			sets[i] = container.NewSet(fmt.Sprintf("adapt.in%d", i), bte.NewDisk(asu.Disk), recSize)
-		}
-		for pi, off := 0, 0; off < opt.N; pi, off = pi+1, off+opt.PacketRecords {
-			hi := off + opt.PacketRecords
-			if hi > opt.N {
-				hi = opt.N
-			}
-			sets[pi%opt.ASUs].Add(p, container.NewPacket(buf.Slice(off, hi).ClonePooled()))
-		}
-	})
-	if err := cl.Sim.Run(); err != nil {
-		return AdaptCell{}, err
-	}
-
-	pl := functor.NewPipeline(cl)
-	dist := pl.AddStage("distribute", cl.ASUs, func() functor.Kernel {
-		return functor.Adapt(functor.NewDistribute(opt.Alpha), recSize, opt.PacketRecords)
-	})
-	srt := pl.AddStage("blocksort", cl.Hosts, func() functor.Kernel {
-		return functor.NewBlockSort(opt.Beta, recSize)
-	})
 	var initial route.Policy = route.Static{Buckets: opt.Alpha}
 	if strategy == "sr" {
 		initial = route.NewSR(opt.Seed)
 	}
-	edge := dist.ConnectTo(srt, initial)
 	done := false
 	var finishedAt sim.Time
-	srt.Terminal().Done = func() {
+	pl, edge, err := distSortPipeline(cl, buf, opt.Alpha, opt.Beta, opt.PacketRecords, initial, func() {
 		done = true
 		finishedAt = cl.Sim.Now()
-	}
-	for i, set := range sets {
-		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), dist, pinPolicy(i))
+	})
+	if err != nil {
+		return AdaptCell{}, err
 	}
 
 	var watch *loadmgr.ImbalanceWatch
@@ -182,16 +150,8 @@ func runAdaptCell(opt AdaptOptions, strategy string) (AdaptCell, error) {
 	// Elapsed is measured at pipeline completion, excluding the watch's
 	// trailing sampling window.
 	elapsed := sim.Duration(finishedAt - start)
-	var traces []*metrics.UtilTrace
-	for _, h := range cl.Hosts {
-		traces = append(traces, h.CPUTrace)
-	}
-	cell := AdaptCell{
-		Strategy:  strategy,
-		Elapsed:   elapsed,
-		Imbalance: loadmgr.Imbalance(traces, int(elapsed/sim.Duration(opt.Window))),
-		Decisions: reg.Decisions(),
-	}
+	_, imbalance := hostImbalance(cl, elapsed, opt.Window)
+	cell := AdaptCell{Strategy: strategy, Elapsed: elapsed, Imbalance: imbalance, Decisions: reg.Decisions()}
 	if watch != nil && watch.Fired() {
 		cell.SwitchedAt = watch.FiredAt
 	}

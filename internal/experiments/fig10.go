@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"lmas/internal/cluster"
-	"lmas/internal/critpath"
 	"lmas/internal/dsmsort"
-	"lmas/internal/loadmgr"
 	"lmas/internal/metrics"
 	"lmas/internal/recorder"
-	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
@@ -128,95 +125,57 @@ func (r *Fig10Result) Summary() *metrics.Table {
 // (route.Static); the load-managed run spreads "each of the α subsets...
 // across both hosts" with simple randomization (route.SR).
 func RunFig10(opt Fig10Options) (*Fig10Result, error) {
-	res := &Fig10Result{Options: opt}
-	runOne := func(policy route.Policy, name string) (Fig10Run, error) {
+	runOne := func(policy string) (Fig10Run, error) {
 		params := opt.Base
 		params.Hosts = opt.Hosts
 		params.ASUs = opt.ASUs
 		params.UtilWindow = opt.Window
-		cl := cluster.New(params)
-		cl.AttachTelemetry(telemetry.NewRegistry(), opt.Window)
-		if opt.Critpath {
-			cl.AttachProfiler(critpath.New())
+		run, err := openRun(params, observers{
+			window:      opt.Window,
+			critpath:    opt.Critpath,
+			record:      opt.Record,
+			experiment:  opt.Experiment,
+			sampleEvery: opt.SampleEvery,
+		})
+		if err != nil {
+			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
 		}
-		workload := map[string]any{
+		defer run.close()
+		run.begin("fig10-"+policy, opt.Seed, map[string]any{
 			"program": "dsmsort-pass1",
 			"n":       opt.N,
 			"alpha":   opt.Alpha,
 			"beta":    opt.Beta,
 			"packet":  opt.PacketRecords,
-			"policy":  name,
+			"policy":  policy,
 			"dist":    "halves",
-		}
-		var rec recorder.Recorder
-		if opt.Record != nil {
-			rec = opt.Record.NewRun()
-			cfg := cl.Config()
-			rec.Begin(&recorder.Header{
-				Experiment: opt.Experiment,
-				Name:       "fig10-" + name,
-				ConfigHash: recorder.ConfigHash(cfg, workload, opt.Seed),
-				Seed:       opt.Seed,
-				Config:     cfg,
-				Workload:   workload,
-			})
-			cl.AttachRecorder(rec, opt.SampleEvery)
-		}
-		in := dsmsort.MakeInputHalves(cl, opt.N, records.Uniform{},
-			records.Exponential{Mean: opt.SkewMean}, opt.Seed, opt.PacketRecords)
+		})
 		cfg := dsmsort.Config{
 			Alpha:         opt.Alpha,
 			Beta:          opt.Beta,
 			Gamma2:        2,
 			PacketRecords: opt.PacketRecords,
 			Placement:     dsmsort.Active,
-			SortPolicy:    policy,
 			Seed:          opt.Seed,
 		}
-		_, r, err := dsmsort.RunFormation(cl, cfg, in)
+		// The policy is built per cell, inside the pool, so no routing state
+		// is shared across goroutines.
+		if cfg.SortPolicy, err = route.ByName(policy, opt.Alpha, opt.Seed); err != nil {
+			return Fig10Run{}, err
+		}
+		r, err := formRuns(run.cl, opt.N, opt.SkewMean, cfg)
 		if err != nil {
-			if rec != nil {
-				cl.FinishSampling()
-				rec.Finish(nil)
-			}
-			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", name, err)
+			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
 		}
-		cl.FinishSampling()
-		run := Fig10Run{Policy: name, Elapsed: r.Elapsed}
-		for _, h := range cl.Hosts {
-			run.HostUtil = append(run.HostUtil, h.CPUTrace)
-		}
-		n := int(r.Elapsed / sim.Duration(opt.Window))
-		run.Imbalance = loadmgr.Imbalance(run.HostUtil, n)
-		run.Report = cl.BuildReport("fig10-"+name, opt.Seed, r.Elapsed)
-		run.Report.Workload = workload
-		if run.Report.Critpath != nil {
-			if rates, ok := PredictRates(params, dsmsort.Active, opt.Alpha, opt.Beta); ok {
-				cls, rate := rates.Bottleneck()
-				run.Report.Critpath.SetPrediction(cls, rate)
-			}
-		}
-		if rec != nil {
-			rec.Finish(run.Report)
-		}
-		return run, nil
+		res := Fig10Run{Policy: policy, Elapsed: r.Elapsed, Report: run.finish(r.Elapsed, &cfg, nil)}
+		res.HostUtil, res.Imbalance = hostImbalance(run.cl, r.Elapsed, opt.Window)
+		return res, nil
 	}
-	// The two runs are independent simulations; sweep them on the worker
-	// pool. Policies are built per cell inside the pool so no routing
-	// state is shared across goroutines.
-	runs := make([]Fig10Run, 2)
-	err := runCells(len(runs), opt.Jobs, func(i int) error {
-		var e error
-		if i == 0 {
-			runs[0], e = runOne(route.Static{Buckets: opt.Alpha}, "static")
-		} else {
-			runs[1], e = runOne(route.NewSR(opt.Seed), "sr")
-		}
-		return e
-	})
+	// The two runs are independent simulations; sweep them on the worker pool.
+	policies := []string{"static", "sr"}
+	runs, err := runCells(len(policies), opt.Jobs, func(i int) (Fig10Run, error) { return runOne(policies[i]) })
 	if err != nil {
 		return nil, err
 	}
-	res.Static, res.Managed = runs[0], runs[1]
-	return res, nil
+	return &Fig10Result{Options: opt, Static: runs[0], Managed: runs[1]}, nil
 }

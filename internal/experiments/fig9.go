@@ -12,7 +12,6 @@ import (
 	"lmas/internal/dsmsort"
 	"lmas/internal/loadmgr"
 	"lmas/internal/metrics"
-	"lmas/internal/records"
 )
 
 // Fig9Options parameterizes the Figure 9 reproduction: "Speedup achievable
@@ -127,35 +126,15 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 		params.ASUs = d
 		params.C = opt.C
 
-		baselineSecs := make(map[int]float64)
-		activeSecs := make(map[int]float64)
-		measure := func(alpha int, placement dsmsort.Placement) (float64, error) {
-			cl := cluster.New(params)
-			in := dsmsort.MakeInput(cl, opt.N, records.Uniform{}, opt.Seed, opt.PacketRecords)
-			cfg := dsmsort.Config{
-				Alpha:         alpha,
-				Beta:          opt.Beta,
-				Gamma2:        2,
-				PacketRecords: opt.PacketRecords,
-				Placement:     placement,
-				Seed:          opt.Seed,
-			}
-			_, r, err := dsmsort.RunFormation(cl, cfg, in)
-			if err != nil {
-				return 0, err
-			}
-			return r.Elapsed.Seconds(), nil
-		}
 		for _, alpha := range opt.Alphas {
-			b, err := measure(alpha, dsmsort.Conventional)
+			rs, err := pass1Cells(params, opt.N, dsmsort.Config{
+				Alpha: alpha, Beta: opt.Beta, Gamma2: 2,
+				PacketRecords: opt.PacketRecords, Seed: opt.Seed,
+			}, dsmsort.Conventional, dsmsort.Active)
 			if err != nil {
-				return nil, fmt.Errorf("fig9 baseline d=%d alpha=%d: %w", d, alpha, err)
+				return nil, fmt.Errorf("fig9 d=%d alpha=%d: %w", d, alpha, err)
 			}
-			a, err := measure(alpha, dsmsort.Active)
-			if err != nil {
-				return nil, fmt.Errorf("fig9 active d=%d alpha=%d: %w", d, alpha, err)
-			}
-			baselineSecs[alpha], activeSecs[alpha] = b, a
+			b, a := rs[0].Elapsed.Seconds(), rs[1].Elapsed.Seconds()
 			res.Cells = append(res.Cells, Fig9Cell{
 				ASUs: d, Alpha: alpha,
 				Speedup:      b / a,
@@ -163,15 +142,11 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 				BaselineSecs: b,
 			})
 		}
-		// Adaptive series: the load manager predicts the best α for
-		// this configuration, then we report its measured speedup.
-		adaptAlpha := loadmgr.ChooseAlpha(params, opt.Alphas, opt.Beta)
-		res.Cells = append(res.Cells, Fig9Cell{
-			ASUs: d, Alpha: adaptAlpha, Adaptive: true,
-			Speedup:      baselineSecs[adaptAlpha] / activeSecs[adaptAlpha],
-			ActiveSecs:   activeSecs[adaptAlpha],
-			BaselineSecs: baselineSecs[adaptAlpha],
-		})
+		// Adaptive series: the load manager predicts the best α for this
+		// configuration; its cell is that α's measured point.
+		adaptive, _ := res.Cell(d, loadmgr.ChooseAlpha(params, opt.Alphas, opt.Beta), false)
+		adaptive.Adaptive = true
+		res.Cells = append(res.Cells, adaptive)
 	}
 	return res, nil
 }

@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"lmas/internal/bte"
 	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/functor"
 	"lmas/internal/metrics"
 	"lmas/internal/records"
 	"lmas/internal/route"
-	"lmas/internal/sim"
 )
 
 // FilterOptions parameterizes TAB-FILTER, the canonical active-storage
@@ -117,20 +115,8 @@ func runFilterScan(opt FilterOptions, threshold records.Key, onASU bool) (secs, 
 			want++
 		}
 	}
-	sets := make([]*container.Set, opt.ASUs)
-	cl.Sim.Spawn("load", func(p *sim.Proc) {
-		for i, asu := range cl.ASUs {
-			sets[i] = container.NewSet(fmt.Sprintf("scan.in%d", i), bte.NewDisk(asu.Disk), params.RecordSize)
-		}
-		for pi, off := 0, 0; off < opt.N; pi, off = pi+1, off+opt.PacketRecords {
-			hi := off + opt.PacketRecords
-			if hi > opt.N {
-				hi = opt.N
-			}
-			sets[pi%opt.ASUs].Add(p, container.NewPacket(buf.Slice(off, hi).ClonePooled()))
-		}
-	})
-	if err := cl.Sim.Run(); err != nil {
+	sets, err := stripeSets(cl, buf, opt.PacketRecords)
+	if err != nil {
 		return 0, 0, 0, err
 	}
 
@@ -148,21 +134,20 @@ func runFilterScan(opt FilterOptions, threshold records.Key, onASU bool) (secs, 
 		}}
 	})
 	consume.Terminal()
-	var edge *functor.Edge
+	// The filter stage lives on the ASUs, fed by the scan on its own node, or
+	// — conventionally — on the host, which raw blocks reach round-robin.
+	nodes := cl.Hosts
 	if onASU {
-		filter := pl.AddStage("filter", cl.ASUs, newFilter)
-		edge = filter.ConnectTo(consume, &route.RoundRobin{})
-		for i, set := range sets {
-			pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), filter, pinTo(i))
+		nodes = cl.ASUs
+	}
+	filter := pl.AddStage("filter", nodes, newFilter)
+	filter.ConnectTo(consume, &route.RoundRobin{})
+	for i, set := range sets {
+		var toFilter route.Policy = &route.RoundRobin{}
+		if onASU {
+			toFilter = pinTo(i)
 		}
-	} else {
-		// Conventional: raw blocks to the host, filter there, then
-		// consume — the filter stage lives on the host.
-		filter := pl.AddStage("filter", cl.Hosts, newFilter)
-		edge = filter.ConnectTo(consume, &route.RoundRobin{})
-		for i, set := range sets {
-			pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), filter, &route.RoundRobin{})
-		}
+		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), filter, toFilter)
 	}
 	elapsed, err := pl.Run()
 	if err != nil {
@@ -172,19 +157,9 @@ func runFilterScan(opt FilterOptions, threshold records.Key, onASU bool) (secs, 
 		return 0, 0, 0, fmt.Errorf("matched %d records, want %d", got, want)
 	}
 	var net int64
-	_ = edge
 	for _, asu := range cl.ASUs {
-		sent, _, sb, _ := asu.NIC.Stats()
-		_ = sent
-		net += sb
+		_, _, sent, _ := asu.NIC.Stats()
+		net += sent
 	}
 	return elapsed.Seconds(), float64(net) / 1e6, got, nil
-}
-
-// pinTo routes every packet to endpoint i.
-type pinTo int
-
-func (pinTo) Name() string { return "pin" }
-func (f pinTo) Pick(pk route.PacketInfo, e []route.Endpoint) int {
-	return int(f) % len(e)
 }

@@ -6,7 +6,6 @@ import (
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/metrics"
-	"lmas/internal/records"
 )
 
 // HybridOptions parameterizes TAB-HYBRID: the functor-migration placement
@@ -65,38 +64,21 @@ func (r *HybridResult) Table() *metrics.Table {
 func RunHybrid(opt HybridOptions) (*HybridResult, error) {
 	res := &HybridResult{Options: opt}
 	for _, d := range opt.ASUs {
-		measure := func(pl dsmsort.Placement) (secs float64, hostShare float64, err error) {
-			params := opt.Base
-			params.Hosts, params.ASUs = 1, d
-			cl := cluster.New(params)
-			in := dsmsort.MakeInput(cl, opt.N, records.Uniform{}, opt.Seed, opt.PacketRecords)
-			cfg := dsmsort.Config{
-				Alpha: opt.Alpha, Beta: opt.Beta, Gamma2: 2,
-				PacketRecords: opt.PacketRecords, Placement: pl, Seed: opt.Seed,
-			}
-			_, r, err := dsmsort.RunFormation(cl, cfg, in)
-			if err != nil {
-				return 0, 0, err
-			}
-			return r.Elapsed.Seconds(), r.HybridHostShare, nil
-		}
-		conv, _, err := measure(dsmsort.Conventional)
+		params := opt.Base
+		params.Hosts, params.ASUs = 1, d
+		rs, err := pass1Cells(params, opt.N, dsmsort.Config{
+			Alpha: opt.Alpha, Beta: opt.Beta, Gamma2: 2,
+			PacketRecords: opt.PacketRecords, Seed: opt.Seed,
+		}, dsmsort.Conventional, dsmsort.Active, dsmsort.Hybrid)
 		if err != nil {
-			return nil, fmt.Errorf("hybrid d=%d conventional: %w", d, err)
+			return nil, fmt.Errorf("hybrid d=%d: %w", d, err)
 		}
-		act, _, err := measure(dsmsort.Active)
-		if err != nil {
-			return nil, fmt.Errorf("hybrid d=%d active: %w", d, err)
-		}
-		hyb, share, err := measure(dsmsort.Hybrid)
-		if err != nil {
-			return nil, fmt.Errorf("hybrid d=%d hybrid: %w", d, err)
-		}
+		conv := rs[0].Elapsed.Seconds()
 		res.Cells = append(res.Cells, HybridCell{
 			ASUs:    d,
-			Active:  conv / act,
-			Hybrid:  conv / hyb,
-			HostOps: share,
+			Active:  conv / rs[1].Elapsed.Seconds(),
+			Hybrid:  conv / rs[2].Elapsed.Seconds(),
+			HostOps: rs[2].HybridHostShare,
 		})
 	}
 	return res, nil

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"lmas/internal/bte"
 	"lmas/internal/cluster"
-	"lmas/internal/container"
-	"lmas/internal/functor"
 	"lmas/internal/metrics"
 	"lmas/internal/records"
 	"lmas/internal/route"
@@ -113,14 +110,13 @@ func RunIsolation(opt IsolationOptions) (*IsolationResult, error) {
 			return nil, err
 		}
 	}
-	res.Cells = make([]IsolationCell, len(opt.Quanta))
-	err := runCells(len(opt.Quanta), opt.Jobs, func(i int) error {
+	var err error
+	res.Cells, err = runCells(len(opt.Quanta), opt.Jobs, func(i int) (IsolationCell, error) {
 		cell, err := runIsolationCell(opt, opt.Quanta[i])
 		if err != nil {
-			return fmt.Errorf("isolation quantum=%v: %w", opt.Quanta[i], err)
+			err = fmt.Errorf("isolation quantum=%v: %w", opt.Quanta[i], err)
 		}
-		res.Cells[i] = cell
-		return nil
+		return cell, err
 	})
 	if err != nil {
 		return nil, err
@@ -136,38 +132,13 @@ func runIsolationCell(opt IsolationOptions, quantum sim.Duration) (IsolationCell
 
 	// Input striped over the ASUs, as in Figure 9.
 	buf := records.Generate(opt.N, params.RecordSize, opt.Seed, records.Uniform{})
-	sets := make([]*container.Set, opt.ASUs)
-	cl.Sim.Spawn("load", func(p *sim.Proc) {
-		for i, asu := range cl.ASUs {
-			sets[i] = container.NewSet(fmt.Sprintf("iso.in%d", i), bte.NewDisk(asu.Disk), params.RecordSize)
-		}
-		for pi, off := 0, 0; off < opt.N; pi, off = pi+1, off+opt.PacketRecords {
-			hi := off + opt.PacketRecords
-			if hi > opt.N {
-				hi = opt.N
-			}
-			sets[pi%opt.ASUs].Add(p, container.NewPacket(buf.Slice(off, hi).ClonePooled()))
-		}
-	})
-	if err := cl.Sim.Run(); err != nil {
-		return IsolationCell{}, err
-	}
-
 	// The background computation: distribute on the ASUs, sort on the
 	// host, runs discarded (we only need the ASU CPU pressure).
-	pl := functor.NewPipeline(cl)
-	dist := pl.AddStage("distribute", cl.ASUs, func() functor.Kernel {
-		return functor.Adapt(functor.NewDistribute(opt.Alpha), params.RecordSize, opt.PacketRecords)
-	})
-	srt := pl.AddStage("blocksort", cl.Hosts, func() functor.Kernel {
-		return functor.NewBlockSort(opt.Beta, params.RecordSize)
-	})
-	dist.ConnectTo(srt, route.Static{Buckets: opt.Alpha})
 	sortDone := false
-	srt.Terminal().Done = func() { sortDone = true }
-	for i, set := range sets {
-		i := i
-		pl.AddSource(fmt.Sprintf("iso.read%d", i), cl.ASUs[i], set.Scan(i, false), dist, pinPolicy(i))
+	pl, _, err := distSortPipeline(cl, buf, opt.Alpha, opt.Beta, opt.PacketRecords,
+		route.Static{Buckets: opt.Alpha}, func() { sortDone = true })
+	if err != nil {
+		return IsolationCell{}, err
 	}
 
 	// Foreground clients: one per ASU, issuing requests until the sort
@@ -202,12 +173,4 @@ func runIsolationCell(opt IsolationOptions, quantum sim.Duration) (IsolationCell
 		Max:      sum.Max(),
 		Requests: sum.Count(),
 	}, nil
-}
-
-// pinPolicy routes every packet to endpoint i.
-type pinPolicy int
-
-func (pinPolicy) Name() string { return "pin" }
-func (f pinPolicy) Pick(pk route.PacketInfo, e []route.Endpoint) int {
-	return int(f) % len(e)
 }

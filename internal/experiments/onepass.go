@@ -94,12 +94,10 @@ func RunOnePass(opt OnePassOptions) (*OnePassResult, error) {
 			return nil, fmt.Errorf("onepass n=%d: %w", n, err)
 		}
 
-		cl2 := cluster.New(params)
-		in2 := dsmsort.MakeInput(cl2, n, records.Uniform{}, opt.Seed, opt.PacketRecords)
-		dsmRes, err := dsmsort.Sort(cl2, dsmsort.Config{
+		dsmRes, err := sortCell(params, n, dsmsort.Config{
 			Alpha: 16, Beta: 64, Gamma2: 16, PacketRecords: opt.PacketRecords,
 			Placement: dsmsort.Active, Seed: opt.Seed,
-		}, in2)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("dsmsort n=%d: %w", n, err)
 		}

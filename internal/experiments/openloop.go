@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -172,8 +173,21 @@ type jobTrack struct {
 func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	params := opt.Base
 	params.Hosts, params.ASUs = opt.Hosts, opt.ASUs
-	cl := cluster.New(params)
-	cl.AttachTelemetry(telemetry.NewRegistry(), 100*sim.Millisecond)
+	exp := opt.Experiment
+	if exp == "" {
+		exp = "openloop"
+	}
+	run, err := openRun(params, observers{
+		window:      100 * sim.Millisecond,
+		record:      opt.Record,
+		experiment:  exp,
+		sampleEvery: opt.SampleEvery,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer run.close()
+	cl := run.cl
 	s := cl.Sim
 
 	// Register the latency histogram before any recorder attaches so the
@@ -188,23 +202,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		"batch":   opt.Batch,
 		"timeout": int64(opt.Timeout),
 	}
-	var rec recorder.Recorder
-	if opt.Record != nil {
-		rec = opt.Record.NewRun()
-		exp := opt.Experiment
-		if exp == "" {
-			exp = "openloop"
-		}
-		rec.Begin(&recorder.Header{
-			Experiment: exp,
-			Name:       "openloop",
-			ConfigHash: recorder.ConfigHash(cl.Config(), workload, opt.Seed),
-			Seed:       opt.Seed,
-			Config:     cl.Config(),
-			Workload:   workload,
-		})
-		cl.AttachRecorder(rec, opt.SampleEvery)
-	}
+	run.begin("openloop", opt.Seed, workload)
 
 	queues := make([]*sim.Queue[openJob], opt.ASUs)
 	for i := range queues {
@@ -382,15 +380,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	})
 
 	if err := s.Run(); err != nil {
-		// The only exit between Begin and Finish: leave a closed segment
-		// that ends in a nil-report finish, and no writer goroutine.
-		if rec != nil {
-			cl.FinishSampling()
-			rec.Finish(nil)
-		}
 		return nil, err
 	}
-	cl.FinishSampling()
 
 	res := &OpenLoopResult{
 		Options:   opt,
@@ -403,25 +394,18 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	if res.Elapsed > 0 {
 		res.Goodput = float64(res.Completed) / res.Elapsed.Seconds()
 	}
-	res.Report = cl.BuildReport("openloop", opt.Seed, res.Elapsed)
-	res.Report.Workload = map[string]any{
-		"program":  "openloop-churn",
-		"jobs":     opt.Jobs,
-		"rate":     opt.Rate,
-		"zipf_s":   opt.ZipfS,
-		"batch":    opt.Batch,
-		"timeout":  int64(opt.Timeout),
-		"misses":   misses,
-		"p50_ns":   int64(res.P50),
-		"p99_ns":   int64(res.P99),
-		"p999_ns":  int64(res.P999),
-		"goodput":  res.Goodput,
-		"complete": res.Completed,
-	}
-	res.Report.SLO = buildSLO(cl, opt, res, good, horizonMiss, horizonBlame)
-	if rec != nil {
-		rec.Finish(res.Report)
-	}
+	// The report's workload is the header's plus the run's outcome.
+	outcome := maps.Clone(workload)
+	outcome["misses"] = misses
+	outcome["p50_ns"] = int64(res.P50)
+	outcome["p99_ns"] = int64(res.P99)
+	outcome["p999_ns"] = int64(res.P999)
+	outcome["goodput"] = res.Goodput
+	outcome["complete"] = res.Completed
+	res.Report = run.finish(res.Elapsed, nil, func(rep *telemetry.RunReport) {
+		rep.Workload = outcome
+		rep.SLO = buildSLO(cl, opt, res, good, horizonMiss, horizonBlame)
+	})
 	return res, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/metrics"
-	"lmas/internal/records"
 )
 
 // PacketOptions parameterizes TAB-PACKET: how the packet size used on the
@@ -68,16 +67,14 @@ func RunPacket(opt PacketOptions) (*PacketResult, error) {
 	for _, pr := range opt.Packets {
 		params := opt.Base
 		params.Hosts, params.ASUs = 1, opt.ASUs
-		cl := cluster.New(params)
-		in := dsmsort.MakeInput(cl, opt.N, records.Uniform{}, opt.Seed, pr)
-		cfg := dsmsort.Config{
+		rs, err := pass1Cells(params, opt.N, dsmsort.Config{
 			Alpha: opt.Alpha, Beta: opt.Beta, Gamma2: 2,
-			PacketRecords: pr, Placement: dsmsort.Active, Seed: opt.Seed,
-		}
-		_, r, err := dsmsort.RunFormation(cl, cfg, in)
+			PacketRecords: pr, Seed: opt.Seed,
+		}, dsmsort.Active)
 		if err != nil {
 			return nil, fmt.Errorf("packet=%d: %w", pr, err)
 		}
+		r := rs[0]
 		payload := int64(2*opt.N) * int64(params.RecordSize) // in + out
 		overhead := float64(r.NetBytes-payload) / float64(r.NetBytes)
 		if overhead < 0 {

@@ -14,37 +14,29 @@ import (
 // identical to a serial sweep, because each cell is a pure function of its
 // spec and results are collected in cell order.
 
-// Jobs resolves a parallelism knob: values < 1 mean one worker per
-// available CPU, anything else is used as given.
-func Jobs(j int) int {
-	if j < 1 {
-		return runtime.GOMAXPROCS(0)
+// runCells computes cell(i) for every i in [0, n) on up to jobs concurrent
+// workers (jobs < 1 = one per available CPU) and returns the results in cell
+// order. All cells run to completion even when some fail (a serial sweep
+// stops at the first); the error returned is the first in cell order, not
+// completion order, so failures are as deterministic as results.
+func runCells[T any](n, jobs int, cell func(i int) (T, error)) ([]T, error) {
+	if jobs < 1 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
-	return j
-}
-
-// runCells executes fn(i) for every i in [0, n) on up to jobs concurrent
-// workers. fn must write its result into a caller-owned slot indexed by i.
-// All cells run to completion even when some fail; the error returned is
-// the first in cell order (not completion order), so failures are as
-// deterministic as results.
-func runCells(n, jobs int, fn func(i int) error) error {
-	jobs = Jobs(jobs)
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+	out := make([]T, n)
+	if min(jobs, n) <= 1 {
+		for i := range out {
+			var err error
+			if out[i], err = cell(i); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return out, nil
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := 0; w < min(jobs, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -53,15 +45,15 @@ func runCells(n, jobs int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				out[i], errs[i] = cell(i)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }

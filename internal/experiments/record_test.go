@@ -355,17 +355,50 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// TestEarlyErrorFinishesSegment: a recorded run that fails between Begin and
-// the sort (unknown distribution, unknown routing policy) still leaves a
-// closed, parseable segment whose last record is a finish with no report, and
-// no goroutine — sampler daemon or segment writer — outlives the call.
+// TestEarlyErrorFinishesSegment: a recorded run that leaves the lifecycle
+// between Begin and its report — through any of the three harness entry
+// points, by an error (unknown distribution or routing policy, a sort
+// configuration run formation refuses) or by a panic (a queue the workload
+// cannot build) — still leaves a closed, parseable segment whose last record
+// is a finish with no report, and no goroutine — sampler daemon or segment
+// writer — outlives the call.
 func TestEarlyErrorFinishesSegment(t *testing.T) {
+	sortWith := func(edit func(*SortRunSpec)) func(recorder.Sink) error {
+		return func(sink recorder.Sink) error {
+			spec := recordSpec("cell")
+			spec.Record = sink
+			spec.Trace = trace.New()
+			spec.Experiment = "early-error"
+			edit(&spec)
+			_, _, err := RunSortReport(spec)
+			return err
+		}
+	}
 	for _, c := range []struct {
 		name string
-		edit func(*SortRunSpec)
+		run  func(recorder.Sink) error
 	}{
-		{"unknown dist", func(s *SortRunSpec) { s.Dist = "no-such-dist" }},
-		{"unknown policy", func(s *SortRunSpec) { s.Policy = "no-such-policy" }},
+		{"unknown dist", sortWith(func(s *SortRunSpec) { s.Dist = "no-such-dist" })},
+		{"unknown policy", sortWith(func(s *SortRunSpec) { s.Policy = "no-such-policy" })},
+		{"fig10 bad beta", func(sink recorder.Sink) error {
+			opt := DefaultFig10Options()
+			opt.N, opt.Beta, opt.Jobs = 1<<12, 0, 1
+			opt.Record, opt.Experiment = sink, "early-error"
+			_, err := RunFig10(opt)
+			return err
+		}},
+		{"openloop panics", func(sink recorder.Sink) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			opt := smallOpenLoop()
+			opt.QueueCap = 0
+			opt.Record, opt.Experiment = sink, "early-error"
+			_, err = RunOpenLoop(opt)
+			return err
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			st, err := recorder.OpenStore(t.TempDir())
@@ -373,13 +406,8 @@ func TestEarlyErrorFinishesSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := runtime.NumGoroutine()
-			spec := recordSpec("cell")
-			spec.Record = st
-			spec.Trace = trace.New()
-			spec.Experiment = "early-error"
-			c.edit(&spec)
-			if _, _, err := RunSortReport(spec); err == nil {
-				t.Fatal("RunSortReport accepted the spec")
+			if err := c.run(st); err == nil {
+				t.Fatal("the run succeeded")
 			}
 			if err := st.Err(); err != nil {
 				t.Fatal(err)
@@ -391,12 +419,18 @@ func TestEarlyErrorFinishesSegment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("segment does not parse: %v", err)
 			}
-			if len(runs) != 1 || len(runs[0].Records) == 0 {
-				t.Fatalf("store has %d runs, want one with records", len(runs))
+			if len(runs) == 0 {
+				t.Fatal("store has no runs")
 			}
-			last := runs[0].Records[len(runs[0].Records)-1]
-			if last.Finish == nil || last.Finish.Report != nil {
-				t.Fatalf("last record = %+v, want a finish with a nil report", last)
+			// fig10 fails both of its cells; every one must be closed.
+			for _, run := range runs {
+				if len(run.Records) == 0 {
+					t.Fatalf("%s: no records", run.Header.RunID)
+				}
+				last := run.Records[len(run.Records)-1]
+				if last.Finish == nil || last.Finish.Report != nil {
+					t.Fatalf("%s: last record = %+v, want a finish with a nil report", run.Header.RunID, last)
+				}
 			}
 		})
 	}

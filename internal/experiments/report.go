@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"lmas/internal/cluster"
-	"lmas/internal/critpath"
 	"lmas/internal/dsmsort"
-	"lmas/internal/loadmgr"
 	"lmas/internal/recorder"
 	"lmas/internal/route"
 	"lmas/internal/sim"
@@ -66,20 +64,49 @@ type SortRunSpec struct {
 // (empty streams); no caller reads its records, and one that needs them calls
 // dsmsort.Sort itself.
 func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, error) {
-	params := cluster.DefaultParams()
-	params.Hosts, params.ASUs, params.C = spec.Hosts, spec.ASUs, spec.C
-	if err := params.Validate(); err != nil {
+	rep, res, err := RunSortWith(spec, nil, nil)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	cl := cluster.New(params)
-	cl.AttachTelemetry(telemetry.NewRegistry(), spec.UtilWindow)
-	if spec.Trace != nil {
-		cl.AttachTrace(spec.Trace)
+	return rep, res, nil
+}
+
+// RunSortWith is RunSortReport with the caller standing inside the lifecycle,
+// for a front end (cmd/dsmsort) whose knobs are not part of a bench cell:
+// tune, when non-nil, adjusts the cluster parameters and sort configuration
+// derived from spec before anything is built; sorted, when non-nil, sees the
+// live cluster and the validated result right after the sort — before the
+// samplers stop, the report is built and any storage is returned. Errors come
+// back unwrapped.
+func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
+	sorted func(*cluster.Cluster, *dsmsort.Result)) (*telemetry.RunReport, *dsmsort.Result, error) {
+	params := cluster.DefaultParams()
+	params.Hosts, params.ASUs, params.C = spec.Hosts, spec.ASUs, spec.C
+	cfg := dsmsort.Config{
+		Alpha:         spec.Alpha,
+		Beta:          spec.Beta,
+		Gamma2:        spec.Gamma2,
+		PacketRecords: spec.PacketRecords,
+		Placement:     spec.Placement,
+		Seed:          spec.Seed,
 	}
-	if spec.Critpath {
-		cl.AttachProfiler(critpath.New())
+	if tune != nil {
+		tune(&params, &cfg)
 	}
-	workload := map[string]any{
+	run, err := openRun(params, observers{
+		window:      spec.UtilWindow,
+		trace:       spec.Trace,
+		critpath:    spec.Critpath,
+		record:      spec.Record,
+		experiment:  spec.Experiment,
+		sampleEvery: spec.SampleEvery,
+		gaugeEvery:  spec.GaugeInterval,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer run.close()
+	run.begin(spec.Name, spec.Seed, map[string]any{
 		"program":   "dsmsort",
 		"n":         spec.N,
 		"alpha":     spec.Alpha,
@@ -89,87 +116,26 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 		"placement": spec.Placement.String(),
 		"policy":    spec.Policy,
 		"dist":      spec.Dist,
-	}
-	var rec recorder.Recorder
-	finished := false
-	if spec.Record != nil {
-		rec = spec.Record.NewRun()
-		cfg := cl.Config()
-		rec.Begin(&recorder.Header{
-			Experiment: spec.Experiment,
-			Name:       spec.Name,
-			ConfigHash: recorder.ConfigHash(cfg, workload, spec.Seed),
-			Seed:       spec.Seed,
-			Config:     cfg,
-			Workload:   workload,
-		})
-		cl.AttachRecorder(rec, spec.SampleEvery)
-		// Every exit after Begin finishes the recorder: a run that fails
-		// still leaves a closed segment ending in a nil-report finish, and
-		// the store's writer goroutine never outlives the call.
-		defer func() {
-			if !finished {
-				cl.FinishSampling()
-				rec.Finish(nil)
-			}
-		}()
-	}
-	if spec.GaugeInterval > 0 {
-		cl.AttachPeriodicGauges(spec.GaugeInterval)
-	}
-
-	in, err := dsmsort.MakeInputNamed(cl, spec.N, spec.Dist, spec.Seed, spec.PacketRecords)
+	})
+	in, err := dsmsort.MakeInputNamed(run.cl, spec.N, spec.Dist, spec.Seed, spec.PacketRecords)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
+		return nil, nil, err
 	}
 	defer in.Free()
-	pol, err := route.ByName(spec.Policy, spec.Alpha, spec.Seed)
+	if cfg.SortPolicy, err = route.ByName(spec.Policy, spec.Alpha, spec.Seed); err != nil {
+		return nil, nil, err
+	}
+	res, err := dsmsort.Sort(run.cl, cfg, in)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
+		return nil, nil, err
 	}
-	cfg := dsmsort.Config{
-		Alpha:         spec.Alpha,
-		Beta:          spec.Beta,
-		Gamma2:        spec.Gamma2,
-		PacketRecords: spec.PacketRecords,
-		Placement:     spec.Placement,
-		SortPolicy:    pol,
-		Seed:          spec.Seed,
+	if sorted != nil {
+		sorted(run.cl, res)
 	}
-	res, err := dsmsort.Sort(cl, cfg, in)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
-	}
+	// Freed before the report is built, not deferred: the observers' finish
+	// work (report, segment flush) runs without the output's storage live.
 	res.Output.Free()
-	cl.FinishSampling()
-	rep := cl.BuildReport(spec.Name, spec.Seed, res.Elapsed)
-	rep.Workload = workload
-	if rep.Critpath != nil {
-		if rates, ok := PredictRates(params, spec.Placement, spec.Alpha, spec.Beta); ok {
-			cls, rate := rates.Bottleneck()
-			rep.Critpath.SetPrediction(cls, rate)
-		}
-	}
-	if rec != nil {
-		rec.Finish(rep)
-		finished = true
-	}
-	return rep, res, nil
-}
-
-// PredictRates is the Pass1Model rate decomposition for a placement, or
-// ok=false when the analytic model does not cover it (hybrid migrates between
-// placements mid-run).
-func PredictRates(params cluster.Params, pl dsmsort.Placement, alpha, beta int) (loadmgr.Rates, bool) {
-	m := loadmgr.Pass1Model{Params: params}
-	switch pl {
-	case dsmsort.Active:
-		return m.ActiveRates(alpha, beta), true
-	case dsmsort.Conventional:
-		return m.ConventionalRates(alpha, beta), true
-	default:
-		return loadmgr.Rates{}, false
-	}
+	return run.finish(res.Elapsed, &cfg, nil), res, nil
 }
 
 // BenchMatrix is the standard DSM-Sort benchmark: the paper's placements
@@ -182,9 +148,9 @@ func BenchMatrix(quick bool, seed int64) []SortRunSpec {
 	if quick {
 		n = 1 << 14
 	}
-	base := func(name string) SortRunSpec {
+	cell := func(placement dsmsort.Placement, policy, dist string) SortRunSpec {
 		return SortRunSpec{
-			Name:          name,
+			Name:          fmt.Sprintf("%v-%s-%s", placement, policy, dist),
 			N:             n,
 			Hosts:         2,
 			ASUs:          8,
@@ -193,34 +159,19 @@ func BenchMatrix(quick bool, seed int64) []SortRunSpec {
 			Beta:          1 << 10,
 			Gamma2:        16,
 			PacketRecords: 64,
-			Placement:     dsmsort.Active,
-			Policy:        "static",
-			Dist:          "uniform",
+			Placement:     placement,
+			Policy:        policy,
+			Dist:          dist,
 			Seed:          seed,
 		}
 	}
-	active := base("active-static-uniform")
-	activeHalves := base("active-static-halves")
-	activeHalves.Dist = "halves"
-	activeSR := base("active-sr-halves")
-	activeSR.Policy = "sr"
-	activeSR.Dist = "halves"
-	conv := base("conventional-static-uniform")
-	conv.Placement = dsmsort.Conventional
-	hybrid := base("hybrid-static-uniform")
-	hybrid.Placement = dsmsort.Hybrid
-	return []SortRunSpec{active, activeHalves, activeSR, conv, hybrid}
-}
-
-// RunBench executes the bench matrix on up to jobs concurrent workers
-// (jobs < 1 = one per CPU) and assembles a trajectory point. Cells are
-// independent simulations, so the trajectory is byte-identical for every
-// jobs value: results land in matrix order and progress is announced in
-// matrix order (up front when running in parallel). The caller stamps
-// GeneratedAt (wall-clock time stays out of this package so runs are
-// reproducible byte for byte).
-func RunBench(quick bool, seed int64, jobs int, progress func(spec SortRunSpec)) (*telemetry.Trajectory, error) {
-	return RunBenchWith(BenchOptions{Quick: quick, Seed: seed, Jobs: jobs, Progress: progress})
+	return []SortRunSpec{
+		cell(dsmsort.Active, "static", "uniform"),
+		cell(dsmsort.Active, "static", "halves"),
+		cell(dsmsort.Active, "sr", "halves"),
+		cell(dsmsort.Conventional, "static", "uniform"),
+		cell(dsmsort.Hybrid, "static", "uniform"),
+	}
 }
 
 // BenchOptions parameterizes a bench-matrix execution.
@@ -236,31 +187,29 @@ type BenchOptions struct {
 	Progress    func(spec SortRunSpec)
 }
 
-// RunBenchWith executes the bench matrix under opt. Recording never changes
-// the trajectory's bytes.
+// RunBenchWith executes the bench matrix on up to opt.Jobs concurrent workers
+// (< 1 = one per CPU) and assembles a trajectory point. Cells are independent
+// simulations, so the trajectory is byte-identical for every Jobs value and
+// with or without recording: results land in matrix order and progress is
+// announced in matrix order, up front. The caller stamps GeneratedAt
+// (wall-clock time stays out of this package so runs are reproducible byte
+// for byte).
 func RunBenchWith(opt BenchOptions) (*telemetry.Trajectory, error) {
-	quick, progress := opt.Quick, opt.Progress
-	tr := &telemetry.Trajectory{Schema: telemetry.TrajectorySchema, Quick: quick}
-	specs := BenchMatrix(quick, opt.Seed)
+	specs := BenchMatrix(opt.Quick, opt.Seed)
 	for i := range specs {
 		specs[i].Record = opt.Record
 		specs[i].Experiment = opt.Experiment
 		specs[i].SampleEvery = opt.SampleEvery
-	}
-	if progress != nil {
-		for _, spec := range specs {
-			progress(spec)
+		if opt.Progress != nil {
+			opt.Progress(specs[i])
 		}
 	}
-	reps := make([]*telemetry.RunReport, len(specs))
-	err := runCells(len(specs), opt.Jobs, func(i int) error {
+	reps, err := runCells(len(specs), opt.Jobs, func(i int) (*telemetry.RunReport, error) {
 		rep, _, err := RunSortReport(specs[i])
-		reps[i] = rep
-		return err
+		return rep, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	tr.Runs = reps
-	return tr, nil
+	return &telemetry.Trajectory{Schema: telemetry.TrajectorySchema, Quick: opt.Quick, Runs: reps}, nil
 }

@@ -60,7 +60,7 @@ func TestRunBenchParallelByteIdentical(t *testing.T) {
 		t.Skip("runs the quick bench matrix twice")
 	}
 	run := func(jobs int) []byte {
-		tr, err := RunBench(true, 42, jobs, nil)
+		tr, err := RunBenchWith(BenchOptions{Quick: true, Seed: 42, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}

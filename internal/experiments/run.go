@@ -1,0 +1,266 @@
+package experiments
+
+import (
+	"fmt"
+	"os"
+	"strings"
+
+	"lmas/internal/bte"
+	"lmas/internal/cluster"
+	"lmas/internal/container"
+	"lmas/internal/critpath"
+	"lmas/internal/dsmsort"
+	"lmas/internal/functor"
+	"lmas/internal/loadmgr"
+	"lmas/internal/metrics"
+	"lmas/internal/recorder"
+	"lmas/internal/records"
+	"lmas/internal/route"
+	"lmas/internal/sim"
+	"lmas/internal/telemetry"
+	"lmas/internal/trace"
+)
+
+// observers selects what watches an observed run besides telemetry, which is
+// always attached. The zero value adds nothing; every observer is a pure
+// observer, so no combination changes virtual time or the report's bytes.
+type observers struct {
+	window      sim.Duration // utilization window (0 = 100ms)
+	trace       *trace.Sink
+	critpath    bool
+	record      recorder.Sink
+	experiment  string       // store label for the recorded run
+	sampleEvery sim.Duration // recorder sampling interval (0 = 100ms)
+	gaugeEvery  sim.Duration // > 0: periodic node/queue gauges in the report
+}
+
+// observedRun is the one lifecycle of a reported run; RunSortWith, RunFig10
+// and RunOpenLoop are workloads between its steps:
+//
+//	openRun  validated params → cluster, telemetry, optional trace + profiler
+//	begin    store header, recorder and gauge samplers (before any workload proc)
+//	finish   FinishSampling → BuildReport → workload → Pass1Model → rec.Finish(report)
+//	close    deferred right after openRun: a run that never reached finish
+//	         still stops its samplers and leaves a closed segment ending in a
+//	         nil-report finish, with no writer goroutine behind it
+type observedRun struct {
+	cl       *cluster.Cluster
+	obs      observers
+	name     string
+	seed     int64
+	workload map[string]any
+	rec      recorder.Recorder
+	finished bool
+}
+
+func openRun(params cluster.Params, obs observers) (*observedRun, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	cl := cluster.New(params)
+	cl.AttachTelemetry(telemetry.NewRegistry(), obs.window)
+	if obs.trace != nil {
+		cl.AttachTrace(obs.trace)
+	}
+	if obs.critpath {
+		cl.AttachProfiler(critpath.New())
+	}
+	return &observedRun{cl: cl, obs: obs}, nil
+}
+
+// begin names the run and starts recording it. Instruments the periodic
+// sampler should see from its first tick are registered between openRun and
+// begin.
+func (r *observedRun) begin(name string, seed int64, workload map[string]any) {
+	r.name, r.seed, r.workload = name, seed, workload
+	if r.obs.record != nil {
+		r.rec = r.obs.record.NewRun()
+		cfg := r.cl.Config()
+		r.rec.Begin(&recorder.Header{
+			Experiment: r.obs.experiment,
+			Name:       name,
+			ConfigHash: recorder.ConfigHash(cfg, workload, seed),
+			Seed:       seed,
+			Config:     cfg,
+			Workload:   workload,
+		})
+		r.cl.AttachRecorder(r.rec, r.obs.sampleEvery)
+	}
+	if r.obs.gaugeEvery > 0 {
+		r.cl.AttachPeriodicGauges(r.obs.gaugeEvery)
+	}
+}
+
+// finish builds the run's report and hands it to the recorder. pass1, when
+// non-nil, is the DSM-Sort configuration whose analytic bottleneck is stamped
+// into a critpath section; extend, when non-nil, completes the report before
+// the recorder stores it.
+func (r *observedRun) finish(elapsed sim.Duration, pass1 *dsmsort.Config, extend func(*telemetry.RunReport)) *telemetry.RunReport {
+	r.cl.FinishSampling()
+	rep := r.cl.BuildReport(r.name, r.seed, elapsed)
+	rep.Workload = r.workload
+	if cp := rep.Critpath; cp != nil && pass1 != nil {
+		// Hybrid migrates between placements mid-run: the analytic model
+		// covers neither half, and its verdict stays observation-only.
+		model := loadmgr.Pass1Model{Params: r.cl.Params}
+		switch pass1.Placement {
+		case dsmsort.Active:
+			cp.SetPrediction(model.ActiveRates(pass1.Alpha, pass1.Beta).Bottleneck())
+		case dsmsort.Conventional:
+			cp.SetPrediction(model.ConventionalRates(pass1.Alpha, pass1.Beta).Bottleneck())
+		}
+	}
+	if extend != nil {
+		extend(rep)
+	}
+	if r.rec != nil {
+		r.rec.Finish(rep)
+	}
+	r.finished = true
+	return rep
+}
+
+func (r *observedRun) close() {
+	if r.finished {
+		return
+	}
+	r.finished = true
+	r.cl.FinishSampling()
+	if r.rec != nil {
+		r.rec.Finish(nil)
+	}
+}
+
+// formRuns is the one run-formation cell: it stripes n records over cl's ASUs
+// — uniform keys, or Figure 10's uniform-then-exponential halves when
+// skewMean > 0 — and runs DSM-Sort's first pass under cfg. The input's and
+// the stored runs' pooled storage goes back to the buffer pool on every path.
+func formRuns(cl *cluster.Cluster, n int, skewMean float64, cfg dsmsort.Config) (*dsmsort.Pass1Result, error) {
+	var in *dsmsort.Input
+	if skewMean > 0 {
+		in = dsmsort.MakeInputHalves(cl, n, records.Uniform{}, records.Exponential{Mean: skewMean}, cfg.Seed, cfg.PacketRecords)
+	} else {
+		in = dsmsort.MakeInput(cl, n, records.Uniform{}, cfg.Seed, cfg.PacketRecords)
+	}
+	defer in.Free()
+	rs, r, err := dsmsort.RunFormation(cl, cfg, in)
+	if err != nil {
+		return nil, err
+	}
+	rs.Free()
+	return r, nil
+}
+
+// pass1Cells is the cell of every sweep that only times the first pass: run
+// formation from uniform input under each placement in turn, each on a fresh
+// bare cluster built from params.
+func pass1Cells(params cluster.Params, n int, cfg dsmsort.Config, placements ...dsmsort.Placement) ([]*dsmsort.Pass1Result, error) {
+	out := make([]*dsmsort.Pass1Result, len(placements))
+	for i, pl := range placements {
+		cfg.Placement = pl
+		r, err := formRuns(cluster.New(params), n, 0, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", pl, err)
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// hostImbalance reads the hosts' CPU utilization traces and their mean spread
+// over the run's whole windows.
+func hostImbalance(cl *cluster.Cluster, elapsed, window sim.Duration) ([]*metrics.UtilTrace, float64) {
+	traces := make([]*metrics.UtilTrace, len(cl.Hosts))
+	for i, h := range cl.Hosts {
+		traces[i] = h.CPUTrace
+	}
+	return traces, loadmgr.Imbalance(traces, int(elapsed/window))
+}
+
+// sortCell runs the full two-pass DSM-Sort over uniform input on a bare
+// cluster built from params, returning the input's and the validated output's
+// storage to the buffer pool.
+func sortCell(params cluster.Params, n int, cfg dsmsort.Config) (*dsmsort.Result, error) {
+	cl := cluster.New(params)
+	in := dsmsort.MakeInput(cl, n, records.Uniform{}, cfg.Seed, cfg.PacketRecords)
+	defer in.Free()
+	res, err := dsmsort.Sort(cl, cfg, in)
+	if err != nil {
+		return nil, err
+	}
+	res.Output.Free()
+	return res, nil
+}
+
+// stripeSets loads buf onto one container set per ASU, packet by packet
+// round-robin, outside measured time. Unlike dsmsort's input
+// loader it leaves the sets unflushed, which the pipelines scanning them
+// (adapt, filter, isolation) have always been timed with.
+func stripeSets(cl *cluster.Cluster, buf records.Buffer, packetRecords int) ([]*container.Set, error) {
+	sets := make([]*container.Set, len(cl.ASUs))
+	cl.Sim.Spawn("load", func(p *sim.Proc) {
+		for i, asu := range cl.ASUs {
+			sets[i] = container.NewSet(fmt.Sprintf("in%d", i), bte.NewDisk(asu.Disk), cl.Params.RecordSize)
+		}
+		for pi, off := 0, 0; off < buf.Len(); pi, off = pi+1, off+packetRecords {
+			hi := min(off+packetRecords, buf.Len())
+			sets[pi%len(sets)].Add(p, container.NewPacket(buf.Slice(off, hi).ClonePooled()))
+		}
+	})
+	return sets, cl.Sim.Run()
+}
+
+// distSortPipeline stripes buf over the ASUs and builds run formation's front
+// half by hand — distribute on every ASU, fed by a scan of its own set and
+// routed by policy to block sort on the hosts, the sorted runs discarded —
+// for the harnesses that interfere with it while it runs (adapt swaps the
+// edge's policy, isolation competes for the ASU CPUs). done fires when the
+// last run has been sorted.
+func distSortPipeline(cl *cluster.Cluster, buf records.Buffer, alpha, beta, packetRecords int,
+	policy route.Policy, done func()) (*functor.Pipeline, *functor.Edge, error) {
+	sets, err := stripeSets(cl, buf, packetRecords)
+	if err != nil {
+		return nil, nil, err
+	}
+	recSize := cl.Params.RecordSize
+	pl := functor.NewPipeline(cl)
+	dist := pl.AddStage("distribute", cl.ASUs, func() functor.Kernel {
+		return functor.Adapt(functor.NewDistribute(alpha), recSize, packetRecords)
+	})
+	srt := pl.AddStage("blocksort", cl.Hosts, func() functor.Kernel {
+		return functor.NewBlockSort(beta, recSize)
+	})
+	edge := dist.ConnectTo(srt, policy)
+	srt.Terminal().Done = done
+	for i, set := range sets {
+		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), dist, pinTo(i))
+	}
+	return pl, edge, nil
+}
+
+// pinTo routes every packet to endpoint i: a source feeding the stage
+// instance on its own node.
+type pinTo int
+
+func (pinTo) Name() string { return "pin" }
+func (f pinTo) Pick(pk route.PacketInfo, e []route.Endpoint) int {
+	return int(f) % len(e)
+}
+
+// WriteTrace exports sink to path: a flat CSV time series when the name ends
+// in .csv, Chrome trace-event JSON (Perfetto, chrome://tracing) otherwise.
+func WriteTrace(sink *trace.Sink, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".csv") {
+		err = sink.WriteCSV(f)
+	} else {
+		err = sink.WriteJSON(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -5,9 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/loadmgr"
 	"lmas/internal/metrics"
-	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
 )
@@ -95,41 +93,18 @@ func RunCRatio(opt CRatioOptions) (*CRatioResult, error) {
 			params.Hosts = 1
 			params.ASUs = d
 			params.C = c
-			sp, err := measureSpeedup(params, opt.N, opt.Alpha, opt.Beta, opt.PacketRecords, opt.Seed)
+			rs, err := pass1Cells(params, opt.N, dsmsort.Config{
+				Alpha: opt.Alpha, Beta: opt.Beta, Gamma2: 2,
+				PacketRecords: opt.PacketRecords, Seed: opt.Seed,
+			}, dsmsort.Conventional, dsmsort.Active)
 			if err != nil {
 				return nil, fmt.Errorf("cratio c=%g d=%d: %w", c, d, err)
 			}
-			res.Cells = append(res.Cells, CRatioCell{C: c, ASUs: d, Speedup: sp})
+			res.Cells = append(res.Cells, CRatioCell{C: c, ASUs: d,
+				Speedup: rs[0].Elapsed.Seconds() / rs[1].Elapsed.Seconds()})
 		}
 	}
 	return res, nil
-}
-
-// measureSpeedup times one active and one conventional run-formation pass
-// and returns baseline/active.
-func measureSpeedup(params cluster.Params, n, alpha, beta, packet int, seed int64) (float64, error) {
-	measure := func(placement dsmsort.Placement) (float64, error) {
-		cl := cluster.New(params)
-		in := dsmsort.MakeInput(cl, n, records.Uniform{}, seed, packet)
-		cfg := dsmsort.Config{
-			Alpha: alpha, Beta: beta, Gamma2: 2,
-			PacketRecords: packet, Placement: placement, Seed: seed,
-		}
-		_, r, err := dsmsort.RunFormation(cl, cfg, in)
-		if err != nil {
-			return 0, err
-		}
-		return r.Elapsed.Seconds(), nil
-	}
-	base, err := measure(dsmsort.Conventional)
-	if err != nil {
-		return 0, err
-	}
-	act, err := measure(dsmsort.Active)
-	if err != nil {
-		return 0, err
-	}
-	return base / act, nil
 }
 
 // GammaOptions parameterizes the merge-split table (TAB-GAMMA): how the
@@ -193,23 +168,15 @@ func RunGamma(opt GammaOptions) (*GammaResult, error) {
 		params := opt.Base
 		params.Hosts = opt.Hosts
 		params.ASUs = opt.ASUs
-		cl := cluster.New(params)
-		in := dsmsort.MakeInput(cl, opt.N, records.Uniform{}, opt.Seed, opt.PacketRecords)
-		cfg := dsmsort.Config{
+		// The full sort is run formation, the timed merge pass, validation.
+		sorted, err := sortCell(params, opt.N, dsmsort.Config{
 			Alpha: opt.Alpha, Beta: opt.Beta, Gamma2: g2,
 			PacketRecords: opt.PacketRecords, Placement: dsmsort.Active, Seed: opt.Seed,
-		}
-		rs, _, err := dsmsort.RunFormation(cl, cfg, in)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("gamma g2=%d pass1: %w", g2, err)
+			return nil, fmt.Errorf("gamma g2=%d: %w", g2, err)
 		}
-		out, mr, err := dsmsort.MergePass(cl, cfg, rs)
-		if err != nil {
-			return nil, fmt.Errorf("gamma g2=%d merge: %w", g2, err)
-		}
-		if err := out.Validate(in, cfg.Alpha); err != nil {
-			return nil, fmt.Errorf("gamma g2=%d validate: %w", g2, err)
-		}
+		mr := sorted.Merge
 		res.Cells = append(res.Cells, GammaCell{
 			Gamma2:      g2,
 			MergeSecs:   mr.Elapsed.Seconds(),
@@ -289,26 +256,16 @@ func RunRouting(opt RoutingOptions) (*RoutingResult, error) {
 		params.ASUs = opt.ASUs
 		params.UtilWindow = opt.Window
 		cl := cluster.New(params)
-		in := dsmsort.MakeInputHalves(cl, opt.N, records.Uniform{},
-			records.Exponential{Mean: opt.SkewMean}, opt.Seed, opt.PacketRecords)
-		cfg := dsmsort.Config{
+		r1, err := formRuns(cl, opt.N, opt.SkewMean, dsmsort.Config{
 			Alpha: opt.Alpha, Beta: opt.Beta, Gamma2: 2,
 			PacketRecords: opt.PacketRecords, Placement: dsmsort.Active,
 			SortPolicy: policy, Seed: opt.Seed,
-		}
-		_, r1, err := dsmsort.RunFormation(cl, cfg, in)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("routing %s: %w", name, err)
 		}
-		var traces []*metrics.UtilTrace
-		for _, h := range cl.Hosts {
-			traces = append(traces, h.CPUTrace)
-		}
-		res.Cells = append(res.Cells, RoutingCell{
-			Policy:    name,
-			Elapsed:   r1.Elapsed,
-			Imbalance: loadmgr.Imbalance(traces, int(r1.Elapsed/sim.Duration(opt.Window))),
-		})
+		_, imbalance := hostImbalance(cl, r1.Elapsed, opt.Window)
+		res.Cells = append(res.Cells, RoutingCell{Policy: name, Elapsed: r1.Elapsed, Imbalance: imbalance})
 	}
 	return res, nil
 }

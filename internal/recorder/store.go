@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -199,6 +200,13 @@ func (r *RunRecord) Report() *telemetry.RunReport {
 	return nil
 }
 
+// Finished reports whether the segment ends in a finish record. A finished
+// run without a Report failed after Begin; an unfinished one was killed (or is
+// still being written).
+func (r *RunRecord) Finished() bool {
+	return len(r.Records) > 0 && r.Records[len(r.Records)-1].Finish != nil
+}
+
 // Samples returns the run's periodic samples in stream order.
 func (r *RunRecord) Samples() []Sample {
 	var out []Sample
@@ -304,7 +312,30 @@ func readRun(path string, r io.Reader) (*RunRecord, error) {
 	}
 }
 
-// Runs loads every segment in the store, ordered by (start time, run ID).
+// SkippedError lists the segments Runs could not read. It is the only error
+// Runs, Select and Prune return together with usable runs: every readable
+// segment is in the result, so a caller that can do without the skipped ones
+// (a listing) reports the error and carries on, and one whose verdict could
+// hinge on them (a gate) treats it like any other.
+type SkippedError struct {
+	// Skipped holds one error per unreadable segment, each naming its path.
+	Skipped []error
+}
+
+func (e *SkippedError) Error() string {
+	return fmt.Sprintf("run store: %d unreadable segment(s): %v", len(e.Skipped), errors.Join(e.Skipped...))
+}
+
+// fatal reports whether a Runs error leaves nothing to work with.
+func fatal(err error) bool {
+	var skipped *SkippedError
+	return err != nil && !errors.As(err, &skipped)
+}
+
+// Runs loads every readable segment in the store, ordered by (start time,
+// run ID). One killed writer — a zero-byte file left by the O_EXCL claim, a
+// truncated last line — must not hide every other run, so unreadable
+// segments are skipped and reported in a *SkippedError beside the rest.
 func (st *Store) Runs() ([]*RunRecord, error) {
 	paths, err := filepath.Glob(filepath.Join(st.Dir, "*.jsonl"))
 	if err != nil {
@@ -312,10 +343,12 @@ func (st *Store) Runs() ([]*RunRecord, error) {
 	}
 	sort.Strings(paths)
 	var runs []*RunRecord
+	var skipped []error
 	for _, p := range paths {
 		run, err := LoadRun(p)
 		if err != nil {
-			return nil, err
+			skipped = append(skipped, err)
+			continue
 		}
 		runs = append(runs, run)
 	}
@@ -325,16 +358,19 @@ func (st *Store) Runs() ([]*RunRecord, error) {
 		}
 		return runs[i].Header.RunID < runs[j].Header.RunID
 	})
+	if skipped != nil {
+		return runs, &SkippedError{Skipped: skipped}
+	}
 	return runs, nil
 }
 
 // Select returns the runs belonging to experiment (all experiments when
 // experiment is ""), keeping only the latest run per (experiment, cell name)
 // so re-recorded cells supersede older attempts. Order follows each cell's
-// first appearance.
+// first appearance. Unreadable segments are reported as Runs reports them.
 func (st *Store) Select(experiment string) ([]*RunRecord, error) {
 	runs, err := st.Runs()
-	if err != nil {
+	if fatal(err) {
 		return nil, err
 	}
 	type key struct{ exp, name string }
@@ -354,7 +390,7 @@ func (st *Store) Select(experiment string) ([]*RunRecord, error) {
 	for _, k := range order {
 		out = append(out, latest[k])
 	}
-	return out, nil
+	return out, err
 }
 
 // Prune deletes the oldest segments beyond the newest keep runs, ordered by
@@ -362,28 +398,29 @@ func (st *Store) Select(experiment string) ([]*RunRecord, error) {
 // whose runs/ directory otherwise grows one segment per run forever. It
 // returns the pruned (or, with dryRun, would-be-pruned) runs oldest-first;
 // with dryRun no file is touched. keep < 0 is an error; keep == 0 empties
-// the store.
+// the store. Unreadable segments are neither counted nor deleted, and are
+// reported as Runs reports them.
 func (st *Store) Prune(keep int, dryRun bool) ([]*RunRecord, error) {
 	if keep < 0 {
 		return nil, fmt.Errorf("prune: keep %d is negative", keep)
 	}
 	runs, err := st.Runs()
-	if err != nil {
+	if fatal(err) {
 		return nil, err
 	}
 	if len(runs) <= keep {
-		return nil, nil
+		return nil, err
 	}
 	victims := runs[:len(runs)-keep]
 	if dryRun {
-		return victims, nil
+		return victims, err
 	}
 	for _, run := range victims {
-		if err := os.Remove(run.Path); err != nil {
-			return nil, err
+		if rerr := os.Remove(run.Path); rerr != nil {
+			return nil, rerr
 		}
 	}
-	return victims, nil
+	return victims, err
 }
 
 // TrajectoryOf rebuilds a bench trajectory from stored runs' embedded

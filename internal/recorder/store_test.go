@@ -1,9 +1,11 @@
 package recorder
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lmas/internal/telemetry"
@@ -239,5 +241,93 @@ func TestStorePrune(t *testing.T) {
 	}
 	if left, err = st.Runs(); err != nil || len(left) != 0 {
 		t.Fatalf("store not empty after prune 0: %v (err %v)", left, err)
+	}
+}
+
+// TestRunsSkipsUnreadableSegments: what a killed writer leaves behind — the
+// zero-byte file of the O_EXCL claim, a segment cut mid-line — must not hide
+// the store's other runs. Runs, Select and Prune return every readable run
+// beside a *SkippedError naming each bad path; Prune never deletes what it
+// could not read.
+func TestRunsSkipsUnreadableSegments(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		rec := st.NewRun()
+		h := testHeader("exp", fmt.Sprintf("cell-%d", i))
+		rec.Begin(h)
+		rec.Sample(Sample{T: 100})
+		if i == 2 {
+			rec.Finish(nil) // failed after Begin
+		} else {
+			rec.Finish(testReport(h.Name))
+		}
+		ids = append(ids, h.RunID)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "exp-killed-0000.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the first run's segment in the middle of its last line.
+	cut := filepath.Join(dir, ids[0]+".jsonl")
+	b, err := os.ReadFile(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cut, b[:len(b)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(what string, runs []*RunRecord, err error, want ...string) {
+		t.Helper()
+		var skipped *SkippedError
+		if !errors.As(err, &skipped) || len(skipped.Skipped) != 2 {
+			t.Fatalf("%s: err = %v, want a SkippedError with 2 segments", what, err)
+		}
+		for _, p := range []string{empty, cut} {
+			if !strings.Contains(err.Error(), p) {
+				t.Errorf("%s: error %q does not name %s", what, err, p)
+			}
+		}
+		if len(runs) != len(want) {
+			t.Fatalf("%s: %d runs, want %d", what, len(runs), len(want))
+		}
+		for i, run := range runs {
+			if run.Header.RunID != want[i] {
+				t.Errorf("%s: run %d = %s, want %s", what, i, run.Header.RunID, want[i])
+			}
+		}
+	}
+	runs, err := st.Runs()
+	check("Runs", runs, err, ids[1], ids[2])
+	if !runs[0].Finished() || runs[0].Report() == nil {
+		t.Errorf("completed run: Finished=%v Report=%v", runs[0].Finished(), runs[0].Report())
+	}
+	if !runs[1].Finished() || runs[1].Report() != nil {
+		t.Errorf("failed run: Finished=%v Report=%v, want finished without a report", runs[1].Finished(), runs[1].Report())
+	}
+	runs, err = st.Select("exp")
+	check("Select", runs, err, ids[1], ids[2])
+	runs, err = st.Prune(1, false)
+	check("Prune", runs, err, ids[1])
+	for _, p := range []string{empty, cut} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("Prune touched an unreadable segment: %v", err)
+		}
+	}
+
+	// A single segment still fails the way it always has.
+	if _, err := LoadRun(empty); err == nil || !strings.Contains(err.Error(), "empty segment") {
+		t.Errorf("LoadRun(zero-byte) = %v, want an empty-segment error", err)
+	}
+	if _, err := LoadRun(cut); err == nil || !strings.Contains(err.Error(), "bad record") {
+		t.Errorf("LoadRun(truncated) = %v, want a bad-record error", err)
 	}
 }
