@@ -7,7 +7,7 @@ import (
 
 	"lmas/internal/dsmsort"
 	"lmas/internal/experiments"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/recorder"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
@@ -99,7 +99,7 @@ var table = []experiment{
 // tabled is the common command shape: default options with a few fields
 // bound to flags, one Run call, the result's table on stdout, then whatever
 // the experiment prints below its table.
-func tabled[O any, R interface{ Table() *metrics.Table }](defaults func() O, run func(O) (R, error),
+func tabled[O any, R interface{ Table() *plot.Table }](defaults func() O, run func(O) (R, error),
 	flags func(*flag.FlagSet, *O), below ...func(R)) func(*flag.FlagSet) func() error {
 	return func(fs *flag.FlagSet) func() error {
 		opt := defaults()

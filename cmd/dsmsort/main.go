@@ -9,12 +9,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 
 	"lmas/internal/bufpool"
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/experiments"
+	"lmas/internal/plot"
 	"lmas/internal/prof"
 	"lmas/internal/recorder"
 	"lmas/internal/sim"
@@ -40,17 +40,20 @@ func main() {
 	var (
 		placement = flag.String("placement", "active", "active|conventional")
 		netMBps   = flag.Float64("net", 0, "per-interface network bandwidth override (MB/s, 0 = default)")
-		progress  = flag.Int("progress", 0, "progress sampling interval in virtual ms (0 = off)")
+		progress  = flag.Int("progress", 0, "print a progress table sampled at this virtual-ms interval; implies -gauges at the same interval unless -gauges is given (0 = off)")
 		traceFile = flag.String("trace", "", "write a structured trace of the run (.json for Perfetto/chrome://tracing, .csv for a flat series)")
 		report    = flag.String("report", "", "write a machine-readable RunReport (JSON) of the run")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		record    = flag.String("record", "", "record the run into this run store directory")
 		sampleMs  = flag.Int("sample", 100, "recorder sampling interval in virtual ms")
-		gaugeMs   = flag.Int("gauges", 0, "also emit periodic node/queue gauges into the report at this virtual-ms interval (0 = off)")
+		gaugeMs   = flag.Int("gauges", 0, "also emit periodic node/queue/stage gauges into the report at this virtual-ms interval (0 = off)")
 	)
 	flag.Parse()
 	spec.SampleEvery = sim.Duration(*sampleMs) * sim.Millisecond
+	if *gaugeMs == 0 {
+		*gaugeMs = *progress // the table is rendered from the report's gauges
+	}
 	spec.GaugeInterval = sim.Duration(*gaugeMs) * sim.Millisecond
 
 	stopProf, err := prof.Start(*cpuprof, *memprof)
@@ -79,33 +82,35 @@ func main() {
 	}
 
 	// The shared lifecycle runs the sort; what only this front end has — the
-	// -net override, the -progress table, pool-health gauges that are
-	// meaningful because the process holds exactly one run — rides on its hooks.
+	// -net override, pool-health gauges that are meaningful because the
+	// process holds exactly one run — rides on its hooks.
 	var cfg dsmsort.Config
 	rep, res, err := experiments.RunSortWith(spec,
 		func(p *cluster.Params, c *dsmsort.Config) {
 			if *netMBps > 0 {
 				p.NetBandwidth = *netMBps * 1e6
 			}
-			if *progress > 0 {
-				c.ProgressInterval = sim.Duration(*progress) * sim.Millisecond
-			}
 			cfg = *c
 		},
 		func(cl *cluster.Cluster, res *dsmsort.Result) {
-			if res.Pass1.Monitor != nil {
-				stages := []string{"distribute", "blocksort", "collect"}
-				if cfg.Placement == dsmsort.Conventional {
-					stages = []string{"host-dist-sort", "writeback"}
-				}
-				fmt.Println(res.Pass1.Monitor.Table(stages, append(slices.Clone(cl.Hosts), cl.ASUs[0])))
-			}
 			// Must land in the registry before the report snapshots it, and
 			// before the lifecycle returns the run's storage to the pool.
 			cl.Telemetry.FillBufpoolGauges(cl.Sim.Now(), bufpool.ClassStatsSnapshot())
 		})
 	if err != nil {
 		fail(err)
+	}
+	if *progress > 0 {
+		stages := []string{"distribute", "blocksort", "collect"}
+		if cfg.Placement == dsmsort.Conventional {
+			stages = []string{"host-dist-sort", "writeback"}
+		}
+		stages = append(stages, "merge.asu", "merge.host", "merge.collect")
+		var nodes []string
+		for _, n := range rep.Nodes[:spec.Hosts+1] { // every host and the first ASU
+			nodes = append(nodes, n.Name)
+		}
+		fmt.Println(progressTable(rep, stages, nodes))
 	}
 	hostOps, asuOps := res.MeasuredWork()
 	fmt.Printf("sorted %d records (%s, %s) on %d host(s) + %d ASU(s), c=%g\n",
@@ -148,6 +153,49 @@ func main() {
 				cp.Verdict.Predicted, cp.Verdict.PredictedRate, cp.Verdict.Agree)
 		}
 	}
+}
+
+// progressTable renders the report's periodic gauges (-gauges, which
+// -progress implies) as the paper's progress view: one row per sampler tick
+// with each stage's cumulative records consumed and each node's CPU
+// utilization over the interval the tick closes. A stage that has not started
+// by a tick reads zero.
+func progressTable(rep *telemetry.RunReport, stages, nodes []string) *plot.Table {
+	gauges := make(map[string][]telemetry.GaugeSample, len(rep.Gauges))
+	for _, g := range rep.Gauges {
+		gauges[g.Name] = g.Samples
+	}
+	headers := []string{"t(s)"}
+	headers = append(headers, stages...)
+	for _, n := range nodes {
+		headers = append(headers, n+" util")
+	}
+	t := plot.NewTable("progress", headers...)
+	// The node gauges tick from the sampler's first wake-up to the run's end;
+	// a stage's gauge starts at the first tick after its pass registered it.
+	ticks := gauges["node."+nodes[0]+".cpu.busy_sec"]
+	prevT := int64(0)
+	prevBusy := make([]float64, len(nodes))
+	for i, tick := range ticks {
+		row := []any{fmt.Sprintf("%.3f", sim.Time(tick.T).Seconds())}
+		for _, st := range stages {
+			recs := int64(0)
+			series := gauges["stage."+st+".records_in"]
+			if late := len(ticks) - len(series); i >= late {
+				recs = int64(series[i-late].V)
+			}
+			row = append(row, recs)
+		}
+		for j, n := range nodes {
+			busy := gauges["node."+n+".cpu.busy_sec"][i].V
+			util := (busy - prevBusy[j]) / sim.Duration(tick.T-prevT).Seconds()
+			row = append(row, fmt.Sprintf("%.2f", plot.Clamp01(util)))
+			prevBusy[j] = busy
+		}
+		prevT = tick.T
+		t.AddRow(row...)
+	}
+	return t
 }
 
 func fail(err error) {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"lmas/internal/critpath"
-	"lmas/internal/metrics"
 	"lmas/internal/plot"
 	"lmas/internal/telemetry"
 )
@@ -90,7 +89,7 @@ func showCritpath(rep *telemetry.RunReport) {
 	}
 
 	if len(cp.Blame) > 0 {
-		t := metrics.NewTable("Blame: attributed packet latency across all chains",
+		t := plot.NewTable("Blame: attributed packet latency across all chains",
 			"class", "time(s)", "share", "instances", "per-instance(s)")
 		for _, c := range cp.Blame {
 			if c.Ns == 0 {
@@ -107,7 +106,7 @@ func showCritpath(rep *telemetry.RunReport) {
 	}
 
 	p := cp.Path
-	t := metrics.NewTable(
+	t := plot.NewTable(
 		fmt.Sprintf("Critical path: %d hop(s), span %.4fs (%.4fs attributed, %.4fs gap)",
 			p.Hops, sec(p.SpanNs), sec(p.AttributedNs), sec(p.GapNs)),
 		"class", "time(s)", "share")
@@ -119,7 +118,7 @@ func showCritpath(rep *telemetry.RunReport) {
 	}
 	fmt.Println(t)
 
-	t = metrics.NewTable("Attribution waterfall (seconds of virtual time)",
+	t = plot.NewTable("Attribution waterfall (seconds of virtual time)",
 		"stage", "node", "cpu", "disk", "net", "queue-wait", "cond-wait", "total")
 	for _, w := range cp.Waterfall {
 		t.AddRow(w.Stage, w.Node,

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/recorder"
 	"lmas/internal/telemetry"
 )
@@ -67,7 +67,7 @@ func runDiff(args []string) error {
 // code as the file-based CI gate.
 func renderDiff(res *telemetry.DiffResult, from, to string, quiet bool) int {
 	shown := 0
-	t := metrics.NewTable(fmt.Sprintf("Diff %s -> %s", from, to),
+	t := plot.NewTable(fmt.Sprintf("Diff %s -> %s", from, to),
 		"run", "field", "base", "new", "delta", "verdict")
 	for _, e := range res.Entries {
 		if quiet && !e.Regressed {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/recorder"
 	"lmas/internal/telemetry"
 )
@@ -61,7 +61,7 @@ func queryList(dir string, args []string) error {
 	if err = warnSkipped(err); err != nil {
 		return err
 	}
-	t := metrics.NewTable(fmt.Sprintf("Run store %s", dir),
+	t := plot.NewTable(fmt.Sprintf("Run store %s", dir),
 		"run", "experiment", "name", "started", "config", "rev", "runtime(s)", "samples", "state")
 	shown := 0
 	for _, run := range runs {
@@ -135,7 +135,7 @@ func queryMetric(dir string, args []string) error {
 	if err = warnSkipped(err); err != nil {
 		return err
 	}
-	t := metrics.NewTable(fmt.Sprintf("Metric %s", name),
+	t := plot.NewTable(fmt.Sprintf("Metric %s", name),
 		"experiment", "run", "kind", "value", "p50", "p99")
 	shown := 0
 	for _, run := range runs {

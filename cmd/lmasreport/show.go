@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"lmas/internal/loadmgr"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 )
@@ -49,7 +49,7 @@ func runShow(args []string) error {
 
 func showReport(rep *telemetry.RunReport) {
 	cfg := rep.Config
-	t := metrics.NewTable(fmt.Sprintf("Run %q (seed %d)", rep.Name, rep.Seed), "field", "value")
+	t := plot.NewTable(fmt.Sprintf("Run %q (seed %d)", rep.Name, rep.Seed), "field", "value")
 	t.AddRow("runtime", fmt.Sprintf("%.4fs", rep.RuntimeSec))
 	t.AddRow("cluster", fmt.Sprintf("%d host(s) + %d ASU(s), c=%g", cfg.Hosts, cfg.ASUs, cfg.C))
 	t.AddRow("host rating", fmt.Sprintf("%.0f ops/s", cfg.HostOpsPerSec))
@@ -62,7 +62,7 @@ func showReport(rep *telemetry.RunReport) {
 	fmt.Println(t)
 
 	if len(rep.Nodes) > 0 {
-		t := metrics.NewTable("Utilization per node (mean / peak)",
+		t := plot.NewTable("Utilization per node (mean / peak)",
 			"node", "kind", "cpu", "disk", "nic")
 		var hostCPU, asuCPU [][]float64
 		for _, n := range rep.Nodes {
@@ -87,14 +87,14 @@ func showReport(rep *telemetry.RunReport) {
 	showPoolHealth(rep)
 	showQueues(rep)
 	if len(rep.Counters) > 0 {
-		t := metrics.NewTable("Counters", "name", "value")
+		t := plot.NewTable("Counters", "name", "value")
 		for _, c := range rep.Counters {
 			t.AddRow(c.Name, c.Value)
 		}
 		fmt.Println(t)
 	}
 	if len(rep.Histograms) > 0 {
-		t := metrics.NewTable("Latency & service-time distributions (seconds)",
+		t := plot.NewTable("Latency & service-time distributions (seconds)",
 			"name", "count", "mean", "p50", "p90", "p99", "max")
 		for _, h := range rep.Histograms {
 			mean := 0.0
@@ -109,7 +109,7 @@ func showReport(rep *telemetry.RunReport) {
 		fmt.Println(t)
 	}
 	if len(rep.Latencies) > 0 {
-		t := metrics.NewTable("End-to-end latency histograms (milliseconds)",
+		t := plot.NewTable("End-to-end latency histograms (milliseconds)",
 			"name", "count", "p50", "p90", "p99", "p99.9", "max")
 		for _, l := range rep.Latencies {
 			t.AddRow(l.Name, l.Count,
@@ -141,7 +141,7 @@ func msec(ns int64) float64 { return float64(ns) / 1e6 }
 // resource class dominated the missed jobs' time, and the full blame mix.
 func showSLO(rep *telemetry.RunReport) {
 	s := rep.SLO
-	t := metrics.NewTable(
+	t := plot.NewTable(
 		fmt.Sprintf("SLO ladder for run %q (base deadline %.1fms, goodput %.1f jobs/s)",
 			rep.Name, msec(s.TimeoutNs), s.GoodputPerSec),
 		"horizon", "deadline(ms)", "misses", "dominant", "blame mix")
@@ -204,7 +204,7 @@ func showPoolHealth(rep *telemetry.RunReport) {
 		return
 	}
 	sort.Ints(sizes)
-	t := metrics.NewTable("Buffer-pool health per size class",
+	t := plot.NewTable("Buffer-pool health per size class",
 		"size(B)", "gets", "hit-rate", "in-use", "high-water")
 	for _, size := range sizes {
 		prefix := fmt.Sprintf("bufpool.%d.", size)
@@ -236,7 +236,7 @@ func showQueues(rep *telemetry.RunReport) {
 		return
 	}
 	sort.Strings(names)
-	t := metrics.NewTable("Queue wait per queue", "queue", "cum-wait(s)", "high-water")
+	t := plot.NewTable("Queue wait per queue", "queue", "cum-wait(s)", "high-water")
 	for _, name := range names {
 		wait, _ := lastGauge(rep, "queue."+name+".wait_sec")
 		high, _ := lastGauge(rep, "queue."+name+".high_water")

@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"lmas/internal/metrics"
 	"lmas/internal/plot"
 	"lmas/internal/recorder"
 )
@@ -80,7 +79,7 @@ func runTrend(args []string) error {
 		return fmt.Errorf("trend: no finished stored run has an instrument %q", *metric)
 	}
 
-	t := metrics.NewTable(fmt.Sprintf("Trend of %s across revisions", *metric),
+	t := plot.NewTable(fmt.Sprintf("Trend of %s across revisions", *metric),
 		"rev", "run", "name", "started", "kind", "value", "p50", "p99")
 	var vals []float64
 	var revTicks []int // index into vals where each revision group starts

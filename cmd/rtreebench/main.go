@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"lmas/internal/cluster"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/rtree"
 )
 
@@ -32,7 +32,7 @@ func main() {
 		return rtree.NewDistributed(cluster.New(params), es, *fanout, mode)
 	}
 
-	lat := metrics.NewTable(
+	lat := plot.NewTable(
 		fmt.Sprintf("Single-query latency (%d entries, %d ASUs)", *entries, *asus),
 		"query side", "partition(s)", "stripe(s)", "stripe wins")
 	for _, side := range []float64{0.02, 0.1, 0.4, 0.8} {
@@ -51,7 +51,7 @@ func main() {
 		return rtree.NewReplicated(cluster.New(params), es, *fanout, 2)
 	}
 
-	thr := metrics.NewTable(
+	thr := plot.NewTable(
 		fmt.Sprintf("Concurrent throughput, %d clients", *clients),
 		"workload", "partition qps", "stripe qps", "replicated(x2) qps")
 	uniform := rtree.GenerateQueries(128, 0.02, *seed+1)

@@ -13,10 +13,11 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"lmas/internal/critpath"
 	"lmas/internal/disk"
-	"lmas/internal/metrics"
 	"lmas/internal/netsim"
 	"lmas/internal/recorder"
 	"lmas/internal/sim"
@@ -84,6 +85,28 @@ func (c CostModel) Touch(k NodeKind, recordSize int) float64 {
 	return base + c.ByteOps*float64(recordSize)
 }
 
+// Log2 is the compare count the paper's work equation assigns to an n-way
+// hierarchical operation, per record ("log(parameter) is the number of
+// compares per key", Section 4.3): log2(n), zero below 2.
+func Log2(n int) float64 {
+	if n < 2 {
+		return 0
+	}
+	return math.Log2(float64(n))
+}
+
+// CeilLog2 is the whole-compare variant, ceil(log2(n)), charged by the
+// structures that count binary-search or heap levels (external priority
+// queue, one-pass splitter selection, R-tree bulk sort). The two variants
+// give different virtual times, so callers keep the one they were
+// calibrated with.
+func CeilLog2(n int) float64 {
+	if n < 2 {
+		return 0
+	}
+	return float64(bits.Len(uint(n - 1)))
+}
+
 // Params configures an emulated system.
 type Params struct {
 	Hosts int // H: number of hosts
@@ -118,8 +141,10 @@ type Params struct {
 	RecordSize int
 	Costs      CostModel
 
-	// UtilWindow, when positive, attaches a utilization trace of this
-	// window width to every node CPU (used for Figure 10).
+	// UtilWindow is the window width of the per-node CPU, disk and NIC
+	// utilization traces — the one place it is set. Positive: New installs
+	// the traces (Figure 10 reads them off a bare cluster). Zero: there are
+	// none until AttachTelemetry installs them at 100ms.
 	UtilWindow sim.Duration
 
 	// IsolationQuantum, when positive, enables performance isolation
@@ -194,12 +219,10 @@ type Node struct {
 	// (performance isolation); zero means unbounded holds.
 	Quantum sim.Duration
 
-	CPUTrace *metrics.UtilTrace // non-nil when Params.UtilWindow > 0
-	// DiskTrace and NICTrace are attached by Cluster.AttachTelemetry so a
-	// RunReport can record per-node disk and network utilization alongside
-	// CPU. DiskTrace is nil on hosts.
-	DiskTrace *metrics.UtilTrace
-	NICTrace  *metrics.UtilTrace
+	// CPUTrace, DiskTrace and NICTrace are the node's windowed utilization
+	// traces, installed together by installUtilTraces (nil until then;
+	// DiskTrace stays nil on hosts).
+	CPUTrace, DiskTrace, NICTrace *telemetry.UtilTrace
 }
 
 // Compute spends ops of computation on this node's CPU, blocking p for the
@@ -279,9 +302,10 @@ type Cluster struct {
 	// is not being recorded. Set via AttachRecorder (sampler.go).
 	Recorder recorder.Recorder
 
-	samplers    []*clusterSampler
-	queueProbes []queueProbe
-	wantProbes  bool
+	samplers   []*clusterSampler
+	queues     []SampledQueue // watched by the samplers, in registration order
+	stages     []stageProbe
+	wantProbes bool // a sampler is attached: WatchQueue / WatchStage register
 
 	// lastSched remembers the scheduler-tier counters already copied into
 	// the telemetry registry, so repeated BuildReport calls add deltas
@@ -310,7 +334,6 @@ func New(p Params) *Cluster {
 			MemRecs:   p.HostMemRecords,
 			Quantum:   p.IsolationQuantum,
 		}
-		c.attachTrace(n)
 		c.Hosts = append(c.Hosts, n)
 	}
 	for i := 0; i < p.ASUs; i++ {
@@ -327,8 +350,10 @@ func New(p Params) *Cluster {
 			MemRecs:   p.ASUMemRecords,
 			Quantum:   p.IsolationQuantum,
 		}
-		c.attachTrace(n)
 		c.ASUs = append(c.ASUs, n)
+	}
+	if p.UtilWindow > 0 {
+		c.installUtilTraces(p.UtilWindow)
 	}
 	return c
 }
@@ -339,12 +364,21 @@ func newDisk(s *sim.Sim, name string, p Params) *disk.Disk {
 	return d
 }
 
-func (c *Cluster) attachTrace(n *Node) {
-	if c.Params.UtilWindow <= 0 {
-		return
+// installUtilTraces is the one owner of the devices' BusyRecorder slots: it
+// gives every node's CPU, disk and NIC a utilization trace of the given
+// window. It runs once per cluster — from New when Params.UtilWindow is set,
+// else from the first AttachTelemetry.
+func (c *Cluster) installUtilTraces(window sim.Duration) {
+	for _, n := range c.Nodes() {
+		n.CPUTrace = telemetry.NewUtilTrace(n.Name+".cpu", window)
+		n.CPU.SetRecorder(n.CPUTrace)
+		if n.Disk != nil {
+			n.DiskTrace = telemetry.NewUtilTrace(n.Name+".disk", window)
+			n.Disk.SetRecorder(n.DiskTrace)
+		}
+		n.NICTrace = telemetry.NewUtilTrace(n.Name+".nic", window)
+		n.NIC.SetRecorder(n.NICTrace)
 	}
-	n.CPUTrace = metrics.NewUtilTrace(n.Name+".cpu", c.Params.UtilWindow)
-	n.CPU.SetRecorder(n.CPUTrace)
 }
 
 // AttachTrace attaches a structured trace sink to the cluster's simulator
@@ -417,31 +451,16 @@ func (c *Cluster) Touch(n *Node) float64 {
 	return c.Params.Costs.Touch(n.Kind, c.Params.RecordSize)
 }
 
-// AttachTelemetry installs an instrument registry and attaches utilization
-// traces of the given window width (0 means 100ms) to every node's CPU,
-// disk, and NIC. Call before spawning workload procs. The recorders and
-// instruments only observe busy intervals already being simulated, so
-// attaching telemetry never changes virtual-time behaviour: the same seed
-// completes at the same instant with or without it.
-func (c *Cluster) AttachTelemetry(reg *telemetry.Registry, window sim.Duration) {
+// AttachTelemetry installs an instrument registry and makes sure every
+// node's CPU, disk and NIC has a utilization trace (Params.UtilWindow wide,
+// 100ms when that is zero). Call before spawning workload procs. The
+// recorders and instruments only observe busy intervals already being
+// simulated, so attaching telemetry never changes virtual-time behaviour: the
+// same seed completes at the same instant with or without it.
+func (c *Cluster) AttachTelemetry(reg *telemetry.Registry) {
 	c.Telemetry = reg
-	if reg == nil {
-		return
-	}
-	if window <= 0 {
-		window = 100 * sim.Millisecond
-	}
-	for _, n := range c.Nodes() {
-		if n.CPUTrace == nil { // Params.UtilWindow may already have attached one
-			n.CPUTrace = metrics.NewUtilTrace(n.Name+".cpu", window)
-			n.CPU.SetRecorder(n.CPUTrace)
-		}
-		if n.Disk != nil {
-			n.DiskTrace = metrics.NewUtilTrace(n.Name+".disk", window)
-			n.Disk.SetRecorder(n.DiskTrace)
-		}
-		n.NICTrace = metrics.NewUtilTrace(n.Name+".nic", window)
-		n.NIC.SetRecorder(n.NICTrace)
+	if reg != nil && c.Hosts[0].CPUTrace == nil {
+		c.installUtilTraces(100 * sim.Millisecond)
 	}
 }
 
@@ -488,9 +507,9 @@ func (c *Cluster) BuildReport(name string, seed int64, elapsed sim.Duration) *te
 			Name:      n.Name,
 			Kind:      n.Kind.String(),
 			OpsPerSec: n.OpsPerSec,
-			CPU:       telemetry.UtilSeriesOf(n.CPUTrace),
-			Disk:      telemetry.UtilSeriesOf(n.DiskTrace),
-			NIC:       telemetry.UtilSeriesOf(n.NICTrace),
+			CPU:       n.CPUTrace.Report(),
+			Disk:      n.DiskTrace.Report(),
+			NIC:       n.NICTrace.Report(),
 		})
 	}
 	c.fillSchedStats()

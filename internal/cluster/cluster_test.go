@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lmas/internal/sim"
+	"lmas/internal/telemetry"
 )
 
 func TestNewBuildsRequestedShape(t *testing.T) {
@@ -114,6 +115,58 @@ func TestUtilTraceAttached(t *testing.T) {
 	}
 	if got := tr.At(0); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("window 0 utilization = %v, want 1.0", got)
+	}
+}
+
+// TestUtilTracesInstalledOnce: the cluster owns the devices' recorder slots.
+// Params.UtilWindow installs cpu, disk and nic traces at New and a later
+// AttachTelemetry keeps them (and their window); without the field,
+// AttachTelemetry installs them at 100ms, and a second attach changes nothing.
+func TestUtilTracesInstalledOnce(t *testing.T) {
+	p := DefaultParams()
+	p.UtilWindow = 10 * sim.Millisecond
+	c := New(p)
+	asu := c.ASUs[0]
+	cpu, dsk, nic := asu.CPUTrace, asu.DiskTrace, asu.NICTrace
+	if cpu == nil || dsk == nil || nic == nil || c.Hosts[0].DiskTrace != nil {
+		t.Fatalf("New with UtilWindow: cpu=%v disk=%v nic=%v host disk=%v", cpu, dsk, nic, c.Hosts[0].DiskTrace)
+	}
+	c.AttachTelemetry(telemetry.NewRegistry())
+	if asu.CPUTrace != cpu || asu.DiskTrace != dsk || asu.NICTrace != nic || cpu.Window != p.UtilWindow {
+		t.Fatal("AttachTelemetry replaced the traces New installed")
+	}
+
+	c = New(DefaultParams())
+	if c.ASUs[0].CPUTrace != nil {
+		t.Fatal("bare cluster has a utilization trace")
+	}
+	c.AttachTelemetry(telemetry.NewRegistry())
+	cpu = c.ASUs[0].CPUTrace
+	if cpu == nil || cpu.Window != 100*sim.Millisecond || c.ASUs[0].DiskTrace == nil || c.Hosts[0].NICTrace == nil {
+		t.Fatal("AttachTelemetry did not install 100ms traces on every device")
+	}
+	c.AttachTelemetry(telemetry.NewRegistry())
+	if c.ASUs[0].CPUTrace != cpu {
+		t.Fatal("a second AttachTelemetry replaced the traces")
+	}
+}
+
+// TestLog2Variants pins the two compare-count functions the cost model
+// charges: they agree on powers of two and nowhere else above 2, which is why
+// callers cannot swap one for the other without moving virtual time.
+func TestLog2Variants(t *testing.T) {
+	for n := -1; n < 2; n++ {
+		if Log2(n) != 0 || CeilLog2(n) != 0 {
+			t.Errorf("n=%d: Log2 %v, CeilLog2 %v, want 0", n, Log2(n), CeilLog2(n))
+		}
+	}
+	for n := 2; n <= 1<<12; n++ {
+		if got, want := CeilLog2(n), math.Ceil(math.Log2(float64(n))); got != want {
+			t.Fatalf("CeilLog2(%d) = %v, want %v", n, got, want)
+		}
+		if got := Log2(n); got != math.Log2(float64(n)) {
+			t.Fatalf("Log2(%d) = %v", n, got)
+		}
 	}
 }
 

@@ -8,34 +8,62 @@ import (
 
 // This file wires the run-record layer into the cluster: a daemon proc per
 // attachment wakes on a virtual-time interval and snapshots per-node busy
-// time and registered queue probes. Daemons never extend a run (Sim.Run ends
-// when the last workload event dispatches; see sim daemon support), and the
-// snapshot only reads state the simulation already computes, so attaching a
-// recorder or periodic gauges keeps virtual time byte-identical.
+// time and the watched queues and stages. Daemons never extend a run (Sim.Run
+// ends when the last workload event dispatches; see sim daemon support), and
+// the snapshot only reads state the simulation already computes, so attaching
+// a recorder or periodic gauges keeps virtual time byte-identical.
 
-// queueProbe reads one queue's instantaneous depth and high-water mark.
-type queueProbe struct {
-	name  string
-	probe func() (depth, high int)
+// SampledQueue is what the samplers read of a queue; every *sim.Queue[T] is
+// one.
+type SampledQueue interface {
+	Name() string
+	Len() int
+	WaitStats() (cumWait sim.Duration, highWater int)
 }
 
-// RegisterQueueProbe registers a queue for periodic sampling. Pipelines
-// register their queues at construction time when WantsQueueProbes reports
-// true; registration order fixes the sample order, so it is deterministic
-// for a given workload.
-func (c *Cluster) RegisterQueueProbe(name string, probe func() (depth, high int)) {
-	c.queueProbes = append(c.queueProbes, queueProbe{name: name, probe: probe})
+// WatchQueue registers q for periodic sampling; a no-op unless a sampler is
+// attached. Workloads register their queues as they build them, so
+// registration order — and with it the sample order — is deterministic for a
+// given workload.
+func (c *Cluster) WatchQueue(q SampledQueue) {
+	if c.wantProbes {
+		c.queues = append(c.queues, q)
+	}
 }
 
-// WantsQueueProbes reports whether a sampler is attached, i.e. whether
-// pipelines should bother registering queue probes.
-func (c *Cluster) WantsQueueProbes() bool { return c.wantProbes }
+// stageProbe reads one computation stage's cumulative records consumed.
+type stageProbe struct {
+	name    string
+	records func() int64
+}
+
+// WatchStage registers a stage's records-in count for periodic sampling,
+// under the same rules as WatchQueue. Only the gauge sampler reads it
+// (stage.<name>.records_in): the run record's sample lines keep their shape.
+func (c *Cluster) WatchStage(name string, records func() int64) {
+	if c.wantProbes {
+		c.stages = append(c.stages, stageProbe{name: name, records: records})
+	}
+}
+
+// FlushQueueStats records q's end-of-run accounting — cumulative buffered
+// time and high-water depth — as gauges, so the report's queue table shows
+// where packets sat. No-op without telemetry.
+func (c *Cluster) FlushQueueStats(q SampledQueue) {
+	if c.Telemetry == nil {
+		return
+	}
+	now := c.Sim.Now()
+	cum, high := q.WaitStats()
+	c.Telemetry.Gauge("queue."+q.Name()+".wait_sec").Set(now, cum.Seconds())
+	c.Telemetry.Gauge("queue."+q.Name()+".high_water").Set(now, float64(high))
+}
 
 // AttachRecorder streams the run into rec: one Sample per interval (0 means
 // 100ms of virtual time) with per-node utilization and queue depths, plus
 // every load-manager decision as it is logged. Attach after AttachTelemetry
-// (the sampler reads the utilization traces telemetry installs) and before
-// spawning workload procs. Call FinishSampling after Sim.Run and before
+// (decisions reach the recorder through the registry) and before spawning
+// workload procs. Call FinishSampling after Sim.Run and before
 // BuildReport; the harness passes the finished report to rec.Finish itself.
 func (c *Cluster) AttachRecorder(rec recorder.Recorder, every sim.Duration) {
 	if rec == nil {
@@ -62,8 +90,9 @@ func (c *Cluster) AttachRecorder(rec recorder.Recorder, every sim.Duration) {
 
 // AttachPeriodicGauges additionally emits the periodic observations as
 // telemetry gauges — node.<name>.cpu.busy_sec (cumulative completed busy
-// time) and queue.<name>.depth / .high_water — so they land in the
-// RunReport. Off by default: it grows the report, so runs without it stay
+// time), queue.<name>.depth / .high_water and stage.<name>.records_in — so
+// they land in the RunReport (`dsmsort -progress` renders its table from
+// them). Off by default: it grows the report, so runs without it stay
 // byte-identical to the committed baselines. Requires AttachTelemetry.
 func (c *Cluster) AttachPeriodicGauges(every sim.Duration) {
 	if every <= 0 || c.Telemetry == nil {
@@ -86,7 +115,8 @@ func (c *Cluster) FinishSampling() {
 		c.Sim.Kill(s.proc)
 	}
 	c.samplers = nil
-	c.queueProbes = nil
+	c.queues = nil
+	c.stages = nil
 	c.wantProbes = false
 	if c.Recorder != nil {
 		c.Telemetry.SetOnDecide(nil)
@@ -96,7 +126,6 @@ func (c *Cluster) FinishSampling() {
 
 type clusterSampler struct {
 	c      *Cluster
-	every  sim.Duration
 	rec    recorder.Recorder // nil: gauges only
 	gauges bool
 	proc   *sim.Proc
@@ -109,7 +138,7 @@ type clusterSampler struct {
 
 func (c *Cluster) startSampler(name string, every sim.Duration, rec recorder.Recorder, gauges bool) {
 	s := &clusterSampler{
-		c: c, every: every, rec: rec, gauges: gauges,
+		c: c, rec: rec, gauges: gauges,
 		prev: make([][3]sim.Duration, len(c.Hosts)+len(c.ASUs)),
 	}
 	s.proc = c.Sim.SpawnDaemon(name, func(p *sim.Proc) {
@@ -131,10 +160,11 @@ func (s *clusterSampler) tick(now sim.Time) {
 	dt := float64(now - s.prevT)
 	var nodes []recorder.NodeSample
 	for i, n := range c.Nodes() {
-		busy := [3]sim.Duration{
-			n.CPUTrace.TotalBusy(),
-			n.DiskTrace.TotalBusy(),
-			n.NICTrace.TotalBusy(),
+		// The devices' own O(1) totals: completed holds only, like the
+		// utilization traces (RecordBusy fires when a hold ends).
+		busy := [3]sim.Duration{0: n.CPU.Busy(), 2: n.NIC.Busy()}
+		if n.Disk != nil {
+			busy[1] = n.Disk.Busy()
 		}
 		if s.rec != nil {
 			ns := recorder.NodeSample{Node: n.Name, CPUBusy: busy[0].Seconds()}
@@ -151,14 +181,19 @@ func (s *clusterSampler) tick(now sim.Time) {
 		s.prev[i] = busy
 	}
 	var queues []recorder.QueueSample
-	for _, qp := range c.queueProbes {
-		depth, high := qp.probe()
+	for _, q := range c.queues {
+		_, high := q.WaitStats()
 		if s.rec != nil {
-			queues = append(queues, recorder.QueueSample{Queue: qp.name, Depth: depth, High: high})
+			queues = append(queues, recorder.QueueSample{Queue: q.Name(), Depth: q.Len(), High: high})
 		}
 		if s.gauges {
-			c.Telemetry.Gauge("queue."+qp.name+".depth").Set(now, float64(depth))
-			c.Telemetry.Gauge("queue."+qp.name+".high_water").Set(now, float64(high))
+			c.Telemetry.Gauge("queue."+q.Name()+".depth").Set(now, float64(q.Len()))
+			c.Telemetry.Gauge("queue."+q.Name()+".high_water").Set(now, float64(high))
+		}
+	}
+	if s.gauges {
+		for _, sp := range c.stages {
+			c.Telemetry.Gauge("stage."+sp.name+".records_in").Set(now, float64(sp.records()))
 		}
 	}
 	var lats []recorder.LatencySnapshot
@@ -178,12 +213,4 @@ func (s *clusterSampler) tick(now sim.Time) {
 	}
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
+func clamp01(v float64) float64 { return min(max(v, 0), 1) }

@@ -20,11 +20,9 @@ package dsmsort
 
 import (
 	"fmt"
-	"math"
 
 	"lmas/internal/cluster"
 	"lmas/internal/route"
-	"lmas/internal/sim"
 )
 
 // Placement selects where DSM-Sort's distribute computation executes.
@@ -77,11 +75,6 @@ type Config struct {
 	// Static{Buckets: Alpha} is the non-load-managed configuration of
 	// Figure 10; SR is the load-managed one. Nil means Static.
 	SortPolicy route.Policy
-	// ProgressInterval, when positive, attaches a progress monitor to
-	// the run-formation pipeline (Section 5: the emulator reports
-	// application progress as it executes); the monitor is returned in
-	// Pass1Result.Monitor.
-	ProgressInterval sim.Duration
 	// Seed feeds all randomized decisions (SR routing, sampling).
 	Seed int64
 }
@@ -132,16 +125,9 @@ func (c Config) Validate(p cluster.Params) error {
 // TotalCompares reports the work equation's predicted comparison count for
 // sorting n records: n·(log2 α + log2 β + log2 γ1 + log2 γ2).
 func (c Config) TotalCompares(n, gamma1 int) float64 {
-	return float64(n) * (log2f(c.Alpha) + log2f(c.Beta) + log2f(gamma1) + log2f(c.Gamma2))
+	return float64(n) * (cluster.Log2(c.Alpha) + cluster.Log2(c.Beta) + cluster.Log2(gamma1) + cluster.Log2(c.Gamma2))
 }
 
 // Gamma1 reports the host-side merge fan-in for a cluster with d ASUs: one
 // stream per ASU per bucket.
 func (c Config) Gamma1(d int) int { return d }
-
-func log2f(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return math.Log2(float64(n))
-}

@@ -114,8 +114,6 @@ type Pass1Result struct {
 	// ran on a host (meaningful only for the Hybrid placement, where it
 	// shows how much work migrated off the ASUs).
 	HybridHostShare float64
-	// Monitor holds progress samples when Config.ProgressInterval > 0.
-	Monitor *functor.Monitor
 }
 
 // RunFormation executes DSM-Sort's first pass (distribute + block sort +
@@ -166,7 +164,7 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 		collect.Terminal()
 		for i, set := range in.Sets {
 			// Each ASU's reader feeds its own distribute instance.
-			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), dist, pin(i))
+			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), dist, route.Pin(i))
 		}
 
 	case Hybrid:
@@ -224,15 +222,11 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 		return nil, nil, fmt.Errorf("dsmsort: unknown placement %v", cfg.Placement)
 	}
 
-	var mon *functor.Monitor
-	if cfg.ProgressInterval > 0 {
-		mon = pl.AttachMonitor(cfg.ProgressInterval)
-	}
 	elapsed, err := pl.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("dsmsort: pass 1 failed: %w", err)
 	}
-	res := &Pass1Result{Elapsed: elapsed, Runs: rs.Runs(), Monitor: mon}
+	res := &Pass1Result{Elapsed: elapsed, Runs: rs.Runs()}
 	if distStage != nil {
 		var hostRecs, totalRecs int64
 		for _, inst := range distStage.Instances() {
@@ -277,12 +271,6 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 	}
 	return rs, res, nil
 }
-
-// pin routes every packet to endpoint i.
-type pin int
-
-func (pin) Name() string                                       { return "pin" }
-func (f pin) Pick(pk route.PacketInfo, e []route.Endpoint) int { return int(f) % len(e) }
 
 // localOrHost is the hybrid migration policy: a reader chooses between its
 // local ASU's distribute instance and the host instances by estimated

@@ -59,6 +59,11 @@ type MergeResult struct {
 	ASUMergeLevels int
 	HostOps        float64
 	ASUOps         float64
+
+	// Records consumed so far by each merge stage — the ASU local mergers
+	// (read from run storage), the host mergers, the output collectors —
+	// read by the cluster's progress sampler while the pass runs.
+	asuIn, hostIn, collectIn int64
 }
 
 // mergeHeap is a loser-tree-equivalent k-way merge frontier. It is a
@@ -184,17 +189,11 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 	res := &MergeResult{}
 	hostN := len(cl.Hosts)
 	d := len(cl.ASUs)
-	// registerQueueProbe exposes a merge-phase queue to the cluster's
-	// periodic sampler (recorder / gauge daemons); inert when none attached.
-	registerQueueProbe := func(q *sim.Queue[container.Packet]) {
-		if !cl.WantsQueueProbes() {
-			return
-		}
-		cl.RegisterQueueProbe(q.Name(), func() (int, int) {
-			_, high := q.WaitStats()
-			return q.Len(), high
-		})
-	}
+	// The merge stages' progress, for the cluster's periodic sampler; the
+	// queues below are watched as they are built. Inert when none attached.
+	cl.WatchStage("merge.asu", func() int64 { return res.asuIn })
+	cl.WatchStage("merge.host", func() int64 { return res.hostIn })
+	cl.WatchStage("merge.collect", func() int64 { return res.collectIn })
 
 	// Output collectors: one proc per ASU draining an inbox of final
 	// packets, charging ASU touch (packet reassembly) plus disk write.
@@ -203,7 +202,7 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 	for i, asu := range cl.ASUs {
 		i, asu := i, asu
 		collectors[i] = sim.NewQueue[container.Packet](cl.Sim, fmt.Sprintf("out.collect%d", i), 8)
-		registerQueueProbe(collectors[i])
+		cl.WatchQueue(collectors[i])
 		collectProc := cl.Sim.SpawnOn(asu.Part, fmt.Sprintf("collect@asu%d", i), func(p *sim.Proc) {
 			pf.Bind(p, "merge.collect", asu.Name, critpath.ClassASUCPU, critpath.ClassASUCPU)
 			touch := cl.Touch(asu)
@@ -213,6 +212,7 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 					break
 				}
 				pf.BeginPacket(p, pk.Prov)
+				res.collectIn += int64(pk.Len())
 				ops := float64(pk.Len()) * touch
 				res.ASUOps += ops
 				asu.Compute(p, ops)
@@ -246,7 +246,7 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 				continue
 			}
 			q := sim.NewQueue[container.Packet](cl.Sim, fmt.Sprintf("merge.b%d.asu%d", b, asuIdx), 4)
-			registerQueueProbe(q)
+			cl.WatchQueue(q)
 			queues = append(queues, q)
 			asu := cl.ASUs[asuIdx]
 			srcs = append(srcs, asu)
@@ -309,18 +309,12 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 		reg.Counter("dsmsort.merge.host_ops").Add(int64(res.HostOps))
 		reg.Counter("dsmsort.merge.asu_ops").Add(int64(res.ASUOps))
 		reg.Gauge("dsmsort.merge.elapsed_sec").Set(cl.Sim.Now(), res.Elapsed.Seconds())
-		now := cl.Sim.Now()
-		flushQueue := func(q *sim.Queue[container.Packet]) {
-			cum, high := q.WaitStats()
-			reg.Gauge("queue."+q.Name()+".wait_sec").Set(now, cum.Seconds())
-			reg.Gauge("queue."+q.Name()+".high_water").Set(now, float64(high))
-		}
 		for _, q := range collectors {
-			flushQueue(q)
+			cl.FlushQueueStats(q)
 		}
 		for _, bw := range buckets {
 			for _, q := range bw.queues {
-				flushQueue(q)
+				cl.FlushQueueStats(q)
 			}
 		}
 	}
@@ -346,6 +340,7 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 		if !ok {
 			break
 		}
+		res.asuIn += int64(pk.Len())
 		runs = append(runs, pk.Buf)
 		owned = append(owned, false)
 	}
@@ -368,7 +363,7 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 			for _, b := range batch {
 				nrec += b.Len()
 			}
-			ops := float64(nrec) * (touch + log2f(len(batch))*cm.CompareOps)
+			ops := float64(nrec) * (touch + cluster.Log2(len(batch))*cm.CompareOps)
 			res.ASUOps += ops
 			merged := mergeBuffers(batch, recSize)
 			asu.Compute(p, ops)
@@ -408,7 +403,7 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 	}
 	h.init()
 	pf := cl.Profiler
-	perRec := touch + log2f(len(runs))*cm.CompareOps
+	perRec := touch + cluster.Log2(len(runs))*cm.CompareOps
 	var outBuf records.Buffer
 	fill := 0
 	flush := func() {
@@ -487,6 +482,7 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 		if !ok {
 			return false
 		}
+		res.hostIn += int64(pk.Len())
 		// Charge the ASU->host hop for the received packet, on its chain.
 		pf.BeginPacket(p, pk.Prov)
 		cl.Net.Stream(p, srcs[i].NIC, host.NIC, pk.Bytes()+64)
@@ -513,7 +509,7 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 		// transfers the pooled buffer's ownership to the ASU's engine.
 		pk := container.Packet{Buf: buf, Sorted: true, Bucket: bucket, Run: seq, Owned: true, Prov: id}
 		seq++
-		ops := float64(buf.Len()) * (touch + log2f(gamma1)*cm.CompareOps)
+		ops := float64(buf.Len()) * (touch + cluster.Log2(gamma1)*cm.CompareOps)
 		res.HostOps += ops
 		host.Compute(p, ops)
 		dest := *stripe % len(collectors)

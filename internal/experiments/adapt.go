@@ -5,7 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/loadmgr"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
@@ -74,8 +74,8 @@ type AdaptResult struct {
 }
 
 // Table renders the comparison.
-func (r *AdaptResult) Table() *metrics.Table {
-	t := metrics.NewTable("TAB-ADAPT: mid-run policy adaptation under skew",
+func (r *AdaptResult) Table() *plot.Table {
+	t := plot.NewTable("TAB-ADAPT: mid-run policy adaptation under skew",
 		"strategy", "elapsed(s)", "imbalance", "switched at(s)")
 	for _, c := range r.Cells {
 		sw := "-"
@@ -109,7 +109,7 @@ func runAdaptCell(opt AdaptOptions, strategy string) (AdaptCell, error) {
 	params.UtilWindow = opt.Window
 	cl := cluster.New(params)
 	reg := telemetry.NewRegistry()
-	cl.AttachTelemetry(reg, opt.Window)
+	cl.AttachTelemetry(reg)
 
 	// Figure 10 input: uniform first half, skewed second half.
 	buf := records.GenerateHalves(opt.N, params.RecordSize, opt.Seed,
@@ -150,7 +150,7 @@ func runAdaptCell(opt AdaptOptions, strategy string) (AdaptCell, error) {
 	// Elapsed is measured at pipeline completion, excluding the watch's
 	// trailing sampling window.
 	elapsed := sim.Duration(finishedAt - start)
-	_, imbalance := hostImbalance(cl, elapsed, opt.Window)
+	_, imbalance := hostImbalance(cl, elapsed)
 	cell := AdaptCell{Strategy: strategy, Elapsed: elapsed, Imbalance: imbalance, Decisions: reg.Decisions()}
 	if watch != nil && watch.Fired() {
 		cell.SwitchedAt = watch.FiredAt

@@ -5,7 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/rtree"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
@@ -56,8 +56,8 @@ type TerraResult struct {
 }
 
 // Table renders the phase breakdown.
-func (r *TerraResult) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *TerraResult) Table() *plot.Table {
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-TERRA: watershed phases, %dx%d grid, %d ASUs",
 			r.Options.W, r.Options.H, r.Options.ASUs),
 		"placement", "restructure(s)", "sort(s)", "watershed(s)", "flow(s)", "total(s)")
@@ -165,8 +165,8 @@ type RTreeResult struct {
 }
 
 // Table renders the comparison.
-func (r *RTreeResult) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *RTreeResult) Table() *plot.Table {
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-RTREE: distributed R-tree organizations, %d entries, %d ASUs",
 			r.Options.Entries, r.Options.ASUs),
 		"organization", "wide-scan latency(ms)", "uniform qps", "hot-spot qps", "p50(ms)", "p99(ms)")
@@ -213,7 +213,7 @@ func RunRTree(opt RTreeOptions) (*RTreeResult, error) {
 		params.Hosts = 1
 		params.ASUs = opt.ASUs
 		cl := cluster.New(params)
-		cl.AttachTelemetry(telemetry.NewRegistry(), 100*sim.Millisecond)
+		cl.AttachTelemetry(telemetry.NewRegistry())
 		return cl
 	}
 	var err error

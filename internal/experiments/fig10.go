@@ -5,7 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/recorder"
 	"lmas/internal/route"
 	"lmas/internal/sim"
@@ -76,7 +76,7 @@ type Fig10Run struct {
 	// Elapsed is the run's total virtual time.
 	Elapsed sim.Duration
 	// HostUtil holds one utilization trace per host.
-	HostUtil []*metrics.UtilTrace
+	HostUtil []*telemetry.UtilTrace
 	// Imbalance is the mean utilization spread across hosts over the
 	// run (0 = perfectly balanced).
 	Imbalance float64
@@ -93,8 +93,8 @@ type Fig10Result struct {
 }
 
 // Table renders utilization-over-time series for both runs side by side.
-func (r *Fig10Result) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *Fig10Result) Table() *plot.Table {
+	t := plot.NewTable(
 		"Figure 10: host CPU utilization under skew (static vs load-managed)",
 		"time(s)", "static.host1", "static.host2", "managed.host1", "managed.host2")
 	windows := r.Static.HostUtil[0].Len()
@@ -113,8 +113,8 @@ func (r *Fig10Result) Table() *metrics.Table {
 }
 
 // Summary renders the headline comparison.
-func (r *Fig10Result) Summary() *metrics.Table {
-	t := metrics.NewTable("Figure 10 summary", "run", "elapsed(s)", "imbalance")
+func (r *Fig10Result) Summary() *plot.Table {
+	t := plot.NewTable("Figure 10 summary", "run", "elapsed(s)", "imbalance")
 	t.AddRow("static (no load control)", r.Static.Elapsed.Seconds(), r.Static.Imbalance)
 	t.AddRow("load-managed (SR)", r.Managed.Elapsed.Seconds(), r.Managed.Imbalance)
 	return t
@@ -131,7 +131,6 @@ func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 		params.ASUs = opt.ASUs
 		params.UtilWindow = opt.Window
 		run, err := openRun(params, observers{
-			window:      opt.Window,
 			critpath:    opt.Critpath,
 			record:      opt.Record,
 			experiment:  opt.Experiment,
@@ -168,7 +167,7 @@ func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
 		}
 		res := Fig10Run{Policy: policy, Elapsed: r.Elapsed, Report: run.finish(r.Elapsed, &cfg, nil)}
-		res.HostUtil, res.Imbalance = hostImbalance(run.cl, r.Elapsed, opt.Window)
+		res.HostUtil, res.Imbalance = hostImbalance(run.cl, r.Elapsed)
 		return res, nil
 	}
 	// The two runs are independent simulations; sweep them on the worker pool.

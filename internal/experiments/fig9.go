@@ -11,7 +11,7 @@ import (
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/loadmgr"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 )
 
 // Fig9Options parameterizes the Figure 9 reproduction: "Speedup achievable
@@ -85,13 +85,13 @@ func (r *Fig9Result) Cell(asus, alpha int, adaptive bool) (Fig9Cell, bool) {
 
 // Table renders the grid in the paper's orientation: one row per ASU count,
 // one column per α series plus the adaptive series.
-func (r *Fig9Result) Table() *metrics.Table {
+func (r *Fig9Result) Table() *plot.Table {
 	headers := []string{"ASUs"}
 	for _, a := range r.Options.Alphas {
 		headers = append(headers, fmt.Sprintf("a=%d", a))
 	}
 	headers = append(headers, "adaptive")
-	t := metrics.NewTable("Figure 9: DSM-Sort run-formation speedup vs. conventional storage", headers...)
+	t := plot.NewTable("Figure 9: DSM-Sort run-formation speedup vs. conventional storage", headers...)
 	for _, d := range r.Options.ASUs {
 		row := []any{d}
 		for _, a := range r.Options.Alphas {

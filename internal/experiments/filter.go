@@ -6,7 +6,7 @@ import (
 	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/functor"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/records"
 	"lmas/internal/route"
 )
@@ -63,8 +63,8 @@ type FilterResult struct {
 }
 
 // Table renders the sweep.
-func (r *FilterResult) Table() *metrics.Table {
-	t := metrics.NewTable("TAB-FILTER: selection scan, filter on ASUs vs on host",
+func (r *FilterResult) Table() *plot.Table {
+	t := plot.NewTable("TAB-FILTER: selection scan, filter on ASUs vs on host",
 		"selectivity", "active(s)", "conv(s)", "speedup", "active net(MB)", "conv net(MB)")
 	for _, c := range r.Cells {
 		t.AddRow(c.Selectivity, c.ActiveSecs, c.ConvSecs, c.ConvSecs/c.ActiveSecs,
@@ -145,7 +145,7 @@ func runFilterScan(opt FilterOptions, threshold records.Key, onASU bool) (secs, 
 	for i, set := range sets {
 		var toFilter route.Policy = &route.RoundRobin{}
 		if onASU {
-			toFilter = pinTo(i)
+			toFilter = route.Pin(i)
 		}
 		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), filter, toFilter)
 	}

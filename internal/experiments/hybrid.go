@@ -5,7 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 )
 
 // HybridOptions parameterizes TAB-HYBRID: the functor-migration placement
@@ -50,8 +50,8 @@ type HybridResult struct {
 }
 
 // Table renders the comparison.
-func (r *HybridResult) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *HybridResult) Table() *plot.Table {
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-HYBRID: functor migration (alpha=%d; speedups vs conventional)", r.Options.Alpha),
 		"ASUs", "active", "hybrid", "hybrid dist. on hosts")
 	for _, c := range r.Cells {

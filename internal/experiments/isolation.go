@@ -2,9 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"lmas/internal/cluster"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
@@ -76,8 +77,8 @@ type IsolationResult struct {
 }
 
 // Table renders the sweep.
-func (r *IsolationResult) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *IsolationResult) Table() *plot.Table {
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-ISO: foreground request latency vs functor isolation (idle baseline %.3fms)",
 			r.Baseline.Seconds()*1e3),
 		"quantum", "sort(s)", "p50(ms)", "p99(ms)", "max(ms)", "requests")
@@ -164,13 +165,13 @@ func runIsolationCell(opt IsolationOptions, quantum sim.Duration) (IsolationCell
 	if err := cl.Sim.Run(); err != nil {
 		return IsolationCell{}, err
 	}
-	sum := metrics.NewSummary(latencies) // sorts once for all three quantiles
+	slices.Sort(latencies)
 	return IsolationCell{
 		Quantum:  quantum,
 		SortSecs: (sim.Duration(cl.Sim.Now() - start)).Seconds(),
-		P50:      sum.P50(),
-		P99:      sum.P99(),
-		Max:      sum.Max(),
-		Requests: sum.Count(),
+		P50:      nearestRank(latencies, 50),
+		P99:      nearestRank(latencies, 99),
+		Max:      nearestRank(latencies, 100),
+		Requests: len(latencies),
 	}, nil
 }

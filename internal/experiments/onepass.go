@@ -6,8 +6,8 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/metrics"
 	"lmas/internal/onepass"
+	"lmas/internal/plot"
 	"lmas/internal/records"
 )
 
@@ -55,8 +55,8 @@ type OnePassResult struct {
 }
 
 // Table renders the sweep.
-func (r *OnePassResult) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *OnePassResult) Table() *plot.Table {
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-ONEPASS: one-pass cluster sort vs DSM-Sort (sort-node memory %d records x %d hosts)",
 			r.Options.HostMemRecords, r.Options.Hosts),
 		"records", "one-pass(s)", "dsm-sort(s)")

@@ -5,11 +5,12 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"lmas/internal/cluster"
 	"lmas/internal/critpath"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/recorder"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
@@ -104,8 +105,8 @@ type OpenLoopResult struct {
 
 // Table renders the headline numbers plus the scheduler counters that the
 // run's report exports.
-func (r *OpenLoopResult) Table() *metrics.Table {
-	t := metrics.NewTable(
+func (r *OpenLoopResult) Table() *plot.Table {
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-CHURN: open-loop churn, %d jobs @ %.0f/s over %d hosts / %d ASUs",
 			r.Options.Jobs, r.Options.Rate, r.Options.Hosts, r.Options.ASUs),
 		"metric", "value")
@@ -178,7 +179,6 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		exp = "openloop"
 	}
 	run, err := openRun(params, observers{
-		window:      100 * sim.Millisecond,
 		record:      opt.Record,
 		experiment:  exp,
 		sampleEvery: opt.SampleEvery,
@@ -207,15 +207,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	queues := make([]*sim.Queue[openJob], opt.ASUs)
 	for i := range queues {
 		queues[i] = sim.NewQueue[openJob](s, fmt.Sprintf("asu%d.jobs", i), opt.QueueCap)
-	}
-	if cl.WantsQueueProbes() {
-		for i, q := range queues {
-			q := q
-			cl.RegisterQueueProbe(fmt.Sprintf("asu%d.jobs", i), func() (int, int) {
-				_, high := q.WaitStats()
-				return q.Len(), high
-			})
-		}
+		cl.WatchQueue(queues[i])
 	}
 
 	var (
@@ -389,8 +381,9 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		Misses:    misses,
 		Elapsed:   sim.Duration(lastAt - firstAt),
 	}
-	sum := metrics.NewSummary(latencies)
-	res.P50, res.P99, res.P999 = sum.P50(), sum.P99(), sum.Percentile(99.9)
+	// Nothing below reads the latencies in arrival order: sort them in place.
+	slices.Sort(latencies)
+	res.P50, res.P99, res.P999 = nearestRank(latencies, 50), nearestRank(latencies, 99), nearestRank(latencies, 99.9)
 	if res.Elapsed > 0 {
 		res.Goodput = float64(res.Completed) / res.Elapsed.Seconds()
 	}

@@ -5,7 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 )
 
 // PacketOptions parameterizes TAB-PACKET: how the packet size used on the
@@ -51,8 +51,8 @@ type PacketResult struct {
 }
 
 // Table renders the sweep.
-func (r *PacketResult) Table() *metrics.Table {
-	t := metrics.NewTable("TAB-PACKET: interconnect packet-size sweep (active placement)",
+func (r *PacketResult) Table() *plot.Table {
+	t := plot.NewTable("TAB-PACKET: interconnect packet-size sweep (active placement)",
 		"packet(records)", "pass1(s)", "net(MB)", "header overhead")
 	for _, c := range r.Cells {
 		t.AddRow(c.PacketRecords, c.Pass1Secs, float64(c.NetBytes)/1e6,

@@ -194,6 +194,60 @@ func TestPeriodicGaugeReconciliation(t *testing.T) {
 	}
 }
 
+// TestProgressSamplerNeutrality pins what `dsmsort -progress` rests on: the
+// gauge sampler is a pure observer — the run ends at the same virtual instant
+// and every node's cpu/disk/nic utilization series is the bare run's — and it
+// reports application progress for both passes: each stage's records-in
+// gauge is monotone and its last sample is the whole input.
+func TestProgressSamplerNeutrality(t *testing.T) {
+	bare, _, err := RunSortReport(recordSpec("cell"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := recordSpec("cell")
+	spec.GaugeInterval = 2 * sim.Millisecond
+	rep, _, err := RunSortReport(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RuntimeNs != bare.RuntimeNs {
+		t.Errorf("RuntimeNs %d with the sampler on, %d bare", rep.RuntimeNs, bare.RuntimeNs)
+	}
+	got, _ := json.Marshal(rep.Nodes)
+	want, _ := json.Marshal(bare.Nodes)
+	if !bytes.Equal(got, want) {
+		t.Errorf("node utilization series moved with the sampler on:\n got %s\nwant %s", got, want)
+	}
+	for _, node := range rep.Nodes {
+		if node.CPU == nil || node.NIC == nil || (node.Kind == "asu" && node.Disk == nil) {
+			t.Errorf("node %s lost a utilization series: cpu=%v disk=%v nic=%v",
+				node.Name, node.CPU != nil, node.Disk != nil, node.NIC != nil)
+		}
+	}
+
+	stages := map[string]bool{}
+	for _, g := range rep.Gauges {
+		name, ok := strings.CutPrefix(g.Name, "stage.")
+		if !ok {
+			continue
+		}
+		stages[strings.TrimSuffix(name, ".records_in")] = true
+		for i := 1; i < len(g.Samples); i++ {
+			if g.Samples[i].V < g.Samples[i-1].V {
+				t.Errorf("%s regressed at sample %d: %v -> %v", g.Name, i, g.Samples[i-1].V, g.Samples[i].V)
+			}
+		}
+		if last := g.Samples[len(g.Samples)-1].V; last != float64(spec.N) {
+			t.Errorf("%s ends at %v, want the whole input %d", g.Name, last, spec.N)
+		}
+	}
+	for _, st := range []string{"distribute", "blocksort", "collect", "merge.asu", "merge.host", "merge.collect"} {
+		if !stages[st] {
+			t.Errorf("no stage.%s.records_in gauge: the progress view does not cover that stage", st)
+		}
+	}
+}
+
 // TestStoreDeterminism records the same cell twice into fresh stores and
 // compares the segments below the header line byte for byte. Run IDs and
 // wall-clock fields live only in the header, so everything under it is a

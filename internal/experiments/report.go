@@ -26,8 +26,6 @@ type SortRunSpec struct {
 	Policy        string // route.ByName vocabulary
 	Dist          string // dsmsort.MakeInputNamed vocabulary
 	Seed          int64
-	// UtilWindow sets the report's utilization window (0 = 100ms default).
-	UtilWindow sim.Duration
 	// Critpath attaches the critical-path profiler and adds a latency
 	// attribution section (with the Pass1Model prediction) to the report.
 	Critpath bool
@@ -94,7 +92,6 @@ func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 		tune(&params, &cfg)
 	}
 	run, err := openRun(params, observers{
-		window:      spec.UtilWindow,
 		trace:       spec.Trace,
 		critpath:    spec.Critpath,
 		record:      spec.Record,

@@ -87,7 +87,7 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 		params.Hosts, params.ASUs, params.C = spec.Hosts, spec.ASUs, spec.C
 		cl := cluster.New(params)
 		if attach {
-			cl.AttachTelemetry(telemetry.NewRegistry(), 0)
+			cl.AttachTelemetry(telemetry.NewRegistry())
 		}
 		in, err := dsmsort.MakeInputNamed(cl, spec.N, spec.Dist, spec.Seed, spec.PacketRecords)
 		if err != nil {

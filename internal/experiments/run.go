@@ -12,7 +12,6 @@ import (
 	"lmas/internal/dsmsort"
 	"lmas/internal/functor"
 	"lmas/internal/loadmgr"
-	"lmas/internal/metrics"
 	"lmas/internal/recorder"
 	"lmas/internal/records"
 	"lmas/internal/route"
@@ -25,7 +24,6 @@ import (
 // always attached. The zero value adds nothing; every observer is a pure
 // observer, so no combination changes virtual time or the report's bytes.
 type observers struct {
-	window      sim.Duration // utilization window (0 = 100ms)
 	trace       *trace.Sink
 	critpath    bool
 	record      recorder.Sink
@@ -58,7 +56,7 @@ func openRun(params cluster.Params, obs observers) (*observedRun, error) {
 		return nil, err
 	}
 	cl := cluster.New(params)
-	cl.AttachTelemetry(telemetry.NewRegistry(), obs.window)
+	cl.AttachTelemetry(telemetry.NewRegistry())
 	if obs.trace != nil {
 		cl.AttachTrace(obs.trace)
 	}
@@ -169,12 +167,23 @@ func pass1Cells(params cluster.Params, n int, cfg dsmsort.Config, placements ...
 
 // hostImbalance reads the hosts' CPU utilization traces and their mean spread
 // over the run's whole windows.
-func hostImbalance(cl *cluster.Cluster, elapsed, window sim.Duration) ([]*metrics.UtilTrace, float64) {
-	traces := make([]*metrics.UtilTrace, len(cl.Hosts))
+func hostImbalance(cl *cluster.Cluster, elapsed sim.Duration) ([]*telemetry.UtilTrace, float64) {
+	traces := make([]*telemetry.UtilTrace, len(cl.Hosts))
 	for i, h := range cl.Hosts {
 		traces[i] = h.CPUTrace
 	}
-	return traces, loadmgr.Imbalance(traces, int(elapsed/window))
+	return traces, loadmgr.Imbalance(traces, int(elapsed/cl.Params.UtilWindow))
+}
+
+// nearestRank reports the q'th percentile (0..100) of sorted, which must be
+// in ascending order, by nearest rank; zero when there are no samples.
+func nearestRank(sorted []sim.Duration, q float64) sim.Duration {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	rank := int(q/100*float64(n)+0.5) - 1
+	return sorted[min(max(rank, 0), n-1)]
 }
 
 // sortCell runs the full two-pass DSM-Sort over uniform input on a bare
@@ -233,18 +242,9 @@ func distSortPipeline(cl *cluster.Cluster, buf records.Buffer, alpha, beta, pack
 	edge := dist.ConnectTo(srt, policy)
 	srt.Terminal().Done = done
 	for i, set := range sets {
-		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), dist, pinTo(i))
+		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), dist, route.Pin(i))
 	}
 	return pl, edge, nil
-}
-
-// pinTo routes every packet to endpoint i: a source feeding the stage
-// instance on its own node.
-type pinTo int
-
-func (pinTo) Name() string { return "pin" }
-func (f pinTo) Pick(pk route.PacketInfo, e []route.Endpoint) int {
-	return int(f) % len(e)
 }
 
 // WriteTrace exports sink to path: a flat CSV time series when the name ends

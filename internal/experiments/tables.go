@@ -5,7 +5,7 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
-	"lmas/internal/metrics"
+	"lmas/internal/plot"
 	"lmas/internal/route"
 	"lmas/internal/sim"
 )
@@ -62,12 +62,12 @@ func (r *CRatioResult) Cell(c float64, asus int) (CRatioCell, bool) {
 }
 
 // Table renders the grid: rows are ASU counts, one speedup column per c.
-func (r *CRatioResult) Table() *metrics.Table {
+func (r *CRatioResult) Table() *plot.Table {
 	headers := []string{"ASUs"}
 	for _, c := range r.Options.Cs {
 		headers = append(headers, fmt.Sprintf("speedup(c=%g)", c))
 	}
-	t := metrics.NewTable(
+	t := plot.NewTable(
 		fmt.Sprintf("TAB-C: power-ratio sensitivity (alpha=%d)", r.Options.Alpha), headers...)
 	for _, d := range r.Options.ASUs {
 		row := []any{d}
@@ -152,8 +152,8 @@ type GammaResult struct {
 }
 
 // Table renders the sweep.
-func (r *GammaResult) Table() *metrics.Table {
-	t := metrics.NewTable("TAB-GAMMA: merge split between ASUs and hosts",
+func (r *GammaResult) Table() *plot.Table {
+	t := plot.NewTable("TAB-GAMMA: merge split between ASUs and hosts",
 		"gamma2", "merge(s)", "asu-levels", "hostMops", "asuMops")
 	for _, c := range r.Cells {
 		t.AddRow(c.Gamma2, c.MergeSecs, c.MergeLevels, c.HostOps/1e6, c.ASUOps/1e6)
@@ -234,8 +234,8 @@ type RoutingResult struct {
 }
 
 // Table renders the ablation.
-func (r *RoutingResult) Table() *metrics.Table {
-	t := metrics.NewTable("TAB-ROUTE: routing policies under skew",
+func (r *RoutingResult) Table() *plot.Table {
+	t := plot.NewTable("TAB-ROUTE: routing policies under skew",
 		"policy", "elapsed(s)", "imbalance")
 	for _, c := range r.Cells {
 		t.AddRow(c.Policy, c.Elapsed.Seconds(), c.Imbalance)
@@ -264,7 +264,7 @@ func RunRouting(opt RoutingOptions) (*RoutingResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("routing %s: %w", name, err)
 		}
-		_, imbalance := hostImbalance(cl, r1.Elapsed, opt.Window)
+		_, imbalance := hostImbalance(cl, r1.Elapsed)
 		res.Cells = append(res.Cells, RoutingCell{Policy: name, Elapsed: r1.Elapsed, Imbalance: imbalance})
 	}
 	return res, nil

@@ -127,7 +127,7 @@ func Sort(cl *cluster.Cluster, cfg Config, in *dsmsort.Input) (*Result, error) {
 			}
 			// Pooled copy: ownership transfers into the run stream's engine.
 			buf := mem.Slice(0, fill).ClonePooled()
-			ops := float64(fill) * (touch + log2f(fill)*cm.CompareOps)
+			ops := float64(fill) * (touch + cluster.Log2(fill)*cm.CompareOps)
 			res.HostOps += ops
 			host.Compute(p, ops)
 			buf.Sort()
@@ -294,7 +294,7 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 			heap.Pop(&h)
 		}
 	}
-	ops := float64(total) * (touch + log2f(len(group))*cm.CompareOps)
+	ops := float64(total) * (touch + cluster.Log2(len(group))*cm.CompareOps)
 	res.HostOps += ops
 	host.Compute(p, ops)
 	cl.Net.Stream(p, host.NIC, cl.ASUs[outIdx].NIC, outBuf.Bytes()+64)
@@ -323,11 +323,4 @@ func (h *cursorHeap) Pop() any {
 	it := old[n-1]
 	*h = old[:n-1]
 	return it
-}
-
-func log2f(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return math.Log2(float64(n))
 }

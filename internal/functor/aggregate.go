@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/records"
 )
@@ -41,7 +42,7 @@ func (a *Aggregate) Name() string { return fmt.Sprintf("aggregate(%d)", len(a.Sp
 
 // Compares: one bucket search per record plus the fold.
 func (a *Aggregate) Compares(pk container.Packet) float64 {
-	return log2(len(a.Splitters)+1) + 2
+	return cluster.Log2(len(a.Splitters)+1) + 2
 }
 
 func (a *Aggregate) ensure() {

@@ -78,7 +78,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 		srt.ConnectTo(sink, &route.RoundRobin{})
 		sink.Terminal()
 		for j, set := range sets {
-			pl.AddSource("r", cl.ASUs[j], set.Scan(0, false), dist, fixed(j))
+			pl.AddSource("r", cl.ASUs[j], set.Scan(0, false), dist, route.Pin(j))
 		}
 		if _, err := pl.Run(); err != nil {
 			b.Fatal(err)

@@ -281,12 +281,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 // localFirst routes everything to endpoint i (source i feeds its own ASU's
 // distribute instance).
-func localFirst(i int) route.Policy { return fixed(i) }
-
-type fixed int
-
-func (fixed) Name() string                                       { return "fixed" }
-func (f fixed) Pick(pk route.PacketInfo, e []route.Endpoint) int { return int(f) % len(e) }
+func localFirst(i int) route.Policy { return route.Pin(i) }
 
 func TestPipelineChargesNetworkOnlyCrossNode(t *testing.T) {
 	cl := testCluster(1, 1)
@@ -426,7 +421,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		srt.ConnectTo(snk, &route.RoundRobin{})
 		snk.Terminal()
 		for i, set := range sets {
-			pl.AddSource(fmt.Sprintf("r%d", i), cl.ASUs[i], set.Scan(0, false), dist, fixed(i))
+			pl.AddSource(fmt.Sprintf("r%d", i), cl.ASUs[i], set.Scan(0, false), dist, route.Pin(i))
 		}
 		d, err := pl.Run()
 		if err != nil {

@@ -2,25 +2,15 @@ package functor
 
 import (
 	"fmt"
-	"math"
 
+	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/records"
 )
 
-// log2 returns log2(n) clamped at zero, the per-record comparison count the
-// paper assigns to an n-way hierarchical operation ("log(parameter) is the
-// number of compares per key", Section 4.3).
-func log2(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return math.Log2(float64(n))
-}
-
 // Distribute is the α-way distribute functor of DSM-Sort step 1: it routes
 // each record to one of α output ports by binary search over key-range
-// splitters, costing ceil-ish log2(α) compares per record. It is an
+// splitters, costing ceil-ish cluster.Log2(α) compares per record. It is an
 // ASU-eligible functor: bounded per-record cost, bounded state (the
 // splitters plus per-port staging).
 type Distribute struct {
@@ -35,7 +25,7 @@ func NewDistribute(alpha int) *Distribute {
 func (d *Distribute) Name() string { return fmt.Sprintf("distribute(%d)", len(d.Splitters)+1) }
 func (d *Distribute) Ports() int   { return len(d.Splitters) + 1 }
 func (d *Distribute) ComparesPerRecord() float64 {
-	return log2(len(d.Splitters) + 1)
+	return cluster.Log2(len(d.Splitters) + 1)
 }
 
 func (d *Distribute) Process(rec []byte, emit func(port int, rec []byte)) {
@@ -66,7 +56,7 @@ func (f *Filter) Flush(emit func(port int, rec []byte)) {}
 var _ Functor = (*Filter)(nil)
 
 // BlockSort is the "verified computation kernel" forming sorted runs: it
-// accumulates β records per bucket, sorts each full block with log2(β)
+// accumulates β records per bucket, sorts each full block with cluster.Log2(β)
 // compares per record, and emits it as a packet marked sorted — the packet
 // mechanism of Figure 4 ("a sort functor which sorts groups of records and
 // uses packets to preserve the local order of sorted records").
@@ -92,7 +82,7 @@ func NewBlockSort(beta, recSize int) *BlockSort {
 
 func (b *BlockSort) Name() string { return fmt.Sprintf("blocksort(%d)", b.Beta) }
 
-func (b *BlockSort) Compares(pk container.Packet) float64 { return log2(b.Beta) }
+func (b *BlockSort) Compares(pk container.Packet) float64 { return cluster.Log2(b.Beta) }
 
 func (b *BlockSort) Process(ctx *Ctx, pk container.Packet, emit Emit) {
 	n := pk.Len()
@@ -194,7 +184,7 @@ var _ Kernel = (*Passthrough)(nil)
 // FusedDistributeSort chains an α-way distribute directly into run
 // formation inside a single host stage: the conventional-storage baseline,
 // where all computation happens on the host in one pass over the data. Its
-// declared cost is log2(α) + log2(β) compares per record, the sum of the
+// declared cost is cluster.Log2(α) + cluster.Log2(β) compares per record, the sum of the
 // two stages it fuses.
 type FusedDistributeSort struct {
 	dist *Distribute

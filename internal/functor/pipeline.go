@@ -88,6 +88,15 @@ type Stage struct {
 // Instances returns the stage's placed instances (valid after Start).
 func (st *Stage) Instances() []*Instance { return st.instances }
 
+// recordsIn reports the records the stage's instances have consumed so far.
+func (st *Stage) recordsIn() int64 {
+	var recs int64
+	for _, inst := range st.instances {
+		recs += inst.RecordsIn
+	}
+	return recs
+}
+
 // output receives packets produced by a stage or source.
 type output interface {
 	deliver(ctx *Ctx, pk container.Packet)
@@ -312,13 +321,7 @@ func (p *Pipeline) Start() {
 				In:    sim.NewQueue[container.Packet](p.cl.Sim, fmt.Sprintf("%s#%d.in", st.Name, i), cap),
 			}
 			inst.kernel = st.NewKernel()
-			if p.cl.WantsQueueProbes() {
-				q := inst.In
-				p.cl.RegisterQueueProbe(q.Name(), func() (int, int) {
-					_, high := q.WaitStats()
-					return q.Len(), high
-				})
-			}
+			p.cl.WatchQueue(inst.In)
 			// ASUs are shared infrastructure: only prevalidated
 			// kernels may run there (Section 3.1's constraint, and
 			// the basis for the isolation guarantees).
@@ -331,6 +334,9 @@ func (p *Pipeline) Start() {
 			}
 			st.instances = append(st.instances, inst)
 		}
+	}
+	for _, st := range p.stages {
+		p.cl.WatchStage(st.Name, st.recordsIn)
 	}
 	// Resolve edge endpoints and producer counts.
 	for _, st := range p.stages {
@@ -604,24 +610,16 @@ func (p *Pipeline) FlushTelemetry() {
 	}
 	reg.Counter("functor.sources.net_bytes").Add(srcBytes)
 	reg.Counter("functor.sources.cross_node").Add(srcCross)
-	// Per-queue wait accounting: cumulative buffered time and high-water
-	// depth for every inbox and outbox, so the report's queue table shows
-	// where packets sat.
-	now := p.cl.Sim.Now()
-	flushQueue := func(q *sim.Queue[container.Packet]) {
-		cum, high := q.WaitStats()
-		reg.Gauge("queue."+q.Name()+".wait_sec").Set(now, cum.Seconds())
-		reg.Gauge("queue."+q.Name()+".high_water").Set(now, float64(high))
-	}
+	// Per-queue wait accounting for every inbox and outbox.
 	for _, st := range p.stages {
 		for _, inst := range st.instances {
-			flushQueue(inst.In)
-			flushQueue(inst.out)
+			p.cl.FlushQueueStats(inst.In)
+			p.cl.FlushQueueStats(inst.out)
 		}
 	}
 	for _, src := range p.sources {
 		if src.outbox != nil {
-			flushQueue(src.outbox)
+			p.cl.FlushQueueStats(src.outbox)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"lmas/internal/cluster"
 	"lmas/internal/critpath"
-	"lmas/internal/metrics"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 )
@@ -27,13 +26,6 @@ import (
 // prediction possible.
 type Pass1Model struct {
 	Params cluster.Params
-}
-
-func log2f(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return math.Log2(float64(n))
 }
 
 // Rates decomposes a placement's predicted throughput (records/second) per
@@ -79,9 +71,9 @@ func (m Pass1Model) ActiveRates(alpha, beta int) Rates {
 	asuOps := p.HostOpsPerSec / p.C
 	// Per-record ASU work: distribute (touch + log2 alpha compares) plus
 	// run collection (touch).
-	asuPerRec := (touchA + log2f(alpha)*p.Costs.CompareOps) + touchA
+	asuPerRec := (touchA + cluster.Log2(alpha)*p.Costs.CompareOps) + touchA
 	// Per-record host work: block sort.
-	hostPerRec := touchH + log2f(beta)*p.Costs.CompareOps
+	hostPerRec := touchH + cluster.Log2(beta)*p.Costs.CompareOps
 	return Rates{
 		ASUCPU:  float64(p.ASUs) * asuOps / asuPerRec,
 		HostCPU: float64(p.Hosts) * p.HostOpsPerSec / hostPerRec,
@@ -102,7 +94,7 @@ func (m Pass1Model) ActiveRate(alpha, beta int) float64 {
 func (m Pass1Model) ConventionalRates(alpha, beta int) Rates {
 	p := m.Params
 	touchH := p.Costs.Touch(cluster.Host, p.RecordSize)
-	hostPerRec := touchH + (log2f(alpha)+log2f(beta))*p.Costs.CompareOps
+	hostPerRec := touchH + (cluster.Log2(alpha)+cluster.Log2(beta))*p.Costs.CompareOps
 	return Rates{
 		HostCPU: float64(p.Hosts) * p.HostOpsPerSec / hostPerRec,
 		Disk:    m.diskRate(),
@@ -175,8 +167,8 @@ func SaturationASUs(p cluster.Params, alpha, beta int) int {
 	touchH := p.Costs.Touch(cluster.Host, p.RecordSize)
 	touchA := p.Costs.Touch(cluster.ASU, p.RecordSize)
 	asuOps := p.HostOpsPerSec / p.C
-	asuPerRec := (touchA + log2f(alpha)*p.Costs.CompareOps) + touchA
-	hostRate := float64(p.Hosts) * p.HostOpsPerSec / (touchH + log2f(beta)*p.Costs.CompareOps)
+	asuPerRec := (touchA + cluster.Log2(alpha)*p.Costs.CompareOps) + touchA
+	hostRate := float64(p.Hosts) * p.HostOpsPerSec / (touchH + cluster.Log2(beta)*p.Costs.CompareOps)
 	perASU := asuOps / asuPerRec
 	return int(math.Ceil(hostRate / perASU))
 }
@@ -185,7 +177,7 @@ func SaturationASUs(p cluster.Params, alpha, beta int) int {
 // their nodes: the mean absolute utilization spread across the first n
 // windows (n <= 0 means the longest trace). Zero means perfectly balanced —
 // the load-managed ideal of Figure 10.
-func Imbalance(traces []*metrics.UtilTrace, n int) float64 {
+func Imbalance(traces []*telemetry.UtilTrace, n int) float64 {
 	if len(traces) < 2 {
 		return 0
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"lmas/internal/cluster"
-	"lmas/internal/metrics"
 	"lmas/internal/sim"
+	"lmas/internal/telemetry"
 )
 
 func params(hosts, asus int) cluster.Params {
@@ -97,19 +97,19 @@ func TestImbalance(t *testing.T) {
 	// Busy intervals are right-aligned within their window so every trace
 	// ends exactly on the last window boundary; otherwise the final window
 	// would be pro-rated to each trace's own observed width.
-	mk := func(vals ...float64) *metrics.UtilTrace {
-		tr := metrics.NewUtilTrace("x", sim.Second)
+	mk := func(vals ...float64) *telemetry.UtilTrace {
+		tr := telemetry.NewUtilTrace("x", sim.Second)
 		for i, v := range vals {
 			winEnd := sim.Time(i+1) * sim.Time(sim.Second)
 			tr.RecordBusy(winEnd.Add(-sim.Duration(v*float64(sim.Second))), winEnd)
 		}
 		return tr
 	}
-	balanced := []*metrics.UtilTrace{mk(0.5, 0.5), mk(0.5, 0.5)}
+	balanced := []*telemetry.UtilTrace{mk(0.5, 0.5), mk(0.5, 0.5)}
 	if got := Imbalance(balanced, 2); got != 0 {
 		t.Fatalf("balanced imbalance = %v", got)
 	}
-	skewed := []*metrics.UtilTrace{mk(1.0, 1.0), mk(0.2, 0.4)}
+	skewed := []*telemetry.UtilTrace{mk(1.0, 1.0), mk(0.2, 0.4)}
 	if got := Imbalance(skewed, 2); math.Abs(got-0.7) > 1e-9 {
 		t.Fatalf("skewed imbalance = %v, want 0.7", got)
 	}

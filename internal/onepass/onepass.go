@@ -92,7 +92,7 @@ func Sort(cl *cluster.Cluster, cfg Config, in *dsmsort.Input) (*Result, error) {
 				sampleKeys = append(sampleKeys, pk.Buf.Key(r))
 			}
 		}
-		cl.Hosts[0].Compute(p, float64(len(sampleKeys))*log2f(len(sampleKeys))*cl.Params.Costs.CompareOps)
+		cl.Hosts[0].Compute(p, float64(len(sampleKeys))*cluster.CeilLog2(len(sampleKeys))*cl.Params.Costs.CompareOps)
 	})
 	if err := cl.Sim.Run(); err != nil {
 		return nil, err
@@ -131,7 +131,7 @@ func Sort(cl *cluster.Cluster, cfg Config, in *dsmsort.Input) (*Result, error) {
 	srt.ConnectTo(collect, &route.RoundRobin{})
 	collect.Terminal()
 	for i, set := range in.Sets {
-		pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), dist, pin(i))
+		pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), dist, route.Pin(i))
 	}
 	elapsed, err := pl.Run()
 	if err != nil {
@@ -178,21 +178,4 @@ func Sort(cl *cluster.Cluster, cfg Config, in *dsmsort.Input) (*Result, error) {
 		outs[i].Release()
 	}
 	return res, nil
-}
-
-// pin routes everything to endpoint i.
-type pin int
-
-func (pin) Name() string                                       { return "pin" }
-func (f pin) Pick(pk route.PacketInfo, e []route.Endpoint) int { return int(f) % len(e) }
-
-func log2f(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	l := 0.0
-	for v := n - 1; v > 0; v >>= 1 {
-		l++
-	}
-	return l
 }

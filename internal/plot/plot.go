@@ -6,6 +6,10 @@
 // slots are assigned to entities in fixed order (color follows the entity),
 // series draw as 2px lines over a recessive grid, and identity never rides
 // on color alone (every series is also direct-labeled or legended).
+//
+// The text side of the same job lives here too: Table (table.go) is the
+// column-aligned results table every experiment harness and report command
+// prints.
 package plot
 
 import (

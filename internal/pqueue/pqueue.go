@@ -96,7 +96,7 @@ func (q *PQ) Push(p *sim.Proc, it Item) {
 	q.buf = append(q.buf, it)
 	q.len++
 	// One heap-insert's worth of comparisons.
-	q.charge(p, log2f(q.memCap))
+	q.charge(p, cluster.CeilLog2(q.memCap))
 }
 
 func (q *PQ) spill(p *sim.Proc) {
@@ -107,7 +107,7 @@ func (q *PQ) spill(p *sim.Proc) {
 		binary.LittleEndian.PutUint64(data[i*itemBytes+8:], it.Payload)
 	}
 	// Sorting cost for the spill.
-	q.charge(p, float64(len(q.buf))*log2f(len(q.buf)))
+	q.charge(p, float64(len(q.buf))*cluster.CeilLog2(len(q.buf)))
 	id := q.eng.Append(p, data)
 	r := runPool.Get()
 	*r = run{id: id, items: r.items[:0]}
@@ -153,7 +153,7 @@ func (q *PQ) Peek(p *sim.Proc) (Item, bool) {
 			}
 		}
 	}
-	q.charge(p, log2f(len(q.runs)+1))
+	q.charge(p, cluster.CeilLog2(len(q.runs)+1))
 	return best, found
 }
 
@@ -207,7 +207,7 @@ func (q *PQ) PopMin(p *sim.Proc) (Item, bool) {
 		}
 	}
 	q.len--
-	q.charge(p, log2f(q.memCap)+log2f(len(q.runs)+1))
+	q.charge(p, cluster.CeilLog2(q.memCap)+cluster.CeilLog2(len(q.runs)+1))
 	if q.Strict && q.havePrev && out.Key < q.lastKey {
 		panic(fmt.Sprintf("pqueue: keys regressed: %d after %d", out.Key, q.lastKey))
 	}
@@ -228,16 +228,4 @@ func less(a, b Item) bool {
 		return a.Key < b.Key
 	}
 	return a.Payload < b.Payload
-}
-
-func log2f(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	// Fast integer log2 is enough for cost accounting.
-	l := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		l++
-	}
-	return float64(l)
 }

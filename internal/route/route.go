@@ -64,6 +64,14 @@ func (s Static) Pick(pk PacketInfo, eps []Endpoint) int {
 	return i
 }
 
+// Pin routes every packet to endpoint i: a source feeding the stage instance
+// on its own node.
+type Pin int
+
+func (Pin) Name() string { return "pin" }
+
+func (f Pin) Pick(pk PacketInfo, eps []Endpoint) int { return int(f) % len(eps) }
+
 // RoundRobin cycles through endpoints, ignoring load.
 type RoundRobin struct{ next int }
 

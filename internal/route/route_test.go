@@ -73,6 +73,18 @@ func TestStaticInRangeProperty(t *testing.T) {
 	}
 }
 
+func TestPinIgnoresPacketAndLoad(t *testing.T) {
+	e := eps(9, 0, 0)
+	for _, pk := range []PacketInfo{{Bucket: 2}, {Bucket: -1, Records: 64}} {
+		if got := Pin(0).Pick(pk, e); got != 0 {
+			t.Fatalf("Pin(0) picked %d", got)
+		}
+		if got := Pin(4).Pick(pk, e); got != 1 {
+			t.Fatalf("Pin(4) over 3 endpoints picked %d, want 1", got)
+		}
+	}
+}
+
 func TestRoundRobinCycles(t *testing.T) {
 	r := &RoundRobin{}
 	e := eps(0, 0, 0)

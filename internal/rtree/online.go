@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lmas/internal/cluster"
 	"lmas/internal/sim"
 )
 
@@ -112,7 +113,7 @@ func (dt *Distributed) maintain(onHost bool) (sim.Duration, error) {
 				asu.Disk.EndReadRun()
 				asu.Disk.Read(p, bytes-added*EntryBytes)
 				cl.Net.Stream(p, asu.NIC, host.NIC, bytes+64)
-				host.Compute(p, float64(n)*(log2n(n)*cm.CompareOps+cl.Touch(host)))
+				host.Compute(p, float64(n)*(cluster.CeilLog2(n)*cm.CompareOps+cl.Touch(host)))
 				cl.Net.Stream(p, host.NIC, asu.NIC, bytes+64)
 				asu.Disk.Write(p, bytes)
 			} else {
@@ -120,7 +121,7 @@ func (dt *Distributed) maintain(onHost bool) (sim.Duration, error) {
 				cl.Net.Stream(p, host.NIC, asu.NIC, added*EntryBytes+64)
 				asu.Disk.EndReadRun()
 				asu.Disk.Read(p, bytes-added*EntryBytes)
-				asu.Compute(p, float64(n)*(log2n(n)*cm.CompareOps+cl.Touch(asu)))
+				asu.Compute(p, float64(n)*(cluster.CeilLog2(n)*cm.CompareOps+cl.Touch(asu)))
 				asu.Disk.Write(p, bytes)
 				asu.Disk.Flush(p)
 			}
@@ -174,15 +175,4 @@ func area(r Rect) float64 {
 		return 0
 	}
 	return w * h
-}
-
-func log2n(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	l := 0.0
-	for v := n - 1; v > 0; v >>= 1 {
-		l++
-	}
-	return l
 }

@@ -684,13 +684,6 @@ func (p *Proc) TraceEnd(args ...trace.Arg) {
 	}
 }
 
-// TraceInstant records a point event on the proc's trace track.
-func (p *Proc) TraceInstant(name, cat string, args ...trace.Arg) {
-	if t := p.sim.tracer; t != nil {
-		t.Instant(p.track, int64(p.sim.now), name, cat, args...)
-	}
-}
-
 // Sleep suspends the proc for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"lmas/internal/critpath"
-	"lmas/internal/metrics"
 	"lmas/internal/sim"
 )
 
@@ -44,25 +43,6 @@ type UtilSeries struct {
 // round6 keeps float output short and stable; 1e-6 is far below anything the
 // utilization windows can resolve.
 func round6(v float64) float64 { return math.Round(v*1e6) / 1e6 }
-
-// UtilSeriesOf converts a metrics.UtilTrace; nil in, nil out.
-func UtilSeriesOf(u *metrics.UtilTrace) *UtilSeries {
-	if u == nil || u.Len() == 0 {
-		return nil
-	}
-	ts, util := u.Series()
-	s := &UtilSeries{
-		WindowSec: u.Window.Seconds(),
-		Mean:      round6(u.Mean(0)),
-		TS:        make([]float64, len(ts)),
-		Util:      make([]float64, len(util)),
-	}
-	for i := range ts {
-		s.TS[i] = round6(ts[i])
-		s.Util[i] = round6(util[i])
-	}
-	return s
-}
 
 // NodeReport is one emulated node's resource record.
 type NodeReport struct {

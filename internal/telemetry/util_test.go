@@ -1,8 +1,7 @@
-package metrics
+package telemetry
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -140,105 +139,6 @@ func TestUtilTraceSeries(t *testing.T) {
 	// The lone window is partial: stamped at the trace end, fully busy.
 	if ts[0] != 0.25 || util[0] != 1.0 {
 		t.Fatalf("series = %v %v", ts, util)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tab := NewTable("Results", "alpha", "speedup")
-	tab.AddRow(16, 1.25)
-	tab.AddRow(256, 0.5)
-	s := tab.String()
-	if !strings.Contains(s, "Results") || !strings.Contains(s, "alpha") {
-		t.Fatalf("missing title/header:\n%s", s)
-	}
-	if !strings.Contains(s, "1.250") || !strings.Contains(s, "256") {
-		t.Fatalf("missing cells:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 5 { // title, header, rule, 2 rows
-		t.Fatalf("got %d lines:\n%s", len(lines), s)
-	}
-}
-
-// TestTableWideRow is the regression test for the writeRow panic: a row
-// with more cells than headers used to index past the widths slice.
-func TestTableWideRow(t *testing.T) {
-	tab := NewTable("Wide", "a", "b")
-	tab.AddRow(1, 2, 3, "extra")
-	tab.AddRow("longer-cell-than-header", 2)
-	s := tab.String() // must not panic
-	if !strings.Contains(s, "extra") || !strings.Contains(s, "longer-cell-than-header") {
-		t.Fatalf("cells missing:\n%s", s)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Add("reads", 3)
-	c.Add("reads", 2)
-	c.Add("writes", 1)
-	if c.Get("reads") != 5 || c.Get("writes") != 1 || c.Get("absent") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	if got := c.String(); got != "reads=5 writes=1" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestCountersNegativeDeltaPanics(t *testing.T) {
-	c := NewCounters()
-	c.Add("ok", 0) // zero delta is allowed
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for negative delta on monotonic counter")
-		}
-	}()
-	c.Add("reads", -1)
-}
-
-func TestSummary(t *testing.T) {
-	samples := []sim.Duration{50, 10, 40, 20, 30}
-	s := NewSummary(samples)
-	if s.Count() != 5 || s.Min() != 10 || s.Max() != 50 || s.Mean() != 30 {
-		t.Fatalf("Count/Min/Max/Mean = %d/%v/%v/%v", s.Count(), s.Min(), s.Max(), s.Mean())
-	}
-	if s.P50() != 30 || s.P90() != 50 || s.P99() != 50 {
-		t.Fatalf("P50/P90/P99 = %v/%v/%v", s.P50(), s.P90(), s.P99())
-	}
-	// Summary and the package-level Percentile must agree at every rank.
-	for _, q := range []float64{0, 20, 50, 90, 99, 100} {
-		if s.Percentile(q) != Percentile(samples, q) {
-			t.Fatalf("Summary.Percentile(%v) disagrees with Percentile", q)
-		}
-	}
-	if samples[0] != 50 {
-		t.Error("NewSummary mutated its input")
-	}
-	empty := NewSummary(nil)
-	if empty.Count() != 0 || empty.P99() != 0 || empty.Mean() != 0 {
-		t.Error("empty summary must report zeros")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	samples := []sim.Duration{50, 10, 40, 20, 30} // sorted: 10..50
-	cases := []struct {
-		q    float64
-		want sim.Duration
-	}{
-		{0, 10}, {100, 50}, {50, 30}, {99, 50}, {20, 10},
-	}
-	for _, c := range cases {
-		if got := Percentile(samples, c.q); got != c.want {
-			t.Errorf("P%.0f = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile not 0")
-	}
-	// Input must not be mutated (sorted copy).
-	if samples[0] != 50 {
-		t.Error("Percentile mutated its input")
 	}
 }
 

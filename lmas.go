@@ -37,8 +37,8 @@ import (
 	"lmas/internal/extsort"
 	"lmas/internal/functor"
 	"lmas/internal/loadmgr"
-	"lmas/internal/metrics"
 	"lmas/internal/onepass"
+	"lmas/internal/plot"
 	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/rtree"
@@ -201,7 +201,7 @@ type (
 	Fig10Options = experiments.Fig10Options
 	Fig10Result  = experiments.Fig10Result
 	// Table is a rendered results table.
-	Table = metrics.Table
+	Table = plot.Table
 )
 
 // RunFig9 reproduces Figure 9 (speedup vs ASUs per α, plus adaptive).
