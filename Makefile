@@ -1,7 +1,7 @@
 # Convenience targets for the lmas emulation library. Everything here is a
 # thin wrapper over the go tool; no target is required by CI or the build.
 
-.PHONY: all build test race bench bench-smoke bench-allocs baseline tables monitor perf perf-compare
+.PHONY: all build test race bench bench-smoke bench-allocs baseline tables monitor perf perf-compare loc
 
 all: build
 
@@ -79,3 +79,8 @@ perf:
 perf-compare:
 	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then echo "usage: make perf-compare A=runs_a.jsonl B=runs_b.jsonl"; exit 2; fi
 	go run ./perf compare $(A) $(B)
+
+# The size every simplicity PR quotes: lines of non-test Go outside perf/
+# (comments and blanks included — a PR may not shrink it by deleting those).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perf/*' | xargs cat | wc -l

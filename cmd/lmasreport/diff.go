@@ -11,13 +11,59 @@ import (
 	"lmas/internal/telemetry"
 )
 
+// comparison is the flags and the body `diff` and `query gate` share: the two
+// commands differ only in how BASE and NEW are spelled on the command line.
+type comparison struct {
+	rt, p99 *float64
+	quiet   *bool
+}
+
+func bindComparison(fs *flag.FlagSet) comparison {
+	return comparison{
+		rt: fs.Float64("runtime-threshold", telemetry.DefaultDiffOptions().RuntimeThreshold,
+			"relative runtime growth that counts as a regression"),
+		p99: fs.Float64("p99-threshold", 0,
+			"relative p99 latency growth that counts as a regression (0 = informational only)"),
+		quiet: fs.Bool("q", false, "print only regressions and the verdict"),
+	}
+}
+
+// run loads base and next — experiment names in st, or report files when st
+// is nil — prints their diff and exits 1 when a regression is past threshold.
+func (c comparison) run(cmd string, st *recorder.Store, base, next string) error {
+	load := func(side, name string) (*telemetry.Trajectory, error) {
+		if st != nil {
+			return storeTrajectory(st, name)
+		}
+		tr, err := telemetry.ReadFile(name)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", side, err)
+		}
+		return tr, nil
+	}
+	baseTr, err := load("base", base)
+	if err != nil {
+		return err
+	}
+	nextTr, err := load("new", next)
+	if err != nil {
+		return err
+	}
+	res := telemetry.Diff(baseTr, nextTr, telemetry.DiffOptions{
+		RuntimeThreshold: *c.rt,
+		P99Threshold:     *c.p99,
+	})
+	if n := renderDiff(res, base, next, *c.quiet); n > 0 {
+		fmt.Fprintf(os.Stderr, "lmasreport %s: %d regression(s) past threshold\n", cmd, n)
+		os.Exit(1)
+	}
+	fmt.Println("no regressions past thresholds")
+	return nil
+}
+
 func runDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	rt := fs.Float64("runtime-threshold", telemetry.DefaultDiffOptions().RuntimeThreshold,
-		"relative runtime growth that counts as a regression")
-	p99 := fs.Float64("p99-threshold", 0,
-		"relative p99 latency growth that counts as a regression (0 = informational only)")
-	quiet := fs.Bool("q", false, "print only regressions and the verdict")
+	cmp := bindComparison(fs)
 	store := fs.String("store", "",
 		"read BASE and NEW as experiment names from this run store instead of report files")
 	names := parseMixed(fs, args)
@@ -27,44 +73,18 @@ func runDiff(args []string) error {
 		}
 		return fmt.Errorf("diff: want BASE and NEW report files, have %d arg(s)", len(names))
 	}
-	var base, next *telemetry.Trajectory
+	var st *recorder.Store
 	if *store != "" {
-		st, err := openStoreRead(*store)
-		if err != nil {
-			return err
-		}
-		if base, err = storeTrajectory(st, names[0]); err != nil {
-			return err
-		}
-		if next, err = storeTrajectory(st, names[1]); err != nil {
-			return err
-		}
-	} else {
 		var err error
-		if base, err = telemetry.ReadFile(names[0]); err != nil {
-			return fmt.Errorf("base: %w", err)
-		}
-		if next, err = telemetry.ReadFile(names[1]); err != nil {
-			return fmt.Errorf("new: %w", err)
+		if st, err = openStoreRead(*store); err != nil {
+			return err
 		}
 	}
-
-	res := telemetry.Diff(base, next, telemetry.DiffOptions{
-		RuntimeThreshold: *rt,
-		P99Threshold:     *p99,
-	})
-	if n := renderDiff(res, names[0], names[1], *quiet); n > 0 {
-		fmt.Fprintf(os.Stderr, "lmasreport diff: %d regression(s) past threshold\n", n)
-		os.Exit(1)
-	}
-	fmt.Println("no regressions past thresholds")
-	return nil
+	return cmp.run("diff", st, names[0], names[1])
 }
 
 // renderDiff prints the comparison table and any missing-run notes, and
-// returns the number of regressions past threshold. Shared by `diff` and
-// `query gate` so the store-backed verdict is computed by exactly the same
-// code as the file-based CI gate.
+// returns the number of regressions past threshold.
 func renderDiff(res *telemetry.DiffResult, from, to string, quiet bool) int {
 	shown := 0
 	t := plot.NewTable(fmt.Sprintf("Diff %s -> %s", from, to),

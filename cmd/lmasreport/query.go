@@ -291,15 +291,14 @@ func queryPrune(dir string, args []string) error {
 	return nil
 }
 
+// queryGate is `diff -store DIR BASE NEW` with the experiments named by flag:
+// the store-backed verdict is computed by the same code as the file-based CI
+// gate.
 func queryGate(dir string, args []string) error {
 	fs := flag.NewFlagSet("query gate", flag.ExitOnError)
 	base := fs.String("base", "", "baseline experiment name")
 	next := fs.String("new", "", "candidate experiment name")
-	rt := fs.Float64("runtime-threshold", telemetry.DefaultDiffOptions().RuntimeThreshold,
-		"relative runtime growth that counts as a regression")
-	p99 := fs.Float64("p99-threshold", 0,
-		"relative p99 latency growth that counts as a regression (0 = informational only)")
-	quiet := fs.Bool("q", false, "print only regressions and the verdict")
+	cmp := bindComparison(fs)
 	if pos := parseMixed(fs, args); len(pos) != 0 {
 		return fmt.Errorf("query gate: unexpected argument %q", pos[0])
 	}
@@ -310,24 +309,7 @@ func queryGate(dir string, args []string) error {
 	if err != nil {
 		return err
 	}
-	baseTr, err := storeTrajectory(st, *base)
-	if err != nil {
-		return err
-	}
-	newTr, err := storeTrajectory(st, *next)
-	if err != nil {
-		return err
-	}
-	res := telemetry.Diff(baseTr, newTr, telemetry.DiffOptions{
-		RuntimeThreshold: *rt,
-		P99Threshold:     *p99,
-	})
-	if n := renderDiff(res, *base, *next, *quiet); n > 0 {
-		fmt.Fprintf(os.Stderr, "lmasreport query gate: %d regression(s) past threshold\n", n)
-		os.Exit(1)
-	}
-	fmt.Println("no regressions past thresholds")
-	return nil
+	return cmp.run("query gate", st, *base, *next)
 }
 
 func queryImport(dir string, args []string) error {

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"lmas/internal/recorder"
+	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 )
 
@@ -53,5 +56,58 @@ func TestQueryToleratesUnreadableSegments(t *testing.T) {
 	err = runQuery([]string{dir, "gate", "-base", "exp", "-new", "exp"})
 	if err == nil || !strings.Contains(err.Error(), "exp-killed-0000.jsonl") {
 		t.Errorf("query gate = %v, want an error naming the unreadable segment", err)
+	}
+}
+
+// TestGateAndStoreDiffAgree: `query STORE gate -base A -new B` and
+// `diff -store STORE A B` are two spellings of one command — same stdout and
+// same exit code, with and without a regression past threshold.
+func TestGateAndStoreDiffAgree(t *testing.T) {
+	dir := t.TempDir()
+	st, err := recorder.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for exp, elapsed := range map[string]sim.Duration{
+		"base": 100 * sim.Millisecond,
+		"same": 100 * sim.Millisecond,
+		"slow": 150 * sim.Millisecond,
+	} {
+		rec := st.NewRun()
+		rec.Begin(&recorder.Header{Experiment: exp, Name: "cell"})
+		rec.Finish(telemetry.NewRunReport("cell", 1, elapsed))
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) (stdout string, code int) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return string(out), cmd.ProcessState.ExitCode()
+	}
+	for _, tc := range []struct {
+		next string
+		code int
+		want string
+	}{
+		{"same", 0, "no regressions past thresholds"},
+		{"slow", 1, "REGRESSED"},
+	} {
+		gateOut, gateCode := run("query", dir, "gate", "-base", "base", "-new", tc.next)
+		diffOut, diffCode := run("diff", "-store", dir, "base", tc.next)
+		if gateCode != tc.code || diffCode != tc.code {
+			t.Errorf("base vs %s: gate exit %d, diff exit %d, want %d", tc.next, gateCode, diffCode, tc.code)
+		}
+		if gateOut != diffOut {
+			t.Errorf("base vs %s: stdout differs\ngate:\n%s\ndiff:\n%s", tc.next, gateOut, diffOut)
+		}
+		if !strings.Contains(gateOut, tc.want) {
+			t.Errorf("base vs %s: stdout lacks %q:\n%s", tc.next, tc.want, gateOut)
+		}
 	}
 }

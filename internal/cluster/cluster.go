@@ -142,9 +142,10 @@ type Params struct {
 	Costs      CostModel
 
 	// UtilWindow is the window width of the per-node CPU, disk and NIC
-	// utilization traces — the one place it is set. Positive: New installs
-	// the traces (Figure 10 reads them off a bare cluster). Zero: there are
-	// none until AttachTelemetry installs them at 100ms.
+	// utilization traces — the one place it is set. Positive: every cluster
+	// built from these Params has the traces (Figure 10 reads them off a
+	// bare cluster). Zero: a cluster built with Observers.Telemetry has
+	// them at 100ms, a bare one has none.
 	UtilWindow sim.Duration
 
 	// IsolationQuantum, when positive, enables performance isolation
@@ -220,8 +221,8 @@ type Node struct {
 	Quantum sim.Duration
 
 	// CPUTrace, DiskTrace and NICTrace are the node's windowed utilization
-	// traces, installed together by installUtilTraces (nil until then;
-	// DiskTrace stays nil on hosts).
+	// traces, installed together when the cluster is built (nil on a bare
+	// cluster without Params.UtilWindow; DiskTrace stays nil on hosts).
 	CPUTrace, DiskTrace, NICTrace *telemetry.UtilTrace
 }
 
@@ -273,12 +274,6 @@ func (n *Node) ServeRequest(p *sim.Proc, ops float64) {
 	n.chargeCPU(p, d)
 }
 
-// ComputeDuration reports how long ops of work takes on this node when the
-// CPU is otherwise idle.
-func (n *Node) ComputeDuration(ops float64) sim.Duration {
-	return sim.Duration(ops / n.OpsPerSec * float64(sim.Second))
-}
-
 func (n *Node) String() string { return n.Name }
 
 // Cluster is a built emulated system.
@@ -289,23 +284,16 @@ type Cluster struct {
 	Hosts  []*Node
 	ASUs   []*Node
 
-	// Telemetry is the run's instrument registry; nil (the default) means
-	// telemetry is off and instrumented code no-ops. Set via AttachTelemetry.
+	// Telemetry and Profiler are fixed by NewObserved and read-only
+	// afterwards. Telemetry is the instrument registry (nil: instrumented
+	// code no-ops), Profiler the latency-attribution engine (nil: one
+	// pointer check).
 	Telemetry *telemetry.Registry
+	Profiler  *critpath.Profiler
 
-	// Profiler is the run's latency-attribution engine; nil (the default)
-	// means attribution is off and instrumented code pays one pointer
-	// check. Set via AttachProfiler.
-	Profiler *critpath.Profiler
-
-	// Recorder is the run's record stream; nil (the default) means the run
-	// is not being recorded. Set via AttachRecorder (sampler.go).
-	Recorder recorder.Recorder
-
-	samplers   []*clusterSampler
-	queues     []SampledQueue // watched by the samplers, in registration order
-	stages     []stageProbe
-	wantProbes bool // a sampler is attached: WatchQueue / WatchStage register
+	samplers []*clusterSampler // recorder and gauge daemons, until FinishSampling
+	queues   []SampledQueue    // watched by the samplers, in registration order
+	stages   []stageProbe
 
 	// lastSched remembers the scheduler-tier counters already copied into
 	// the telemetry registry, so repeated BuildReport calls add deltas
@@ -313,61 +301,160 @@ type Cluster struct {
 	lastSched sim.SchedStats
 }
 
-// New builds a cluster on a fresh simulator. It panics if p is invalid; use
-// Params.Validate to check first.
-func New(p Params) *Cluster {
+// Observers is everything that watches a run. The set is fixed when the
+// cluster is built — NewObserved wires all of it before any proc exists —
+// and every member is a pure observer of state the simulation already
+// computes: no combination moves virtual time or changes another observer's
+// output. The zero value is a bare cluster.
+type Observers struct {
+	// Telemetry is the instrument registry; with it every node also gets
+	// utilization traces (Params.UtilWindow wide, 100ms when that is zero).
+	Telemetry *telemetry.Registry
+	// Trace receives the kernel's, the devices' and the pipelines' events.
+	Trace *trace.Sink
+	// Critpath attaches a critical-path profiler (Cluster.Profiler).
+	Critpath bool
+	// Recorder streams the run into a record: one Sample per SampleEvery
+	// (0 means 100ms of virtual time) with per-node utilization, queue
+	// depths and latency quantiles, every load-manager decision as it is
+	// logged (they reach the recorder through Telemetry), and every Trace
+	// event as a Span. The caller has already sent it the run's Header, and
+	// passes it the finished report itself after FinishSampling.
+	Recorder    recorder.Recorder
+	SampleEvery sim.Duration
+	// GaugeEvery, when positive, additionally emits the periodic
+	// observations as Telemetry gauges — node.<name>.cpu.busy_sec
+	// (cumulative completed busy time), queue.<name>.depth / .high_water
+	// and stage.<name>.records_in — so they land in the RunReport
+	// (`dsmsort -progress` renders its table from them). Off by default: it
+	// grows the report, so runs without it stay byte-identical to the
+	// committed baselines. Ignored without Telemetry.
+	GaugeEvery sim.Duration
+}
+
+// New builds a bare cluster: NewObserved with nothing watching.
+func New(p Params) *Cluster { return NewObserved(p, Observers{}) }
+
+// NewObserved builds a cluster on a fresh simulator with obs wired in. It
+// panics if p is invalid; use Params.Validate to check first. Call
+// FinishSampling after Sim.Run returns and before BuildReport.
+func NewObserved(p Params, obs Observers) *Cluster {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	s := sim.New()
 	c := &Cluster{Params: p, Sim: s, Net: netsim.New(s, p.NetLatency)}
-	for i := 0; i < p.Hosts; i++ {
-		name := fmt.Sprintf("host%d", i)
+	node := func(kind NodeKind, i int, opsPerSec float64, memRecs int) *Node {
+		name := fmt.Sprintf("%v%d", kind, i)
 		n := &Node{
 			Name:      name,
-			Kind:      Host,
+			Kind:      kind,
 			Index:     i,
 			Part:      s.AddPartition(),
 			CPU:       sim.NewResource(s, name+".cpu"),
-			OpsPerSec: p.HostOpsPerSec,
+			OpsPerSec: opsPerSec,
 			NIC:       netsim.NewIface(s, name+".nic", p.NetBandwidth),
-			MemRecs:   p.HostMemRecords,
+			MemRecs:   memRecs,
 			Quantum:   p.IsolationQuantum,
 		}
-		c.Hosts = append(c.Hosts, n)
+		if kind == ASU {
+			n.Disk = disk.New(s, name+".disk", p.DiskRate)
+			n.Disk.SetSeek(p.DiskSeek)
+		}
+		return n
+	}
+	for i := 0; i < p.Hosts; i++ {
+		c.Hosts = append(c.Hosts, node(Host, i, p.HostOpsPerSec, p.HostMemRecords))
 	}
 	for i := 0; i < p.ASUs; i++ {
-		name := fmt.Sprintf("asu%d", i)
-		n := &Node{
-			Name:      name,
-			Kind:      ASU,
-			Index:     i,
-			Part:      s.AddPartition(),
-			CPU:       sim.NewResource(s, name+".cpu"),
-			OpsPerSec: p.HostOpsPerSec / p.C,
-			Disk:      newDisk(s, name+".disk", p),
-			NIC:       netsim.NewIface(s, name+".nic", p.NetBandwidth),
-			MemRecs:   p.ASUMemRecords,
-			Quantum:   p.IsolationQuantum,
-		}
-		c.ASUs = append(c.ASUs, n)
+		c.ASUs = append(c.ASUs, node(ASU, i, p.HostOpsPerSec/p.C, p.ASUMemRecords))
 	}
-	if p.UtilWindow > 0 {
-		c.installUtilTraces(p.UtilWindow)
-	}
+	c.observe(obs)
 	return c
 }
 
-func newDisk(s *sim.Sim, name string, p Params) *disk.Disk {
-	d := disk.New(s, name, p.DiskRate)
-	d.SetSeek(p.DiskSeek)
-	return d
+// observe wires obs into a cluster that has no proc yet. The order is fixed
+// and load-bearing for byte-identical output: node tracks are registered
+// before any proc's (track ids), the recorder's sampler daemon is spawned
+// before the gauge sampler's (proc and track order), and the trace stream is
+// connected before either, so their spawn instants reach the recorder like
+// every later event.
+func (c *Cluster) observe(obs Observers) {
+	window := c.Params.UtilWindow
+	if window == 0 && obs.Telemetry != nil {
+		window = 100 * sim.Millisecond
+	}
+	if window > 0 {
+		c.installUtilTraces(window)
+	}
+	c.Telemetry = obs.Telemetry
+	if t := obs.Trace; t != nil {
+		c.Sim.SetTracer(t)
+		// Eager registration, hosts first, pins the track numbering: the same
+		// workload on the same seed exports a byte-identical trace regardless
+		// of which resource happens to record first.
+		for _, n := range c.Nodes() {
+			t.SharedTrack(n.Name, n.Name+".cpu")
+			if n.Disk != nil {
+				t.SharedTrack(n.Name, n.Name+".disk")
+			}
+			t.SharedTrack(n.Name, n.Name+".nic")
+		}
+	}
+	if obs.Critpath {
+		c.Profiler = critpath.New()
+		c.Sim.SetProfiler(c.Profiler)
+	}
+	if rec := obs.Recorder; rec != nil {
+		c.Telemetry.SetOnDecide(func(d telemetry.Decision) {
+			ev := recorder.Event{T: d.T, Kind: "decision", Source: d.Source, Action: d.Action, Detail: d.Detail}
+			if len(d.Readings) > 0 {
+				ev.Fields = make(map[string]float64, len(d.Readings))
+				for _, rd := range d.Readings {
+					ev.Fields[rd.Key] = rd.Value
+				}
+			}
+			rec.Event(ev)
+		})
+		// Event order is deterministic, so the streamed spans keep segments
+		// deterministic below the header. args is reused for every event:
+		// Recorder.Span does not retain it.
+		var args []recorder.SpanArg
+		obs.Trace.SetStreamer(func(e trace.StreamEvent) {
+			sp := recorder.Span{
+				T:     e.TS,
+				DurNs: e.Dur,
+				Ph:    string(e.Ph),
+				Group: e.Group,
+				Track: e.Track,
+				TID:   e.TID,
+				Name:  e.Name,
+				Cat:   e.Cat,
+			}
+			if len(e.Args) > 0 {
+				args = args[:0]
+				for _, a := range e.Args {
+					args = append(args, recorder.SpanArg(a))
+				}
+				sp.Args = args
+			}
+			rec.Span(sp)
+		})
+		every := obs.SampleEvery
+		if every <= 0 {
+			every = 100 * sim.Millisecond
+		}
+		c.startSampler("recorder.sampler", every, rec, false)
+	}
+	if obs.GaugeEvery > 0 && c.Telemetry != nil {
+		c.startSampler("gauge.sampler", obs.GaugeEvery, nil, true)
+	}
 }
 
 // installUtilTraces is the one owner of the devices' BusyRecorder slots: it
 // gives every node's CPU, disk and NIC a utilization trace of the given
-// window. It runs once per cluster — from New when Params.UtilWindow is set,
-// else from the first AttachTelemetry.
+// window. The recorders only observe busy intervals already being simulated,
+// so the same seed completes at the same instant with or without them.
 func (c *Cluster) installUtilTraces(window sim.Duration) {
 	for _, n := range c.Nodes() {
 		n.CPUTrace = telemetry.NewUtilTrace(n.Name+".cpu", window)
@@ -379,63 +466,6 @@ func (c *Cluster) installUtilTraces(window sim.Duration) {
 		n.NICTrace = telemetry.NewUtilTrace(n.Name+".nic", window)
 		n.NIC.SetRecorder(n.NICTrace)
 	}
-}
-
-// AttachTrace attaches a structured trace sink to the cluster's simulator
-// and pre-registers one track per node resource (cpu, disk, nic) in node
-// order, hosts first. Eager registration pins the track numbering, so the
-// same workload on the same seed exports a byte-identical trace regardless
-// of which resource happens to record first. Attach before spawning procs:
-// a proc's track is created when it is spawned.
-func (c *Cluster) AttachTrace(t *trace.Sink) {
-	c.Sim.SetTracer(t)
-	if t == nil {
-		return
-	}
-	for _, n := range c.Nodes() {
-		t.SharedTrack(n.Name, n.Name+".cpu")
-		if n.Disk != nil {
-			t.SharedTrack(n.Name, n.Name+".disk")
-		}
-		t.SharedTrack(n.Name, n.Name+".nic")
-	}
-	c.wireTraceStream()
-}
-
-// wireTraceStream connects an attached trace sink to an attached recorder so
-// every trace event also lands in the run record as a Span. Called from both
-// AttachTrace and AttachRecorder, so either attach order works; the sink
-// replays already-buffered events on hookup, so nothing is lost either way.
-// Event order is deterministic, so the streamed spans keep segments
-// deterministic below the header.
-func (c *Cluster) wireTraceStream() {
-	t := c.Sim.Tracer()
-	rec := c.Recorder
-	if t == nil || rec == nil {
-		return
-	}
-	// args is reused for every event: Recorder.Span does not retain it.
-	var args []recorder.SpanArg
-	t.SetStreamer(func(e trace.StreamEvent) {
-		sp := recorder.Span{
-			T:     e.TS,
-			DurNs: e.Dur,
-			Ph:    string(e.Ph),
-			Group: e.Group,
-			Track: e.Track,
-			TID:   e.TID,
-			Name:  e.Name,
-			Cat:   e.Cat,
-		}
-		if len(e.Args) > 0 {
-			args = args[:0]
-			for _, a := range e.Args {
-				args = append(args, recorder.SpanArg(a))
-			}
-			sp.Args = args
-		}
-		rec.Span(sp)
-	})
 }
 
 // Nodes returns all nodes, hosts first.
@@ -451,38 +481,10 @@ func (c *Cluster) Touch(n *Node) float64 {
 	return c.Params.Costs.Touch(n.Kind, c.Params.RecordSize)
 }
 
-// AttachTelemetry installs an instrument registry and makes sure every
-// node's CPU, disk and NIC has a utilization trace (Params.UtilWindow wide,
-// 100ms when that is zero). Call before spawning workload procs. The
-// recorders and instruments only observe busy intervals already being
-// simulated, so attaching telemetry never changes virtual-time behaviour: the
-// same seed completes at the same instant with or without it.
-func (c *Cluster) AttachTelemetry(reg *telemetry.Registry) {
-	c.Telemetry = reg
-	if reg != nil && c.Hosts[0].CPUTrace == nil {
-		c.installUtilTraces(100 * sim.Millisecond)
-	}
-}
-
-// AttachProfiler installs a critical-path profiler on the cluster and its
-// simulator; nil detaches. Like telemetry, the profiler is a pure observer
-// of intervals the simulation already computes, so attaching it never
-// changes virtual-time behaviour. Attach before spawning workload procs so
-// every hand-off is seen.
-func (c *Cluster) AttachProfiler(pf *critpath.Profiler) {
-	c.Profiler = pf
-	if pf == nil {
-		c.Sim.SetProfiler(nil) // avoid a typed-nil interface in the sim
-		return
-	}
-	c.Sim.SetProfiler(pf)
-}
-
-// Config snapshots the cluster's parameters in report form. It is the same
-// value BuildReport stamps on the report, exposed separately so a run
-// recorder can hash and store the configuration before the run starts.
-func (c *Cluster) Config() telemetry.ClusterConfig {
-	p := c.Params
+// Config snapshots the parameters in report form. It is the same value
+// BuildReport stamps on the report, available before the cluster exists so a
+// run's store header can hash and carry the configuration.
+func (p Params) Config() telemetry.ClusterConfig {
 	return telemetry.ClusterConfig{
 		Hosts:         p.Hosts,
 		ASUs:          p.ASUs,
@@ -501,7 +503,7 @@ func (c *Cluster) Config() telemetry.ClusterConfig {
 // the decision audit log into a RunReport.
 func (c *Cluster) BuildReport(name string, seed int64, elapsed sim.Duration) *telemetry.RunReport {
 	rep := telemetry.NewRunReport(name, seed, elapsed)
-	rep.Config = c.Config()
+	rep.Config = c.Params.Config()
 	for _, n := range c.Nodes() {
 		rep.Nodes = append(rep.Nodes, telemetry.NodeReport{
 			Name:      n.Name,

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"lmas/internal/recorder"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
+	"lmas/internal/trace"
 )
 
 func TestNewBuildsRequestedShape(t *testing.T) {
@@ -118,36 +120,126 @@ func TestUtilTraceAttached(t *testing.T) {
 	}
 }
 
-// TestUtilTracesInstalledOnce: the cluster owns the devices' recorder slots.
-// Params.UtilWindow installs cpu, disk and nic traces at New and a later
-// AttachTelemetry keeps them (and their window); without the field,
-// AttachTelemetry installs them at 100ms, and a second attach changes nothing.
+// TestUtilTracesInstalledOnce: the cluster owns the devices' recorder slots
+// and fills them when it is built — Params.UtilWindow wide when that is set
+// (a registry does not change the window), 100ms when only a registry is
+// given, and not at all on a bare cluster.
 func TestUtilTracesInstalledOnce(t *testing.T) {
 	p := DefaultParams()
 	p.UtilWindow = 10 * sim.Millisecond
-	c := New(p)
-	asu := c.ASUs[0]
-	cpu, dsk, nic := asu.CPUTrace, asu.DiskTrace, asu.NICTrace
-	if cpu == nil || dsk == nil || nic == nil || c.Hosts[0].DiskTrace != nil {
-		t.Fatalf("New with UtilWindow: cpu=%v disk=%v nic=%v host disk=%v", cpu, dsk, nic, c.Hosts[0].DiskTrace)
-	}
-	c.AttachTelemetry(telemetry.NewRegistry())
-	if asu.CPUTrace != cpu || asu.DiskTrace != dsk || asu.NICTrace != nic || cpu.Window != p.UtilWindow {
-		t.Fatal("AttachTelemetry replaced the traces New installed")
+	for _, obs := range []Observers{{}, {Telemetry: telemetry.NewRegistry()}} {
+		c := NewObserved(p, obs)
+		asu := c.ASUs[0]
+		cpu, dsk, nic := asu.CPUTrace, asu.DiskTrace, asu.NICTrace
+		if cpu == nil || dsk == nil || nic == nil || c.Hosts[0].DiskTrace != nil {
+			t.Fatalf("UtilWindow set: cpu=%v disk=%v nic=%v host disk=%v", cpu, dsk, nic, c.Hosts[0].DiskTrace)
+		}
+		if cpu.Window != p.UtilWindow || dsk.Window != p.UtilWindow || nic.Window != p.UtilWindow {
+			t.Fatalf("UtilWindow %v: trace windows %v %v %v", p.UtilWindow, cpu.Window, dsk.Window, nic.Window)
+		}
 	}
 
-	c = New(DefaultParams())
-	if c.ASUs[0].CPUTrace != nil {
-		t.Fatal("bare cluster has a utilization trace")
-	}
-	c.AttachTelemetry(telemetry.NewRegistry())
-	cpu = c.ASUs[0].CPUTrace
+	c := NewObserved(DefaultParams(), Observers{Telemetry: telemetry.NewRegistry()})
+	cpu := c.ASUs[0].CPUTrace
 	if cpu == nil || cpu.Window != 100*sim.Millisecond || c.ASUs[0].DiskTrace == nil || c.Hosts[0].NICTrace == nil {
-		t.Fatal("AttachTelemetry did not install 100ms traces on every device")
+		t.Fatal("a registry did not bring 100ms traces on every device")
 	}
-	c.AttachTelemetry(telemetry.NewRegistry())
-	if c.ASUs[0].CPUTrace != cpu {
-		t.Fatal("a second AttachTelemetry replaced the traces")
+
+	// perf's bare stage spans build bare clusters: they must stay trace-free.
+	for _, n := range New(DefaultParams()).Nodes() {
+		if n.CPUTrace != nil || n.DiskTrace != nil || n.NICTrace != nil {
+			t.Fatalf("bare cluster: %s has a utilization trace", n.Name)
+		}
+	}
+}
+
+// TestEveryObserverStreamsEachEventOnce builds a cluster with all six
+// observers on and drives every traced layer (procs, CPU holds, disk, NIC, a
+// watched queue, a logged decision): the stored segment holds exactly the
+// sink's events as spans — none lost before the samplers' spawn instants, none
+// replayed — beside the samples and the decision, and the gauges reached the
+// report.
+func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
+	st, err := recorder.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := st.NewRun()
+	rec.Begin(&recorder.Header{Experiment: "exp", Name: "all"})
+	sink := trace.New()
+	reg := telemetry.NewRegistry()
+	p := DefaultParams()
+	p.ASUs = 2
+	c := NewObserved(p, Observers{
+		Telemetry:   reg,
+		Trace:       sink,
+		Critpath:    true,
+		Recorder:    rec,
+		SampleEvery: 10 * sim.Millisecond,
+		GaugeEvery:  10 * sim.Millisecond,
+	})
+	if c.Profiler == nil || c.Sim.Profiler() == nil || c.Sim.Tracer() != sink {
+		t.Fatal("an observer was not wired in")
+	}
+	q := sim.NewQueue[int](c.Sim, "q", 4)
+	c.WatchQueue(q)
+	host, asu := c.Hosts[0], c.ASUs[0]
+	c.Sim.SpawnOn(asu.Part, "producer", func(pr *sim.Proc) {
+		for i := 0; i < 8; i++ {
+			asu.Disk.Read(pr, 1<<20)
+			asu.Compute(pr, 1e4)
+			c.Net.Stream(pr, asu.NIC, host.NIC, 1<<16)
+			q.Put(pr, i)
+		}
+		q.Close()
+	})
+	c.Sim.SpawnOn(host.Part, "consumer", func(pr *sim.Proc) {
+		for {
+			if _, ok := q.Get(pr); !ok {
+				break
+			}
+			host.Compute(pr, 1e5)
+		}
+		reg.Decide(pr.Now(), "test", "done", "")
+	})
+	if err := c.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := sim.Duration(c.Sim.Now())
+	c.FinishSampling()
+	rep := c.BuildReport("all", 1, elapsed)
+	rec.Finish(rep)
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := st.Runs()
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("store: %d runs, err %v", len(runs), err)
+	}
+	run := runs[0]
+	if got, want := len(run.Spans()), sink.Events(); got != want || want == 0 {
+		t.Errorf("segment holds %d spans, sink recorded %d events", got, want)
+	}
+	if first := run.Spans()[0]; first.Track != "recorder.sampler" || first.Name != "spawn" {
+		t.Errorf("first span = %s on %q, want the recorder sampler's spawn instant", first.Name, first.Track)
+	}
+	if len(run.Samples()) < int(elapsed/(10*sim.Millisecond)) {
+		t.Errorf("%d samples over %v at 10ms", len(run.Samples()), elapsed)
+	}
+	if evs := run.Events(); len(evs) != 1 || evs[0].Action != "done" {
+		t.Errorf("events = %+v, want the one decision", evs)
+	}
+	if rep.Critpath == nil {
+		t.Error("report has no critpath section")
+	}
+	gauges := map[string]bool{}
+	for _, g := range rep.Gauges {
+		gauges[g.Name] = true
+	}
+	for _, want := range []string{"node.host0.cpu.busy_sec", "queue.q.depth"} {
+		if !gauges[want] {
+			t.Errorf("report lacks gauge %s", want)
+		}
 	}
 }
 

@@ -3,15 +3,15 @@ package cluster
 import (
 	"lmas/internal/recorder"
 	"lmas/internal/sim"
-	"lmas/internal/telemetry"
 )
 
-// This file wires the run-record layer into the cluster: a daemon proc per
-// attachment wakes on a virtual-time interval and snapshots per-node busy
-// time and the watched queues and stages. Daemons never extend a run (Sim.Run
-// ends when the last workload event dispatches; see sim daemon support), and
-// the snapshot only reads state the simulation already computes, so attaching
-// a recorder or periodic gauges keeps virtual time byte-identical.
+// This file is the cluster's periodic observers (Observers.Recorder and
+// Observers.GaugeEvery): a daemon proc for each wakes on a virtual-time
+// interval and snapshots per-node busy time and the watched queues and
+// stages. Daemons never extend a run (Sim.Run ends when the last workload
+// event dispatches; see sim daemon support), and the snapshot only reads
+// state the simulation already computes, so a recorder or periodic gauges
+// keep virtual time byte-identical.
 
 // SampledQueue is what the samplers read of a queue; every *sim.Queue[T] is
 // one.
@@ -21,12 +21,12 @@ type SampledQueue interface {
 	WaitStats() (cumWait sim.Duration, highWater int)
 }
 
-// WatchQueue registers q for periodic sampling; a no-op unless a sampler is
-// attached. Workloads register their queues as they build them, so
+// WatchQueue registers q for periodic sampling; a no-op on a cluster built
+// without a sampler. Workloads register their queues as they build them, so
 // registration order — and with it the sample order — is deterministic for a
 // given workload.
 func (c *Cluster) WatchQueue(q SampledQueue) {
-	if c.wantProbes {
+	if len(c.samplers) > 0 {
 		c.queues = append(c.queues, q)
 	}
 }
@@ -41,7 +41,7 @@ type stageProbe struct {
 // under the same rules as WatchQueue. Only the gauge sampler reads it
 // (stage.<name>.records_in): the run record's sample lines keep their shape.
 func (c *Cluster) WatchStage(name string, records func() int64) {
-	if c.wantProbes {
+	if len(c.samplers) > 0 {
 		c.stages = append(c.stages, stageProbe{name: name, records: records})
 	}
 }
@@ -59,53 +59,11 @@ func (c *Cluster) FlushQueueStats(q SampledQueue) {
 	c.Telemetry.Gauge("queue."+q.Name()+".high_water").Set(now, float64(high))
 }
 
-// AttachRecorder streams the run into rec: one Sample per interval (0 means
-// 100ms of virtual time) with per-node utilization and queue depths, plus
-// every load-manager decision as it is logged. Attach after AttachTelemetry
-// (decisions reach the recorder through the registry) and before spawning
-// workload procs. Call FinishSampling after Sim.Run and before
-// BuildReport; the harness passes the finished report to rec.Finish itself.
-func (c *Cluster) AttachRecorder(rec recorder.Recorder, every sim.Duration) {
-	if rec == nil {
-		return
-	}
-	if every <= 0 {
-		every = 100 * sim.Millisecond
-	}
-	c.Recorder = rec
-	c.wantProbes = true
-	c.Telemetry.SetOnDecide(func(d telemetry.Decision) {
-		ev := recorder.Event{T: d.T, Kind: "decision", Source: d.Source, Action: d.Action, Detail: d.Detail}
-		if len(d.Readings) > 0 {
-			ev.Fields = make(map[string]float64, len(d.Readings))
-			for _, rd := range d.Readings {
-				ev.Fields[rd.Key] = rd.Value
-			}
-		}
-		rec.Event(ev)
-	})
-	c.startSampler("recorder.sampler", every, rec, false)
-	c.wireTraceStream()
-}
-
-// AttachPeriodicGauges additionally emits the periodic observations as
-// telemetry gauges — node.<name>.cpu.busy_sec (cumulative completed busy
-// time), queue.<name>.depth / .high_water and stage.<name>.records_in — so
-// they land in the RunReport (`dsmsort -progress` renders its table from
-// them). Off by default: it grows the report, so runs without it stay
-// byte-identical to the committed baselines. Requires AttachTelemetry.
-func (c *Cluster) AttachPeriodicGauges(every sim.Duration) {
-	if every <= 0 || c.Telemetry == nil {
-		return
-	}
-	c.wantProbes = true
-	c.startSampler("gauge.sampler", every, nil, true)
-}
-
 // FinishSampling flushes one final observation at the run's end instant and
 // kills the sampler daemons (so sweep cells never leak parked goroutines).
-// Call after Sim.Run returns and before BuildReport. Safe when no sampler is
-// attached.
+// It also disconnects the recorder from the decision log and the trace
+// stream: the run's record is complete. Call after Sim.Run returns and before
+// BuildReport. Safe on a cluster without samplers, and more than once.
 func (c *Cluster) FinishSampling() {
 	now := c.Sim.Now()
 	for _, s := range c.samplers {
@@ -117,11 +75,8 @@ func (c *Cluster) FinishSampling() {
 	c.samplers = nil
 	c.queues = nil
 	c.stages = nil
-	c.wantProbes = false
-	if c.Recorder != nil {
-		c.Telemetry.SetOnDecide(nil)
-		c.Sim.Tracer().SetStreamer(nil)
-	}
+	c.Telemetry.SetOnDecide(nil)
+	c.Sim.Tracer().SetStreamer(nil)
 }
 
 type clusterSampler struct {

@@ -31,8 +31,11 @@ import (
 // that take a *sim.Proc may block that proc; they must be called from the
 // currently running proc.
 type Disk struct {
+	// The device timeline: every transfer is booked where the previous one
+	// ended, so concurrent streams divide the bandwidth.
+	sim.Timeline
+
 	s    *sim.Sim
-	name string
 	rate float64 // bytes per second of virtual time
 	// seek is charged at the start of every cold read (the first read
 	// of a sequential run): arm positioning. Sequential experiments are
@@ -41,8 +44,6 @@ type Disk struct {
 	// expensive on real disks.
 	seek sim.Duration
 
-	busyUntil sim.Time // device timeline: end of last booked transfer
-
 	// defRun is the device-level read stream used by Read/EndReadRun;
 	// independent streams open their own Run with OpenRun.
 	defRun Run
@@ -50,14 +51,9 @@ type Disk struct {
 	// Write-behind state: completion time of the most recent write.
 	writeDone sim.Time
 
-	busy     sim.Duration // accumulated transfer time
-	recorder sim.BusyRecorder
-
 	// Counters.
 	readBytes, writeBytes int64
 	reads, writes         int64
-
-	track trace.Track // cached trace timeline, created on first traced transfer
 }
 
 // Run is the read-ahead state of one sequential read stream: whether the
@@ -77,27 +73,10 @@ func New(s *sim.Sim, name string, rate float64) *Disk {
 	if rate <= 0 {
 		panic("disk: rate must be positive")
 	}
-	d := &Disk{s: s, name: name, rate: rate}
+	d := &Disk{Timeline: sim.NewTimeline(name), s: s, rate: rate}
 	d.defRun.d = d
 	return d
 }
-
-// traceTrack returns d's timeline in t, creating it on first use.
-func (d *Disk) traceTrack(t *trace.Sink) trace.Track {
-	if d.track == 0 {
-		d.track = t.SharedTrack(trace.GroupOf(d.name), d.name)
-	}
-	return d.track
-}
-
-// Name reports the disk's name.
-func (d *Disk) Name() string { return d.name }
-
-// Rate reports the transfer rate in bytes per second.
-func (d *Disk) Rate() float64 { return d.rate }
-
-// SetRecorder attaches rec to receive transfer busy intervals; nil detaches.
-func (d *Disk) SetRecorder(rec sim.BusyRecorder) { d.recorder = rec }
 
 // SetSeek sets the positioning time charged on cold reads (default zero).
 func (d *Disk) SetSeek(seek sim.Duration) {
@@ -107,33 +86,18 @@ func (d *Disk) SetSeek(seek sim.Duration) {
 	d.seek = seek
 }
 
-// Seek reports the configured positioning time.
-func (d *Disk) Seek() sim.Duration { return d.seek }
-
 // xferDur converts a byte count to transfer time.
 func (d *Disk) xferDur(n int) sim.Duration {
 	return sim.Duration(float64(n) / d.rate * float64(sim.Second))
 }
 
-// book reserves the device for a transfer of n bytes starting no earlier
-// than from, returning the transfer interval.
-func (d *Disk) book(from sim.Time, n int) (start, end sim.Time) {
-	return d.bookWithSetup(from, n, 0)
-}
-
-// bookWithSetup additionally occupies the device for a setup time (arm
-// positioning) before the transfer.
-func (d *Disk) bookWithSetup(from sim.Time, n int, setup sim.Duration) (start, end sim.Time) {
-	start = from
-	if d.busyUntil > start {
-		start = d.busyUntil
-	}
+// book reserves the device for a setup time (arm positioning, zero for
+// writes and warm reads) plus a transfer of n bytes, starting no earlier than
+// from, and returns the occupied interval.
+func (d *Disk) book(from sim.Time, n int, setup sim.Duration) (start, end sim.Time) {
+	start = max(from, d.BusyUntil())
 	end = start.Add(setup + d.xferDur(n))
-	d.busyUntil = end
-	d.busy += sim.Duration(end - start)
-	if d.recorder != nil && end > start {
-		d.recorder.RecordBusy(start, end)
-	}
+	d.Occupy(start, end)
 	return start, end
 }
 
@@ -173,7 +137,7 @@ func (r *Run) Read(p *sim.Proc, n int) {
 	} else {
 		extra = d.seek // cold read: position the arm first
 	}
-	start, end := d.bookWithSetup(from, n, extra)
+	start, end := d.book(from, n, extra)
 	d.reads++
 	d.readBytes += int64(n)
 	if t := d.s.Tracer(); t != nil {
@@ -181,12 +145,12 @@ func (r *Run) Read(p *sim.Proc, n int) {
 		if r.active {
 			kind = "read.prefetch"
 		}
-		t.Span(d.traceTrack(t), int64(start), int64(end), kind, "disk",
+		t.Span(d.TraceTrack(t), int64(start), int64(end), kind, "disk",
 			trace.Arg{Key: "bytes", Val: n})
 	}
 	if end > now {
 		if pf := d.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeDisk, d.name, now, end)
+			pf.Charge(p, sim.ChargeDisk, d.Name(), now, end)
 		}
 		p.Sleep(sim.Duration(end - now))
 	}
@@ -207,16 +171,16 @@ func (d *Disk) Write(p *sim.Proc, n int) {
 	now := d.s.Now()
 	if d.writeDone > now {
 		if pf := d.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeDisk, d.name, now, d.writeDone)
+			pf.Charge(p, sim.ChargeDisk, d.Name(), now, d.writeDone)
 		}
 		p.Sleep(sim.Duration(d.writeDone - now))
 	}
-	start, end := d.book(d.s.Now(), n)
+	start, end := d.book(d.s.Now(), n, 0)
 	d.writeDone = end
 	d.writes++
 	d.writeBytes += int64(n)
 	if t := d.s.Tracer(); t != nil {
-		t.Span(d.traceTrack(t), int64(start), int64(end), "write", "disk",
+		t.Span(d.TraceTrack(t), int64(start), int64(end), "write", "disk",
 			trace.Arg{Key: "bytes", Val: n})
 	}
 }
@@ -226,14 +190,11 @@ func (d *Disk) Flush(p *sim.Proc) {
 	now := d.s.Now()
 	if d.writeDone > now {
 		if pf := d.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeDisk, d.name, now, d.writeDone)
+			pf.Charge(p, sim.ChargeDisk, d.Name(), now, d.writeDone)
 		}
 		p.Sleep(sim.Duration(d.writeDone - now))
 	}
 }
-
-// Busy reports the total time the device has spent transferring.
-func (d *Disk) Busy() sim.Duration { return d.busy }
 
 // Stats reports cumulative operation and byte counts.
 func (d *Disk) Stats() (reads, writes, readBytes, writeBytes int64) {
@@ -241,5 +202,5 @@ func (d *Disk) Stats() (reads, writes, readBytes, writeBytes int64) {
 }
 
 func (d *Disk) String() string {
-	return fmt.Sprintf("disk(%s, %.0f MB/s)", d.name, d.rate/1e6)
+	return fmt.Sprintf("disk(%s, %.0f MB/s)", d.Name(), d.rate/1e6)
 }

@@ -79,18 +79,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a balanced configuration for the given input size.
-func DefaultConfig(n int) Config {
-	return Config{
-		Alpha:         16,
-		Beta:          1 << 10,
-		Gamma2:        64,
-		PacketRecords: 256,
-		Placement:     Active,
-		Seed:          1,
-	}
-}
-
 // Validate checks cfg against the cluster's resource bounds: α and γ are
 // restricted by ASU buffer space, β by host memory (Section 4.3).
 func (c Config) Validate(p cluster.Params) error {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lmas/internal/cluster"
-	"lmas/internal/critpath"
 	"lmas/internal/loadmgr"
 	"lmas/internal/records"
 	"lmas/internal/telemetry"
@@ -15,8 +14,7 @@ import (
 // attached and returns the cluster and result.
 func profiledRun(t *testing.T, n int) (*cluster.Cluster, *Result) {
 	t.Helper()
-	cl := cluster.New(testParams(1, 4))
-	cl.AttachProfiler(critpath.New())
+	cl := cluster.NewObserved(testParams(1, 4), cluster.Observers{Critpath: true})
 	in := MakeInput(cl, n, records.Uniform{}, 7, 32)
 	res, err := Sort(cl, smallConfig(), in)
 	if err != nil {
@@ -73,10 +71,7 @@ func TestCritpathByteIdentical(t *testing.T) {
 // the same workload completes at the same virtual instant with and without it.
 func TestCritpathVirtualTimeNeutral(t *testing.T) {
 	run := func(profile bool) int64 {
-		cl := cluster.New(testParams(1, 4))
-		if profile {
-			cl.AttachProfiler(critpath.New())
-		}
+		cl := cluster.NewObserved(testParams(1, 4), cluster.Observers{Critpath: profile})
 		in := MakeInput(cl, 4000, records.Uniform{}, 7, 32)
 		res, err := Sort(cl, smallConfig(), in)
 		if err != nil {
@@ -99,8 +94,7 @@ func TestCritpathVerdictMatchesModel(t *testing.T) {
 		t.Skip("run formation with 16 ASUs")
 	}
 	params := testParams(1, 16)
-	cl := cluster.New(params)
-	cl.AttachProfiler(critpath.New())
+	cl := cluster.NewObserved(params, cluster.Observers{Critpath: true})
 	cfg := Config{
 		Alpha:         16,
 		Beta:          64,

@@ -142,47 +142,35 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 		sortPolicy = &route.Counted{Inner: sortPolicy, Reg: cl.Telemetry, Prefix: "route.sort"}
 	}
 
-	var sorterStage, distStage *functor.Stage
+	var distStage *functor.Stage // nil under Conventional, which fuses distribute into the sort
 	var edges []*functor.Edge
 
 	switch cfg.Placement {
-	case Active:
-		// ASU: distribute; host: block sort; ASU: collect runs.
-		dist := pl.AddStage("distribute", cl.ASUs, func() functor.Kernel {
-			return functor.Adapt(functor.NewDistribute(cfg.Alpha), recSize, cfg.PacketRecords)
-		})
-		sorterStage = pl.AddStage("blocksort", cl.Hosts, func() functor.Kernel {
-			return functor.NewBlockSort(cfg.Beta, recSize)
-		})
-		collect := pl.AddStage("collect", cl.ASUs, func() functor.Kernel {
-			return &functor.Sink{Label: "runs", Fn: func(ctx *functor.Ctx, pk container.Packet) {
-				rs.put(ctx.Proc, ctx.Node.Index, pk)
-			}}
-		})
-		edges = append(edges, dist.ConnectTo(sorterStage, sortPolicy))
-		edges = append(edges, sorterStage.ConnectTo(collect, &route.RoundRobin{}))
-		collect.Terminal()
-		for i, set := range in.Sets {
-			// Each ASU's reader feeds its own distribute instance.
-			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), dist, route.Pin(i))
+	case Active, Hybrid:
+		// ASU: distribute; host: block sort; ASU: collect runs. Each ASU's
+		// reader feeds its own distribute instance.
+		distNodes, inbox := cl.ASUs, 0 // 0: the default inbox depth
+		source := func(i int) route.Policy { return route.Pin(i) }
+		if cfg.Placement == Hybrid {
+			// Distribute runs on ASUs AND hosts; each reader picks its
+			// local ASU instance or a host instance by backlog, migrating
+			// work toward spare capacity. Hosts also run the block sort,
+			// so host-side distribute naturally throttles when sorting
+			// saturates the host CPU.
+			distNodes = append(append([]*cluster.Node{}, cl.ASUs...), cl.Hosts...)
+			source = func(i int) route.Policy {
+				return localOrHost{local: i, asus: len(cl.ASUs), c: cl.Params.C}
+			}
+			// Deeper inboxes make backlog a usable migration signal: a
+			// saturated host shows a long queue well before backpressure
+			// stalls the readers.
+			inbox = 64
 		}
-
-	case Hybrid:
-		// Distribute runs on ASUs AND hosts; each reader picks its
-		// local ASU instance or a host instance by backlog, migrating
-		// work toward spare capacity. Hosts also run the block sort,
-		// so host-side distribute naturally throttles when sorting
-		// saturates the host CPU.
-		nodes := append(append([]*cluster.Node{}, cl.ASUs...), cl.Hosts...)
-		dist := pl.AddStage("distribute", nodes, func() functor.Kernel {
+		distStage = pl.AddStage("distribute", distNodes, func() functor.Kernel {
 			return functor.Adapt(functor.NewDistribute(cfg.Alpha), recSize, cfg.PacketRecords)
 		})
-		// Deeper inboxes make backlog a usable migration signal: a
-		// saturated host shows a long queue well before backpressure
-		// stalls the readers.
-		dist.InboxPackets = 64
-		distStage = dist
-		sorterStage = pl.AddStage("blocksort", cl.Hosts, func() functor.Kernel {
+		distStage.InboxPackets = inbox
+		sorter := pl.AddStage("blocksort", cl.Hosts, func() functor.Kernel {
 			return functor.NewBlockSort(cfg.Beta, recSize)
 		})
 		collect := pl.AddStage("collect", cl.ASUs, func() functor.Kernel {
@@ -190,19 +178,18 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 				rs.put(ctx.Proc, ctx.Node.Index, pk)
 			}}
 		})
-		edges = append(edges, dist.ConnectTo(sorterStage, sortPolicy))
-		edges = append(edges, sorterStage.ConnectTo(collect, &route.RoundRobin{}))
+		edges = append(edges, distStage.ConnectTo(sorter, sortPolicy))
+		edges = append(edges, sorter.ConnectTo(collect, &route.RoundRobin{}))
 		collect.Terminal()
 		for i, set := range in.Sets {
-			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false),
-				dist, localOrHost{local: i, asus: len(cl.ASUs), c: cl.Params.C})
+			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), distStage, source(i))
 		}
 
 	case Conventional:
 		// Dumb disks stream raw blocks to the hosts; hosts do
 		// distribute + block sort fused in one pass; raw blocks are
 		// written back to the storage units with no ASU computation.
-		sorterStage = pl.AddStage("host-dist-sort", cl.Hosts, func() functor.Kernel {
+		sorter := pl.AddStage("host-dist-sort", cl.Hosts, func() functor.Kernel {
 			return functor.NewFusedDistributeSort(cfg.Alpha, cfg.Beta, recSize)
 		})
 		writeback := pl.AddStage("writeback", cl.ASUs, func() functor.Kernel {
@@ -211,12 +198,12 @@ func RunFormation(cl *cluster.Cluster, cfg Config, in *Input) (*RunStore, *Pass1
 			}}
 		})
 		writeback.NoCPU = true // raw block DMA on conventional storage
-		edges = append(edges, sorterStage.ConnectTo(writeback, &route.RoundRobin{}))
+		edges = append(edges, sorter.ConnectTo(writeback, &route.RoundRobin{}))
 		writeback.Terminal()
 		for i, set := range in.Sets {
 			// Readers route packets across host sorters round-robin
 			// (the host pulls blocks from all disks evenly).
-			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), sorterStage, &route.RoundRobin{})
+			pl.AddSource(fmt.Sprintf("read@asu%d", i), cl.ASUs[i], set.Scan(i, false), sorter, &route.RoundRobin{})
 		}
 	default:
 		return nil, nil, fmt.Errorf("dsmsort: unknown placement %v", cfg.Placement)

@@ -15,12 +15,11 @@ import (
 // returns the elapsed virtual time and the sink.
 func tracedSort(t *testing.T, attach bool) (sim.Duration, *trace.Sink) {
 	t.Helper()
-	cl := cluster.New(testParams(1, 4))
 	var sink *trace.Sink
 	if attach {
 		sink = trace.New()
-		cl.AttachTrace(sink)
 	}
+	cl := cluster.NewObserved(testParams(1, 4), cluster.Observers{Trace: sink})
 	in := MakeInput(cl, 1<<12, records.Uniform{}, 42, 64)
 	cfg := Config{Alpha: 8, Beta: 64, Gamma2: 8, PacketRecords: 64,
 		Placement: Active, Seed: 42}

@@ -107,9 +107,11 @@ func runAdaptCell(opt AdaptOptions, strategy string) (AdaptCell, error) {
 	params := opt.Base
 	params.Hosts, params.ASUs = opt.Hosts, opt.ASUs
 	params.UtilWindow = opt.Window
-	cl := cluster.New(params)
-	reg := telemetry.NewRegistry()
-	cl.AttachTelemetry(reg)
+	run, err := startRun(params, observers{}, "", 0, nil)
+	if err != nil {
+		return AdaptCell{}, err
+	}
+	cl, reg := run.cl, run.cl.Telemetry
 
 	// Figure 10 input: uniform first half, skewed second half.
 	buf := records.GenerateHalves(opt.N, params.RecordSize, opt.Seed,

@@ -8,7 +8,6 @@ import (
 	"lmas/internal/plot"
 	"lmas/internal/rtree"
 	"lmas/internal/sim"
-	"lmas/internal/telemetry"
 	"lmas/internal/terraflow"
 )
 
@@ -212,9 +211,11 @@ func RunRTree(opt RTreeOptions) (*RTreeResult, error) {
 		params := opt.Base
 		params.Hosts = 1
 		params.ASUs = opt.ASUs
-		cl := cluster.New(params)
-		cl.AttachTelemetry(telemetry.NewRegistry())
-		return cl
+		run, err := startRun(params, observers{}, "", 0, nil)
+		if err != nil {
+			panic(err) // as cluster.New does for invalid Params
+		}
+		return run.cl
 	}
 	var err error
 	res.Partition, err = runOne(func() *rtree.Distributed {

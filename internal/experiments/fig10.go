@@ -130,17 +130,12 @@ func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 		params.Hosts = opt.Hosts
 		params.ASUs = opt.ASUs
 		params.UtilWindow = opt.Window
-		run, err := openRun(params, observers{
+		run, err := startRun(params, observers{
 			critpath:    opt.Critpath,
 			record:      opt.Record,
 			experiment:  opt.Experiment,
 			sampleEvery: opt.SampleEvery,
-		})
-		if err != nil {
-			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
-		}
-		defer run.close()
-		run.begin("fig10-"+policy, opt.Seed, map[string]any{
+		}, "fig10-"+policy, opt.Seed, map[string]any{
 			"program": "dsmsort-pass1",
 			"n":       opt.N,
 			"alpha":   opt.Alpha,
@@ -149,6 +144,10 @@ func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 			"policy":  policy,
 			"dist":    "halves",
 		})
+		if err != nil {
+			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
+		}
+		defer run.close()
 		cfg := dsmsort.Config{
 			Alpha:         opt.Alpha,
 			Beta:          opt.Beta,

@@ -178,22 +178,6 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	if exp == "" {
 		exp = "openloop"
 	}
-	run, err := openRun(params, observers{
-		record:      opt.Record,
-		experiment:  exp,
-		sampleEvery: opt.SampleEvery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer run.close()
-	cl := run.cl
-	s := cl.Sim
-
-	// Register the latency histogram before any recorder attaches so the
-	// periodic sampler's latency strip sees it from the first tick.
-	latHist := cl.Telemetry.Latency("openloop.job.latency")
-
 	workload := map[string]any{
 		"program": "openloop-churn",
 		"jobs":    opt.Jobs,
@@ -202,7 +186,21 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		"batch":   opt.Batch,
 		"timeout": int64(opt.Timeout),
 	}
-	run.begin("openloop", opt.Seed, workload)
+	run, err := startRun(params, observers{
+		record:      opt.Record,
+		experiment:  exp,
+		sampleEvery: opt.SampleEvery,
+	}, "openloop", opt.Seed, workload)
+	if err != nil {
+		return nil, err
+	}
+	defer run.close()
+	cl := run.cl
+	s := cl.Sim
+
+	// The recorder's sampler lists the registry's latency histograms at each
+	// tick, so its latency strip sees this one from the first.
+	latHist := cl.Telemetry.Latency("openloop.job.latency")
 
 	queues := make([]*sim.Queue[openJob], opt.ASUs)
 	for i := range queues {

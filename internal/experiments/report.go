@@ -51,10 +51,10 @@ type SortRunSpec struct {
 	GaugeInterval sim.Duration
 }
 
-// RunSortReport executes spec with telemetry attached and returns the run
-// report alongside the raw result. The input-loading phase runs before
-// AttachTelemetry's traces see any activity it shouldn't; utilization
-// series therefore cover load + sort, exactly what the simulator executed.
+// RunSortReport executes spec on an observed cluster and returns the run
+// report alongside the raw result. The observers are in place before the
+// input is loaded; utilization series therefore cover load + sort, exactly
+// what the simulator executed.
 //
 // The cell's record storage — the striped input and the validated output —
 // goes back to the buffer pool before RunSortReport returns, on every path,
@@ -91,19 +91,14 @@ func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 	if tune != nil {
 		tune(&params, &cfg)
 	}
-	run, err := openRun(params, observers{
+	run, err := startRun(params, observers{
 		trace:       spec.Trace,
 		critpath:    spec.Critpath,
 		record:      spec.Record,
 		experiment:  spec.Experiment,
 		sampleEvery: spec.SampleEvery,
 		gaugeEvery:  spec.GaugeInterval,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer run.close()
-	run.begin(spec.Name, spec.Seed, map[string]any{
+	}, spec.Name, spec.Seed, map[string]any{
 		"program":   "dsmsort",
 		"n":         spec.N,
 		"alpha":     spec.Alpha,
@@ -114,6 +109,10 @@ func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 		"policy":    spec.Policy,
 		"dist":      spec.Dist,
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer run.close()
 	in, err := dsmsort.MakeInputNamed(run.cl, spec.N, spec.Dist, spec.Seed, spec.PacketRecords)
 	if err != nil {
 		return nil, nil, err

@@ -85,10 +85,11 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 		spec := smallSpec()
 		params := cluster.DefaultParams()
 		params.Hosts, params.ASUs, params.C = spec.Hosts, spec.ASUs, spec.C
-		cl := cluster.New(params)
+		var obs cluster.Observers
 		if attach {
-			cl.AttachTelemetry(telemetry.NewRegistry())
+			obs.Telemetry = telemetry.NewRegistry()
 		}
+		cl := cluster.NewObserved(params, obs)
 		in, err := dsmsort.MakeInputNamed(cl, spec.N, spec.Dist, spec.Seed, spec.PacketRecords)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"lmas/internal/bte"
 	"lmas/internal/cluster"
 	"lmas/internal/container"
-	"lmas/internal/critpath"
 	"lmas/internal/dsmsort"
 	"lmas/internal/functor"
 	"lmas/internal/loadmgr"
@@ -21,8 +20,8 @@ import (
 )
 
 // observers selects what watches an observed run besides telemetry, which is
-// always attached. The zero value adds nothing; every observer is a pure
-// observer, so no combination changes virtual time or the report's bytes.
+// always on. The zero value adds nothing; every observer is a pure observer,
+// so no combination changes virtual time or the report's bytes.
 type observers struct {
 	trace       *trace.Sink
 	critpath    bool
@@ -35,15 +34,14 @@ type observers struct {
 // observedRun is the one lifecycle of a reported run; RunSortWith, RunFig10
 // and RunOpenLoop are workloads between its steps:
 //
-//	openRun  validated params → cluster, telemetry, optional trace + profiler
-//	begin    store header, recorder and gauge samplers (before any workload proc)
+//	startRun validated params → store header → cluster with every observer
+//	         wired in (cluster.NewObserved), before any workload proc
 //	finish   FinishSampling → BuildReport → workload → Pass1Model → rec.Finish(report)
-//	close    deferred right after openRun: a run that never reached finish
+//	close    deferred right after startRun: a run that never reached finish
 //	         still stops its samplers and leaves a closed segment ending in a
 //	         nil-report finish, with no writer goroutine behind it
 type observedRun struct {
 	cl       *cluster.Cluster
-	obs      observers
 	name     string
 	seed     int64
 	workload map[string]any
@@ -51,42 +49,36 @@ type observedRun struct {
 	finished bool
 }
 
-func openRun(params cluster.Params, obs observers) (*observedRun, error) {
+// startRun names the run, opens its store segment when obs records it, and
+// builds the cluster — the one place this package builds an observed one.
+// The harnesses that only read a registry off the cluster (adapt, rtree) pass
+// zero observers and no name.
+func startRun(params cluster.Params, obs observers, name string, seed int64, workload map[string]any) (*observedRun, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	cl := cluster.New(params)
-	cl.AttachTelemetry(telemetry.NewRegistry())
-	if obs.trace != nil {
-		cl.AttachTrace(obs.trace)
+	r := &observedRun{name: name, seed: seed, workload: workload}
+	watch := cluster.Observers{
+		Telemetry:  telemetry.NewRegistry(),
+		Trace:      obs.trace,
+		Critpath:   obs.critpath,
+		GaugeEvery: obs.gaugeEvery,
 	}
-	if obs.critpath {
-		cl.AttachProfiler(critpath.New())
-	}
-	return &observedRun{cl: cl, obs: obs}, nil
-}
-
-// begin names the run and starts recording it. Instruments the periodic
-// sampler should see from its first tick are registered between openRun and
-// begin.
-func (r *observedRun) begin(name string, seed int64, workload map[string]any) {
-	r.name, r.seed, r.workload = name, seed, workload
-	if r.obs.record != nil {
-		r.rec = r.obs.record.NewRun()
-		cfg := r.cl.Config()
+	if obs.record != nil {
+		r.rec = obs.record.NewRun()
+		cfg := params.Config()
 		r.rec.Begin(&recorder.Header{
-			Experiment: r.obs.experiment,
+			Experiment: obs.experiment,
 			Name:       name,
 			ConfigHash: recorder.ConfigHash(cfg, workload, seed),
 			Seed:       seed,
 			Config:     cfg,
 			Workload:   workload,
 		})
-		r.cl.AttachRecorder(r.rec, r.obs.sampleEvery)
+		watch.Recorder, watch.SampleEvery = r.rec, obs.sampleEvery
 	}
-	if r.obs.gaugeEvery > 0 {
-		r.cl.AttachPeriodicGauges(r.obs.gaugeEvery)
-	}
+	r.cl = cluster.NewObserved(params, watch)
+	return r, nil
 }
 
 // finish builds the run's report and hands it to the recorder. pass1, when

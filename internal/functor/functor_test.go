@@ -25,10 +25,14 @@ func mkBuf(keys ...records.Key) records.Buffer {
 }
 
 func testCluster(hosts, asus int) *cluster.Cluster {
+	return testClusterWith(hosts, asus, cluster.Observers{})
+}
+
+func testClusterWith(hosts, asus int, obs cluster.Observers) *cluster.Cluster {
 	p := cluster.DefaultParams()
 	p.Hosts, p.ASUs = hosts, asus
 	p.RecordSize = recSize
-	return cluster.New(p)
+	return cluster.NewObserved(p, obs)
 }
 
 // collectEmits runs a kernel over packets in a bare context and gathers

@@ -37,13 +37,6 @@ type Instance struct {
 
 	kernel Kernel
 
-	// enqAt mirrors the inbox FIFO with each packet's enqueue instant, so
-	// run can report queue wait without touching the packet format. Edge
-	// deliver appends and run pops — the only Put/Get sites for instance
-	// inboxes — and only when the cluster has telemetry or a profiler
-	// attached.
-	enqAt []sim.Time
-
 	// Stats.
 	PacketsIn, RecordsIn   int64
 	PacketsOut, RecordsOut int64
@@ -136,24 +129,15 @@ func (e *Edge) deliver(ctx *Ctx, pk container.Packet) {
 	if err := dest.In.Put(ctx.Proc, pk); err != nil {
 		panic(fmt.Sprintf("functor: deliver to closed inbox %s", dest.Label()))
 	}
-	reg := e.to.pipeline.cl.Telemetry
-	if reg != nil || e.to.pipeline.cl.Profiler != nil {
-		// No other proc can run between Put returning and this append
-		// (code between blocking calls is atomic), so enqAt stays in
-		// FIFO lockstep with the inbox even with several producers.
-		dest.enqAt = append(dest.enqAt, ctx.Proc.Now())
-	}
-	if reg != nil {
-		// Sparse backlog sampling: a gauge point every 64th delivery, not
-		// a periodic sampler proc — a sampler's trailing wakeups would
-		// extend the simulated run past pipeline completion.
-		if e.Packets%64 == 0 {
-			total := 0
-			for _, ep := range e.eps {
-				total += ep.Pending()
-			}
-			reg.Gauge("functor."+e.to.Name+".backlog").Set(ctx.Proc.Now(), float64(total))
+	// Sparse backlog sampling: a gauge point every 64th delivery, not a
+	// periodic sampler proc — a sampler's trailing wakeups would extend the
+	// simulated run past pipeline completion.
+	if reg := e.to.pipeline.cl.Telemetry; reg != nil && e.Packets%64 == 0 {
+		total := 0
+		for _, ep := range e.eps {
+			total += ep.Pending()
 		}
+		reg.Gauge("functor."+e.to.Name+".backlog").Set(ctx.Proc.Now(), float64(total))
 	}
 }
 
@@ -177,9 +161,6 @@ func (e *Edge) SetPolicy(p route.Policy) {
 	}
 	e.policy = p
 }
-
-// Policy reports the edge's current routing policy.
-func (e *Edge) Policy() route.Policy { return e.policy }
 
 func (e *Edge) producerDone(ctx *Ctx) {
 	st := e.to
@@ -523,15 +504,12 @@ func (in *Instance) run(proc *sim.Proc) {
 			break
 		}
 		pf.BeginPacket(proc, pk.Prov)
-		var wait sim.Duration
-		if len(in.enqAt) > 0 { // in FIFO lockstep with the inbox
-			from := in.enqAt[0]
-			in.enqAt = in.enqAt[1:]
-			wait = sim.Duration(proc.Now() - from)
-			waitH.ObserveDuration(wait)
-			pf.ChargeQueueTime(proc, from, proc.Now())
-		}
+		// The inbox keeps each packet's enqueue instant; nothing ran between
+		// the Get taking pk and here.
 		svcStart := proc.Now()
+		wait := in.In.LastWait()
+		waitH.ObserveDuration(wait)
+		pf.ChargeQueueTime(proc, svcStart.Add(-wait), svcStart)
 		in.PacketsIn++
 		in.RecordsIn += int64(pk.Len())
 		// Guarded so the per-packet variadic arg slice is only built when a

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lmas/internal/bte"
+	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/records"
 	"lmas/internal/route"
@@ -17,9 +18,7 @@ import (
 // and the run's report. every > 0 attaches the cluster's gauge sampler.
 func sampledRun(t *testing.T, asus, perASU int, every sim.Duration) (sim.Duration, *telemetry.RunReport) {
 	t.Helper()
-	cl := testCluster(1, asus)
-	cl.AttachTelemetry(telemetry.NewRegistry())
-	cl.AttachPeriodicGauges(every)
+	cl := testClusterWith(1, asus, cluster.Observers{Telemetry: telemetry.NewRegistry(), GaugeEvery: every})
 	var sets []*container.Set
 	cl.Sim.Spawn("seed", func(p *sim.Proc) {
 		for i, asu := range cl.ASUs {

@@ -20,26 +20,13 @@ import (
 
 // Iface is one node's network interface.
 type Iface struct {
-	s    *sim.Sim
-	name string
-	bw   float64 // bytes per second
+	sim.Timeline // serialization time on this interface
 
-	busyUntil sim.Time
-	busy      sim.Duration
-	recorder  sim.BusyRecorder
+	s  *sim.Sim
+	bw float64 // bytes per second
 
 	sentBytes, recvBytes int64
 	sent, received       int64
-
-	track trace.Track // cached trace timeline, created on first traced transfer
-}
-
-// traceTrack returns f's timeline in t, creating it on first use.
-func (f *Iface) traceTrack(t *trace.Sink) trace.Track {
-	if f.track == 0 {
-		f.track = t.SharedTrack(trace.GroupOf(f.name), f.name)
-	}
-	return f.track
 }
 
 // NewIface creates an interface with the given bandwidth in bytes/second.
@@ -47,20 +34,8 @@ func NewIface(s *sim.Sim, name string, bw float64) *Iface {
 	if bw <= 0 {
 		panic("netsim: bandwidth must be positive")
 	}
-	return &Iface{s: s, name: name, bw: bw}
+	return &Iface{Timeline: sim.NewTimeline(name), s: s, bw: bw}
 }
-
-// Name reports the interface name.
-func (f *Iface) Name() string { return f.name }
-
-// Bandwidth reports the interface bandwidth in bytes/second.
-func (f *Iface) Bandwidth() float64 { return f.bw }
-
-// SetRecorder attaches rec to receive busy intervals; nil detaches.
-func (f *Iface) SetRecorder(rec sim.BusyRecorder) { f.recorder = rec }
-
-// Busy reports total serialization time on this interface.
-func (f *Iface) Busy() sim.Duration { return f.busy }
 
 // Stats reports cumulative message and byte counts.
 func (f *Iface) Stats() (sent, received, sentBytes, recvBytes int64) {
@@ -68,7 +43,7 @@ func (f *Iface) Stats() (sent, received, sentBytes, recvBytes int64) {
 }
 
 func (f *Iface) String() string {
-	return fmt.Sprintf("iface(%s, %.0f MB/s)", f.name, f.bw/1e6)
+	return fmt.Sprintf("iface(%s, %.0f MB/s)", f.Name(), f.bw/1e6)
 }
 
 // Net is the interconnect fabric.
@@ -84,9 +59,6 @@ func New(s *sim.Sim, latency sim.Duration) *Net {
 	}
 	return &Net{s: s, latency: latency}
 }
-
-// Latency reports the propagation latency.
-func (n *Net) Latency() sim.Duration { return n.latency }
 
 // Send transfers size bytes from interface src to interface dst, blocking p
 // until the message has been delivered (serialization on the slower of the
@@ -111,44 +83,25 @@ func (n *Net) Stream(p *sim.Proc, src, dst *Iface, size int) {
 
 func (n *Net) transfer(p *sim.Proc, src, dst *Iface, size int, withLatency bool) {
 	now := n.s.Now()
-	start := now
-	if src.busyUntil > start {
-		start = src.busyUntil
-	}
-	if dst.busyUntil > start {
-		start = dst.busyUntil
-	}
-	bw := src.bw
-	if dst.bw < bw {
-		bw = dst.bw
-	}
-	ser := sim.Duration(float64(size) / bw * float64(sim.Second))
+	start := max(now, src.BusyUntil(), dst.BusyUntil())
+	ser := sim.Duration(float64(size) / min(src.bw, dst.bw) * float64(sim.Second))
 	end := start.Add(ser)
-	if ser > 0 {
+	if end > start {
 		// Zero-size messages occupy no wire time: they wait for in-flight
 		// transfers (start above) but must not advance either endpoint's
 		// timeline — otherwise a control message would mark an idle
 		// interface busy until the *other* endpoint's backlog clears.
-		src.busyUntil, dst.busyUntil = end, end
-		src.busy += sim.Duration(end - start)
-		dst.busy += sim.Duration(end - start)
-	}
-	if end > start {
-		if src.recorder != nil {
-			src.recorder.RecordBusy(start, end)
-		}
-		if dst.recorder != nil {
-			dst.recorder.RecordBusy(start, end)
-		}
+		src.Occupy(start, end)
+		dst.Occupy(start, end)
 		if t := n.s.Tracer(); t != nil {
 			kind := "stream"
 			if withLatency {
 				kind = "send"
 			}
-			t.Span(src.traceTrack(t), int64(start), int64(end), kind, "net",
-				trace.Arg{Key: "bytes", Val: size}, trace.Arg{Key: "to", Val: dst.name})
-			t.Span(dst.traceTrack(t), int64(start), int64(end), "recv", "net",
-				trace.Arg{Key: "bytes", Val: size}, trace.Arg{Key: "from", Val: src.name})
+			t.Span(src.TraceTrack(t), int64(start), int64(end), kind, "net",
+				trace.Arg{Key: "bytes", Val: size}, trace.Arg{Key: "to", Val: dst.Name()})
+			t.Span(dst.TraceTrack(t), int64(start), int64(end), "recv", "net",
+				trace.Arg{Key: "bytes", Val: size}, trace.Arg{Key: "from", Val: src.Name()})
 		}
 	}
 	src.sent++
@@ -161,7 +114,7 @@ func (n *Net) transfer(p *sim.Proc, src, dst *Iface, size int, withLatency bool)
 	}
 	if deliver > now {
 		if pf := n.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeNet, src.name, now, deliver)
+			pf.Charge(p, sim.ChargeNet, src.Name(), now, deliver)
 		}
 		p.Sleep(sim.Duration(deliver - now))
 	}

@@ -165,36 +165,6 @@ func (b Buffer) IsSorted() bool {
 	return true
 }
 
-// MinKey reports the smallest key in b; ok is false for an empty buffer.
-func (b Buffer) MinKey() (k Key, ok bool) {
-	n := b.Len()
-	if n == 0 {
-		return 0, false
-	}
-	k = b.Key(0)
-	for i := 1; i < n; i++ {
-		if ki := b.Key(i); ki < k {
-			k = ki
-		}
-	}
-	return k, true
-}
-
-// MaxKeyIn reports the largest key in b; ok is false for an empty buffer.
-func (b Buffer) MaxKeyIn() (k Key, ok bool) {
-	n := b.Len()
-	if n == 0 {
-		return 0, false
-	}
-	k = b.Key(0)
-	for i := 1; i < n; i++ {
-		if ki := b.Key(i); ki > k {
-			k = ki
-		}
-	}
-	return k, true
-}
-
 // Checksum is an order-independent digest of a multiset of records: equal
 // multisets have equal checksums regardless of record order, so comparing
 // input and output checksums verifies that a sort or shuffle moved every

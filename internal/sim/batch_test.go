@@ -5,81 +5,6 @@ import (
 	"testing"
 )
 
-// batchRun drives one producer/consumer exchange and captures everything an
-// observer could distinguish: each element's dequeue instant, the queue's
-// wait stats, and the completion time. put receives the producer proc and
-// the full payload; consumers pace themselves with a per-element charge so
-// the queue genuinely fills and drains.
-func batchRun(t *testing.T, capacity, n int, consumerPace Duration, put func(p *Proc, q *Queue[int], vs []int)) (log []string, cum Duration, high int) {
-	t.Helper()
-	s := New()
-	q := NewQueue[int](s, "q", capacity)
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = i
-	}
-	s.Spawn("producer", func(p *Proc) {
-		put(p, q, vs)
-		q.Close()
-	})
-	s.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			log = append(log, fmt.Sprintf("%d@%d", v, s.Now()))
-			p.Sleep(consumerPace)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	cum, high = q.WaitStats()
-	log = append(log, fmt.Sprintf("end@%d", s.Now()))
-	return log, cum, high
-}
-
-// TestPutNMatchesPutLoop: PutN must be observationally identical to a loop
-// of Put — same dequeue instants, same cumulative wait, same high water —
-// including when the batch overflows the queue capacity and the producer
-// parks mid-batch.
-func TestPutNMatchesPutLoop(t *testing.T) {
-	for _, tc := range []struct{ cap, n int }{
-		{4, 16},  // batch far exceeds capacity: parks mid-batch
-		{16, 10}, // batch fits: single append run
-		{8, 8},   // exact fit
-		{1, 5},   // degenerate: every element parks
-	} {
-		loopLog, loopCum, loopHigh := batchRun(t, tc.cap, tc.n, 3*Microsecond,
-			func(p *Proc, q *Queue[int], vs []int) {
-				for _, v := range vs {
-					if err := q.Put(p, v); err != nil {
-						t.Errorf("put: %v", err)
-					}
-				}
-			})
-		batchLog, batchCum, batchHigh := batchRun(t, tc.cap, tc.n, 3*Microsecond,
-			func(p *Proc, q *Queue[int], vs []int) {
-				if err := q.PutN(p, vs); err != nil {
-					t.Errorf("putn: %v", err)
-				}
-			})
-		if len(loopLog) != len(batchLog) {
-			t.Fatalf("cap=%d n=%d: log length %d vs %d", tc.cap, tc.n, len(loopLog), len(batchLog))
-		}
-		for i := range loopLog {
-			if loopLog[i] != batchLog[i] {
-				t.Errorf("cap=%d n=%d: dispatch %d: loop %q batch %q", tc.cap, tc.n, i, loopLog[i], batchLog[i])
-			}
-		}
-		if loopCum != batchCum || loopHigh != batchHigh {
-			t.Errorf("cap=%d n=%d: wait stats loop (%d, %d) vs batch (%d, %d)",
-				tc.cap, tc.n, loopCum, loopHigh, batchCum, batchHigh)
-		}
-	}
-}
-
 // TestGetNMatchesGetLoop: a GetN-draining consumer must observe the same
 // elements at the same instants, and leave the same wait stats, as a
 // consumer issuing one non-blocking Get per buffered element.
@@ -136,57 +61,6 @@ func TestGetNMatchesGetLoop(t *testing.T) {
 	}
 	if loopCum != batchCum || loopHigh != batchHigh {
 		t.Errorf("wait stats loop (%d, %d) vs batch (%d, %d)", loopCum, loopHigh, batchCum, batchHigh)
-	}
-}
-
-// TestPutNHighWater pins the satellite contract: the high-water gauge is
-// updated once per append run with the post-run depth, which must equal
-// what a per-element loop would have recorded.
-func TestPutNHighWater(t *testing.T) {
-	s := New()
-	q := NewQueue[int](s, "q", 8)
-	s.Spawn("producer", func(p *Proc) {
-		if err := q.PutN(p, []int{1, 2, 3}); err != nil {
-			t.Errorf("putn: %v", err)
-		}
-		if _, high := q.WaitStats(); high != 3 {
-			t.Errorf("high water after first batch = %d, want 3", high)
-		}
-		if _, ok := q.Get(p); !ok {
-			t.Error("get failed")
-		}
-		// Depth is 2; this batch peaks at 7.
-		if err := q.PutN(p, []int{4, 5, 6, 7, 8}); err != nil {
-			t.Errorf("putn: %v", err)
-		}
-		if _, high := q.WaitStats(); high != 7 {
-			t.Errorf("high water after second batch = %d, want 7", high)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPutNClosed: closing the queue while a PutN is parked mid-batch fails
-// the call with ErrClosed, keeping the elements already enqueued.
-func TestPutNClosed(t *testing.T) {
-	s := New()
-	q := NewQueue[int](s, "q", 2)
-	s.Spawn("producer", func(p *Proc) {
-		if err := q.PutN(p, []int{1, 2, 3, 4}); err != ErrClosed {
-			t.Errorf("putn on closing queue = %v, want ErrClosed", err)
-		}
-	})
-	s.Spawn("closer", func(p *Proc) {
-		p.Sleep(Microsecond)
-		q.Close()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 2 {
-		t.Errorf("queue holds %d elements, want the 2 enqueued before close", q.Len())
 	}
 }
 

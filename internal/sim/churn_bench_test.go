@@ -112,43 +112,10 @@ func BenchmarkSpawnKillSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueBurstBatched is BenchmarkQueueBurstLoop on the batched
-// fast path: one PutN per burst, one GetN drain per wakeup.
-func BenchmarkQueueBurstBatched(b *testing.B) {
-	const burst = 64
-	s := New()
-	q := NewQueue[int](s, "burst", burst)
-	var batch [burst]int
-	rounds := b.N/burst + 1
-	s.Spawn("producer", func(p *Proc) {
-		for r := 0; r < rounds; r++ {
-			if err := q.PutN(p, batch[:]); err != nil {
-				b.Errorf("put: %v", err)
-				return
-			}
-			p.Sleep(Microsecond)
-		}
-		q.Close()
-	})
-	s.Spawn("consumer", func(p *Proc) {
-		var dst [burst]int
-		for {
-			if _, ok := q.GetN(p, dst[:]); !ok {
-				return
-			}
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkQueueBurstLoop transfers bursts of 64 elements through a bounded
-// queue one Put/Get at a time — the per-element reference point for the
-// batched PutN/GetN fast path.
-func BenchmarkQueueBurstLoop(b *testing.B) {
+// benchQueueBurst transfers bursts of 64 elements through a bounded queue,
+// one Put per element; get is the consumer's dequeue step and reports false
+// once the queue is closed and drained.
+func benchQueueBurst(b *testing.B, get func(p *Proc, q *Queue[int]) bool) {
 	const burst = 64
 	s := New()
 	q := NewQueue[int](s, "burst", burst)
@@ -166,10 +133,7 @@ func BenchmarkQueueBurstLoop(b *testing.B) {
 		q.Close()
 	})
 	s.Spawn("consumer", func(p *Proc) {
-		for {
-			if _, ok := q.Get(p); !ok {
-				return
-			}
+		for get(p, q) {
 		}
 	})
 	b.ReportAllocs()
@@ -177,4 +141,22 @@ func BenchmarkQueueBurstLoop(b *testing.B) {
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkQueueBurstBatched drains each burst with one GetN per wakeup.
+func BenchmarkQueueBurstBatched(b *testing.B) {
+	var dst [64]int
+	benchQueueBurst(b, func(p *Proc, q *Queue[int]) bool {
+		_, ok := q.GetN(p, dst[:])
+		return ok
+	})
+}
+
+// BenchmarkQueueBurstLoop drains one Get at a time — the per-element
+// reference point for the GetN drain.
+func BenchmarkQueueBurstLoop(b *testing.B) {
+	benchQueueBurst(b, func(p *Proc, q *Queue[int]) bool {
+		_, ok := q.Get(p)
+		return ok
+	})
 }

@@ -18,8 +18,8 @@ func TestSameInstantOrderAcrossPartitions(t *testing.T) {
 	for i := range parts {
 		parts[i] = s.AddPartition()
 	}
-	if s.Partitions() != n+1 {
-		t.Fatalf("Partitions = %d, want %d", s.Partitions(), n+1)
+	if parts[n-1] != n {
+		t.Fatalf("last of %d added partitions is %d, want %d (0 is the global one)", n, parts[n-1], n)
 	}
 	var order []int
 	// Spawn in reverse partition order: dispatch order must not follow it.

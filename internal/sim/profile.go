@@ -57,7 +57,9 @@ type Profiler interface {
 	Charge(p *Proc, kind ChargeKind, res string, from, to Time)
 }
 
-// SetProfiler attaches a latency-attribution profiler; nil detaches.
+// SetProfiler attaches a latency-attribution profiler. Like SetTracer it is
+// called before the first Spawn (proc shells are never pooled on a profiled
+// sim, and the profiler keys its state by *Proc).
 func (s *Sim) SetProfiler(pf Profiler) { s.profiler = pf }
 
 // Profiler returns the attached profiler, or nil. Device models layered on

@@ -24,13 +24,12 @@ type Queue[T any] struct {
 	notEmpty *Cond
 	notFull  *Cond
 
-	// stats
-	puts, gets uint64
 	// enqT mirrors buf with each element's enqueue instant, so take can
 	// accumulate the time elements spend buffered.
 	enqT []Time
-	// cumWait is the total buffered time summed over all dequeued elements.
-	cumWait Duration
+	// cumWait is the total buffered time summed over all dequeued elements;
+	// lastWait is the most recently dequeued element's share of it.
+	cumWait, lastWait Duration
 	// highWater is the maximum depth the queue ever reached.
 	highWater int
 
@@ -69,17 +68,8 @@ func (q *Queue[T]) traceDepth() {
 // Len reports the number of buffered elements.
 func (q *Queue[T]) Len() int { return q.n }
 
-// Cap reports the queue capacity.
-func (q *Queue[T]) Cap() int { return len(q.buf) }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // Name reports the queue's name.
 func (q *Queue[T]) Name() string { return q.name }
-
-// Puts reports the total number of elements ever enqueued.
-func (q *Queue[T]) Puts() uint64 { return q.puts }
 
 // Put appends v, blocking p while the queue is full.
 // It returns ErrClosed if the queue is or becomes closed.
@@ -97,49 +87,8 @@ func (q *Queue[T]) Put(p *Proc, v T) error {
 	if q.n > q.highWater {
 		q.highWater = q.n
 	}
-	q.puts++
 	q.traceDepth()
 	q.notEmpty.Signal()
-	return nil
-}
-
-// PutN appends every element of vs in order, blocking p whenever the queue
-// is full, exactly as a loop of Put would: elements are enqueued in
-// append-runs up to the free space, each run signals notEmpty once per
-// element (so every consumer a loop would wake is woken, in the same
-// order), and the producer waits on notFull between runs. Virtual-time
-// behaviour is therefore identical to the per-element loop; what batching
-// saves is per-call overhead and redundant bookkeeping — the high-water
-// gauge and trace depth are sampled once per run at the post-run depth,
-// which for a monotonically growing run equals the loop's running maximum.
-// It returns ErrClosed if the queue is or becomes closed; elements already
-// enqueued stay.
-func (q *Queue[T]) PutN(p *Proc, vs []T) error {
-	for len(vs) > 0 {
-		for q.n == len(q.buf) && !q.closed {
-			q.notFull.Wait(p)
-		}
-		if q.closed {
-			return ErrClosed
-		}
-		run := len(q.buf) - q.n
-		if run > len(vs) {
-			run = len(vs)
-		}
-		for i := 0; i < run; i++ {
-			slot := (q.head + q.n) % len(q.buf)
-			q.buf[slot] = vs[i]
-			q.enqT[slot] = q.sim.now
-			q.n++
-			q.puts++
-			q.notEmpty.Signal()
-		}
-		if q.n > q.highWater {
-			q.highWater = q.n
-		}
-		q.traceDepth()
-		vs = vs[run:]
-	}
 	return nil
 }
 
@@ -166,24 +115,6 @@ func (q *Queue[T]) GetN(p *Proc, dst []T) (n int, ok bool) {
 	return k, true
 }
 
-// TryPut appends v without blocking; it reports whether v was accepted.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || q.n == len(q.buf) {
-		return false
-	}
-	slot := (q.head + q.n) % len(q.buf)
-	q.buf[slot] = v
-	q.enqT[slot] = q.sim.now
-	q.n++
-	if q.n > q.highWater {
-		q.highWater = q.n
-	}
-	q.puts++
-	q.traceDepth()
-	q.notEmpty.Signal()
-	return true
-}
-
 // Get removes and returns the oldest element, blocking p while the queue is
 // empty. ok is false if the queue is closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
@@ -196,26 +127,23 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	return q.take(), true
 }
 
-// TryGet removes and returns the oldest element without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if q.n == 0 {
-		return v, false
-	}
-	return q.take(), true
-}
-
 func (q *Queue[T]) take() T {
 	var zero T
 	v := q.buf[q.head]
 	q.buf[q.head] = zero
-	q.cumWait += Duration(q.sim.now - q.enqT[q.head])
+	q.lastWait = Duration(q.sim.now - q.enqT[q.head])
+	q.cumWait += q.lastWait
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
-	q.gets++
 	q.traceDepth()
 	q.notFull.Signal()
 	return v
 }
+
+// LastWait reports how long the most recently dequeued element sat buffered:
+// zero when it was handed to a consumer already waiting at the instant it was
+// put. A consumer reads it right after its Get returns.
+func (q *Queue[T]) LastWait() Duration { return q.lastWait }
 
 // WaitStats reports the cumulative time elements have spent buffered and the
 // maximum depth the queue ever reached. Elements still enqueued contribute

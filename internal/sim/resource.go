@@ -15,52 +15,26 @@ import "lmas/internal/trace"
 // Ownership is handed off directly on Release — no barging — so scheduling
 // is deterministic.
 type Resource struct {
+	Timeline // name, busy time (completed holds only), recorder, trace track
+
 	sim   *Sim
-	name  string
 	owner *Proc
 	high  []*Proc
 	low   []*Proc
 
 	acquireWhat string // "acquire " + name, precomputed so a contended acquire is allocation-free
 
-	busy      Duration // total busy time, completed holds only
-	busyStart Time     // start of current hold, valid when owner != nil
-	recorder  BusyRecorder
+	busyStart Time // start of current hold, valid when owner != nil
 
 	holds, priorityHolds int64
-
-	track      trace.Track // cached trace timeline, created on first traced hold
-	holdTraced bool        // whether the current hold opened a trace span
-}
-
-// BusyRecorder receives the [from, to) interval of every completed hold on
-// a Resource. Implementations aggregate these into utilization traces.
-type BusyRecorder interface {
-	RecordBusy(from, to Time)
 }
 
 // NewResource creates an idle resource.
 func NewResource(s *Sim, name string) *Resource {
-	r := &Resource{sim: s, name: name, acquireWhat: "acquire " + name}
+	r := &Resource{Timeline: NewTimeline(name), sim: s, acquireWhat: "acquire " + name}
 	s.registerPurger(r)
 	return r
 }
-
-// traceTrack returns r's timeline in t, creating it on first use. Resources
-// rendezvous on their name, so a track pre-registered by cluster.AttachTrace
-// is reused here.
-func (r *Resource) traceTrack(t *trace.Sink) trace.Track {
-	if r.track == 0 {
-		r.track = t.SharedTrack(trace.GroupOf(r.name), r.name)
-	}
-	return r.track
-}
-
-// Name reports the resource's name.
-func (r *Resource) Name() string { return r.name }
-
-// SetRecorder attaches rec to receive busy intervals; nil detaches.
-func (r *Resource) SetRecorder(rec BusyRecorder) { r.recorder = rec }
 
 // Acquire blocks p until it holds r exclusively (normal priority).
 func (r *Resource) Acquire(p *Proc) { r.acquire(p, false) }
@@ -100,11 +74,19 @@ func (r *Resource) take(p *Proc, high bool) {
 	if high {
 		r.priorityHolds++
 	}
-	r.holdTraced = false
 	if t := r.sim.tracer; t != nil {
-		r.holdTraced = true
-		t.Begin(r.traceTrack(t), int64(r.sim.now), "hold", "resource",
+		t.Begin(r.TraceTrack(t), int64(r.sim.now), "hold", "resource",
 			trace.Arg{Key: "proc", Val: p.name}, trace.Arg{Key: "high", Val: high})
+	}
+}
+
+// endHold accounts the hold that ends now and closes its trace span. The
+// tracer is fixed before any proc exists (cluster.NewObserved), so a traced
+// sim opened a span for every hold.
+func (r *Resource) endHold() {
+	r.Occupy(r.busyStart, r.sim.now)
+	if t := r.sim.tracer; t != nil {
+		t.End(r.TraceTrack(t), int64(r.sim.now))
 	}
 }
 
@@ -115,14 +97,7 @@ func (r *Resource) Release(p *Proc) {
 	if r.owner != p {
 		panic("sim: Release by non-owner of " + r.name)
 	}
-	held := Duration(r.sim.now - r.busyStart)
-	r.busy += held
-	if r.recorder != nil && held > 0 {
-		r.recorder.RecordBusy(r.busyStart, r.sim.now)
-	}
-	if t := r.sim.tracer; t != nil && r.holdTraced {
-		t.End(r.traceTrack(t), int64(r.sim.now))
-	}
+	r.endHold()
 	var next *Proc
 	var wasHigh bool
 	if len(r.high) > 0 {
@@ -159,9 +134,6 @@ func (r *Resource) UseHigh(p *Proc, d Duration) {
 	r.Release(p)
 }
 
-// Busy reports the total time r has been held (completed holds only).
-func (r *Resource) Busy() Duration { return r.busy }
-
 // InUse reports whether some proc currently holds r.
 func (r *Resource) InUse() bool { return r.owner != nil }
 
@@ -180,14 +152,7 @@ func (r *Resource) purge(p *Proc) {
 	r.high = removeProc(r.high, p)
 	r.low = removeProc(r.low, p)
 	if r.owner == p {
-		held := Duration(r.sim.now - r.busyStart)
-		r.busy += held
-		if r.recorder != nil && held > 0 {
-			r.recorder.RecordBusy(r.busyStart, r.sim.now)
-		}
-		if t := r.sim.tracer; t != nil && r.holdTraced {
-			t.End(r.traceTrack(t), int64(r.sim.now))
-		}
+		r.endHold()
 		// No handoff: every contender is being killed too.
 		r.owner = nil
 	}

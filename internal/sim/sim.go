@@ -136,8 +136,10 @@ type purger interface {
 
 func (s *Sim) registerPurger(pg purger) { s.waitLists = append(s.waitLists, pg) }
 
-// SetTracer attaches a trace sink; nil detaches. Attach before spawning the
-// procs of interest: a proc's track is created at Spawn time.
+// SetTracer attaches a trace sink. It must be called before the first Spawn
+// (cluster.NewObserved is the one caller): a proc's track is created when it
+// is spawned, and parks and resource holds close the spans they assume they
+// opened.
 func (s *Sim) SetTracer(t *trace.Sink) { s.tracer = t }
 
 // Tracer returns the attached trace sink, or nil. Device models layered on
@@ -470,8 +472,7 @@ type Proc struct {
 	fn func(p *Proc)
 	// blocked describes what the proc is waiting on, for deadlock reports.
 	blocked string
-	// track is this proc's trace timeline; zero when the sim is untraced or
-	// the proc was spawned before the tracer was attached.
+	// track is this proc's trace timeline; zero when the sim is untraced.
 	track trace.Track
 }
 
@@ -515,9 +516,6 @@ func (s *Sim) AddPartition() int {
 	}
 	return id
 }
-
-// Partitions reports the number of allocated partitions (at least 1).
-func (s *Sim) Partitions() int { return len(s.seqs) }
 
 // Partition reports the partition p is pinned to (0 = global).
 func (p *Proc) Partition() int { return int(p.part) }
@@ -646,16 +644,13 @@ func (s *Sim) runProc(p *Proc) {
 // park suspends the calling proc until the scheduler resumes it. The caller
 // must have arranged for a wakeup (a scheduled event or a cond signal).
 func (p *Proc) park(why string) {
-	// The traced flag is local so a sink attached mid-park cannot see an
-	// End without its Begin.
 	t := p.sim.tracer
-	traced := t != nil && p.track != 0
-	if traced {
+	if t != nil {
 		t.Begin(p.track, int64(p.sim.now), why, "park")
 	}
 	p.blocked = why
 	p.yield(struct{}{})
-	if traced {
+	if t != nil {
 		t.End(p.track, int64(p.sim.now))
 	}
 	if p.killed {
@@ -667,7 +662,7 @@ func (p *Proc) park(why string) {
 // that would build variadic trace args per event should check it first: the
 // Trace* methods no-op when untraced, but their argument slices still
 // allocate at the call site.
-func (p *Proc) Tracing() bool { return p.sim.tracer != nil && p.track != 0 }
+func (p *Proc) Tracing() bool { return p.sim.tracer != nil }
 
 // TraceBegin opens a span on the proc's trace track; close it with TraceEnd.
 // All trace methods no-op when the sim is untraced.
@@ -693,10 +688,6 @@ func (p *Proc) Sleep(d Duration) {
 	s.resumeAt(s.now.Add(d), p)
 	p.park("sleep")
 }
-
-// Yield gives other procs and events scheduled for the current instant a
-// chance to run before p continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // DeadlockError reports that Run exhausted all events while procs were still
 // blocked: in the emulated system those threads would wait forever.

@@ -431,6 +431,40 @@ func TestQueueCloseDrains(t *testing.T) {
 	}
 }
 
+// TestQueueLastWait: after a Get, LastWait is the time that element sat in
+// the buffer — the producer's Sleep for one buffered across it, zero for one
+// handed to a consumer already waiting — and the waits add up to WaitStats.
+func TestQueueLastWait(t *testing.T) {
+	s := New()
+	q := NewQueue[int](s, "q", 4)
+	var waits []Duration
+	s.Spawn("producer", func(p *Proc) {
+		q.Put(p, 0) // buffered at t=0, taken at t=3ms
+		q.Put(p, 1) // buffered at t=0, taken at t=3ms, after element 0
+		p.Sleep(5 * Millisecond)
+		q.Put(p, 2) // the consumer is parked in Get: handed off at t=5ms
+	})
+	s.Spawn("consumer", func(p *Proc) {
+		p.Sleep(3 * Millisecond)
+		for i := 0; i < 3; i++ {
+			if _, ok := q.Get(p); !ok {
+				t.Error("queue closed")
+			}
+			waits = append(waits, q.LastWait())
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Duration{3 * Millisecond, 3 * Millisecond, 0}
+	if fmt.Sprint(waits) != fmt.Sprint(want) {
+		t.Fatalf("LastWait after each Get = %v, want %v", waits, want)
+	}
+	if cum, _ := q.WaitStats(); cum != 6*Millisecond {
+		t.Fatalf("WaitStats cumulative wait = %v, want 6ms", cum)
+	}
+}
+
 func TestQueueManyProducersOneConsumerCounts(t *testing.T) {
 	s := New()
 	q := NewQueue[int](s, "q", 2)

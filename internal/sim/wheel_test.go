@@ -18,7 +18,8 @@ func wheelTrace(t *testing.T, seed int64, disableWheel bool) []string {
 	t.Helper()
 	s := New()
 	s.disableWheel = disableWheel
-	for i := 0; i < 3; i++ {
+	const partitions = 4 // the global one plus three added
+	for i := 1; i < partitions; i++ {
 		s.AddPartition()
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -70,7 +71,7 @@ func wheelTrace(t *testing.T, seed int64, disableWheel bool) []string {
 					})
 				}
 			case 1: // short-lived proc on a random partition
-				part := rng.Intn(s.Partitions())
+				part := rng.Intn(partitions)
 				naps := 1 + rng.Intn(3)
 				ds := make([]Duration, naps)
 				for j := range ds {

@@ -10,23 +10,21 @@ func fmtStream(e StreamEvent) string {
 	return fmt.Sprintf("%c t=%d dur=%d %s/%s#%d %s", e.Ph, e.TS, e.Dur, e.Group, e.Track, e.TID, e.Name)
 }
 
-// TestSetStreamerReplayThenLive: a streamer installed after events were
-// buffered receives the backlog first (in record order), then every new
-// event live — so the recorder attach point during cluster setup never
-// loses spans, whichever of AttachTrace/AttachRecorder runs first.
+// TestSetStreamerReplayThenLive: a streamer sees every event recorded while
+// it is installed, live and in record order, and nothing else. There is no
+// replay: the cluster installs its one streamer on an empty sink, before any
+// proc exists. (The test keeps its old name; its replay half went with the
+// replay.)
 func TestSetStreamerReplayThenLive(t *testing.T) {
 	s := New()
 	cpu := s.SharedTrack("host0", "host0.cpu")
 	q := s.NewTrack("asu0", "jobs")
 
-	// Buffered before the streamer exists.
-	s.Span(cpu, 100, 250, "compute", "cpu")
-	s.Instant(q, 300, "enqueue", "queue")
-
 	var got []string
 	s.SetStreamer(func(e StreamEvent) { got = append(got, fmtStream(e)) })
 
-	// Live after installation.
+	s.Span(cpu, 100, 250, "compute", "cpu")
+	s.Instant(q, 300, "enqueue", "queue")
 	s.Begin(cpu, 400, "merge", "cpu")
 	s.End(cpu, 450)
 	s.Counter(q, 500, "depth", 3)

@@ -10,8 +10,8 @@
 // disks, network interfaces, and functor pipelines — append spans and
 // instants to it in virtual time.
 //
-// A Sink is attached to a simulation with sim.Sim.SetTracer (or
-// cluster.Cluster.AttachTrace, which also pre-registers node tracks in a
+// A Sink is attached to a simulation when its cluster is built
+// (cluster.Observers.Trace, which also pre-registers node tracks in a
 // canonical order). A nil *Sink is a valid "tracing off" value: every method
 // no-ops on a nil receiver, so instrumented code pays a single pointer check
 // when tracing is disabled. Because the simulation is deterministic, the
@@ -111,26 +111,16 @@ func (s *Sink) streamEvent(e *event) StreamEvent {
 	}
 }
 
-// SetStreamer installs an observer called synchronously for every event as
-// it is recorded — the hook the run recorder uses to stream spans into store
-// segments. Events already buffered in the sink are replayed to fn first, so
-// the stream is complete regardless of when during setup the streamer is
-// attached. Nil clears it; no-op on a nil sink.
+// SetStreamer installs an observer called synchronously for every event
+// recorded from now on — the hook the run recorder uses to stream spans into
+// store segments. The cluster installs it on a still-empty sink when it is
+// built, so the stream is the whole trace. Nil clears it; no-op on a nil sink.
 //
 // Events are appended in dispatch order, which is deterministic, so the
 // stream a deterministic run produces is itself deterministic.
 func (s *Sink) SetStreamer(fn func(StreamEvent)) {
-	if s == nil {
-		return
-	}
-	s.streamer = fn
-	if fn == nil {
-		return
-	}
-	for _, chunk := range s.chunks {
-		for i := range chunk {
-			fn(s.streamEvent(&chunk[i]))
-		}
+	if s != nil {
+		s.streamer = fn
 	}
 }
 

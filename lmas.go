@@ -72,12 +72,19 @@ func DefaultParams() Params { return cluster.DefaultParams() }
 // WriteCSV.
 type Trace = trace.Sink
 
-// NewTrace creates an empty trace sink; attach it to a cluster with
-// Cluster.AttachTrace before running.
+// NewTrace creates an empty trace sink; hand it to NewObservedCluster as
+// Observers.Trace. What watches a run is fixed when its cluster is built.
 func NewTrace() *Trace { return trace.New() }
 
-// NewCluster builds an emulated system; it panics on invalid Params.
+// Observers is what watches a run: telemetry registry, trace sink,
+// critical-path profiler, run recorder and the two sampling intervals.
+type Observers = cluster.Observers
+
+// NewCluster builds a bare emulated system; it panics on invalid Params.
 func NewCluster(p Params) *Cluster { return cluster.New(p) }
+
+// NewObservedCluster is NewCluster with obs wired in before any proc exists.
+func NewObservedCluster(p Params, obs Observers) *Cluster { return cluster.NewObserved(p, obs) }
 
 // Data layer.
 type (
