@@ -137,7 +137,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("  report: %d counters, %d histograms, %d decisions -> %s\n",
-			len(rep.Counters), len(rep.Histograms), len(rep.Decisions), *report)
+			len(rep.Counters), len(rep.Latencies), len(rep.Decisions), *report)
 	}
 	if store != nil {
 		if err := store.Err(); err != nil {

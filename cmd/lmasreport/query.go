@@ -145,7 +145,7 @@ func queryMetric(dir string, args []string) error {
 		}
 		if kind, v, p50, p99, ok := metricOf(rep, name); ok {
 			p50s, p99s := "-", "-"
-			if kind == "histogram" || kind == "latency" {
+			if kind == "latency" {
 				p50s = fmt.Sprintf("%.6g", p50)
 				p99s = fmt.Sprintf("%.6g", p99)
 			}
@@ -162,8 +162,8 @@ func queryMetric(dir string, args []string) error {
 }
 
 // metricOf resolves name against a report's instruments: counters report
-// their value, gauges their final sample, histograms their count plus
-// latency quantiles.
+// their value, gauges their final sample, latency histograms their count plus
+// p50/p99 in seconds.
 func metricOf(rep *telemetry.RunReport, name string) (kind string, v, p50, p99 float64, ok bool) {
 	if name == "runtime_sec" {
 		return "runtime", rep.RuntimeSec, 0, 0, true
@@ -176,11 +176,6 @@ func metricOf(rep *telemetry.RunReport, name string) (kind string, v, p50, p99 f
 	for _, g := range rep.Gauges {
 		if g.Name == name && len(g.Samples) > 0 {
 			return "gauge", g.Samples[len(g.Samples)-1].V, 0, 0, true
-		}
-	}
-	for _, h := range rep.Histograms {
-		if h.Name == name {
-			return "histogram", float64(h.Count), h.P50, h.P99, true
 		}
 	}
 	for _, l := range rep.Latencies {

@@ -61,21 +61,26 @@ func TestQueryToleratesUnreadableSegments(t *testing.T) {
 
 // TestGateAndStoreDiffAgree: `query STORE gate -base A -new B` and
 // `diff -store STORE A B` are two spellings of one command — same stdout and
-// same exit code, with and without a regression past threshold.
+// same exit code, with and without a regression past threshold. The runs are
+// shaped like openloop reports: the p99 gate reads latencies[], so a tail
+// that grows while the runtime holds fails it (and only when it is on).
 func TestGateAndStoreDiffAgree(t *testing.T) {
 	dir := t.TempDir()
 	st, err := recorder.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for exp, elapsed := range map[string]sim.Duration{
-		"base": 100 * sim.Millisecond,
-		"same": 100 * sim.Millisecond,
-		"slow": 150 * sim.Millisecond,
+	for exp, r := range map[string]struct{ elapsed, p99 sim.Duration }{
+		"base": {100 * sim.Millisecond, 271 * sim.Microsecond},
+		"same": {100 * sim.Millisecond, 271 * sim.Microsecond},
+		"slow": {150 * sim.Millisecond, 271 * sim.Microsecond},
+		"tail": {100 * sim.Millisecond, 300 * sim.Microsecond},
 	} {
+		rep := telemetry.NewRunReport("cell", 1, r.elapsed)
+		rep.Latencies = []telemetry.LatencyReport{{Name: "openloop.job.latency", Count: 1000, P99Ns: int64(r.p99)}}
 		rec := st.NewRun()
 		rec.Begin(&recorder.Header{Experiment: exp, Name: "cell"})
-		rec.Finish(telemetry.NewRunReport("cell", 1, elapsed))
+		rec.Finish(rep)
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
@@ -90,24 +95,29 @@ func TestGateAndStoreDiffAgree(t *testing.T) {
 		}
 		return string(out), cmd.ProcessState.ExitCode()
 	}
+	p99Gate := []string{"-p99-threshold", "0.1"}
 	for _, tc := range []struct {
-		next string
-		code int
-		want string
+		next  string
+		flags []string
+		code  int
+		want  string
 	}{
-		{"same", 0, "no regressions past thresholds"},
-		{"slow", 1, "REGRESSED"},
+		{"same", nil, 0, "no regressions past thresholds"},
+		{"slow", nil, 1, "REGRESSED"},
+		{"same", p99Gate, 0, "no regressions past thresholds"},
+		{"tail", nil, 0, "openloop.job.latency.p99"},
+		{"tail", p99Gate, 1, "REGRESSED"},
 	} {
-		gateOut, gateCode := run("query", dir, "gate", "-base", "base", "-new", tc.next)
-		diffOut, diffCode := run("diff", "-store", dir, "base", tc.next)
+		gateOut, gateCode := run(append([]string{"query", dir, "gate", "-base", "base", "-new", tc.next}, tc.flags...)...)
+		diffOut, diffCode := run(append([]string{"diff", "-store", dir, "base", tc.next}, tc.flags...)...)
 		if gateCode != tc.code || diffCode != tc.code {
-			t.Errorf("base vs %s: gate exit %d, diff exit %d, want %d", tc.next, gateCode, diffCode, tc.code)
+			t.Errorf("base vs %s %v: gate exit %d, diff exit %d, want %d", tc.next, tc.flags, gateCode, diffCode, tc.code)
 		}
 		if gateOut != diffOut {
-			t.Errorf("base vs %s: stdout differs\ngate:\n%s\ndiff:\n%s", tc.next, gateOut, diffOut)
+			t.Errorf("base vs %s %v: stdout differs\ngate:\n%s\ndiff:\n%s", tc.next, tc.flags, gateOut, diffOut)
 		}
 		if !strings.Contains(gateOut, tc.want) {
-			t.Errorf("base vs %s: stdout lacks %q:\n%s", tc.next, tc.want, gateOut)
+			t.Errorf("base vs %s %v: stdout lacks %q:\n%s", tc.next, tc.flags, tc.want, gateOut)
 		}
 	}
 }

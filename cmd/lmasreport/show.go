@@ -93,23 +93,8 @@ func showReport(rep *telemetry.RunReport) {
 		}
 		fmt.Println(t)
 	}
-	if len(rep.Histograms) > 0 {
-		t := plot.NewTable("Latency & service-time distributions (seconds)",
-			"name", "count", "mean", "p50", "p90", "p99", "max")
-		for _, h := range rep.Histograms {
-			mean := 0.0
-			if h.Count > 0 {
-				mean = h.Sum / float64(h.Count)
-			}
-			t.AddRow(h.Name, h.Count,
-				fmt.Sprintf("%.2e", mean), fmt.Sprintf("%.2e", h.P50),
-				fmt.Sprintf("%.2e", h.P90), fmt.Sprintf("%.2e", h.P99),
-				fmt.Sprintf("%.2e", h.Max))
-		}
-		fmt.Println(t)
-	}
 	if len(rep.Latencies) > 0 {
-		t := plot.NewTable("End-to-end latency histograms (milliseconds)",
+		t := plot.NewTable("Latency & service-time distributions (milliseconds)",
 			"name", "count", "p50", "p90", "p99", "p99.9", "max")
 		for _, l := range rep.Latencies {
 			t.AddRow(l.Name, l.Count,

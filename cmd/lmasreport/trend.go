@@ -18,9 +18,9 @@ import (
 // them by the git_rev header key (groups ordered by each revision's first
 // appearance), and prints one row per run with the metric resolved the same
 // way `query metric` resolves it — runtime_sec, a counter's value, a gauge's
-// final sample, a histogram's count, or a latency histogram's count with
-// p50/p99. With -svg it also renders the cross-run trend as a sparkline with
-// revision boundaries marked.
+// final sample, or a latency histogram's count with p50/p99. With -svg it
+// also renders the cross-run trend as a sparkline with revision boundaries
+// marked.
 func runTrend(args []string) error {
 	fs := flag.NewFlagSet("trend", flag.ExitOnError)
 	metric := fs.String("metric", "", "instrument name to track (required); runtime_sec tracks run time")
@@ -88,7 +88,7 @@ func runTrend(args []string) error {
 		for _, pt := range byRev[rev] {
 			h := pt.run.Header
 			p50s, p99s := "-", "-"
-			if pt.kind == "histogram" || pt.kind == "latency" {
+			if pt.kind == "latency" {
 				p50s = fmt.Sprintf("%.6g", pt.p50)
 				p99s = fmt.Sprintf("%.6g", pt.p99)
 			}

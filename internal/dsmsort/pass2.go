@@ -2,6 +2,8 @@ package dsmsort
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"lmas/internal/bte"
 	"lmas/internal/bufpool"
@@ -9,7 +11,6 @@ import (
 	"lmas/internal/container"
 	"lmas/internal/critpath"
 	"lmas/internal/records"
-	"lmas/internal/scratch"
 	"lmas/internal/sim"
 )
 
@@ -66,65 +67,16 @@ type MergeResult struct {
 	asuIn, hostIn, collectIn int64
 }
 
-// mergeHeap is a loser-tree-equivalent k-way merge frontier. It is a
-// hand-rolled binary heap rather than container/heap because heap.Pop
-// boxes every popped item into an interface value — one allocation per
-// exhausted merge source — and the merge frontier sits in the hottest
-// emulation-host loop of the merge pass.
-type mergeItem struct {
-	key records.Key
-	src int
-}
-type mergeHeap []mergeItem
-
-// siftDown restores the heap property below index i.
-func (h mergeHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		least := i
-		if l := 2*i + 1; l < n && h[l].key < h[least].key {
-			least = l
-		}
-		if r := 2*i + 2; r < n && h[r].key < h[least].key {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-}
-
-// init heapifies h in place.
-func (h mergeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// fixTop restores the heap property after the root's key changed.
-func (h mergeHeap) fixTop() { h.siftDown(0) }
-
-// popTop removes the root (its merge source is exhausted).
-func (h *mergeHeap) popTop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	(*h).siftDown(0)
-}
-
 // mergeScratch is pooled per-merge working memory: the frontier heap and
 // cursor slices that every k-way merge needs. Output buffers are NOT here:
 // they escape into packets and streams, which own them.
 type mergeScratch struct {
-	h     mergeHeap
+	h     records.MergeHeap
 	pos   []int
 	heads []container.Packet
 }
 
-var mergePool scratch.Pool[mergeScratch]
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // putMergeScratch returns sc to the pool with packet references cleared so
 // pooled scratch never pins record buffers.
@@ -147,28 +99,28 @@ func mergeBuffers(bufs []records.Buffer, recSize int) records.Buffer {
 		total += b.Len()
 	}
 	out := records.NewPooled(total, recSize)
-	sc := mergePool.Get()
-	pos := scratch.Grow(sc.pos, len(bufs))
+	sc := mergePool.Get().(*mergeScratch)
+	pos := slices.Grow(sc.pos[:0], len(bufs))[:len(bufs)]
 	h := sc.h[:0]
 	for i, b := range bufs {
 		pos[i] = 0
 		if b.Len() > 0 {
-			h = append(h, mergeItem{key: b.Key(0), src: i})
+			h = append(h, records.MergeItem{Key: b.Key(0), Src: i})
 		}
 	}
-	h.init()
+	h.Init()
 	w := 0
 	for len(h) > 0 {
 		it := h[0]
-		b := bufs[it.src]
-		copy(out.Record(w), b.Record(pos[it.src]))
+		b := bufs[it.Src]
+		copy(out.Record(w), b.Record(pos[it.Src]))
 		w++
-		pos[it.src]++
-		if pos[it.src] < b.Len() {
-			h[0] = mergeItem{key: b.Key(pos[it.src]), src: it.src}
-			h.fixTop()
+		pos[it.Src]++
+		if pos[it.Src] < b.Len() {
+			h[0] = records.MergeItem{Key: b.Key(pos[it.Src]), Src: it.Src}
+			h.FixTop()
 		} else {
-			h.popTop()
+			h.PopTop()
 		}
 	}
 	sc.pos, sc.h = pos, h
@@ -392,16 +344,16 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 	// Final level: streaming γ2-way merge emitting packets to the host.
 	// The scratch is held across queue parks: the proc owns it exclusively
 	// until the merge completes, which is exactly the pool contract.
-	msc := mergePool.Get()
-	frontier := scratch.Grow(msc.pos, len(runs))
+	msc := mergePool.Get().(*mergeScratch)
+	frontier := slices.Grow(msc.pos[:0], len(runs))[:len(runs)]
 	h := msc.h[:0]
 	for i, b := range runs {
 		frontier[i] = 0
 		if b.Len() > 0 {
-			h = append(h, mergeItem{key: b.Key(0), src: i})
+			h = append(h, records.MergeItem{Key: b.Key(0), Src: i})
 		}
 	}
-	h.init()
+	h.Init()
 	pf := cl.Profiler
 	perRec := touch + cluster.Log2(len(runs))*cm.CompareOps
 	var outBuf records.Buffer
@@ -431,15 +383,15 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 			outBuf = records.NewPooled(cfg.PacketRecords, recSize)
 		}
 		it := h[0]
-		b := runs[it.src]
-		copy(outBuf.Record(fill), b.Record(frontier[it.src]))
+		b := runs[it.Src]
+		copy(outBuf.Record(fill), b.Record(frontier[it.Src]))
 		fill++
-		frontier[it.src]++
-		if frontier[it.src] < b.Len() {
-			h[0] = mergeItem{key: b.Key(frontier[it.src]), src: it.src}
-			h.fixTop()
+		frontier[it.Src]++
+		if frontier[it.Src] < b.Len() {
+			h[0] = records.MergeItem{Key: b.Key(frontier[it.Src]), Src: it.Src}
+			h.FixTop()
 		} else {
-			h.popTop()
+			h.PopTop()
 		}
 		if fill == cfg.PacketRecords {
 			flush()
@@ -469,9 +421,9 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 	// Stream heads: current packet and position per input queue, in pooled
 	// scratch (the packets themselves are owned by the stream, and the
 	// heads slice is cleared before the scratch is returned).
-	sc := mergePool.Get()
-	heads := scratch.Grow(sc.heads, gamma1)
-	pos := scratch.Grow(sc.pos, gamma1)
+	sc := mergePool.Get().(*mergeScratch)
+	heads := slices.Grow(sc.heads[:0], gamma1)[:gamma1]
+	pos := slices.Grow(sc.pos[:0], gamma1)[:gamma1]
 	for i := range heads {
 		heads[i] = container.Packet{}
 		pos[i] = 0
@@ -494,10 +446,10 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 	h := sc.h[:0]
 	for i := range queues {
 		if advance(i) {
-			h = append(h, mergeItem{key: heads[i].Buf.Key(0), src: i})
+			h = append(h, records.MergeItem{Key: heads[i].Buf.Key(0), Src: i})
 		}
 	}
-	h.init()
+	h.Init()
 
 	seq := 0
 	flush := func(buf records.Buffer) {
@@ -528,21 +480,21 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 	outBuf := records.NewPooled(cfg.PacketRecords, recSize)
 	fill := 0
 	for len(h) > 0 {
-		src := h[0].src
+		src := h[0].Src
 		copy(outBuf.Record(fill), heads[src].Buf.Record(pos[src]))
 		fill++
 		pos[src]++
 		if pos[src] == heads[src].Len() {
 			heads[src].Release() // exhausted upstream packet (it owned its buffer)
 			if !advance(src) {
-				h.popTop()
+				h.PopTop()
 			} else {
-				h[0] = mergeItem{key: heads[src].Buf.Key(0), src: src}
-				h.fixTop()
+				h[0] = records.MergeItem{Key: heads[src].Buf.Key(0), Src: src}
+				h.FixTop()
 			}
 		} else {
-			h[0] = mergeItem{key: heads[src].Buf.Key(pos[src]), src: src}
-			h.fixTop()
+			h[0] = records.MergeItem{Key: heads[src].Buf.Key(pos[src]), Src: src}
+			h.FixTop()
 		}
 		if fill == cfg.PacketRecords {
 			full := outBuf

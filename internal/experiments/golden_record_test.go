@@ -23,8 +23,17 @@ import (
 // stores (28b0e858... before): the 4 734 lines above the finish line were
 // byte-identical, and deleting the two counter objects from the old finish
 // line gave the new one byte for byte.
+//
+// And again (cdfebaec... before) when the functor stages moved their
+// queue_wait/service/latency distributions from the deleted decade-bucket
+// histogram to telemetry.LatencyHistogram: the 4 712 span lines and the
+// first sample line (t=2 ms, no packet through a stage yet) were
+// byte-identical, the other 21 sample lines equalled the old ones once their
+// new `latencies` member was removed, and the finish line equalled the old
+// one once `histograms` (old) and `latencies` (new) were removed — both list
+// the same nine instruments with the same counts.
 const (
-	goldenSegmentBody = "cdfebaeca0543e283566d1cbe373660f93e452f8847fc6e72059d9a9ff6f58ac"
+	goldenSegmentBody = "30fa6cd836743eebe7b9b05fa4eb12317fe8182a5c2b9a4723a93e32f3e9cf46"
 	goldenComposed    = "d4aa09b6adb197c6fe2ae09296e5dbe11ae4cf61b7396ad8ff37742baf14bf69"
 	goldenSinkJSON    = "fe549185aab79d309a39a66892364b7a55f7bb5bfcd12f5182dc94562fb4f5eb"
 	goldenSinkCSV     = "42cad73a0643ab0d7e9fff7a4a1cef00315f23bf5ba21a7eddbc585eb94b2d97"

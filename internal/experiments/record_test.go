@@ -94,6 +94,25 @@ func TestRecordingNeutrality(t *testing.T) {
 	if stored == nil {
 		t.Fatal("stored run has no finish report")
 	}
+	// The samples carry the dashboard's latency strip: every per-stage
+	// distribution the report ends up with shows in the last sample, with
+	// observations and a p50 below its p99 bound.
+	samples := runs[0].Samples()
+	strip := map[string]recorder.LatencySnapshot{}
+	for _, l := range samples[len(samples)-1].Latencies {
+		strip[l.Name] = l
+	}
+	for _, stage := range []string{"distribute", "blocksort", "collect"} {
+		for _, what := range []string{"queue_wait", "service", "latency"} {
+			name := "functor." + stage + "." + what
+			if l, ok := strip[name]; !ok || l.Count == 0 || l.P50Ns > l.P99Ns {
+				t.Errorf("last sample's latency strip: %s = %+v (present %v)", name, l, ok)
+			}
+		}
+	}
+	if len(strip) != len(stored.Latencies) {
+		t.Errorf("latency strip has %d entries, the report %d", len(strip), len(stored.Latencies))
+	}
 	c, err := json.Marshal(stored)
 	if err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ func TestRunSortReportContents(t *testing.T) {
 		t.Fatal("no routing pick counters recorded")
 	}
 	var seenWait bool
-	for _, h := range rep.Histograms {
+	for _, h := range rep.Latencies {
 		if h.Name == "functor.blocksort.queue_wait" && h.Count > 0 {
 			seenWait = true
 		}

@@ -12,7 +12,6 @@
 package extsort
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -258,14 +257,14 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 			cursors[i].bufs = append(cursors[i].bufs, pk.Buf)
 		}
 	}
-	var h cursorHeap
+	var h records.MergeHeap
 	key := func(c *cursor) records.Key { return c.bufs[c.pk].Key(c.pos) }
 	for i := range cursors {
 		if len(cursors[i].bufs) > 0 && cursors[i].bufs[0].Len() > 0 {
-			h = append(h, cursorItem{key: key(&cursors[i]), src: i})
+			h = append(h, records.MergeItem{Key: key(&cursors[i]), Src: i})
 		}
 	}
-	heap.Init(&h)
+	h.Init()
 	total := 0
 	for i := range cursors {
 		for _, b := range cursors[i].bufs {
@@ -277,9 +276,9 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 	out := container.NewStream(fmt.Sprintf("xmerge%d", *stripe), engines[outIdx], recSize)
 	outBuf := records.NewPooled(total, recSize) // fully written below, then engine-owned
 	w := 0
-	for h.Len() > 0 {
-		it := h[0]
-		c := &cursors[it.src]
+	for len(h) > 0 {
+		src := h[0].Src
+		c := &cursors[src]
 		copy(outBuf.Record(w), c.bufs[c.pk].Record(c.pos))
 		w++
 		c.pos++
@@ -288,10 +287,10 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 			c.pos = 0
 		}
 		if c.pk < len(c.bufs) && c.pos < c.bufs[c.pk].Len() {
-			h[0] = cursorItem{key: key(c), src: it.src}
-			heap.Fix(&h, 0)
+			h[0] = records.MergeItem{Key: key(c), Src: src}
+			h.FixTop()
 		} else {
-			heap.Pop(&h)
+			h.PopTop()
 		}
 	}
 	ops := float64(total) * (touch + cluster.Log2(len(group))*cm.CompareOps)
@@ -305,22 +304,4 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 		st.FreeAll()
 	}
 	return out
-}
-
-type cursorItem struct {
-	key records.Key
-	src int
-}
-type cursorHeap []cursorItem
-
-func (h cursorHeap) Len() int           { return len(h) }
-func (h cursorHeap) Less(i, j int) bool { return h[i].key < h[j].key }
-func (h cursorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)        { *h = append(*h, x.(cursorItem)) }
-func (h *cursorHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -475,11 +475,11 @@ func (in *Instance) run(proc *sim.Proc) {
 	cm := ctx.Cluster.Params.Costs
 	touch := ctx.Cluster.Touch(in.Node)
 	// Telemetry instruments (nil when telemetry is off; Observe no-ops).
-	var waitH, svcH, latH *telemetry.Histogram
+	var waitH, svcH, latH *telemetry.LatencyHistogram
 	if reg := ctx.Cluster.Telemetry; reg != nil {
-		waitH = reg.Histogram("functor."+in.Stage.Name+".queue_wait", nil)
-		svcH = reg.Histogram("functor."+in.Stage.Name+".service", nil)
-		latH = reg.Histogram("functor."+in.Stage.Name+".latency", nil)
+		waitH = reg.Latency("functor." + in.Stage.Name + ".queue_wait")
+		svcH = reg.Latency("functor." + in.Stage.Name + ".service")
+		latH = reg.Latency("functor." + in.Stage.Name + ".latency")
 	}
 	pf := ctx.Cluster.Profiler
 	pf.Bind(proc, in.Stage.Name, in.Node.Name, nodeClass(in.Node), stageBlame(in.Stage, in.Node))
@@ -508,7 +508,7 @@ func (in *Instance) run(proc *sim.Proc) {
 		// the Get taking pk and here.
 		svcStart := proc.Now()
 		wait := in.In.LastWait()
-		waitH.ObserveDuration(wait)
+		waitH.Observe(wait)
 		pf.ChargeQueueTime(proc, svcStart.Add(-wait), svcStart)
 		in.PacketsIn++
 		in.RecordsIn += int64(pk.Len())
@@ -525,8 +525,8 @@ func (in *Instance) run(proc *sim.Proc) {
 		}
 		in.kernel.Process(ctx, pk, emit)
 		svc := sim.Duration(proc.Now() - svcStart)
-		svcH.ObserveDuration(svc)
-		latH.ObserveDuration(wait + svc)
+		svcH.Observe(svc)
+		latH.Observe(wait + svc)
 		if traced {
 			proc.TraceEnd()
 		}

@@ -13,17 +13,19 @@ import (
 	"lmas/internal/telemetry"
 )
 
-// sampledRun seeds perASU records on every ASU of a 1-host cluster, runs a
-// distribute → sort pipeline over them and returns the elapsed virtual time
-// and the run's report. every > 0 attaches the cluster's gauge sampler.
-func sampledRun(t *testing.T, asus, perASU int, every sim.Duration) (sim.Duration, *telemetry.RunReport) {
+// distSortRun seeds perASU records on every ASU of cl, in packets of
+// pktRecords, runs a distribute → sort pipeline over them with every stage
+// kernel passed through wrap, and returns the elapsed virtual time.
+func distSortRun(t *testing.T, cl *cluster.Cluster, perASU, pktRecords int, wrap func(stage string, k Kernel) Kernel) sim.Duration {
 	t.Helper()
-	cl := testClusterWith(1, asus, cluster.Observers{Telemetry: telemetry.NewRegistry(), GaugeEvery: every})
 	var sets []*container.Set
 	cl.Sim.Spawn("seed", func(p *sim.Proc) {
 		for i, asu := range cl.ASUs {
 			set := container.NewSet("in", bte.NewDisk(asu.Disk), recSize)
-			set.Add(p, container.NewPacket(records.Generate(perASU, recSize, int64(i), records.Uniform{})))
+			buf := records.Generate(perASU, recSize, int64(i), records.Uniform{})
+			for off := 0; off < perASU; off += pktRecords {
+				set.Add(p, container.NewPacket(buf.Slice(off, off+pktRecords).Clone()))
+			}
 			sets = append(sets, set)
 		}
 	})
@@ -31,8 +33,8 @@ func sampledRun(t *testing.T, asus, perASU int, every sim.Duration) (sim.Duratio
 		t.Fatal(err)
 	}
 	pl := NewPipeline(cl)
-	dist := pl.AddStage("dist", cl.ASUs, func() Kernel { return Adapt(NewDistribute(8), recSize, 64) })
-	srt := pl.AddStage("sort", cl.Hosts, func() Kernel { return NewBlockSort(64, recSize) })
+	dist := pl.AddStage("dist", cl.ASUs, func() Kernel { return wrap("dist", Adapt(NewDistribute(8), recSize, 64)) })
+	srt := pl.AddStage("sort", cl.Hosts, func() Kernel { return wrap("sort", NewBlockSort(64, recSize)) })
 	dist.ConnectTo(srt, &route.RoundRobin{})
 	srt.Terminal()
 	for i, set := range sets {
@@ -42,6 +44,16 @@ func sampledRun(t *testing.T, asus, perASU int, every sim.Duration) (sim.Duratio
 	if err != nil {
 		t.Fatal(err)
 	}
+	return elapsed
+}
+
+// sampledRun is distSortRun on a 1-host cluster with one input packet per
+// ASU, returning the elapsed virtual time and the run's report. every > 0
+// attaches the cluster's gauge sampler.
+func sampledRun(t *testing.T, asus, perASU int, every sim.Duration) (sim.Duration, *telemetry.RunReport) {
+	t.Helper()
+	cl := testClusterWith(1, asus, cluster.Observers{Telemetry: telemetry.NewRegistry(), GaugeEvery: every})
+	elapsed := distSortRun(t, cl, perASU, perASU, func(_ string, k Kernel) Kernel { return k })
 	cl.FinishSampling()
 	return elapsed, cl.BuildReport("progress", 0, elapsed)
 }

@@ -15,11 +15,12 @@ package pqueue
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"lmas/internal/bte"
 	"lmas/internal/cluster"
-	"lmas/internal/scratch"
 	"lmas/internal/sim"
 )
 
@@ -70,7 +71,7 @@ type run struct {
 	pos    int
 }
 
-var runPool scratch.Pool[run]
+var runPool = sync.Pool{New: func() any { return new(run) }}
 
 // New creates a priority queue whose insertion buffer holds memItems items.
 // Spilled runs are stored on eng (typically a disk engine of the node that
@@ -109,7 +110,7 @@ func (q *PQ) spill(p *sim.Proc) {
 	// Sorting cost for the spill.
 	q.charge(p, float64(len(q.buf))*cluster.CeilLog2(len(q.buf)))
 	id := q.eng.Append(p, data)
-	r := runPool.Get()
+	r := runPool.Get().(*run)
 	*r = run{id: id, items: r.items[:0]}
 	q.runs = append(q.runs, r)
 	q.spills++
@@ -124,7 +125,8 @@ func (r *run) load(p *sim.Proc, eng bte.Engine) {
 		return
 	}
 	data := eng.Read(p, r.id)
-	r.items = scratch.Grow(r.items, len(data)/itemBytes)
+	n := len(data) / itemBytes
+	r.items = slices.Grow(r.items[:0], n)[:n]
 	r.loaded = true
 	for i := range r.items {
 		r.items[i].Key = binary.LittleEndian.Uint64(data[i*itemBytes:])

@@ -1,9 +1,9 @@
 package records
 
 import (
+	"slices"
 	"sort"
-
-	"lmas/internal/scratch"
+	"sync"
 )
 
 // The sort kernel below exists for the emulation host's wall clock only.
@@ -36,7 +36,7 @@ type sortScratch struct {
 	rec   []byte
 }
 
-var sortPool scratch.Pool[sortScratch]
+var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // Sort sorts the buffer in place by key. The sort is not stable; records
 // with equal keys may appear in any order, which is harmless because
@@ -47,15 +47,15 @@ func (b Buffer) Sort() {
 	if n < 2 {
 		return
 	}
-	sc := sortPool.Get()
-	sc.pairs = scratch.Grow(sc.pairs, n)
+	sc := sortPool.Get().(*sortScratch)
+	sc.pairs = slices.Grow(sc.pairs[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		sc.pairs[i] = keyIdx{key: uint32(b.Key(i)), idx: uint32(i)}
 	}
 	if n < radixMinLen {
 		insertionSortPairs(sc.pairs)
 	} else {
-		sc.tmp = scratch.Grow(sc.tmp, n)
+		sc.tmp = slices.Grow(sc.tmp[:0], n)[:n]
 		radixSortPairs(sc.pairs, sc.tmp)
 	}
 	b.permute(sc)
@@ -124,7 +124,7 @@ func (b Buffer) permute(sc *sortScratch) {
 	const done = ^uint32(0)
 	pairs := sc.pairs
 	size := b.size
-	sc.rec = scratch.Grow(sc.rec, size)
+	sc.rec = slices.Grow(sc.rec[:0], size)[:size]
 	tmp := sc.rec
 	for i := range pairs {
 		src := pairs[i].idx
@@ -150,8 +150,8 @@ func (b Buffer) permute(sc *sortScratch) {
 // with full-record swaps through a hoisted scratch record. Kept for
 // differential tests against the radix kernel.
 func (b Buffer) sortStdlib() {
-	sc := sortPool.Get()
-	sc.rec = scratch.Grow(sc.rec, b.size)
+	sc := sortPool.Get().(*sortScratch)
+	sc.rec = slices.Grow(sc.rec[:0], b.size)[:b.size]
 	sort.Sort(&bufferSorter{Buffer: b, tmp: sc.rec})
 	sortPool.Put(sc)
 }

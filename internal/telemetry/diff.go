@@ -12,8 +12,8 @@ type DiffOptions struct {
 	// RuntimeThreshold is the allowed relative increase in total runtime
 	// (0.10 = 10%).
 	RuntimeThreshold float64
-	// P99Threshold is the allowed relative increase in any histogram's p99;
-	// <= 0 disables the p99 gate.
+	// P99Threshold is the allowed relative increase in any latency
+	// histogram's p99; <= 0 disables the p99 gate.
 	P99Threshold float64
 }
 
@@ -58,7 +58,7 @@ func relDelta(base, new float64) float64 {
 }
 
 // Diff compares two report sets run-by-run (matched by name) and field by
-// field. Runtime and histogram p99s are gated by opt; counters and node mean
+// field. Runtime and latency p99s are gated by opt; counters and node mean
 // utilizations are compared informationally. Config or seed mismatches are
 // flagged as notes, not regressions — a deliberate reconfiguration should
 // not masquerade as a performance change, but the reader must see it.
@@ -110,20 +110,20 @@ func diffRun(res *DiffResult, br, nr *RunReport, opt DiffOptions) {
 		Regressed: opt.RuntimeThreshold > 0 && d > opt.RuntimeThreshold,
 	})
 
-	// Histogram p99s, gated when a threshold is set.
-	baseH := make(map[string]HistogramReport, len(br.Histograms))
-	for _, h := range br.Histograms {
-		baseH[h.Name] = h
+	// Latency p99s (reported in seconds), gated when a threshold is set.
+	baseL := make(map[string]int64, len(br.Latencies))
+	for _, l := range br.Latencies {
+		baseL[l.Name] = l.P99Ns
 	}
-	for _, nh := range nr.Histograms {
-		bh, ok := baseH[nh.Name]
+	for _, nl := range nr.Latencies {
+		bp99, ok := baseL[nl.Name]
 		if !ok {
 			continue
 		}
-		d := relDelta(bh.P99, nh.P99)
+		d := relDelta(float64(bp99), float64(nl.P99Ns))
 		res.Entries = append(res.Entries, DiffEntry{
-			Run: name, Field: nh.Name + ".p99",
-			Base: bh.P99, New: nh.P99, Delta: round6(d),
+			Run: name, Field: nl.Name + ".p99",
+			Base: float64(bp99) / 1e9, New: float64(nl.P99Ns) / 1e9, Delta: round6(d),
 			Regressed: opt.P99Threshold > 0 && d > opt.P99Threshold,
 		})
 	}

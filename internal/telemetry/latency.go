@@ -12,13 +12,13 @@ import (
 // latSubBuckets linear sub-buckets, so relative quantile error is bounded by
 // 1/latSubBuckets (~3%) at every magnitude from nanoseconds to hours.
 //
-// Unlike the float Histogram, every operation here is pure integer
-// arithmetic on a layout that is a function of nothing but the value, so two
-// runs that observe the same latencies — in any order — produce
-// byte-identical reports. That is the property the open-loop and
-// R-tree latency sections rely on: the quantiles exported in a RunReport are
-// deterministic bucket upper bounds, clamped to the observed min/max, never
-// interpolated floats.
+// Every operation here is pure integer arithmetic on a layout that is a
+// function of nothing but the value, so two runs that observe the same
+// latencies — in any order — produce byte-identical reports. That is the
+// property every latency section (functor stages, open-loop jobs, R-tree
+// queries) relies on: the quantiles exported in a RunReport are deterministic
+// bucket upper bounds, clamped to the observed min/max, never interpolated
+// floats.
 //
 // A nil *LatencyHistogram is the valid "telemetry off" instrument: every
 // method no-ops (or returns zero), matching the other instruments.
@@ -74,9 +74,9 @@ func (h *LatencyHistogram) Observe(d sim.Duration) {
 	}
 	idx := latBucketIdx(v)
 	if idx >= len(h.counts) {
-		grown := make([]int64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		// append amortises the growth: a stage's maximum creeps up a bucket
+		// at a time, and an exact-size regrow would copy on every new one.
+		h.counts = append(h.counts, make([]int64, idx+1-len(h.counts))...)
 	}
 	h.counts[idx]++
 	h.count++

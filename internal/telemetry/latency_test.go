@@ -80,6 +80,26 @@ func TestLatencyObserveEdges(t *testing.T) {
 		t.Fatalf("p50 = %d, want 0 (rank 2 of [0 0 1 max])", got)
 	}
 
+	// A maximum that creeps up one bucket at a time (a functor stage's
+	// service times do) grows counts geometrically, not by one exact-size
+	// copy per new bucket.
+	const buckets = 1024
+	var g LatencyHistogram
+	regrown := 0
+	for idx := 0; idx < buckets; idx++ {
+		before := cap(g.counts)
+		g.Observe(sim.Duration(latBucketUpper(idx)))
+		if cap(g.counts) != before {
+			regrown++
+		}
+	}
+	if g.Count() != buckets || len(g.counts) != buckets {
+		t.Fatalf("count/len = %d/%d", g.Count(), len(g.counts))
+	}
+	if regrown > 32 {
+		t.Fatalf("%d ascending buckets regrew counts %d times, want amortised growth", buckets, regrown)
+	}
+
 	var nilH *LatencyHistogram
 	nilH.Observe(5) // must not panic
 	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 || nilH.Name() != "" {

@@ -66,20 +66,6 @@ type GaugeReport struct {
 	Samples []GaugeSample `json:"samples"`
 }
 
-// HistogramReport is one histogram's buckets and summary statistics.
-type HistogramReport struct {
-	Name   string    `json:"name"`
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Min    float64   `json:"min"`
-	Max    float64   `json:"max"`
-	P50    float64   `json:"p50"`
-	P90    float64   `json:"p90"`
-	P99    float64   `json:"p99"`
-}
-
 // LatencyBucket is one nonzero bucket of a latency histogram: the inclusive
 // upper bound of the bucket in nanoseconds and its observation count. Only
 // nonzero buckets are exported, so sparse distributions stay compact.
@@ -137,18 +123,17 @@ type SLOReport struct {
 // instrument, and the load manager's decision audit log. Reports are
 // deterministic: the same seed and configuration produce byte-identical JSON.
 type RunReport struct {
-	Schema     string            `json:"schema"`
-	Name       string            `json:"name"`
-	Seed       int64             `json:"seed"`
-	Config     ClusterConfig     `json:"config"`
-	Workload   map[string]any    `json:"workload,omitempty"`
-	RuntimeSec float64           `json:"runtime_sec"`
-	RuntimeNs  int64             `json:"runtime_ns"`
-	Nodes      []NodeReport      `json:"nodes"`
-	Counters   []CounterReport   `json:"counters,omitempty"`
-	Gauges     []GaugeReport     `json:"gauges,omitempty"`
-	Histograms []HistogramReport `json:"histograms,omitempty"`
-	Latencies  []LatencyReport   `json:"latencies,omitempty"`
+	Schema     string          `json:"schema"`
+	Name       string          `json:"name"`
+	Seed       int64           `json:"seed"`
+	Config     ClusterConfig   `json:"config"`
+	Workload   map[string]any  `json:"workload,omitempty"`
+	RuntimeSec float64         `json:"runtime_sec"`
+	RuntimeNs  int64           `json:"runtime_ns"`
+	Nodes      []NodeReport    `json:"nodes"`
+	Counters   []CounterReport `json:"counters,omitempty"`
+	Gauges     []GaugeReport   `json:"gauges,omitempty"`
+	Latencies  []LatencyReport `json:"latencies,omitempty"`
 	// SLO is the deadline-ladder summary, present for open-loop runs.
 	SLO       *SLOReport `json:"slo,omitempty"`
 	Decisions []Decision `json:"decisions,omitempty"`
@@ -184,24 +169,6 @@ func (r *Registry) Fill(rep *RunReport) {
 		rep.Gauges = append(rep.Gauges, GaugeReport{Name: g.name, Samples: g.samples})
 	}
 	sort.Slice(rep.Gauges, func(i, j int) bool { return rep.Gauges[i].Name < rep.Gauges[j].Name })
-	for _, h := range r.hists {
-		if h.count == 0 {
-			continue
-		}
-		rep.Histograms = append(rep.Histograms, HistogramReport{
-			Name:   h.name,
-			Bounds: h.bounds,
-			Counts: h.counts,
-			Count:  h.count,
-			Sum:    round6(h.sum),
-			Min:    round6(h.min),
-			Max:    round6(h.max),
-			P50:    round6(h.Quantile(0.50)),
-			P90:    round6(h.Quantile(0.90)),
-			P99:    round6(h.Quantile(0.99)),
-		})
-	}
-	sort.Slice(rep.Histograms, func(i, j int) bool { return rep.Histograms[i].Name < rep.Histograms[j].Name })
 	for _, h := range r.lats {
 		if h.count == 0 {
 			continue

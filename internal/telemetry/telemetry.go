@@ -1,6 +1,6 @@
 // Package telemetry is the aggregate observability layer of the emulator: a
 // per-Sim registry of typed instruments — monotonic counters, gauges sampled
-// in virtual time, fixed-bucket histograms — plus a load-manager decision
+// in virtual time, log-bucketed latency histograms — plus a load-manager decision
 // audit log, all snapshotted into a machine-readable RunReport (report.go).
 //
 // The paper's emulator "is instrumented to report application progress,
@@ -22,8 +22,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"lmas/internal/sim"
 )
@@ -94,88 +92,6 @@ func (g *Gauge) Samples() []GaugeSample {
 	return g.samples
 }
 
-// DurationBuckets are the default histogram bounds for virtual-time spans,
-// in seconds: 1µs .. 10s, one decade apart, plus an overflow bucket.
-var DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-
-// Histogram counts observations into fixed buckets. Bounds are inclusive
-// upper bounds in ascending order; values above the last bound land in an
-// implicit overflow bucket.
-type Histogram struct {
-	name     string
-	bounds   []float64
-	counts   []int64 // len(bounds)+1, last is overflow
-	count    int64
-	sum      float64
-	min, max float64
-}
-
-// Observe records one value. No-op on a nil histogram.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if h.count == 1 || v > h.max {
-		h.max = v
-	}
-}
-
-// ObserveDuration records a virtual-time span in seconds.
-func (h *Histogram) ObserveDuration(d sim.Duration) { h.Observe(d.Seconds()) }
-
-// Count reports the number of observations (zero on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Quantile estimates the q'th quantile (0..1) by linear interpolation
-// within the containing bucket, clamped to the observed min/max. It returns
-// 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.max
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			frac := (rank - cum) / float64(c)
-			v := lo + frac*(hi-lo)
-			return math.Min(math.Max(v, h.min), h.max)
-		}
-		cum = next
-	}
-	return h.max
-}
-
 // Reading is one named trigger value attached to a Decision. Readings are a
 // slice, not a map, so audit entries serialize in a stable order.
 type Reading struct {
@@ -199,7 +115,6 @@ type Decision struct {
 type Registry struct {
 	counters  []*Counter
 	gauges    []*Gauge
-	hists     []*Histogram
 	lats      []*LatencyHistogram
 	byName    map[string]any
 	decisions []Decision
@@ -247,34 +162,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.byName[name] = g
 	r.gauges = append(r.gauges, g)
 	return g
-}
-
-// Histogram returns the histogram named name, creating it with the given
-// bounds on first use (nil bounds means DurationBuckets). Returns nil on a
-// nil registry.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if v, ok := r.byName[name]; ok {
-		h, ok := v.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, v))
-		}
-		return h
-	}
-	if bounds == nil {
-		bounds = DurationBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %q bounds not ascending", name))
-		}
-	}
-	h := &Histogram{name: name, bounds: bounds, counts: make([]int64, len(bounds)+1)}
-	r.byName[name] = h
-	r.hists = append(r.hists, h)
-	return h
 }
 
 // Decide appends one audit-log entry. No-op on a nil registry.

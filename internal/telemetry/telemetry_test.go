@@ -21,11 +21,10 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if g.Last() != 0 || g.Samples() != nil {
 		t.Fatal("nil gauge recorded")
 	}
-	h := r.Histogram("z", nil)
-	h.Observe(1)
-	h.ObserveDuration(sim.Second)
+	h := r.Latency("z")
+	h.Observe(sim.Second)
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram recorded")
+		t.Fatal("nil latency histogram recorded")
 	}
 	r.Decide(0, "s", "a", "d")
 	if r.Decisions() != nil {
@@ -33,7 +32,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	var rep RunReport
 	r.Fill(&rep)
-	if rep.Counters != nil || rep.Histograms != nil {
+	if rep.Counters != nil || rep.Latencies != nil {
 		t.Fatal("nil registry filled a report")
 	}
 }
@@ -62,10 +61,10 @@ func TestInstrumentKindCollisionPanics(t *testing.T) {
 	r.Counter("name")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic registering a gauge over a counter")
+			t.Fatal("no panic registering a latency histogram over a counter")
 		}
 	}()
-	r.Gauge("name")
+	r.Latency("name")
 }
 
 func TestGauge(t *testing.T) {
@@ -79,51 +78,6 @@ func TestGauge(t *testing.T) {
 	if g.Samples()[0] != (GaugeSample{T: 100, V: 2}) {
 		t.Fatalf("sample[0] = %+v", g.Samples()[0])
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 2, 3, 50, 500} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	want := []int64{1, 2, 1, 1} // <=1, <=10, <=100, overflow
-	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("counts[%d] = %d, want %d", i, h.counts[i], w)
-		}
-	}
-	if h.min != 0.5 || h.max != 500 {
-		t.Fatalf("min/max = %v/%v", h.min, h.max)
-	}
-	// Quantiles are monotone in q and clamped to [min, max].
-	prev := h.Quantile(0)
-	for _, q := range []float64{0.25, 0.5, 0.9, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("Quantile(%v)=%v < previous %v", q, v, prev)
-		}
-		prev = v
-	}
-	if h.Quantile(0) != 0.5 || h.Quantile(1) != 500 {
-		t.Fatalf("extremes = %v/%v", h.Quantile(0), h.Quantile(1))
-	}
-	if got := h.Quantile(0.5); got < 1 || got > 10 {
-		t.Fatalf("median %v outside containing bucket (1,10]", got)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-ascending bounds")
-		}
-	}()
-	r.Histogram("bad", []float64{1, 1})
 }
 
 func TestDecisions(t *testing.T) {
@@ -147,9 +101,9 @@ func TestReportDeterministicJSON(t *testing.T) {
 		g := r.Gauge("backlog")
 		g.Set(10, 1)
 		g.Set(20, 4)
-		h := r.Histogram("lat", nil)
-		h.ObserveDuration(3 * sim.Millisecond)
-		h.ObserveDuration(40 * sim.Microsecond)
+		h := r.Latency("lat")
+		h.Observe(3 * sim.Millisecond)
+		h.Observe(40 * sim.Microsecond)
 		r.Decide(100, "route.sort", "switch-policy", "static->sr")
 		rep := NewRunReport("unit", 42, 2*sim.Second)
 		rep.Config = ClusterConfig{Hosts: 2, ASUs: 4}
@@ -250,19 +204,38 @@ func TestDiffDetectsRuntimeRegression(t *testing.T) {
 }
 
 func TestDiffP99AndMismatches(t *testing.T) {
-	mkRep := func(p99 float64) *RunReport {
-		rep := NewRunReport("r", 1, sim.Second)
-		rep.Histograms = []HistogramReport{{Name: "lat", P99: p99, Count: 10}}
+	// The gate reads latencies[], the report's only distribution section: a
+	// > 10% openloop p99 move must fail a 10% gate.
+	mkRep := func(p99 sim.Duration) *RunReport {
+		rep := NewRunReport("openloop", 1, sim.Second)
+		rep.Latencies = []LatencyReport{{Name: "openloop.job.latency", P99Ns: int64(p99), Count: 10}}
 		return rep
 	}
-	opt := DiffOptions{RuntimeThreshold: 0.10, P99Threshold: 0.25}
-	res := Diff(
-		&Trajectory{Runs: []*RunReport{mkRep(0.010)}},
-		&Trajectory{Runs: []*RunReport{mkRep(0.020)}},
-		opt,
-	)
+	diffP99 := func(base, next sim.Duration, threshold float64) *DiffResult {
+		return Diff(
+			&Trajectory{Runs: []*RunReport{mkRep(base)}},
+			&Trajectory{Runs: []*RunReport{mkRep(next)}},
+			DiffOptions{RuntimeThreshold: 0.10, P99Threshold: threshold},
+		)
+	}
+	res := diffP99(271*sim.Microsecond, 300*sim.Microsecond, 0.10)
 	if !res.Regressed() {
-		t.Fatal("2x p99 not flagged with p99 gate enabled")
+		t.Fatal("+10.7% openloop.job.latency p99 not flagged by a 10% p99 gate")
+	}
+	var p99 *DiffEntry
+	for i := range res.Entries {
+		if res.Entries[i].Field == "openloop.job.latency.p99" {
+			p99 = &res.Entries[i]
+		}
+	}
+	if p99 == nil || p99.Base != 271e-6 || p99.New != 300e-6 {
+		t.Fatalf("p99 entry not reported in seconds: %+v", p99)
+	}
+	if diffP99(271*sim.Microsecond, 290*sim.Microsecond, 0.10).Regressed() {
+		t.Fatal("+7% p99 flagged under a 10% gate")
+	}
+	if diffP99(271*sim.Microsecond, 542*sim.Microsecond, 0).Regressed() {
+		t.Fatal("2x p99 flagged with the p99 gate off")
 	}
 
 	// Unmatched runs land in Missing, not Entries.
