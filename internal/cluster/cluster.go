@@ -417,28 +417,19 @@ func (c *Cluster) observe(obs Observers) {
 			rec.Event(ev)
 		})
 		// Event order is deterministic, so the streamed spans keep segments
-		// deterministic below the header. args is reused for every event:
-		// Recorder.Span does not retain it.
-		var args []recorder.SpanArg
+		// deterministic below the header. The sink's args are the span's.
 		obs.Trace.SetStreamer(func(e trace.StreamEvent) {
-			sp := recorder.Span{
+			rec.Span(recorder.Span{
 				T:     e.TS,
 				DurNs: e.Dur,
-				Ph:    string(e.Ph),
+				Ph:    phaseString(e.Ph),
 				Group: e.Group,
 				Track: e.Track,
 				TID:   e.TID,
 				Name:  e.Name,
 				Cat:   e.Cat,
-			}
-			if len(e.Args) > 0 {
-				args = args[:0]
-				for _, a := range e.Args {
-					args = append(args, recorder.SpanArg(a))
-				}
-				sp.Args = args
-			}
-			rec.Span(sp)
+				Args:  e.Args,
+			})
 		})
 		every := obs.SampleEvery
 		if every <= 0 {
@@ -449,6 +440,24 @@ func (c *Cluster) observe(obs Observers) {
 	if obs.GaugeEvery > 0 && c.Telemetry != nil {
 		c.startSampler("gauge.sampler", obs.GaugeEvery, nil, true)
 	}
+}
+
+// phaseString spells a sink's event phase as a constant string: string(ph)
+// would allocate once per streamed event.
+func phaseString(ph byte) string {
+	switch ph {
+	case 'B':
+		return "B"
+	case 'E':
+		return "E"
+	case 'X':
+		return "X"
+	case 'i':
+		return "i"
+	case 'C':
+		return "C"
+	}
+	return string(ph)
 }
 
 // installUtilTraces is the one owner of the devices' BusyRecorder slots: it

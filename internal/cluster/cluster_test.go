@@ -243,6 +243,35 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	}
 }
 
+// BenchmarkSinkSpanArgs records one transfer the way netsim does — a Span
+// with an int and a string arg — on a sink whose streamer is the cluster's
+// bridge into a store run: the whole call site → sink → bridge → span line
+// path. It allocates only per storage chunk, 0 allocs/op (gated by `make
+// bench-allocs`).
+func BenchmarkSinkSpanArgs(b *testing.B) {
+	st, err := recorder.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := st.NewRun()
+	rec.Begin(&recorder.Header{Experiment: "bench", Name: "args", GitRev: "bench"})
+	sink := trace.New()
+	c := NewObserved(DefaultParams(), Observers{Trace: sink, Recorder: rec})
+	asu, to := c.ASUs[0].Name, c.Hosts[0].Name
+	tr := sink.SharedTrack(asu, asu+".nic")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts := trace.Time(i) * 1000
+		sink.Span(tr, ts, ts+800, "send", "net", trace.Int("bytes", int64(i)), trace.Str("to", to))
+	}
+	b.StopTimer()
+	rec.Finish(nil)
+	if err := st.Err(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestLog2Variants pins the two compare-count functions the cost model
 // charges: they agree on powers of two and nowhere else above 2, which is why
 // callers cannot swap one for the other without moving virtual time.

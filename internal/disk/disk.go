@@ -146,7 +146,7 @@ func (r *Run) Read(p *sim.Proc, n int) {
 			kind = "read.prefetch"
 		}
 		t.Span(d.TraceTrack(t), int64(start), int64(end), kind, "disk",
-			trace.Arg{Key: "bytes", Val: n})
+			trace.Int("bytes", int64(n)))
 	}
 	if end > now {
 		if pf := d.s.Profiler(); pf != nil {
@@ -181,7 +181,7 @@ func (d *Disk) Write(p *sim.Proc, n int) {
 	d.writeBytes += int64(n)
 	if t := d.s.Tracer(); t != nil {
 		t.Span(d.TraceTrack(t), int64(start), int64(end), "write", "disk",
-			trace.Arg{Key: "bytes", Val: n})
+			trace.Int("bytes", int64(n)))
 	}
 }
 

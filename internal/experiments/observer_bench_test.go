@@ -49,9 +49,9 @@ func benchObservers(b *testing.B, spec SortRunSpec, traced, critpath, recorded b
 
 // BenchmarkObservedQuickCell is the quick bench cell with the trace sink and
 // the run store both attached — every trace event stored and streamed. Its
-// allocs/op are gated by `make bench-allocs`: what is left is per-event
-// argument boxing at the call sites, and a regression in the span encoder,
-// the bridge or the sink's storage shows up here as a multiple.
+// allocs/op are gated by `make bench-allocs`: no trace event allocates, so a
+// regression in the call sites' args, the span encoder, the bridge or the
+// sink's storage shows up here as a multiple.
 func BenchmarkObservedQuickCell(b *testing.B) {
 	benchObservers(b, BenchMatrix(true, 1)[0], true, false, true)
 }

@@ -496,8 +496,7 @@ func (in *Instance) run(proc *sim.Proc) {
 			panic(err)
 		}
 	}
-	proc.TraceBegin("stage "+in.Stage.Name, "functor",
-		trace.Arg{Key: "node", Val: in.Node.Name})
+	proc.TraceBegin("stage "+in.Stage.Name, "functor", trace.Str("node", in.Node.Name))
 	for {
 		pk, ok := in.In.Get(proc)
 		if !ok {
@@ -512,12 +511,7 @@ func (in *Instance) run(proc *sim.Proc) {
 		pf.ChargeQueueTime(proc, svcStart.Add(-wait), svcStart)
 		in.PacketsIn++
 		in.RecordsIn += int64(pk.Len())
-		// Guarded so the per-packet variadic arg slice is only built when a
-		// tracer is attached; this loop runs once per packet per hop.
-		traced := proc.Tracing()
-		if traced {
-			proc.TraceBegin("packet", "functor", trace.Arg{Key: "records", Val: pk.Len()})
-		}
+		proc.TraceBegin("packet", "functor", trace.Int("records", int64(pk.Len())))
 		if !in.Stage.NoCPU {
 			ops := cm.PacketOps + float64(pk.Len())*(touch+in.kernel.Compares(pk)*cm.CompareOps)
 			in.OpsCharged += ops
@@ -527,16 +521,12 @@ func (in *Instance) run(proc *sim.Proc) {
 		svc := sim.Duration(proc.Now() - svcStart)
 		svcH.Observe(svc)
 		latH.Observe(wait + svc)
-		if traced {
-			proc.TraceEnd()
-		}
+		proc.TraceEnd()
 		pf.EndPacket(proc)
 	}
 	in.kernel.Flush(ctx, emit)
 	in.out.Close() // the courier signals producerDone after draining
-	proc.TraceEnd(
-		trace.Arg{Key: "packets", Val: in.PacketsIn},
-		trace.Arg{Key: "records", Val: in.RecordsIn})
+	proc.TraceEnd(trace.Int("packets", in.PacketsIn), trace.Int("records", in.RecordsIn))
 }
 
 // Run is a convenience: Start the pipeline and run the simulator to

@@ -99,9 +99,9 @@ func (n *Net) transfer(p *sim.Proc, src, dst *Iface, size int, withLatency bool)
 				kind = "send"
 			}
 			t.Span(src.TraceTrack(t), int64(start), int64(end), kind, "net",
-				trace.Arg{Key: "bytes", Val: size}, trace.Arg{Key: "to", Val: dst.Name()})
+				trace.Int("bytes", int64(size)), trace.Str("to", dst.Name()))
 			t.Span(dst.TraceTrack(t), int64(start), int64(end), "recv", "net",
-				trace.Arg{Key: "bytes", Val: size}, trace.Arg{Key: "from", Val: src.Name()})
+				trace.Int("bytes", int64(size)), trace.Str("from", src.Name()))
 		}
 	}
 	src.sent++

@@ -2,8 +2,6 @@ package recorder
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lmas/internal/trace"
 )
 
 // fakeFile stands in for the segment file: it records what reaches it, fails
@@ -57,7 +57,7 @@ func runOn(st *Store, f *fakeFile) *storeRun {
 // testSpan is ~130 bytes a line, so 2100 of them fill one chunk.
 func testSpan(i int) Span {
 	return Span{T: int64(i), DurNs: 800, Ph: "X", Group: "asu0", Track: "asu0.disk", TID: 3,
-		Name: "read.prefetch", Cat: "disk", Args: []SpanArg{{Key: "bytes", Val: 8192}, {Key: "i", Val: i}}}
+		Name: "read.prefetch", Cat: "disk", Args: []SpanArg{{Key: "bytes", Val: 8192}, trace.Int("i", int64(i))}}
 }
 
 func wantLines(t *testing.T, n int) []byte {
@@ -172,28 +172,6 @@ func TestChunkWriterBlockedFile(t *testing.T) {
 	}
 	if want := wantLines(t, n); !bytes.Equal(f.data.Bytes(), want) {
 		t.Fatalf("file holds %d bytes that differ from the %d written", f.data.Len(), len(want))
-	}
-}
-
-// TestSpanEncodeErrorEndsStream: an argument encoding/json rejects is latched
-// like a write error, leaves no partial line, and ends the stream so the
-// segment cannot pass for a complete run.
-func TestSpanEncodeErrorEndsStream(t *testing.T) {
-	st := &Store{}
-	f := &fakeFile{}
-	r := runOn(st, f)
-	r.Span(testSpan(0))
-	bad := testSpan(1)
-	bad.Args = append(bad.Args, SpanArg{Key: "ch", Val: make(chan int)})
-	r.Span(bad)
-	r.Span(testSpan(2))
-	r.Finish(nil)
-	var unsupported *json.UnsupportedTypeError
-	if err := st.Err(); !errors.As(err, &unsupported) {
-		t.Fatalf("Store.Err() = %v, want encoding/json's unsupported-type error", err)
-	}
-	if want := marshalSpanLine(t, testSpan(0)); !bytes.Equal(f.data.Bytes(), want) {
-		t.Fatalf("file holds %q, want only the line before the failure", f.data.Bytes())
 	}
 }
 

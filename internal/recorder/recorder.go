@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"lmas/internal/telemetry"
+	"lmas/internal/trace"
 )
 
 // StoreSchema identifies the run-store segment format: line one of every
@@ -98,12 +99,11 @@ type Event struct {
 	Fields map[string]float64 `json:"fields,omitempty"`
 }
 
-// SpanArg is one ordered key/value annotation on a stored span: trace.Arg
-// with the segment's field names.
-type SpanArg struct {
-	Key string `json:"k"`
-	Val any    `json:"v"`
-}
+// SpanArg is one ordered key/value annotation on a stored span. It is the
+// trace sink's own typed argument, so spans stream from the sink without a
+// copy; it is stored as {"k":key,"v":value} (trace.Arg.MarshalJSON), and a
+// stored value loads back as the int, string or bool it was.
+type SpanArg = trace.Arg
 
 // Span is one trace event streamed into the record: a complete span, a
 // begin/end edge, an instant, or a counter sample, in the Chrome trace-event
@@ -152,9 +152,8 @@ type Recorder interface {
 	// Event records one streamed event.
 	Event(e Event)
 	// Span records one streamed trace event. Backends that do not keep
-	// traces (the live dashboard) may drop spans. sp.Args is the caller's
-	// scratch slice, overwritten by the next call: a backend that keeps the
-	// span past its return copies Args.
+	// traces (the live dashboard) may drop spans. sp.Args belongs to the
+	// caller: a backend that keeps the span past its return copies Args.
 	Span(sp Span)
 	// Finish closes the run with its completed report (nil if the run
 	// failed before reporting).

@@ -12,10 +12,9 @@ import (
 // track encoding/json byte for byte, not merely produce equal JSON: segments
 // of one run recorded by two builds are compared with cmp (CI's neutrality
 // and round-trip gates, TestGoldenSegmentAndTrace). TestSpanLineMatchesJSON
-// and FuzzSpanLine hold it to that. Argument values take trace.AppendValue,
-// whose fallback for unlisted types is json.Marshal itself; an error leaves
-// dst's new tail undefined and the caller truncates it.
-func appendSpanLine(dst []byte, sp *Span) ([]byte, error) {
+// and FuzzSpanLine hold it to that, against an encoding/json mirror with
+// any-valued args.
+func appendSpanLine(dst []byte, sp *Span) []byte {
 	dst = append(dst, `{"span":{"t_ns":`...)
 	dst = strconv.AppendInt(dst, sp.T, 10)
 	if sp.DurNs != 0 {
@@ -44,16 +43,9 @@ func appendSpanLine(dst []byte, sp *Span) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, `{"k":`...)
-			dst = trace.AppendString(dst, a.Key)
-			dst = append(dst, `,"v":`...)
-			var err error
-			if dst, err = trace.AppendValue(dst, a.Val); err != nil {
-				return dst, err
-			}
-			dst = append(dst, '}')
+			dst = a.AppendJSON(dst)
 		}
 		dst = append(dst, ']')
 	}
-	return append(dst, "}}\n"...), nil
+	return append(dst, "}}\n"...)
 }

@@ -155,14 +155,7 @@ func (r *storeRun) Span(sp Span) {
 	if r.out == nil || r.dead {
 		return
 	}
-	n := len(r.out.buf)
-	b, err := appendSpanLine(r.out.buf, &sp)
-	if err != nil {
-		r.out.buf = b[:n]
-		r.fail(err)
-		return
-	}
-	r.out.buf = b
+	r.out.buf = appendSpanLine(r.out.buf, &sp)
 	r.out.lineDone()
 }
 

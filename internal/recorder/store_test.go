@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -76,6 +77,107 @@ func TestStoreRoundTrip(t *testing.T) {
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Fatalf("replay stream %v, want %v", kinds, want)
+		}
+	}
+}
+
+// exactArgs are stored args that must load and store again unchanged: ints
+// past 2^53, which a float64 would round, at both ends of int64.
+var exactArgs = []string{
+	`{"k":"bytes","v":4611686018427387905}`,
+	`{"k":"max","v":9223372036854775807}`,
+	`{"k":"min","v":-9223372036854775808}`,
+	`{"k":"to","v":"asu1"}`,
+	`{"k":"high","v":true}`,
+	`{"k":"cold","v":false}`,
+}
+
+// untypedArgs are stored args whose value is no int64, string or bool.
+var untypedArgs = []string{
+	`{"k":"frac","v":1.5}`,
+	`{"k":"exp","v":1e3}`,
+	`{"k":"nil","v":null}`,
+	`{"k":"obj","v":{"a":1}}`,
+	`{"k":"arr","v":[1]}`,
+	`{"k":"over","v":9223372036854775808}`,
+	`{"k":"under","v":-9223372036854775809}`,
+	`{"k":"none"}`,
+}
+
+func spanWithArg(arg string) string {
+	return `{"span":{"t_ns":1,"ph":"X","group":"g","track":"t","tid":1,"args":[` + arg + `]}}`
+}
+
+const segmentHeader = `{"schema":"` + StoreSchema + `","run_id":"x-0000","experiment":"x","name":"c","config_hash":"h","git_rev":"r","started_at":"t","seed":1,"config":{}}` + "\n"
+
+// TestStoredArgsRoundTripExact: a stored segment loaded and replayed into a
+// store writes the same span lines, and ComposeTrace exports the same
+// values — no int comes back through a float64.
+func TestStoredArgsRoundTripExact(t *testing.T) {
+	dir := t.TempDir()
+	var body strings.Builder
+	for _, arg := range exactArgs {
+		body.WriteString(spanWithArg(arg) + "\n")
+	}
+	body.WriteString(`{"finish":{"report":null}}` + "\n")
+	path := filepath.Join(dir, "in.jsonl")
+	if err := os.WriteFile(path, []byte(segmentHeader+body.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run, err := LoadRun(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(filepath.Join(dir, "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Replay(st.NewRun())
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := st.Runs()
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("replayed store: %d runs, err %v", len(runs), err)
+	}
+	out, err := os.ReadFile(runs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(stripHeaderLine(t, out)); got != body.String() {
+		t.Fatalf("replayed segment:\n%s\nwant:\n%s", got, body.String())
+	}
+
+	var doc strings.Builder
+	if err := ComposeTrace(&doc, []*RunRecord{run}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"bytes":4611686018427387905`, `"max":9223372036854775807`,
+		`"min":-9223372036854775808`, `"to":"asu1"`, `"high":true`, `"cold":false`} {
+		if !strings.Contains(doc.String(), want) {
+			t.Errorf("composed trace lacks %s", want)
+		}
+	}
+}
+
+// TestLoadRunRejectsUntypedArgs: a stored arg value that is no int64,
+// string or bool fails LoadRun with an error naming the arg's key.
+func TestLoadRunRejectsUntypedArgs(t *testing.T) {
+	dir := t.TempDir()
+	for i, arg := range untypedArgs {
+		var key struct {
+			K string `json:"k"`
+		}
+		if err := json.Unmarshal([]byte(arg), &key); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("bad-%d.jsonl", i))
+		if err := os.WriteFile(path, []byte(segmentHeader+spanWithArg(arg)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadRun(path)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", key.K)) {
+			t.Errorf("LoadRun(%s) = %v, want an error naming %q", arg, err, key.K)
 		}
 	}
 }

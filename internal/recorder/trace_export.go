@@ -47,14 +47,9 @@ func ComposeTrace(w io.Writer, runs []*RunRecord) error {
 		}
 	}
 	// Pass 2: the events themselves.
-	var args []trace.Arg
 	for ri, run := range runs {
 		for _, sp := range run.Spans() {
-			args = args[:0]
-			for _, a := range sp.Args {
-				args = append(args, trace.Arg(a))
-			}
-			e := trace.StreamEvent{TS: sp.T, Dur: sp.DurNs, TID: sp.TID, Name: sp.Name, Cat: sp.Cat, Args: args}
+			e := trace.StreamEvent{TS: sp.T, Dur: sp.DurNs, TID: sp.TID, Name: sp.Name, Cat: sp.Cat, Args: sp.Args}
 			if len(sp.Ph) == 1 { // anything else stays 0, which Event rejects
 				e.Ph = sp.Ph[0]
 			}

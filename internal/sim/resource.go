@@ -76,7 +76,7 @@ func (r *Resource) take(p *Proc, high bool) {
 	}
 	if t := r.sim.tracer; t != nil {
 		t.Begin(r.TraceTrack(t), int64(r.sim.now), "hold", "resource",
-			trace.Arg{Key: "proc", Val: p.name}, trace.Arg{Key: "high", Val: high})
+			trace.Str("proc", p.name), trace.Bool("high", high))
 	}
 }
 

@@ -658,14 +658,9 @@ func (p *Proc) park(why string) {
 	}
 }
 
-// Tracing reports whether trace events on this proc reach a sink. Hot paths
-// that would build variadic trace args per event should check it first: the
-// Trace* methods no-op when untraced, but their argument slices still
-// allocate at the call site.
-func (p *Proc) Tracing() bool { return p.sim.tracer != nil }
-
 // TraceBegin opens a span on the proc's trace track; close it with TraceEnd.
-// All trace methods no-op when the sim is untraced.
+// All trace methods no-op when the sim is untraced; the sink copies args, so
+// the caller's variadic slice stays on its stack either way.
 func (p *Proc) TraceBegin(name, cat string, args ...trace.Arg) {
 	if t := p.sim.tracer; t != nil {
 		t.Begin(p.track, int64(p.sim.now), name, cat, args...)

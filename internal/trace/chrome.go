@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -62,30 +61,6 @@ func AppendString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-// AppendValue appends the JSON encoding of an event argument. The types
-// instrumented code actually passes (int, int32, int64, string, bool) are
-// encoded in place; any other dynamic type goes through json.Marshal, which
-// defines the format for all of them.
-func AppendValue(dst []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case int:
-		return strconv.AppendInt(dst, int64(v), 10), nil
-	case int32:
-		return strconv.AppendInt(dst, int64(v), 10), nil
-	case int64:
-		return strconv.AppendInt(dst, v, 10), nil
-	case string:
-		return AppendString(dst, v), nil
-	case bool:
-		return strconv.AppendBool(dst, v), nil
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
 }
 
 // ChromeWriter streams one Chrome trace-event JSON document ("JSON object
@@ -149,8 +124,8 @@ func appendUsec(dst []byte, t Time) []byte {
 
 // Event writes e on thread e.TID of process pid; e.Group and e.Track are not
 // used (Process and Thread carry the names). It fails on a phase a Sink never
-// records (a stored span can hold anything) or an argument value that cannot
-// be encoded, and then writes nothing for that event.
+// records (a stored span can hold anything), and then writes nothing for that
+// event.
 func (cw *ChromeWriter) Event(pid int, e StreamEvent) error {
 	switch e.Ph {
 	case phaseBegin, phaseEnd, phaseSpan, phaseInstant, phaseCounter:
@@ -186,10 +161,7 @@ func (cw *ChromeWriter) Event(pid int, e StreamEvent) error {
 			}
 			b = AppendString(b, a.Key)
 			b = append(b, ':')
-			var err error
-			if b, err = AppendValue(b, a.Val); err != nil {
-				return fmt.Errorf("trace: arg %q: %w", a.Key, err)
-			}
+			b = a.appendValue(b)
 		}
 		b = append(b, '}')
 	}

@@ -33,13 +33,6 @@ type Time = int64
 // disk or NIC), a proc, or a queue. The zero Track is invalid.
 type Track int32
 
-// Arg is one key/value annotation on an event. Args are kept ordered so that
-// exports are deterministic.
-type Arg struct {
-	Key string
-	Val any
-}
-
 // Event phases, following the Chrome trace-event format.
 const (
 	phaseBegin   = 'B' // span open
@@ -54,14 +47,18 @@ type trackInfo struct {
 	name  string
 }
 
+// event is one stored event, 64 bytes: its args live in the sink's arg
+// storage, nargs of them from index argOff on, rather than behind a slice
+// header of its own.
 type event struct {
-	track Track
-	ph    byte
-	ts    Time
-	dur   Time // phaseSpan only
-	name  string
-	cat   string
-	args  []Arg
+	track  Track
+	ph     byte
+	nargs  uint8
+	argOff uint32
+	ts     Time
+	dur    Time // phaseSpan only
+	name   string
+	cat    string
 }
 
 // Sink accumulates events for one simulation. Create one with New; the zero
@@ -74,12 +71,20 @@ type Sink struct {
 	// chunks holds the events in record order. Every chunk but the last is
 	// full, and none is ever regrown, so recording copies nothing it already
 	// holds however long the run.
-	chunks   [][]event
+	chunks [][]event
+	// args holds every event's args, copied in from the caller's variadic
+	// slice (which therefore stays on the caller's stack). Chunks are never
+	// regrown either; one event's args never straddle two chunks, so a chunk
+	// may end short when the next event's run did not fit.
+	args     [][]Arg
 	streamer func(StreamEvent)
 }
 
-// eventChunk is the number of events per storage chunk (320 KiB of events).
-const eventChunk = 4096
+const (
+	eventChunk = 4096 // events per storage chunk (256 KiB of events)
+	argChunk   = 4096 // args per storage chunk (192 KiB of args)
+	maxArgs    = 255  // args per event: the count is a uint8
+)
 
 // StreamEvent is one trace event in self-describing form: track identity is
 // resolved to group/track names so a consumer outside this package (the run
@@ -93,7 +98,7 @@ type StreamEvent struct {
 	TID   int32 // the Sink-local track id, stable within one run
 	Name  string
 	Cat   string
-	Args  []Arg
+	Args  []Arg // a Sink's event: its own storage, valid for the Sink's life
 }
 
 func (s *Sink) streamEvent(e *event) StreamEvent {
@@ -107,8 +112,18 @@ func (s *Sink) streamEvent(e *event) StreamEvent {
 		TID:   int32(e.track),
 		Name:  e.name,
 		Cat:   e.cat,
-		Args:  e.args,
+		Args:  s.argsOf(e),
 	}
+}
+
+// argsOf returns e's args in the sink's storage, capped so that appending to
+// them cannot overwrite the next event's; nil when e has none.
+func (s *Sink) argsOf(e *event) []Arg {
+	if e.nargs == 0 {
+		return nil
+	}
+	i, n := int(e.argOff%argChunk), int(e.nargs)
+	return s.args[e.argOff/argChunk][i : i+n : i+n]
 }
 
 // SetStreamer installs an observer called synchronously for every event
@@ -202,9 +217,23 @@ func (s *Sink) Events() int {
 	return n
 }
 
-func (s *Sink) add(e event) {
+// add records e with a copy of args; it panics on more than maxArgs.
+func (s *Sink) add(e event, args []Arg) {
 	if s == nil || e.track == 0 {
 		return
+	}
+	if n := len(args); n > 0 {
+		if n > maxArgs {
+			panic(fmt.Sprintf("trace: event %q has %d args, more than %d", e.name, n, maxArgs))
+		}
+		last := len(s.args) - 1
+		if last < 0 || len(s.args[last])+n > argChunk {
+			s.args = append(s.args, make([]Arg, 0, argChunk))
+			last++
+		}
+		e.argOff = uint32(last*argChunk + len(s.args[last]))
+		e.nargs = uint8(n)
+		s.args[last] = append(s.args[last], args...)
 	}
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last]) == eventChunk {
@@ -220,12 +249,12 @@ func (s *Sink) add(e event) {
 // Begin opens a span on tr at ts. Spans on one track must nest: close them
 // with End in LIFO order.
 func (s *Sink) Begin(tr Track, ts Time, name, cat string, args ...Arg) {
-	s.add(event{track: tr, ph: phaseBegin, ts: ts, name: name, cat: cat, args: args})
+	s.add(event{track: tr, ph: phaseBegin, ts: ts, name: name, cat: cat}, args)
 }
 
 // End closes the innermost open span on tr at ts.
 func (s *Sink) End(tr Track, ts Time, args ...Arg) {
-	s.add(event{track: tr, ph: phaseEnd, ts: ts, args: args})
+	s.add(event{track: tr, ph: phaseEnd, ts: ts}, args)
 }
 
 // Span records a complete [from, to) span on tr. Unlike Begin/End pairs it
@@ -236,18 +265,18 @@ func (s *Sink) Span(tr Track, from, to Time, name, cat string, args ...Arg) {
 	if to < from {
 		to = from
 	}
-	s.add(event{track: tr, ph: phaseSpan, ts: from, dur: to - from, name: name, cat: cat, args: args})
+	s.add(event{track: tr, ph: phaseSpan, ts: from, dur: to - from, name: name, cat: cat}, args)
 }
 
 // Instant records a point event on tr at ts.
 func (s *Sink) Instant(tr Track, ts Time, name, cat string, args ...Arg) {
-	s.add(event{track: tr, ph: phaseInstant, ts: ts, name: name, cat: cat, args: args})
+	s.add(event{track: tr, ph: phaseInstant, ts: ts, name: name, cat: cat}, args)
 }
 
 // Counter records a sample of the named counter on tr at ts. Viewers render
 // successive samples as a stepped time series.
 func (s *Sink) Counter(tr Track, ts Time, name string, value int64) {
-	s.add(event{track: tr, ph: phaseCounter, ts: ts, name: name, args: []Arg{{Key: "value", Val: value}}})
+	s.add(event{track: tr, ph: phaseCounter, ts: ts, name: name}, []Arg{Int("value", value)})
 }
 
 // WriteJSON exports the trace in Chrome trace-event JSON ("JSON object
@@ -287,22 +316,23 @@ func (s *Sink) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("ts_ns,dur_ns,phase,group,track,name,cat,args\n")
 	if s != nil {
-		var args strings.Builder
+		var args []byte
 		for _, chunk := range s.chunks {
 			for i := range chunk {
 				e := &chunk[i]
 				ti := s.tracks[e.track-1]
-				args.Reset()
-				for k, a := range e.args {
+				args = args[:0]
+				for k, a := range s.argsOf(e) {
 					if k > 0 {
-						args.WriteByte(';')
+						args = append(args, ';')
 					}
-					fmt.Fprintf(&args, "%s=%v", a.Key, a.Val)
+					args = append(append(args, a.Key...), '=')
+					args = a.appendText(args)
 				}
 				fmt.Fprintf(bw, "%d,%d,%c,%s,%s,%s,%s,%s\n",
 					e.ts, e.dur, e.ph,
 					csvField(s.groups[ti.group]), csvField(ti.name),
-					csvField(e.name), csvField(e.cat), csvField(args.String()))
+					csvField(e.name), csvField(e.cat), csvField(string(args)))
 			}
 		}
 	}

@@ -80,8 +80,8 @@ func buildSample() *Sink {
 	disk := s.SharedTrack("asu0", "asu0.disk")
 	proc := s.NewTrack("procs", "reader")
 	s.Instant(proc, 0, "spawn", "proc")
-	s.Begin(cpu, 1000, "hold", "resource", Arg{Key: "proc", Val: "reader"}, Arg{Key: "high", Val: false})
-	s.Span(disk, 1500, 2500, "read.cold", "disk", Arg{Key: "bytes", Val: 4096})
+	s.Begin(cpu, 1000, "hold", "resource", Str("proc", "reader"), Bool("high", false))
+	s.Span(disk, 1500, 2500, "read.cold", "disk", Int("bytes", 4096))
 	s.End(cpu, 3000)
 	s.Counter(proc, 3000, "depth", 2)
 	return s
