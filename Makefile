@@ -46,6 +46,7 @@ bench-allocs:
 	@$(call alloc_gate,./internal/dsmsort,BenchmarkRunFormationOnly,10x,$(ALLOC_BUDGET),run formation copies instead of pooling)
 	@$(call alloc_gate,./internal/sim,BenchmarkSpawnKillSteadyState,100000x,0,proc recycling broken?)
 	@$(call alloc_gate,./internal/sim,BenchmarkResourceContention,100000x,0,park reason allocates per contended acquire)
+	@$(call alloc_gate,./internal/sim,BenchmarkFarTimerSteadyState,2000x,0,wheel chunks not recycled through the free list)
 	@$(call alloc_gate,./internal/recorder,BenchmarkStoreSpan,1000000x,0,span encoder or chunk hand-off allocates per span)
 	@$(call alloc_gate,./internal/trace,BenchmarkSinkSpan,1000000x,0,trace sink allocates per event instead of per chunk)
 	@$(call alloc_gate,./internal/cluster,BenchmarkSinkSpanArgs,200000x,0,a trace arg is boxed or copied between call site and span line)

@@ -37,6 +37,37 @@ func BenchmarkFarTimerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkFarTimerSteadyState is the allocation gate for wheel chunk
+// recycling (see make bench-allocs): one burst of far timers warms the
+// wheel's free list, and every identical burst after it on the same Sim must
+// file and drain without allocating. Each burst starts on a level-3 slot
+// boundary, so all of them meet the same bucket layout and need the same
+// number of chunks at their peak. One op is one burst.
+func BenchmarkFarTimerSteadyState(b *testing.B) {
+	const (
+		burst = 4096
+		align = Duration(1) << (wheelTickShift + 3*wheelBits)
+	)
+	s := New()
+	nop := func() {}
+	run := func() {
+		s.RunFor(align - Duration(s.Now())%align)
+		spread := churnSpread{state: 0x9e3779b97f4a7c15}
+		for i := 0; i < burst; i++ {
+			s.After(Millisecond+spread.next(256*Millisecond), nop)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkEventThroughputLoaded is BenchmarkEventThroughput with 1<<18
 // pending far-future timers parked in the scheduler: the cost of the hot
 // near-term event chain must not scale with the number of idle timers.

@@ -2,13 +2,14 @@ package sim
 
 import "testing"
 
-// BenchmarkEventQueueMix answers "does the timer wheel earn its 320 lines?"
+// BenchmarkEventQueueMix answers "does the timer wheel earn its 351 lines?"
 // with one body per schedule and two queues under it: the wheel-fronted heap
 // every Sim uses, and the single reference heap that disableWheel selects.
 // Dispatch order is identical on both (TestWheelMatchesReferenceHeap); only
 // host time and allocation differ. One op is one whole schedule, so ns/op
 // compares directly across the two queues. EXPERIMENTS.md TAB-COROUTINE
-// records the numbers and the decision.
+// records the numbers and the decision, TAB-CHURN (wheel storage) the rows
+// for chunked buckets.
 func BenchmarkEventQueueMix(b *testing.B) {
 	queues := []struct {
 		name     string
@@ -37,7 +38,7 @@ func BenchmarkEventQueueMix(b *testing.B) {
 
 // openloopMix is the asulab openloop schedule reduced to its kernel calls:
 // 20k open-loop arrivals at 5k/s, each arming a 20-rung ladder of far
-// deadline probes (2 s apart, ~400k timers in flight at the peak) and
+// deadline probes (2 s apart; 389 936 held by the wheel at the peak) and
 // spawning a short-lived job proc that hops host CPU -> network -> a bounded
 // queue, which one server drains in GetN batches.
 func openloopMix(s *Sim) {

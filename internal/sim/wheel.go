@@ -34,7 +34,26 @@ const (
 	// profile; the wheel engages for genuinely far timers — open-loop
 	// arrival schedules, timeouts — where heaps degrade.
 	wheelNearTicks = 1024
+	// wheelChunkLen is the number of events per bucket chunk (256 × 40 B =
+	// 10 KiB). Larger chunks cost bytes in part-filled tails across the
+	// 1 024 buckets; smaller ones cost a malloc per chunk on the first
+	// fill of a fresh Sim (EXPERIMENTS.md TAB-CHURN, wheel storage).
+	wheelChunkLen = 256
 )
+
+// wheelChunk is a fixed block of bucket storage. A bucket is a singly
+// linked list of chunks, filled front to back; only its tail chunk may be
+// part-full. Chunks never grow, so filling a bucket never copies an event.
+type wheelChunk struct {
+	ev   [wheelChunkLen]event
+	n    int
+	next *wheelChunk
+}
+
+// wheelBucket is one ring slot: a head/tail chunk list, nil when empty.
+type wheelBucket struct {
+	head, tail *wheelChunk
+}
 
 // tickOf maps a virtual time to its wheel tick.
 func tickOf(t Time) int64 { return int64(t) >> wheelTickShift }
@@ -62,13 +81,12 @@ type timerWheel struct {
 	// on this).
 	collected [wheelLevels]int64
 	// slots[l][s] holds the events of level l, ring slot s; bitmap[l]
-	// marks non-empty slots (bit s of word s/64). Bucket storage is
-	// retained across reuse ([:0] after a collect); slack beyond the live
-	// length may briefly hold stale event copies, which the next refill
-	// overwrites — a deliberate trade of bounded GC retention for skipping
-	// a per-element clear on the cascade path.
-	slots  [wheelLevels][wheelSlots][]event
+	// marks non-empty slots (bit s of word s/64).
+	slots  [wheelLevels][wheelSlots]wheelBucket
 	bitmap [wheelLevels][wheelSlots / 64]uint64
+	// free lists the chunks no bucket holds, linked through next. Every
+	// chunk on it is zeroed, so parked storage retains no closure or proc.
+	free *wheelChunk
 	// overflow holds events beyond the top level's reach, full-key ordered.
 	overflow eventHeap
 	// count is the total number of events held, including overflow.
@@ -119,22 +137,36 @@ func (w *timerWheel) place(e event, out func(event)) {
 		return
 	}
 	s := uint(t>>(wheelBits*l)) & (wheelSlots - 1)
-	b := w.slots[l][s]
-	if len(b) == cap(b) {
-		// Exact doubling: append's growth policy for large slices (~1.25x)
-		// allocates ~2x more cumulative bytes filling the multi-thousand
-		// event buckets of the outer levels.
-		nc := 2 * cap(b)
-		if nc < 64 {
-			nc = 64
+	b := &w.slots[l][s]
+	c := b.tail
+	if c == nil || c.n == wheelChunkLen {
+		nc := w.free
+		if nc != nil {
+			w.free = nc.next
+			nc.next = nil
+		} else {
+			nc = new(wheelChunk)
 		}
-		nb := make([]event, len(b), nc)
-		copy(nb, b)
-		b = nb
+		if c == nil {
+			b.head = nc
+		} else {
+			c.next = nc
+		}
+		b.tail = nc
+		c = nc
 	}
-	w.slots[l][s] = append(b, e)
+	c.ev[c.n] = e
+	c.n++
 	w.bitmap[l][s>>6] |= 1 << (s & 63)
 	w.count++
+}
+
+// release zeroes c's used events and parks it on the free list.
+func (w *timerWheel) release(c *wheelChunk) {
+	clear(c.ev[:c.n])
+	c.n = 0
+	c.next = w.free
+	w.free = c
 }
 
 // earliestTick returns a lower bound on the earliest held event's tick
@@ -184,11 +216,12 @@ func (w *timerWheel) firstSlotFrom(l int, from uint) (uint, bool) {
 // dead events (tick < newH) stream straight out to the sim heap and
 // survivors re-place in place: their delta under the new horizon is
 // strictly below this level's slot span, so they cascade bucket-to-bucket
-// into a lower level with no staging buffer and no extra copy. The one
-// exception is a lap-ahead event — same ring slot, one ring revolution
-// later — which would re-place into the very bucket being iterated; the
-// slot is nilled out during iteration so such a re-place lands in fresh
-// storage instead of aliasing the snapshot.
+// into a lower level with no staging buffer and no extra copy. The slot's
+// chunk list is detached before the walk, so even a lap-ahead event — same
+// ring slot, one revolution later, which advanceTo's cursors never leave
+// in a collected slot — would land in a fresh chunk, not in the list being
+// walked (TestWheelLapAheadReplace). Each walked chunk goes back on the
+// free list.
 func (w *timerWheel) collectRange(l int, lo, hi uint, newH int64, out func(event)) {
 	if hi >= wheelSlots {
 		hi = wheelSlots - 1
@@ -212,24 +245,20 @@ func (w *timerWheel) collectRange(l int, lo, hi uint, newH int64, out func(event
 		for word != 0 {
 			s := uint(wi)<<6 + uint(bits.TrailingZeros64(word))
 			word &= word - 1
-			b := w.slots[l][s]
-			w.slots[l][s] = nil
-			w.count -= len(b)
-			for _, e := range b {
-				if tickOf(e.t) < newH {
-					out(e)
-				} else {
-					w.place(e, out)
+			c := w.slots[l][s].head
+			w.slots[l][s] = wheelBucket{}
+			for c != nil {
+				w.count -= c.n
+				for _, e := range c.ev[:c.n] {
+					if tickOf(e.t) < newH {
+						out(e)
+					} else {
+						w.place(e, out)
+					}
 				}
-			}
-			if len(w.slots[l][s]) == 0 {
-				// No lap-ahead re-place touched the slot: hand the bucket's
-				// storage back for the next revolution. Slack beyond the
-				// live length may briefly hold stale event copies, which
-				// the next refill overwrites — a deliberate trade of
-				// bounded GC retention for skipping a per-element clear on
-				// the cascade path.
-				w.slots[l][s] = b[:0]
+				next := c.next
+				w.release(c)
+				c = next
 			}
 		}
 	}
@@ -297,15 +326,17 @@ func (w *timerWheel) advanceTo(newH int64, out func(event)) {
 	}
 }
 
-// clear drops every held event and resets the horizon.
+// clear drops every held event, returns every chunk to the free list
+// zeroed, and resets the horizon.
 func (w *timerWheel) clear(htick int64) {
 	for l := 0; l < wheelLevels; l++ {
 		for s := range w.slots[l] {
-			b := w.slots[l][s]
-			for i := range b {
-				b[i] = event{}
+			for c := w.slots[l][s].head; c != nil; {
+				next := c.next
+				w.release(c)
+				c = next
 			}
-			w.slots[l][s] = b[:0]
+			w.slots[l][s] = wheelBucket{}
 		}
 		for i := range w.bitmap[l] {
 			w.bitmap[l][i] = 0
