@@ -98,20 +98,11 @@ func BenchmarkCRatio(b *testing.B) {
 	for _, c := range []float64{4, 8} {
 		c := c
 		b.Run(benchName("c", int(c)), func(b *testing.B) {
-			opt := experiments.DefaultCRatioOptions()
-			opt.N = benchN / 2
-			opt.ASUs = []int{8}
-			opt.Cs = []float64{c}
-			var sp float64
+			row := experiments.CRatioRow{Spec: experiments.NewSpec(benchN/2, 8, 64, 32), Cs: []float64{c}}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunCRatio(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell, _ := res.Cell(c, 8)
-				sp = cell.Speedup
+				row = measureRow(b, experiments.CRatio, row)
 			}
-			b.ReportMetric(sp, "speedup")
+			b.ReportMetric(row.Speedups[0], "speedup")
 		})
 	}
 }
@@ -122,19 +113,13 @@ func BenchmarkGammaSplit(b *testing.B) {
 	for _, g2 := range []int{2, 8, 32} {
 		g2 := g2
 		b.Run(benchName("gamma2", g2), func(b *testing.B) {
-			opt := experiments.DefaultGammaOptions()
-			opt.N = benchN / 4
-			opt.Gamma2s = []int{g2}
-			var cell experiments.GammaCell
+			row := experiments.GammaRow{Spec: experiments.NewSpec(benchN/4, 8, 8, 64)}
+			row.Sort.Gamma2 = g2
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunGamma(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell = res.Cells[0]
+				row = measureRow(b, experiments.Gamma, row)
 			}
-			b.ReportMetric(cell.MergeSecs, "virtual-s")
-			b.ReportMetric(float64(cell.MergeLevels), "asu-levels")
+			b.ReportMetric(row.Merge.Elapsed.Seconds(), "virtual-s")
+			b.ReportMetric(float64(row.Merge.ASUMergeLevels), "asu-levels")
 		})
 	}
 }
@@ -145,20 +130,14 @@ func BenchmarkRouting(b *testing.B) {
 	for _, policy := range []string{"static", "round-robin", "sr", "load-aware"} {
 		policy := policy
 		b.Run(policy, func(b *testing.B) {
-			opt := experiments.DefaultRoutingOptions()
-			opt.N = benchN
-			opt.Window = 25 * sim.Millisecond
-			opt.Policies = []string{policy}
-			var cell experiments.RoutingCell
+			f10 := experiments.DefaultFig10Options()
+			f10.N, f10.Window = benchN, 25*sim.Millisecond
+			row := experiments.RoutingRow{Spec: f10.Spec(), Policy: policy, SkewMean: f10.SkewMean}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunRouting(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell = res.Cells[0]
+				row = measureRow(b, experiments.Routing, row)
 			}
-			b.ReportMetric(cell.Elapsed.Seconds(), "virtual-s")
-			b.ReportMetric(cell.Imbalance, "imbalance")
+			b.ReportMetric(row.Elapsed.Seconds(), "virtual-s")
+			b.ReportMetric(row.Imbalance, "imbalance")
 		})
 	}
 }
@@ -277,19 +256,13 @@ func BenchmarkIsolation(b *testing.B) {
 			name = "quantum-100us"
 		}
 		b.Run(name, func(b *testing.B) {
-			opt := experiments.DefaultIsolationOptions()
-			opt.N = benchN / 2
-			opt.Quanta = []sim.Duration{quantum}
-			var cell experiments.IsolationCell
+			row := experiments.IsolationRow{Spec: experiments.NewSpec(benchN/2, 4, 16, 1024)}
+			row.Params.IsolationQuantum = quantum
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunIsolation(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell = res.Cells[0]
+				row = measureRow(b, experiments.Isolation, row)
 			}
-			b.ReportMetric(cell.P99.Seconds()*1e3, "p99-ms")
-			b.ReportMetric(cell.SortSecs, "sort-virtual-s")
+			b.ReportMetric(row.P99.Seconds()*1e3, "p99-ms")
+			b.ReportMetric(row.SortSecs, "sort-virtual-s")
 		})
 	}
 }
@@ -300,19 +273,12 @@ func BenchmarkHybrid(b *testing.B) {
 	for _, d := range []int{2, 16} {
 		d := d
 		b.Run(benchName("asus", d), func(b *testing.B) {
-			opt := experiments.DefaultHybridOptions()
-			opt.N = benchN
-			opt.ASUs = []int{d}
-			var cell experiments.HybridCell
+			row := experiments.HybridRow{Spec: experiments.NewSpec(benchN, d, 64, 32)}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunHybrid(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell = res.Cells[0]
+				row = measureRow(b, experiments.Hybrid, row)
 			}
-			b.ReportMetric(cell.Active, "active-speedup")
-			b.ReportMetric(cell.Hybrid, "hybrid-speedup")
+			b.ReportMetric(row.Active, "active-speedup")
+			b.ReportMetric(row.Hybrid, "hybrid-speedup")
 		})
 	}
 }
@@ -322,20 +288,12 @@ func BenchmarkPacketSize(b *testing.B) {
 	for _, pr := range []int{4, 64, 1024} {
 		pr := pr
 		b.Run(benchName("packet", pr), func(b *testing.B) {
-			opt := experiments.DefaultPacketOptions()
-			opt.N = benchN
-			opt.ASUs = 8
-			opt.Packets = []int{pr}
-			var cell experiments.PacketCell
+			row := experiments.PacketRow{Spec: experiments.NewSpec(benchN, 8, 16, pr)}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunPacket(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell = res.Cells[0]
+				row = measureRow(b, experiments.Packet, row)
 			}
-			b.ReportMetric(cell.Pass1Secs, "virtual-s")
-			b.ReportMetric(cell.OverheadFrac*100, "net-overhead-%")
+			b.ReportMetric(row.Pass1Secs, "virtual-s")
+			b.ReportMetric(row.OverheadFrac*100, "net-overhead-%")
 		})
 	}
 }
@@ -346,23 +304,14 @@ func BenchmarkAdapt(b *testing.B) {
 	for _, strategy := range []string{"static", "adaptive", "sr"} {
 		strategy := strategy
 		b.Run(strategy, func(b *testing.B) {
-			opt := experiments.DefaultAdaptOptions()
-			opt.N = benchN
-			opt.Window = 50 * sim.Millisecond
-			var cell experiments.AdaptCell
+			f10 := experiments.DefaultFig10Options()
+			f10.N, f10.Window = benchN, 50*sim.Millisecond
+			row := experiments.AdaptRow{Spec: f10.Spec(), Strategy: strategy, SkewMean: f10.SkewMean, Threshold: 0.25}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunAdapt(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range res.Cells {
-					if c.Strategy == strategy {
-						cell = c
-					}
-				}
+				row = measureRow(b, experiments.Adapt, row)
 			}
-			b.ReportMetric(cell.Elapsed.Seconds(), "virtual-s")
-			b.ReportMetric(cell.Imbalance, "imbalance")
+			b.ReportMetric(row.Elapsed.Seconds(), "virtual-s")
+			b.ReportMetric(row.Imbalance, "imbalance")
 		})
 	}
 }
@@ -377,39 +326,27 @@ func BenchmarkFilter(b *testing.B) {
 			name = "sel=1.00"
 		}
 		b.Run(name, func(b *testing.B) {
-			opt := experiments.DefaultFilterOptions()
-			opt.N = benchN / 2
-			opt.ASUs = 8
-			opt.Selectivities = []float64{sel}
-			var cell experiments.FilterCell
+			row := experiments.FilterRow{Spec: experiments.NewSpec(benchN/2, 8, 0, 64), Selectivity: sel}
+			row.Params.NetBandwidth = 60e6
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFilter(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cell = res.Cells[0]
+				row = measureRow(b, experiments.Filter, row)
 			}
-			b.ReportMetric(cell.ConvSecs/cell.ActiveSecs, "pushdown-speedup")
-			b.ReportMetric(cell.ActiveNetMB, "active-net-MB")
-			b.ReportMetric(cell.ConvNetMB, "conv-net-MB")
+			b.ReportMetric(row.ConvSecs/row.ActiveSecs, "pushdown-speedup")
+			b.ReportMetric(row.ActiveNetMB, "active-net-MB")
+			b.ReportMetric(row.ConvNetMB, "conv-net-MB")
 		})
 	}
 }
 
 // BenchmarkOnePass regenerates TAB-ONEPASS below the memory wall.
 func BenchmarkOnePass(b *testing.B) {
-	opt := experiments.DefaultOnePassOptions()
-	opt.Ns = []int{1 << 13}
-	var cell experiments.OnePassCell
+	row := experiments.OnePassRow{Spec: experiments.NewSpec(1<<13, 8, 16, 64)}
+	row.Params.Hosts, row.Params.HostMemRecords, row.Sort.Gamma2 = 2, 1<<13, 16
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunOnePass(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cell = res.Cells[0]
+		row = measureRow(b, experiments.OnePass, row)
 	}
-	b.ReportMetric(cell.OnePassSecs, "onepass-virtual-s")
-	b.ReportMetric(cell.DSMSecs, "dsmsort-virtual-s")
+	b.ReportMetric(row.OnePassSecs, "onepass-virtual-s")
+	b.ReportMetric(row.DSMSecs, "dsmsort-virtual-s")
 }
 
 // BenchmarkOpenLoopChurn regenerates TAB-CHURN: the open-loop Poisson job
@@ -471,6 +408,16 @@ func BenchmarkWorkEquation(b *testing.B) {
 			b.ReportMetric(ratio, "ops-per-compare")
 		})
 	}
+}
+
+// measureRow runs one table row's function, failing b on an error.
+func measureRow[R any](b *testing.B, f func(R) (R, error), row R) R {
+	b.Helper()
+	row, err := f(row)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return row
 }
 
 func benchName(parts ...any) string {

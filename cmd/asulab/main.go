@@ -61,12 +61,14 @@ func lookup(cmd string) *experiment {
 	return nil
 }
 
-// run parses args with the entry's own flag set and executes it.
+// run parses args with the entry's own flag set and executes it on stdout,
+// its rows or runs on one worker per CPU.
 func (e *experiment) run(args []string) error {
 	fs := flag.NewFlagSet(e.name, flag.ExitOnError)
 	runner := e.bind(fs)
 	fs.Parse(args)
-	return runner()
+	_, err := runner(os.Stdout, 0)
+	return err
 }
 
 func usage(w io.Writer) {

@@ -70,6 +70,16 @@ func DefaultFig10Options() Fig10Options {
 	}
 }
 
+// Spec is the cluster and DSM-Sort configuration of o's runs, the sampling
+// window as Params.UtilWindow; the skew tables (routes, adapt) start here.
+func (o Fig10Options) Spec() Spec {
+	p := o.Base
+	p.Hosts, p.ASUs, p.UtilWindow = o.Hosts, o.ASUs, o.Window
+	return Spec{Params: p, N: o.N, Sort: dsmsort.Config{
+		Alpha: o.Alpha, Beta: o.Beta, Gamma2: 2, PacketRecords: o.PacketRecords, Seed: o.Seed,
+	}}
+}
+
 // Fig10Run is one traced execution.
 type Fig10Run struct {
 	Policy string
@@ -126,11 +136,8 @@ func (r *Fig10Result) Summary() *plot.Table {
 // across both hosts" with simple randomization (route.SR).
 func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 	runOne := func(policy string) (Fig10Run, error) {
-		params := opt.Base
-		params.Hosts = opt.Hosts
-		params.ASUs = opt.ASUs
-		params.UtilWindow = opt.Window
-		run, err := startRun(params, observers{
+		s := opt.Spec()
+		run, err := startRun(s.Params, observers{
 			critpath:    opt.Critpath,
 			record:      opt.Record,
 			experiment:  opt.Experiment,
@@ -148,14 +155,8 @@ func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 			return Fig10Run{}, fmt.Errorf("fig10 %s: %w", policy, err)
 		}
 		defer run.close()
-		cfg := dsmsort.Config{
-			Alpha:         opt.Alpha,
-			Beta:          opt.Beta,
-			Gamma2:        2,
-			PacketRecords: opt.PacketRecords,
-			Placement:     dsmsort.Active,
-			Seed:          opt.Seed,
-		}
+		cfg := s.Sort
+		cfg.Placement = dsmsort.Active
 		// The policy is built per cell, inside the pool, so no routing state
 		// is shared across goroutines.
 		if cfg.SortPolicy, err = route.ByName(policy, opt.Alpha, opt.Seed); err != nil {

@@ -6,49 +6,21 @@ import (
 	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/functor"
-	"lmas/internal/plot"
 	"lmas/internal/records"
 	"lmas/internal/route"
 )
 
-// FilterOptions parameterizes TAB-FILTER, the canonical active-storage
+// FilterRow is one selectivity of TAB-FILTER, the canonical active-storage
 // win the paper's background motivates: "Filtering and aggregation
-// operations performed directly at the ASUs can reduce data movement
-// across the interconnect, helping to overcome bandwidth limitations"
-// (Section 2). A selection scan keeps the records whose key falls below a
-// threshold; executing the filter on the ASUs ships only matches to the
-// host, while conventional storage ships everything.
-type FilterOptions struct {
-	N             int
-	ASUs          int
-	PacketRecords int
-	// Selectivities are the match fractions to sweep.
-	Selectivities []float64
-	Base          cluster.Params
-	Seed          int64
-}
-
-// DefaultFilterOptions sweeps from needle-in-haystack to keep-everything.
-// The interconnect is deliberately bandwidth-constrained (unlike the
-// default SAN, where processors saturate first): filtering at the ASUs
-// matters most when shipping everything would saturate the network, the
-// regime Section 2 cites.
-func DefaultFilterOptions() FilterOptions {
-	base := cluster.DefaultParams()
-	base.NetBandwidth = 60e6
-	return FilterOptions{
-		N:             1 << 18,
-		ASUs:          16,
-		PacketRecords: 64,
-		Selectivities: []float64{0.01, 0.1, 0.5, 1.0},
-		Base:          base,
-		Seed:          42,
-	}
-}
-
-// FilterCell is one (selectivity, placement) measurement.
-type FilterCell struct {
-	Selectivity float64
+// operations performed directly at the ASUs can reduce data movement across
+// the interconnect, helping to overcome bandwidth limitations" (Section 2).
+// A selection scan keeps the records whose key falls below a threshold;
+// executing the filter on the ASUs ships only matches to the host, while
+// conventional storage ships everything. Of Spec.Sort only the packet size
+// and the seed are read.
+type FilterRow struct {
+	Spec
+	Selectivity float64 // the fraction of records that match
 	// ActiveSecs / ConvSecs are the scan times per placement.
 	ActiveSecs, ConvSecs float64
 	// ActiveNetMB / ConvNetMB are interconnect volumes.
@@ -56,66 +28,38 @@ type FilterCell struct {
 	Matches                int64
 }
 
-// FilterResult holds the sweep.
-type FilterResult struct {
-	Options FilterOptions
-	Cells   []FilterCell
-}
-
-// Table renders the sweep.
-func (r *FilterResult) Table() *plot.Table {
-	t := plot.NewTable("TAB-FILTER: selection scan, filter on ASUs vs on host",
-		"selectivity", "active(s)", "conv(s)", "speedup", "active net(MB)", "conv net(MB)")
-	for _, c := range r.Cells {
-		t.AddRow(c.Selectivity, c.ActiveSecs, c.ConvSecs, c.ConvSecs/c.ActiveSecs,
-			c.ActiveNetMB, c.ConvNetMB)
+// Filter measures the selection scan in both placements, validating each
+// one's match count against a direct count and the two against each other.
+func Filter(row FilterRow) (FilterRow, error) {
+	threshold := records.Key(float64(records.MaxKey) * row.Selectivity)
+	var err error
+	var matches int64
+	if row.ActiveSecs, row.ActiveNetMB, row.Matches, err = filterScan(row.Spec, threshold, true); err != nil {
+		return row, fmt.Errorf("filter sel=%g onASU=true: %w", row.Selectivity, err)
 	}
-	return t
-}
-
-// RunFilter measures the selection scan at every selectivity in both
-// placements, validating match counts against a direct count.
-func RunFilter(opt FilterOptions) (*FilterResult, error) {
-	res := &FilterResult{Options: opt}
-	for _, sel := range opt.Selectivities {
-		threshold := records.Key(float64(records.MaxKey) * sel)
-		cell := FilterCell{Selectivity: sel}
-		for _, onASU := range []bool{true, false} {
-			secs, netMB, matches, err := runFilterScan(opt, threshold, onASU)
-			if err != nil {
-				return nil, fmt.Errorf("filter sel=%g onASU=%v: %w", sel, onASU, err)
-			}
-			if onASU {
-				cell.ActiveSecs, cell.ActiveNetMB = secs, netMB
-				cell.Matches = matches
-			} else {
-				cell.ConvSecs, cell.ConvNetMB = secs, netMB
-				if matches != cell.Matches {
-					return nil, fmt.Errorf("filter sel=%g: placements disagree: %d vs %d matches",
-						sel, cell.Matches, matches)
-				}
-			}
-		}
-		res.Cells = append(res.Cells, cell)
+	if row.ConvSecs, row.ConvNetMB, matches, err = filterScan(row.Spec, threshold, false); err != nil {
+		return row, fmt.Errorf("filter sel=%g onASU=false: %w", row.Selectivity, err)
 	}
-	return res, nil
+	if matches != row.Matches {
+		return row, fmt.Errorf("filter sel=%g: placements disagree: %d vs %d matches", row.Selectivity, row.Matches, matches)
+	}
+	return row, nil
 }
 
-func runFilterScan(opt FilterOptions, threshold records.Key, onASU bool) (secs, netMB float64, matches int64, err error) {
-	params := opt.Base
-	params.Hosts, params.ASUs = 1, opt.ASUs
-	cl := cluster.New(params)
+func filterScan(s Spec, threshold records.Key, onASU bool) (secs, netMB float64, matches int64, err error) {
+	cl := cluster.New(s.Params)
+	recSize, packetRecords := s.Params.RecordSize, s.Sort.PacketRecords
 
 	// Load the data set striped across the ASUs and count expected
 	// matches directly (the validation oracle).
-	buf := records.Generate(opt.N, params.RecordSize, opt.Seed, records.Uniform{})
+	buf := records.Generate(s.N, recSize, s.Sort.Seed, records.Uniform{})
 	var want int64
-	for i := 0; i < opt.N; i++ {
+	for i := 0; i < s.N; i++ {
 		if buf.Key(i) < threshold {
 			want++
 		}
 	}
-	sets, err := stripeSets(cl, buf, opt.PacketRecords)
+	sets, err := stripeSets(cl, buf, packetRecords)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -124,7 +68,7 @@ func runFilterScan(opt FilterOptions, threshold records.Key, onASU bool) (secs, 
 	newFilter := func() functor.Kernel {
 		return functor.Adapt(&functor.Filter{
 			Keep: func(k records.Key) bool { return k < threshold },
-		}, params.RecordSize, opt.PacketRecords)
+		}, recSize, packetRecords)
 	}
 	var got int64
 	consume := pl.AddStage("consume", cl.Hosts, func() functor.Kernel {

@@ -20,7 +20,8 @@ func mustJSON(t *testing.T, v any) string {
 
 // requireSameAcrossJobs runs a sweep one cell at a time and on the worker
 // pool and requires byte-identical results. run zeroes the result's Options
-// field before returning it: its Jobs value legitimately differs.
+// field before returning it: its Jobs value legitimately differs. (Every
+// table grid has the same check in cmd/asulab.)
 func requireSameAcrossJobs(t *testing.T, run func(jobs int) any) {
 	t.Helper()
 	if testing.Short() {
@@ -50,38 +51,42 @@ func TestFig10ByteIdenticalAcrossJobs(t *testing.T) {
 	})
 }
 
-// TestIsolationByteIdenticalAcrossJobs covers the isolation sweep: the
-// foreground-latency percentiles and co-scheduled sort timings must not move
-// with the sweep's concurrency.
-func TestIsolationByteIdenticalAcrossJobs(t *testing.T) {
-	opt := DefaultIsolationOptions()
-	opt.N = 1 << 15
+// rowsAcrossJobs measures rows with the row function f on the worker pool
+// and requires byte-identical rows at -j 1 and -j 4.
+func rowsAcrossJobs[R any](t *testing.T, f func(R) (R, error), rows []R) {
+	t.Helper()
 	requireSameAcrossJobs(t, func(jobs int) any {
-		opt.Jobs = jobs
-		res, err := RunIsolation(opt)
+		out, err := runCells(len(rows), jobs, func(i int) (R, error) { return f(rows[i]) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Options = IsolationOptions{}
-		return res
+		return out
 	})
+}
+
+// TestIsolationByteIdenticalAcrossJobs: TAB-ISO's quantum rows, each with its
+// idle baseline and foreground latency distribution.
+func TestIsolationByteIdenticalAcrossJobs(t *testing.T) {
+	var rows []IsolationRow
+	for _, q := range []sim.Duration{0, 500 * sim.Microsecond, 100 * sim.Microsecond} {
+		row := IsolationRow{Spec: NewSpec(1<<15, 4, 16, 1024)}
+		row.Params.IsolationQuantum = q
+		rows = append(rows, row)
+	}
+	rowsAcrossJobs(t, Isolation, rows)
 }
 
 // TestAdaptByteIdenticalAcrossJobs covers mid-run adaptation: trigger
 // instants and the load-manager decision log are schedule-sensitive, so byte
 // identity here exercises the tie-break key hardest.
 func TestAdaptByteIdenticalAcrossJobs(t *testing.T) {
-	opt := DefaultAdaptOptions()
-	opt.N = 1 << 14
-	requireSameAcrossJobs(t, func(jobs int) any {
-		opt.Jobs = jobs
-		res, err := RunAdapt(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Options = AdaptOptions{}
-		return res
-	})
+	f10 := DefaultFig10Options()
+	f10.N = 1 << 14
+	var rows []AdaptRow
+	for _, strategy := range []string{"static", "adaptive", "sr"} {
+		rows = append(rows, AdaptRow{Spec: f10.Spec(), Strategy: strategy, SkewMean: f10.SkewMean, Threshold: 0.25})
+	}
+	rowsAcrossJobs(t, Adapt, rows)
 }
 
 // TestMergeHeavyDeterministic runs the one shape that reaches intermediate

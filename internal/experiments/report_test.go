@@ -178,12 +178,9 @@ func TestRunSortReportContents(t *testing.T) {
 // TestAdaptDecisionAudit: the adaptive strategy must log the imbalance
 // trigger and the resulting policy switch.
 func TestAdaptDecisionAudit(t *testing.T) {
-	opt := DefaultAdaptOptions()
-	opt.N = 1 << 14
-	cell, err := runAdaptCell(opt, "adaptive")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f10 := DefaultFig10Options()
+	f10.N = 1 << 14
+	cell := measure(t, Adapt, AdaptRow{Spec: f10.Spec(), Strategy: "adaptive", SkewMean: f10.SkewMean, Threshold: 0.25})
 	if !(cell.SwitchedAt > 0) {
 		t.Skip("adaptation did not fire at this size; audit not exercised")
 	}

@@ -143,12 +143,13 @@ func formRuns(cl *cluster.Cluster, n int, skewMean float64, cfg dsmsort.Config) 
 
 // pass1Cells is the cell of every sweep that only times the first pass: run
 // formation from uniform input under each placement in turn, each on a fresh
-// bare cluster built from params.
-func pass1Cells(params cluster.Params, n int, cfg dsmsort.Config, placements ...dsmsort.Placement) ([]*dsmsort.Pass1Result, error) {
+// bare cluster built from s.Params.
+func pass1Cells(s Spec, placements ...dsmsort.Placement) ([]*dsmsort.Pass1Result, error) {
 	out := make([]*dsmsort.Pass1Result, len(placements))
+	cfg := s.Sort
 	for i, pl := range placements {
 		cfg.Placement = pl
-		r, err := formRuns(cluster.New(params), n, 0, cfg)
+		r, err := formRuns(cluster.New(s.Params), s.N, 0, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", pl, err)
 		}
@@ -179,13 +180,13 @@ func nearestRank(sorted []sim.Duration, q float64) sim.Duration {
 }
 
 // sortCell runs the full two-pass DSM-Sort over uniform input on a bare
-// cluster built from params, returning the input's and the validated output's
-// storage to the buffer pool.
-func sortCell(params cluster.Params, n int, cfg dsmsort.Config) (*dsmsort.Result, error) {
-	cl := cluster.New(params)
-	in := dsmsort.MakeInput(cl, n, records.Uniform{}, cfg.Seed, cfg.PacketRecords)
+// cluster built from s.Params, returning the input's and the validated
+// output's storage to the buffer pool.
+func sortCell(s Spec) (*dsmsort.Result, error) {
+	cl := cluster.New(s.Params)
+	in := dsmsort.MakeInput(cl, s.N, records.Uniform{}, s.Sort.Seed, s.Sort.PacketRecords)
 	defer in.Free()
-	res, err := dsmsort.Sort(cl, cfg, in)
+	res, err := dsmsort.Sort(cl, s.Sort, in)
 	if err != nil {
 		return nil, err
 	}

@@ -201,9 +201,6 @@ type (
 
 // Experiment harnesses (the paper's evaluation).
 type (
-	// Fig9Options / Fig9Result reproduce Figure 9.
-	Fig9Options = experiments.Fig9Options
-	Fig9Result  = experiments.Fig9Result
 	// Fig10Options / Fig10Result reproduce Figure 10.
 	Fig10Options = experiments.Fig10Options
 	Fig10Result  = experiments.Fig10Result
@@ -211,14 +208,8 @@ type (
 	Table = plot.Table
 )
 
-// RunFig9 reproduces Figure 9 (speedup vs ASUs per α, plus adaptive).
-func RunFig9(opt Fig9Options) (*Fig9Result, error) { return experiments.RunFig9(opt) }
-
 // RunFig10 reproduces Figure 10 (utilization under skew, static vs SR).
 func RunFig10(opt Fig10Options) (*Fig10Result, error) { return experiments.RunFig10(opt) }
-
-// DefaultFig9Options mirrors the paper's Figure 9 setup.
-func DefaultFig9Options() Fig9Options { return experiments.DefaultFig9Options() }
 
 // DefaultFig10Options mirrors the paper's Figure 10 setup.
 func DefaultFig10Options() Fig10Options { return experiments.DefaultFig10Options() }

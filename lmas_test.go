@@ -51,23 +51,6 @@ func TestFacadeOnePass(t *testing.T) {
 	}
 }
 
-func TestFacadeFig9Small(t *testing.T) {
-	opt := lmas.DefaultFig9Options()
-	opt.N = 1 << 13
-	opt.ASUs = []int{4}
-	opt.Alphas = []int{4}
-	res, err := lmas.RunFig9(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res.Cell(4, 4, false); !ok {
-		t.Fatal("missing cell")
-	}
-	if res.Table().String() == "" {
-		t.Fatal("empty table")
-	}
-}
-
 func TestFacadePipeline(t *testing.T) {
 	params := lmas.DefaultParams()
 	cl := lmas.NewCluster(params)
