@@ -42,6 +42,20 @@ if [ "$$allocs" -gt $(4) ]; then \
 fi; \
 echo "bench-allocs: $(2) $$allocs allocs/op within $(4)"
 endef
+# The input loader generates straight into pooled packets, so with the pool
+# warm it allocates bookkeeping only (measured ~0.35 MB/op for 2^17 records;
+# 16.9 MB/op when it built a buffer of every record first).
+INPUT_BYTES_BUDGET := 1048576
+# bytes_gate(package, benchmark, benchtime, max B/op, what a failure means)
+define bytes_gate
+out=$$(go test $(1) -run 'TestXXX' -bench '$(2)$$' -benchmem -benchtime $(3) | tee /dev/stderr); \
+bytes=$$(echo "$$out" | awk '/^$(2)/ {print $$(NF-3)}'); \
+if [ -z "$$bytes" ]; then echo "bench-allocs: could not parse $(2) B/op"; exit 1; fi; \
+if [ "$$bytes" -gt $(4) ]; then \
+	echo "bench-allocs: $(2) is $$bytes B/op, want <= $(4) ($(5))"; exit 1; \
+fi; \
+echo "bench-allocs: $(2) $$bytes B/op within $(4)"
+endef
 bench-allocs:
 	@$(call alloc_gate,./internal/dsmsort,BenchmarkRunFormationOnly,10x,$(ALLOC_BUDGET),run formation copies instead of pooling)
 	@$(call alloc_gate,./internal/sim,BenchmarkSpawnKillSteadyState,100000x,0,proc recycling broken?)
@@ -51,6 +65,7 @@ bench-allocs:
 	@$(call alloc_gate,./internal/trace,BenchmarkSinkSpan,1000000x,0,trace sink allocates per event instead of per chunk)
 	@$(call alloc_gate,./internal/cluster,BenchmarkSinkSpanArgs,200000x,0,a trace arg is boxed or copied between call site and span line)
 	@$(call alloc_gate,./internal/experiments,BenchmarkObservedQuickCell,10x,$(OBSERVED_ALLOC_BUDGET),traced+recorded quick cell over budget)
+	@$(call bytes_gate,./internal/dsmsort,BenchmarkMakeInput,10x,$(INPUT_BYTES_BUDGET),the input loader builds an N-record buffer again)
 
 # Regenerate the CI perf-gate baseline after an INTENTIONAL performance
 # change (simulated runtimes moved for a good reason). -stamp=false keeps

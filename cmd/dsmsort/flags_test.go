@@ -102,6 +102,47 @@ func TestFailedRunLeavesClosedSegment(t *testing.T) {
 	}
 }
 
+// TestBadInputSizeIsAnError: a packet size below one record or a negative
+// record count exits 1 with a one-line error, not a panic and a goroutine
+// dump, and a recorded run that fails this way leaves a closed segment ending
+// in a nil-report finish, as a bad -dist does.
+func TestBadInputSizeIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "4096", "-packet", "0"}, "dsmsort: packet records must be >= 1"},
+		{[]string{"-n", "4096", "-packet", "-3"}, "dsmsort: packet records must be >= 1"},
+		{[]string{"-n", "-5"}, "dsmsort: record count must be >= 0"},
+	} {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], append(tc.args, "-asus", "4", "-record", dir)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err = %v, want exit status 1\n%s", tc.args, err, stderr.String())
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, tc.want) || strings.Contains(msg, "goroutine") {
+			t.Errorf("%v: stderr %q, want %q and no panic", tc.args, msg, tc.want)
+		}
+		st, err := recorder.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := st.Runs()
+		if err != nil {
+			t.Fatalf("%v: store does not parse: %v", tc.args, err)
+		}
+		if len(runs) != 1 || !runs[0].Finished() || runs[0].Report() != nil {
+			t.Errorf("%v: store has %d runs, want one finished without a report", tc.args, len(runs))
+		}
+	}
+}
+
 // TestProgressIsAPureObserver: `-progress 10 -report` prints the progress
 // table — stage record counts that only grow and end at N, over both passes,
 // and utilizations within [0,1] — and writes the report the bare run writes

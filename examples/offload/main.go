@@ -26,15 +26,18 @@ func main() {
 	params.NetBandwidth = 60e6 // a constrained interconnect: offload matters
 	cl := cluster.New(params)
 
-	// Data set striped across the ASUs.
-	buf := records.Generate(n, params.RecordSize, 7, records.Uniform{})
+	// Data set striped across the ASUs, generated one 64-record packet at a
+	// time straight into pooled storage the sets take ownership of.
+	gen := records.NewGenerator(7, records.Uniform{}, records.Uniform{}, n)
 	var sets []*container.Set
 	cl.Sim.Spawn("load", func(p *sim.Proc) {
 		for _, asu := range cl.ASUs {
 			sets = append(sets, container.NewSet("data@"+asu.Name, bte.NewDisk(asu.Disk), params.RecordSize))
 		}
 		for off := 0; off < n; off += 64 {
-			sets[(off/64)%len(sets)].Add(p, container.NewPacket(buf.Slice(off, off+64).ClonePooled()))
+			buf := records.NewPooled(64, params.RecordSize)
+			gen.Fill(buf)
+			sets[(off/64)%len(sets)].Add(p, container.NewPacket(buf))
 		}
 	})
 	if err := cl.Sim.Run(); err != nil {

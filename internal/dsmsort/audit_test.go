@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"lmas/internal/cluster"
 	"lmas/internal/container"
 	"lmas/internal/records"
 )
 
-// packetAuditFullScan is the reference packetAudit is held to: a serial walk
-// that tests every record of every packet against its bucket, sorted or not.
+// packetAuditFullScan is the reference the streaming packetAudit is held to: a
+// serial walk that tests every record of every packet against its bucket,
+// sorted or not.
 func packetAuditFullScan(pks []container.Packet, bucketOf func(i int) int, sp []records.Key) (sum records.Checksum, badSorted, badBucket int) {
 	badSorted, badBucket = -1, -1
 	for i, pk := range pks {
@@ -28,8 +30,9 @@ func packetAuditFullScan(pks []container.Packet, bucketOf func(i int) int, sp []
 
 // TestPacketAuditMatchesFullScan builds random packet lists — sorted packets
 // inside their bucket's key range, with unsorted, mis-bucketed and
-// unsorted-and-mis-bucketed packets injected — and requires the audit's
-// checksum and both lowest-index verdicts to equal the full scan's.
+// unsorted-and-mis-bucketed packets injected — streams each through the audit
+// and requires its checksum and both lowest-index verdicts to equal the full
+// scan's.
 func TestPacketAuditMatchesFullScan(t *testing.T) {
 	const alpha, recSize = 8, 16
 	sp := records.Splitters(alpha)
@@ -90,13 +93,72 @@ func TestPacketAuditMatchesFullScan(t *testing.T) {
 		if wantSorted < 0 && wantBucket < 0 {
 			sawClean++
 		}
-		sum, badSorted, badBucket := packetAudit(pks, bucketOf, sp)
+		// Stream the packets through the audit, passing each one's index as
+		// its ASU so a fault's location can be checked against its index.
+		a := newPacketAudit(alpha)
+		for i, pk := range pks {
+			a.visit(pk.Buf, i, pk.Bucket)
+		}
+		sum, badSorted, badBucket := a.sum, a.unsorted.at, a.misbucketed.at
 		if sum != wantSum || badSorted != wantSorted || badBucket != wantBucket {
 			t.Fatalf("trial %d (%d packets, faults %v): audit = (%v, %d, %d), full scan = (%v, %d, %d)",
 				trial, len(pks), faults, sum, badSorted, badBucket, wantSum, wantSorted, wantBucket)
 		}
+		for _, f := range []fault{a.unsorted, a.misbucketed} {
+			if f.at >= 0 && (f.asu != f.at || f.bucket != pks[f.at].Bucket) {
+				t.Fatalf("trial %d: fault %+v does not locate packet %d (bucket %d)", trial, f, f.at, pks[f.at].Bucket)
+			}
+		}
 	}
 	if sawUnsorted < 50 || sawMisbucket < 50 || sawClean < 50 {
 		t.Fatalf("weak coverage: %d unsorted, %d mis-bucketed, %d clean lists", sawUnsorted, sawMisbucket, sawClean)
+	}
+}
+
+// TestValidateNamesLowestOutOfOrderBucket swaps the records of two
+// consecutive equal-length packets in each of two buckets. Every packet stays
+// sorted and inside its bucket, and the multiset is intact, so only the
+// cross-sequence check catches the damage; it must name the lower of the two
+// buckets on every call.
+func TestValidateNamesLowestOutOfOrderBucket(t *testing.T) {
+	cl := cluster.New(testParams(1, 2))
+	in := MakeInput(cl, 4000, records.Uniform{}, 5, 32)
+	cfg := smallConfig()
+	res, err := Sort(cl, cfg, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Packets alias stored blocks, so swapping bytes through ForEach
+	// corrupts the store.
+	seq := map[int]map[int]records.Buffer{}
+	for _, st := range res.Output.Streams {
+		st.ForEach(func(pk container.Packet) bool {
+			if seq[pk.Bucket] == nil {
+				seq[pk.Bucket] = map[int]records.Buffer{}
+			}
+			seq[pk.Bucket][pk.Run] = pk.Buf
+			return true
+		})
+	}
+	for _, bucket := range []int{3, 1} {
+		swapped := false
+		for r := 0; !swapped && r+1 < len(seq[bucket]); r++ {
+			x, y := seq[bucket][r], seq[bucket][r+1]
+			if x.Len() > 0 && x.Len() == y.Len() && x.Key(x.Len()-1) < y.Key(0) {
+				tmp := x.Clone()
+				x.CopyFrom(0, y)
+				y.CopyFrom(0, tmp)
+				swapped = true
+			}
+		}
+		if !swapped {
+			t.Fatalf("bucket %d has no two consecutive equal-length packets to swap", bucket)
+		}
+	}
+	want := "dsmsort: bucket 1 packets out of order across seq"
+	for i := 0; i < 20; i++ {
+		if err := res.Output.Validate(in, cfg.Alpha); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
 	}
 }

@@ -45,6 +45,22 @@ func BenchmarkRunFormationOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkMakeInput loads 2^17 128-B records in 64-record packets onto 8
+// ASUs with the buffer pool warm, so its B/op is the loader's own overhead.
+// `make bench-allocs` gates it far below the 16 MiB that a buffer holding
+// every record would take.
+func BenchmarkMakeInput(b *testing.B) {
+	load := func() {
+		cl := cluster.New(testParams(1, 8))
+		MakeInput(cl, 1<<17, records.Uniform{}, 42, 64).Free()
+	}
+	load() // the first load fills the pool the timed ones draw from
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+}
+
 func BenchmarkMergePassOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -20,50 +20,63 @@ type Input struct {
 
 // MakeInput generates n records from dist and stripes them packet-by-packet
 // across the cluster's ASUs. Loading happens outside measured time (the
-// simulator clock is advanced and the writes flushed before return).
+// simulator clock is advanced and the writes flushed before return). A
+// packetRecords below 1 is a programming error and panics; MakeInputNamed,
+// the entry point for user-supplied sizes, returns it as an error.
 func MakeInput(cl *cluster.Cluster, n int, dist records.KeyDist, seed int64, packetRecords int) *Input {
-	buf := records.Generate(n, cl.Params.RecordSize, seed, dist)
-	return loadInput(cl, buf, packetRecords)
+	return mustLoad(loadInput(cl, n, records.NewGenerator(seed, dist, dist, n), packetRecords))
 }
 
 // MakeInputHalves generates the Figure 10 workload (first half from first,
 // second half from second) striped across ASUs so that, scanned in
 // parallel, the skewed half arrives in the second half of the run.
 func MakeInputHalves(cl *cluster.Cluster, n int, first, second records.KeyDist, seed int64, packetRecords int) *Input {
-	buf := records.GenerateHalves(n, cl.Params.RecordSize, seed, first, second)
-	return loadInput(cl, buf, packetRecords)
+	return mustLoad(loadInput(cl, n, records.NewGenerator(seed, first, second, n/2), packetRecords))
+}
+
+func mustLoad(in *Input, err error) *Input {
+	if err != nil {
+		panic(err)
+	}
+	return in
 }
 
 // MakeInputNamed builds an input from a distribution name — the vocabulary
 // shared by the CLIs and the bench harness: uniform, exp, zipf, sorted, or
 // halves (uniform then exponential, the Figure 10 shift workload).
 func MakeInputNamed(cl *cluster.Cluster, n int, dist string, seed int64, packetRecords int) (*Input, error) {
+	var first records.KeyDist
 	switch dist {
 	case "uniform":
-		return MakeInput(cl, n, records.Uniform{}, seed, packetRecords), nil
+		first = records.Uniform{}
 	case "exp":
-		return MakeInput(cl, n, records.Exponential{}, seed, packetRecords), nil
+		first = records.Exponential{}
 	case "zipf":
-		return MakeInput(cl, n, records.Zipf{}, seed, packetRecords), nil
+		first = records.Zipf{}
 	case "sorted":
-		return MakeInput(cl, n, &records.Sorted{}, seed, packetRecords), nil
+		first = &records.Sorted{}
 	case "halves":
-		return MakeInputHalves(cl, n, records.Uniform{}, records.Exponential{}, seed, packetRecords), nil
+		return loadInput(cl, n, records.NewGenerator(seed, records.Uniform{}, records.Exponential{}, n/2), packetRecords)
 	default:
 		return nil, fmt.Errorf("dsmsort: unknown distribution %q", dist)
 	}
+	return loadInput(cl, n, records.NewGenerator(seed, first, first, n), packetRecords)
 }
 
-func loadInput(cl *cluster.Cluster, buf records.Buffer, packetRecords int) *Input {
+// loadInput generates n records from gen straight into pooled packets, one
+// packet at a time, digesting each into the input checksum before its
+// ownership moves into an ASU's set: no buffer of all n records exists.
+func loadInput(cl *cluster.Cluster, n int, gen *records.Generator, packetRecords int) (*Input, error) {
 	if packetRecords < 1 {
-		panic("dsmsort: packetRecords must be >= 1")
+		return nil, fmt.Errorf("dsmsort: packet records must be >= 1")
 	}
-	n := buf.Len()
+	if n < 0 {
+		return nil, fmt.Errorf("dsmsort: record count must be >= 0")
+	}
 	in := &Input{N: n}
-	in.Checksum.Add(buf)
-	d := len(cl.ASUs)
+	recSize, d := cl.Params.RecordSize, len(cl.ASUs)
 	for _, asu := range cl.ASUs {
-		set := container.NewSet(fmt.Sprintf("input@%s", asu.Name), bte.NewDisk(asu.Disk), cl.Params.RecordSize)
+		set := container.NewSet(fmt.Sprintf("input@%s", asu.Name), bte.NewDisk(asu.Disk), recSize)
 		in.Sets = append(in.Sets, set)
 	}
 	cl.Sim.Spawn("load-input", func(p *sim.Proc) {
@@ -72,23 +85,19 @@ func loadInput(cl *cluster.Cluster, buf records.Buffer, packetRecords int) *Inpu
 		// of the whole input over time, so a temporal distribution
 		// shift (Figure 10) hits all ASUs simultaneously.
 		for pi, off := 0, 0; off < n; pi, off = pi+1, off+packetRecords {
-			hi := off + packetRecords
-			if hi > n {
-				hi = n
-			}
-			// ClonePooled: the copy's ownership transfers into the set's
-			// engine; the generator's master buffer never enters the pool.
-			pk := container.NewPacket(buf.Slice(off, hi).ClonePooled())
-			in.Sets[pi%d].Add(p, pk)
+			buf := records.NewPooled(min(packetRecords, n-off), recSize)
+			gen.Fill(buf)
+			in.Checksum.Add(buf)
+			in.Sets[pi%d].Add(p, container.NewPacket(buf))
 		}
 		for _, set := range in.Sets {
 			set.Flush(p)
 		}
 	})
 	if err := cl.Sim.Run(); err != nil {
-		panic(fmt.Sprintf("dsmsort: input load failed: %v", err))
+		return nil, fmt.Errorf("dsmsort: input load failed: %w", err)
 	}
-	return in
+	return in, nil
 }
 
 // Free releases all remaining input packet storage back to the buffer pool.

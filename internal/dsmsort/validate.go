@@ -1,8 +1,9 @@
 package dsmsort
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lmas/internal/container"
 	"lmas/internal/records"
@@ -10,26 +11,41 @@ import (
 
 // This file holds the integrity audits the sort's harness runs outside
 // virtual time: the run-store check between passes and the final output
-// validation. Both walk every stored packet — digesting records, verifying
-// sortedness, and checking bucket key ranges.
+// validation. Both stream every stored packet through one packetAudit —
+// digesting records, verifying sortedness, and checking bucket key ranges —
+// without collecting the packets.
 
-// packetAudit digests every packet in pks and locates integrity violations:
-// the lowest-index packet that is not sorted, and the lowest-index packet
-// containing a record outside its expected bucket (per bucketOf). Either
-// index is -1 when no packet offends.
-func packetAudit(pks []container.Packet, bucketOf func(i int) int, sp []records.Key) (sum records.Checksum, badSorted, badBucket int) {
-	badSorted, badBucket = -1, -1
-	for i, pk := range pks {
-		sum.Add(pk.Buf)
-		sorted := pk.Buf.IsSorted()
-		if !sorted && badSorted < 0 {
-			badSorted = i
-		}
-		if badBucket < 0 && !inBucket(pk.Buf, sorted, bucketOf(i), sp) {
-			badBucket = i
-		}
+// fault locates the first packet an audit found at fault.
+type fault struct {
+	at          int // visit index; -1 while no packet offends
+	asu, bucket int
+}
+
+// packetAudit is one streaming pass over stored packets: it digests every
+// record and remembers the first packet visited that is not sorted and the
+// first holding a record outside its expected bucket.
+type packetAudit struct {
+	sp                    []records.Key
+	sum                   records.Checksum
+	visited               int
+	unsorted, misbucketed fault
+}
+
+func newPacketAudit(alpha int) packetAudit {
+	return packetAudit{sp: records.Splitters(alpha), unsorted: fault{at: -1}, misbucketed: fault{at: -1}}
+}
+
+// visit folds b, stored on asu and expected inside bucket, into the audit.
+func (a *packetAudit) visit(b records.Buffer, asu, bucket int) {
+	a.sum.Add(b)
+	sorted := b.IsSorted()
+	if !sorted && a.unsorted.at < 0 {
+		a.unsorted = fault{a.visited, asu, bucket}
 	}
-	return sum, badSorted, badBucket
+	if a.misbucketed.at < 0 && !inBucket(b, sorted, bucket, a.sp) {
+		a.misbucketed = fault{a.visited, asu, bucket}
+	}
+	a.visited++
 }
 
 // inBucket reports whether every key in b falls in bucket want of sp. BucketOf
@@ -52,39 +68,36 @@ func inBucket(b records.Buffer, sorted bool, want int, sp []records.Key) bool {
 	return true
 }
 
-// runLoc names a run packet's position in the run store.
-type runLoc struct{ asu, bucket int }
-
 // audit digests every stored record and verifies run integrity (each run
 // sorted and inside its bucket's key range) in one scan.
 func (rs *RunStore) audit(alpha int) (records.Checksum, error) {
-	sp := records.Splitters(alpha)
-	var pks []container.Packet
-	var locs []runLoc
+	a := newPacketAudit(alpha)
 	for asu, row := range rs.Streams {
 		for bucket, st := range row {
 			if st == nil {
 				continue
 			}
 			st.ForEach(func(pk container.Packet) bool {
-				pks = append(pks, pk)
-				locs = append(locs, runLoc{asu, bucket})
+				a.visit(pk.Buf, asu, bucket)
 				return true
 			})
 		}
 	}
-	sum, badSorted, badBucket := packetAudit(pks,
-		func(i int) int { return locs[i].bucket }, sp)
 	// Sortedness outranks bucket placement when one packet violates both.
-	if badSorted >= 0 && (badBucket < 0 || badSorted <= badBucket) {
-		l := locs[badSorted]
-		return sum, fmt.Errorf("run on asu%d bucket %d not sorted", l.asu, l.bucket)
+	if u, m := a.unsorted, a.misbucketed; u.at >= 0 && (m.at < 0 || u.at <= m.at) {
+		return a.sum, fmt.Errorf("run on asu%d bucket %d not sorted", u.asu, u.bucket)
 	}
-	if badBucket >= 0 {
-		l := locs[badBucket]
-		return sum, fmt.Errorf("record in wrong bucket on asu%d: bucket %d", l.asu, l.bucket)
+	if m := a.misbucketed; m.at >= 0 {
+		return a.sum, fmt.Errorf("record in wrong bucket on asu%d: bucket %d", m.asu, m.bucket)
 	}
-	return sum, nil
+	return a.sum, nil
+}
+
+// seqSpan is what the cross-sequence check needs of one non-empty output
+// packet: where it sits in its bucket's order and its end keys.
+type seqSpan struct {
+	bucket, run       int
+	firstKey, lastKey records.Key
 }
 
 // Validate checks that the output is a complete ascending sort of in:
@@ -95,41 +108,36 @@ func (o *OutputStore) Validate(in *Input, alpha int) error {
 	if got := o.Records(); got != int64(in.N) {
 		return fmt.Errorf("dsmsort: output has %d records, want %d", got, in.N)
 	}
-	var pks []container.Packet
+	a := newPacketAudit(alpha)
+	packets := 0
 	for _, st := range o.Streams {
+		packets += st.Packets()
+	}
+	spans := make([]seqSpan, 0, packets)
+	for asu, st := range o.Streams {
 		st.ForEach(func(pk container.Packet) bool {
-			pks = append(pks, pk)
+			a.visit(pk.Buf, asu, pk.Bucket)
+			if n := pk.Len(); n > 0 {
+				spans = append(spans, seqSpan{pk.Bucket, pk.Run, pk.Buf.Key(0), pk.Buf.Key(n - 1)})
+			}
 			return true
 		})
 	}
-	sum, badSorted, badBucket := packetAudit(pks,
-		func(i int) int { return pks[i].Bucket }, records.Splitters(alpha))
-	if badSorted >= 0 {
-		return fmt.Errorf("dsmsort: unsorted output packet in bucket %d", pks[badSorted].Bucket)
+	if u := a.unsorted; u.at >= 0 {
+		return fmt.Errorf("dsmsort: unsorted output packet in bucket %d", u.bucket)
 	}
-	if badBucket >= 0 {
-		return fmt.Errorf("dsmsort: output record in wrong bucket %d", pks[badBucket].Bucket)
+	if m := a.misbucketed; m.at >= 0 {
+		return fmt.Errorf("dsmsort: output record in wrong bucket %d", m.bucket)
 	}
-	if !sum.Equal(in.Checksum) {
-		return fmt.Errorf("dsmsort: output checksum mismatch: %v vs %v", sum, in.Checksum)
+	if !a.sum.Equal(in.Checksum) {
+		return fmt.Errorf("dsmsort: output checksum mismatch: %v vs %v", a.sum, in.Checksum)
 	}
-	byBucket := map[int][]container.Packet{}
-	for _, pk := range pks {
-		byBucket[pk.Bucket] = append(byBucket[pk.Bucket], pk)
-	}
-	for bucket, bpks := range byBucket {
-		sort.Slice(bpks, func(i, j int) bool { return bpks[i].Run < bpks[j].Run })
-		var last records.Key
-		haveLast := false
-		for _, pk := range bpks {
-			if pk.Len() == 0 {
-				continue
-			}
-			if haveLast && pk.Buf.Key(0) < last {
-				return fmt.Errorf("dsmsort: bucket %d packets out of order across seq", bucket)
-			}
-			last = pk.Buf.Key(pk.Len() - 1)
-			haveLast = true
+	slices.SortStableFunc(spans, func(x, y seqSpan) int {
+		return cmp.Or(cmp.Compare(x.bucket, y.bucket), cmp.Compare(x.run, y.run))
+	})
+	for i := 1; i < len(spans); i++ {
+		if prev, s := spans[i-1], spans[i]; s.bucket == prev.bucket && s.firstKey < prev.lastKey {
+			return fmt.Errorf("dsmsort: bucket %d packets out of order across seq", s.bucket)
 		}
 	}
 	return nil

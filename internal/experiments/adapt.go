@@ -42,15 +42,14 @@ func Adapt(row AdaptRow) (AdaptRow, error) {
 	}
 	cl, reg, seed := run.cl, run.cl.Telemetry, row.Sort.Seed
 
-	buf := records.GenerateHalves(row.N, row.Params.RecordSize, seed,
-		records.Uniform{}, records.Exponential{Mean: row.SkewMean})
+	gen := records.NewGenerator(seed, records.Uniform{}, records.Exponential{Mean: row.SkewMean}, row.N/2)
 	var initial route.Policy = route.Static{Buckets: row.Sort.Alpha}
 	if row.Strategy == "sr" {
 		initial = route.NewSR(seed)
 	}
 	done := false
 	var finishedAt sim.Time
-	pl, edge, err := distSortPipeline(cl, buf, row.Sort.Alpha, row.Sort.Beta, row.Sort.PacketRecords, initial, func() {
+	pl, edge, err := distSortPipeline(cl, row.N, gen, row.Sort.Alpha, row.Sort.Beta, row.Sort.PacketRecords, initial, func() {
 		done = true
 		finishedAt = cl.Sim.Now()
 	})

@@ -51,15 +51,16 @@ func filterScan(s Spec, threshold records.Key, onASU bool) (secs, netMB float64,
 	recSize, packetRecords := s.Params.RecordSize, s.Sort.PacketRecords
 
 	// Load the data set striped across the ASUs and count expected
-	// matches directly (the validation oracle).
-	buf := records.Generate(s.N, recSize, s.Sort.Seed, records.Uniform{})
+	// matches directly as each packet is stored (the validation oracle).
 	var want int64
-	for i := 0; i < s.N; i++ {
-		if buf.Key(i) < threshold {
-			want++
+	gen := records.NewGenerator(s.Sort.Seed, records.Uniform{}, records.Uniform{}, s.N)
+	sets, err := stripeSets(cl, s.N, gen, packetRecords, func(buf records.Buffer) {
+		for i := 0; i < buf.Len(); i++ {
+			if buf.Key(i) < threshold {
+				want++
+			}
 		}
-	}
-	sets, err := stripeSets(cl, buf, packetRecords)
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -57,11 +57,11 @@ func Isolation(row IsolationRow) (IsolationRow, error) {
 
 	cl = cluster.New(row.Params)
 	// Input striped over the ASUs, as in Figure 9.
-	buf := records.Generate(row.N, row.Params.RecordSize, row.Sort.Seed, records.Uniform{})
+	gen := records.NewGenerator(row.Sort.Seed, records.Uniform{}, records.Uniform{}, row.N)
 	// The background computation: distribute on the ASUs, sort on the
 	// host, runs discarded (we only need the ASU CPU pressure).
 	sortDone := false
-	pl, _, err := distSortPipeline(cl, buf, row.Sort.Alpha, row.Sort.Beta, row.Sort.PacketRecords,
+	pl, _, err := distSortPipeline(cl, row.N, gen, row.Sort.Alpha, row.Sort.Beta, row.Sort.PacketRecords,
 		route.Static{Buckets: row.Sort.Alpha}, func() { sortDone = true })
 	if err != nil {
 		return row, fmt.Errorf("isolation quantum=%v: %w", row.Params.IsolationQuantum, err)

@@ -194,33 +194,40 @@ func sortCell(s Spec) (*dsmsort.Result, error) {
 	return res, nil
 }
 
-// stripeSets loads buf onto one container set per ASU, packet by packet
-// round-robin, outside measured time. Unlike dsmsort's input
-// loader it leaves the sets unflushed, which the pipelines scanning them
-// (adapt, filter, isolation) have always been timed with.
-func stripeSets(cl *cluster.Cluster, buf records.Buffer, packetRecords int) ([]*container.Set, error) {
+// stripeSets generates n records from gen straight into pooled packets and
+// loads them onto one container set per ASU, round-robin, outside measured
+// time; loaded, when non-nil, sees each packet as it is stored. Unlike
+// dsmsort's input loader it leaves the sets unflushed, which the pipelines
+// scanning them (adapt, filter, isolation) have always been timed with.
+func stripeSets(cl *cluster.Cluster, n int, gen *records.Generator, packetRecords int,
+	loaded func(records.Buffer)) ([]*container.Set, error) {
 	sets := make([]*container.Set, len(cl.ASUs))
+	recSize := cl.Params.RecordSize
 	cl.Sim.Spawn("load", func(p *sim.Proc) {
 		for i, asu := range cl.ASUs {
-			sets[i] = container.NewSet(fmt.Sprintf("in%d", i), bte.NewDisk(asu.Disk), cl.Params.RecordSize)
+			sets[i] = container.NewSet(fmt.Sprintf("in%d", i), bte.NewDisk(asu.Disk), recSize)
 		}
-		for pi, off := 0, 0; off < buf.Len(); pi, off = pi+1, off+packetRecords {
-			hi := min(off+packetRecords, buf.Len())
-			sets[pi%len(sets)].Add(p, container.NewPacket(buf.Slice(off, hi).ClonePooled()))
+		for pi, off := 0, 0; off < n; pi, off = pi+1, off+packetRecords {
+			buf := records.NewPooled(min(packetRecords, n-off), recSize)
+			gen.Fill(buf)
+			if loaded != nil {
+				loaded(buf)
+			}
+			sets[pi%len(sets)].Add(p, container.NewPacket(buf))
 		}
 	})
 	return sets, cl.Sim.Run()
 }
 
-// distSortPipeline stripes buf over the ASUs and builds run formation's front
-// half by hand — distribute on every ASU, fed by a scan of its own set and
-// routed by policy to block sort on the hosts, the sorted runs discarded —
-// for the harnesses that interfere with it while it runs (adapt swaps the
-// edge's policy, isolation competes for the ASU CPUs). done fires when the
-// last run has been sorted.
-func distSortPipeline(cl *cluster.Cluster, buf records.Buffer, alpha, beta, packetRecords int,
+// distSortPipeline stripes n records from gen over the ASUs and builds run
+// formation's front half by hand — distribute on every ASU, fed by a scan of
+// its own set and routed by policy to block sort on the hosts, the sorted
+// runs discarded — for the harnesses that interfere with it while it runs
+// (adapt swaps the edge's policy, isolation competes for the ASU CPUs). done
+// fires when the last run has been sorted.
+func distSortPipeline(cl *cluster.Cluster, n int, gen *records.Generator, alpha, beta, packetRecords int,
 	policy route.Policy, done func()) (*functor.Pipeline, *functor.Edge, error) {
-	sets, err := stripeSets(cl, buf, packetRecords)
+	sets, err := stripeSets(cl, n, gen, packetRecords, nil)
 	if err != nil {
 		return nil, nil, err
 	}

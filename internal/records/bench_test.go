@@ -18,18 +18,18 @@ var benchShapes = []struct {
 	{"4rec", 4},
 }
 
-// BenchmarkGenerate times the generators' fill loop (rng draws, payload
+// BenchmarkGenerate times the generator's fill loop (rng draws, payload
 // expansion, key store) into a reused buffer, leaving out Generate's
 // allocation and rng seeding, which at 4 records would be all it measured.
 func BenchmarkGenerate(b *testing.B) {
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			buf := NewBuffer(sh.n, DefaultSize)
-			rng := newBenchRng()
+			g := NewGenerator(1, Uniform{}, Uniform{}, 0)
 			b.SetBytes(int64(buf.Bytes()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fill(buf, 0, sh.n, rng, Uniform{})
+				g.Fill(buf)
 			}
 		})
 	}

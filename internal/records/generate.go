@@ -79,13 +79,46 @@ func (s *Sorted) Draw(rng *rand.Rand) Key {
 	return k
 }
 
+// Generator streams a synthetic workload: records 0 .. split-1 take their
+// keys from first, every later one from second, and payloads are
+// pseudorandom, all derived deterministically from one seed. Filling
+// consecutive buffers yields the same bytes as one buffer of their combined
+// length, so a loader can generate straight into packet-sized storage.
+type Generator struct {
+	rng           *rand.Rand
+	first, second KeyDist
+	left          int // records still to draw from first
+}
+
+// NewGenerator starts the stream at record 0.
+func NewGenerator(seed int64, first, second KeyDist, split int) *Generator {
+	return &Generator{rng: rand.New(rand.NewSource(seed)), first: first, second: second, left: split}
+}
+
+// Fill writes the stream's next b.Len() records into b, every byte of them.
+func (g *Generator) Fill(b Buffer) {
+	rng := g.rng
+	for i, n := 0, b.Len(); i < n; {
+		dist, end := g.second, n
+		if g.left > 0 {
+			dist, end = g.first, min(n, i+g.left)
+			g.left -= end - i
+		}
+		for ; i < end; i++ {
+			// Pseudorandom payload; cheaper than rng.Read and just as good
+			// for checksum purposes.
+			fillPayload(b.Record(i), rng.Uint64())
+			b.SetKey(i, dist.Draw(rng))
+		}
+	}
+}
+
 // Generate builds a buffer of n records of the given size with keys drawn
 // from dist and pseudorandom payloads, all derived deterministically from
 // seed.
 func Generate(n, size int, seed int64, dist KeyDist) Buffer {
 	b := NewBuffer(n, size)
-	rng := rand.New(rand.NewSource(seed))
-	fill(b, 0, n, rng, dist)
+	NewGenerator(seed, dist, dist, n).Fill(b)
 	return b
 }
 
@@ -96,19 +129,8 @@ func Generate(n, size int, seed int64, dist KeyDist) Buffer {
 // through the run.
 func GenerateHalves(n, size int, seed int64, first, second KeyDist) Buffer {
 	b := NewBuffer(n, size)
-	rng := rand.New(rand.NewSource(seed))
-	fill(b, 0, n/2, rng, first)
-	fill(b, n/2, n, rng, second)
+	NewGenerator(seed, first, second, n/2).Fill(b)
 	return b
-}
-
-func fill(b Buffer, lo, hi int, rng *rand.Rand, dist KeyDist) {
-	for i := lo; i < hi; i++ {
-		// Pseudorandom payload; cheaper than rng.Read and just as good
-		// for checksum purposes.
-		fillPayload(b.Record(i), rng.Uint64())
-		b.SetKey(i, dist.Draw(rng))
-	}
 }
 
 // fillPayload expands x into rec's payload (the bytes after the key): byte j

@@ -1,6 +1,7 @@
 package records
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -231,6 +232,56 @@ func TestGenerateHalves(t *testing.T) {
 	}
 	if hiSecond > n/100 {
 		t.Fatalf("second (skewed) half has %d/%d high keys; expected almost none", hiSecond, n/2)
+	}
+}
+
+// TestGeneratorMatchesGenerate streams each workload through fills of one
+// size into garbage-filled buffers and requires the concatenated bytes to
+// equal one Generate / GenerateHalves call. 5001 records put the halves'
+// split at 2500, which every fill size but 1 straddles; the sorted
+// distribution carries state from one fill into the next.
+func TestGeneratorMatchesGenerate(t *testing.T) {
+	const n, seed = 5001, 20020724
+	for _, dist := range []string{"uniform", "exp", "sorted"} {
+		for _, halves := range []bool{false, true} {
+			// stream returns fresh distributions (a Sorted one carries state)
+			// and the split for one generation.
+			stream := func() (first, second KeyDist, split int) {
+				if halves {
+					return goldenDist(dist), Exponential{Mean: 0.05}, n / 2
+				}
+				d := goldenDist(dist)
+				return d, d, n
+			}
+			for _, size := range []int{12, 128} {
+				first, second, _ := stream()
+				var want Buffer
+				if halves {
+					want = GenerateHalves(n, size, seed, first, second)
+				} else {
+					want = Generate(n, size, seed, first)
+				}
+				for _, fill := range []int{1, 3, 63, 64, 4096} {
+					first, second, split := stream()
+					if halves && fill > 1 && split%fill == 0 {
+						t.Fatalf("fill %d does not straddle the split at %d", fill, split)
+					}
+					g := NewGenerator(seed, first, second, split)
+					var got []byte
+					for off := 0; off < n; off += fill {
+						b := NewBuffer(min(fill, n-off), size)
+						for i := range b.Raw() {
+							b.Raw()[i] = 0xDB
+						}
+						g.Fill(b)
+						got = append(got, b.Raw()...)
+					}
+					if !bytes.Equal(got, want.Raw()) {
+						t.Errorf("%s size %d halves=%v fill %d: streamed bytes differ from one call", dist, size, halves, fill)
+					}
+				}
+			}
+		}
 	}
 }
 
