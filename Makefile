@@ -46,6 +46,10 @@ endef
 # warm it allocates bookkeeping only (measured ~0.35 MB/op for 2^17 records;
 # 16.9 MB/op when it built a buffer of every record first).
 INPUT_BYTES_BUDGET := 1048576
+# The merge pass's 72 k-way merges share pooled mergers and keep their refill
+# closures on the stack (measured ~2.6k allocs/op); one allocation per merge
+# — a refill closure stored in the merger reads 2 678 — fails the gate.
+MERGE_ALLOC_BUDGET := 2650
 # bytes_gate(package, benchmark, benchtime, max B/op, what a failure means)
 define bytes_gate
 out=$$(go test $(1) -run 'TestXXX' -bench '$(2)$$' -benchmem -benchtime $(3) | tee /dev/stderr); \
@@ -66,6 +70,7 @@ bench-allocs:
 	@$(call alloc_gate,./internal/cluster,BenchmarkSinkSpanArgs,200000x,0,a trace arg is boxed or copied between call site and span line)
 	@$(call alloc_gate,./internal/experiments,BenchmarkObservedQuickCell,10x,$(OBSERVED_ALLOC_BUDGET),traced+recorded quick cell over budget)
 	@$(call bytes_gate,./internal/dsmsort,BenchmarkMakeInput,10x,$(INPUT_BYTES_BUDGET),the input loader builds an N-record buffer again)
+	@$(call alloc_gate,./internal/dsmsort,BenchmarkMergePassOnly,100x,$(MERGE_ALLOC_BUDGET),a merger or refill closure or scratch slice allocates per merge)
 
 # Regenerate the CI perf-gate baseline after an INTENTIONAL performance
 # change (simulated runtimes moved for a good reason). -stamp=false keeps

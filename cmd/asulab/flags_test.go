@@ -45,3 +45,37 @@ func TestEngineFlagsAreGone(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenLoopBadFlagsAreErrors: an openloop job count, arrival rate or SLO
+// timeout the workload cannot run is an error naming the field (exit 1), not
+// a panic with a goroutine dump or a run that misreports.
+func TestOpenLoopBadFlagsAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-timeout", "0"}, "timeout"},
+		{[]string{"-timeout", "-1"}, "timeout"},
+		{[]string{"-jobs", "-1"}, "jobs"},
+		{[]string{"-rate", "0"}, "rate"},
+		{[]string{"-rate", "-2"}, "rate"},
+		{[]string{"-rate", "NaN"}, "rate"},
+		{[]string{"-rate", "+Inf"}, "rate"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"openloop"}, c.args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1", c.args, err)
+		}
+		if want := "asulab: openloop: " + c.field + " must be"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr %q does not contain %q", c.args, stderr.String(), want)
+		}
+		if strings.Contains(stderr.String(), "goroutine ") {
+			t.Errorf("%v: stderr holds a goroutine dump:\n%s", c.args, stderr.String())
+		}
+	}
+}

@@ -2,8 +2,6 @@ package dsmsort
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"lmas/internal/bte"
 	"lmas/internal/bufpool"
@@ -67,26 +65,12 @@ type MergeResult struct {
 	asuIn, hostIn, collectIn int64
 }
 
-// mergeScratch is pooled per-merge working memory: the frontier heap and
-// cursor slices that every k-way merge needs. Output buffers are NOT here:
-// they escape into packets and streams, which own them.
-type mergeScratch struct {
-	h     records.MergeHeap
-	pos   []int
-	heads []container.Packet
-}
-
-var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-// putMergeScratch returns sc to the pool with packet references cleared so
-// pooled scratch never pins record buffers.
-func putMergeScratch(sc *mergeScratch) {
-	sc.h = sc.h[:0]
-	for i := range sc.heads {
-		sc.heads[i] = container.Packet{}
+// oneEach is the refill of a merge whose sources are one buffer each:
+// source i yields bufs[i] on its first call, if it holds a record.
+func oneEach(bufs []records.Buffer) records.Refill {
+	return func(i int, spent records.Buffer) (records.Buffer, bool) {
+		return bufs[i], spent.Size() == 0 && bufs[i].Len() > 0
 	}
-	sc.heads = sc.heads[:0]
-	mergePool.Put(sc)
 }
 
 // mergeBuffers merges k sorted buffers into one sorted buffer (pure
@@ -99,33 +83,34 @@ func mergeBuffers(bufs []records.Buffer, recSize int) records.Buffer {
 		total += b.Len()
 	}
 	out := records.NewPooled(total, recSize)
-	sc := mergePool.Get().(*mergeScratch)
-	pos := slices.Grow(sc.pos[:0], len(bufs))[:len(bufs)]
-	h := sc.h[:0]
-	for i, b := range bufs {
-		pos[i] = 0
-		if b.Len() > 0 {
-			h = append(h, records.MergeItem{Key: b.Key(0), Src: i})
-		}
-	}
-	h.Init()
-	w := 0
-	for len(h) > 0 {
-		it := h[0]
-		b := bufs[it.Src]
-		copy(out.Record(w), b.Record(pos[it.Src]))
-		w++
-		pos[it.Src]++
-		if pos[it.Src] < b.Len() {
-			h[0] = records.MergeItem{Key: b.Key(pos[it.Src]), Src: it.Src}
-			h.FixTop()
-		} else {
-			h.PopTop()
-		}
-	}
-	sc.pos, sc.h = pos, h
-	putMergeScratch(sc)
+	records.Merge(out, len(bufs), oneEach(bufs))
 	return out
+}
+
+// mergePackets merges k sources into packets of up to packetRecords
+// records, each in a pooled buffer drawn when its first record arrives, and
+// hands every packet to emit, which owns it from then on. A source refills
+// before a full packet is emitted, as the record that fills it leaves the
+// merge.
+func mergePackets(k int, refill records.Refill, packetRecords, recSize int, emit func(records.Buffer)) {
+	m := records.NewMerger(k, refill)
+	var out records.Buffer
+	fill := 0
+	for m.More() {
+		if fill == 0 {
+			out = records.NewPooled(packetRecords, recSize)
+		}
+		m.Pop(out.Record(fill), refill)
+		fill++
+		if fill == packetRecords {
+			emit(out)
+			fill = 0
+		}
+	}
+	if fill > 0 {
+		emit(out.Slice(0, fill))
+	}
+	m.Release()
 }
 
 // MergePass executes DSM-Sort's merge pass: for every bucket, each ASU
@@ -342,30 +327,16 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 	}
 	levels++
 	// Final level: streaming γ2-way merge emitting packets to the host.
-	// The scratch is held across queue parks: the proc owns it exclusively
-	// until the merge completes, which is exactly the pool contract.
-	msc := mergePool.Get().(*mergeScratch)
-	frontier := slices.Grow(msc.pos[:0], len(runs))[:len(runs)]
-	h := msc.h[:0]
-	for i, b := range runs {
-		frontier[i] = 0
-		if b.Len() > 0 {
-			h = append(h, records.MergeItem{Key: b.Key(0), Src: i})
-		}
-	}
-	h.Init()
 	pf := cl.Profiler
 	perRec := touch + cluster.Log2(len(runs))*cm.CompareOps
-	var outBuf records.Buffer
-	fill := 0
-	flush := func() {
+	mergePackets(len(runs), oneEach(runs), cfg.PacketRecords, recSize, func(buf records.Buffer) {
 		// Merged packets root fresh provenance chains: their inputs were
 		// stored by pass 1, and chains do not persist through storage.
 		id := pf.StartChain(p)
 		// The packet owns its pooled buffer; the host merger releases it
 		// once the records are copied into the bucket's output.
-		pk := container.Packet{Buf: outBuf.Slice(0, fill), Sorted: true, Bucket: -1, Run: -1, Owned: true, Prov: id}
-		ops := float64(fill) * perRec
+		pk := container.Packet{Buf: buf, Sorted: true, Bucket: -1, Run: -1, Owned: true, Prov: id}
+		ops := float64(buf.Len()) * perRec
 		res.ASUOps += ops
 		asu.Compute(p, ops)
 		// Stream to the consuming host merger; the network hop is
@@ -374,39 +345,12 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 			panic(err)
 		}
 		pf.EndPacket(p)
-		fill = 0
-	}
-	for len(h) > 0 {
-		if fill == 0 {
-			// One pooled buffer per emitted packet, drawn when its first
-			// record arrives.
-			outBuf = records.NewPooled(cfg.PacketRecords, recSize)
-		}
-		it := h[0]
-		b := runs[it.Src]
-		copy(outBuf.Record(fill), b.Record(frontier[it.Src]))
-		fill++
-		frontier[it.Src]++
-		if frontier[it.Src] < b.Len() {
-			h[0] = records.MergeItem{Key: b.Key(frontier[it.Src]), Src: it.Src}
-			h.FixTop()
-		} else {
-			h.PopTop()
-		}
-		if fill == cfg.PacketRecords {
-			flush()
-		}
-	}
-	if fill > 0 {
-		flush()
-	}
+	})
 	for i := range runs {
 		if owned[i] {
 			runs[i].Release()
 		}
 	}
-	msc.pos, msc.h = frontier, h
-	putMergeScratch(msc)
 	return levels
 }
 
@@ -417,42 +361,24 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 	cm := cl.Params.Costs
 	touch := cl.Touch(host)
 	gamma1 := len(queues)
-
-	// Stream heads: current packet and position per input queue, in pooled
-	// scratch (the packets themselves are owned by the stream, and the
-	// heads slice is cleared before the scratch is returned).
-	sc := mergePool.Get().(*mergeScratch)
-	heads := slices.Grow(sc.heads[:0], gamma1)[:gamma1]
-	pos := slices.Grow(sc.pos[:0], gamma1)[:gamma1]
-	for i := range heads {
-		heads[i] = container.Packet{}
-		pos[i] = 0
-	}
 	pf := cl.Profiler
-	advance := func(i int) bool {
+	// A source is one ASU's stream of packets, each owning its buffer: a
+	// read-out packet goes back to the pool as the next one is received.
+	refill := func(i int, spent records.Buffer) (records.Buffer, bool) {
+		spent.Release()
 		pk, ok := queues[i].Get(p)
 		if !ok {
-			return false
+			return records.Buffer{}, false
 		}
 		res.hostIn += int64(pk.Len())
 		// Charge the ASU->host hop for the received packet, on its chain.
 		pf.BeginPacket(p, pk.Prov)
 		cl.Net.Stream(p, srcs[i].NIC, host.NIC, pk.Bytes()+64)
 		pf.EndPacket(p)
-		heads[i] = pk
-		pos[i] = 0
-		return true
+		return pk.Buf, true
 	}
-	h := sc.h[:0]
-	for i := range queues {
-		if advance(i) {
-			h = append(h, records.MergeItem{Key: heads[i].Buf.Key(0), Src: i})
-		}
-	}
-	h.Init()
-
 	seq := 0
-	flush := func(buf records.Buffer) {
+	mergePackets(gamma1, refill, cfg.PacketRecords, recSize, func(buf records.Buffer) {
 		// Output packets derive from the most recent input chain the merger
 		// consumed, keeping the dependency walk rooted in the ASU mergers.
 		id := pf.Derive(p)
@@ -471,43 +397,5 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 			panic(err)
 		}
 		pf.EndPacket(p)
-	}
-	// The pool-call order is pinned: the next staging buffer is drawn before
-	// the full one is flushed, and a trailing unused one is released.
-	// `dsmsort -report` snapshots the pool's per-class gets/hits/high-water;
-	// drawing one buffer per emitted packet instead would lower gets by one
-	// for every bucket whose record count is a multiple of the packet size.
-	outBuf := records.NewPooled(cfg.PacketRecords, recSize)
-	fill := 0
-	for len(h) > 0 {
-		src := h[0].Src
-		copy(outBuf.Record(fill), heads[src].Buf.Record(pos[src]))
-		fill++
-		pos[src]++
-		if pos[src] == heads[src].Len() {
-			heads[src].Release() // exhausted upstream packet (it owned its buffer)
-			if !advance(src) {
-				h.PopTop()
-			} else {
-				h[0] = records.MergeItem{Key: heads[src].Buf.Key(0), Src: src}
-				h.FixTop()
-			}
-		} else {
-			h[0] = records.MergeItem{Key: heads[src].Buf.Key(pos[src]), Src: src}
-			h.FixTop()
-		}
-		if fill == cfg.PacketRecords {
-			full := outBuf
-			outBuf = records.NewPooled(cfg.PacketRecords, recSize)
-			fill = 0
-			flush(full)
-		}
-	}
-	if fill > 0 {
-		flush(outBuf.Slice(0, fill))
-	} else {
-		outBuf.Release() // last staging buffer never entered a packet
-	}
-	sc.heads, sc.pos, sc.h = heads, pos, h
-	putMergeScratch(sc)
+	})
 }

@@ -59,11 +59,3 @@ func Speedup(baseline, candidate sim.Duration) float64 {
 	}
 	return float64(baseline) / float64(candidate)
 }
-
-// cloneParams builds a cluster like p but with d ASUs and h hosts; the
-// experiment harnesses use it to sweep configurations.
-func cloneParams(p cluster.Params, h, d int) cluster.Params {
-	p.Hosts = h
-	p.ASUs = d
-	return p
-}

@@ -172,6 +172,14 @@ type jobTrack struct {
 // shared mutation happens inside dispatched events, and the report it builds
 // must be byte-identical from run to run (CI cmps two runs).
 func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
+	switch {
+	case opt.Jobs < 0:
+		return nil, fmt.Errorf("openloop: jobs must be >= 0, have %d", opt.Jobs)
+	case !(opt.Rate > 0) || math.IsInf(opt.Rate, 1):
+		return nil, fmt.Errorf("openloop: rate must be finite and > 0 jobs/s, have %v", opt.Rate)
+	case opt.Timeout <= 0:
+		return nil, fmt.Errorf("openloop: timeout must be > 0, have %v", opt.Timeout)
+	}
 	params := opt.Base
 	params.Hosts, params.ASUs = opt.Hosts, opt.ASUs
 	exp := opt.Experiment

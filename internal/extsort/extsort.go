@@ -232,14 +232,10 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 	cm := cl.Params.Costs
 	touch := cl.Touch(host)
 
-	// Load the group's packets as cursors (reads charge the source
-	// disks; transfers charge the interconnect).
-	type cursor struct {
-		bufs []records.Buffer
-		pk   int
-		pos  int
-	}
-	cursors := make([]cursor, len(group))
+	// Load each run's packets (reads charge the source disks; transfers
+	// charge the interconnect); a run is one merge source.
+	runs := make([][]records.Buffer, len(group))
+	total := 0
 	for i, st := range group {
 		src := -1
 		for e, eng := range engines {
@@ -254,52 +250,29 @@ func mergeRuns(cl *cluster.Cluster, p *sim.Proc, host *cluster.Node, group []*co
 				break
 			}
 			cl.Net.Stream(p, cl.ASUs[src].NIC, host.NIC, pk.Bytes()+64)
-			cursors[i].bufs = append(cursors[i].bufs, pk.Buf)
-		}
-	}
-	var h records.MergeHeap
-	key := func(c *cursor) records.Key { return c.bufs[c.pk].Key(c.pos) }
-	for i := range cursors {
-		if len(cursors[i].bufs) > 0 && cursors[i].bufs[0].Len() > 0 {
-			h = append(h, records.MergeItem{Key: key(&cursors[i]), Src: i})
-		}
-	}
-	h.Init()
-	total := 0
-	for i := range cursors {
-		for _, b := range cursors[i].bufs {
-			total += b.Len()
+			runs[i] = append(runs[i], pk.Buf)
+			total += pk.Len()
 		}
 	}
 	outIdx := *stripe % len(engines)
 	*stripe++
 	out := container.NewStream(fmt.Sprintf("xmerge%d", *stripe), engines[outIdx], recSize)
 	outBuf := records.NewPooled(total, recSize) // fully written below, then engine-owned
-	w := 0
-	for len(h) > 0 {
-		src := h[0].Src
-		c := &cursors[src]
-		copy(outBuf.Record(w), c.bufs[c.pk].Record(c.pos))
-		w++
-		c.pos++
-		if c.pos == c.bufs[c.pk].Len() {
-			c.pk++
-			c.pos = 0
+	records.Merge(outBuf, len(runs), func(i int, _ records.Buffer) (records.Buffer, bool) {
+		if len(runs[i]) == 0 {
+			return records.Buffer{}, false
 		}
-		if c.pk < len(c.bufs) && c.pos < c.bufs[c.pk].Len() {
-			h[0] = records.MergeItem{Key: key(c), Src: src}
-			h.FixTop()
-		} else {
-			h.PopTop()
-		}
-	}
+		next := runs[i][0]
+		runs[i] = runs[i][1:]
+		return next, true
+	})
 	ops := float64(total) * (touch + cluster.Log2(len(group))*cm.CompareOps)
 	res.HostOps += ops
 	host.Compute(p, ops)
 	cl.Net.Stream(p, host.NIC, cl.ASUs[outIdx].NIC, outBuf.Bytes()+64)
 	out.Append(p, container.Packet{Buf: outBuf, Sorted: true, Bucket: -1, Run: *stripe})
 	// The merged group's blocks are fully copied into outBuf; recycle their
-	// storage for the next merge group (the cursor aliases are dead here).
+	// storage for the next merge group (nothing aliases them any more).
 	for _, st := range group {
 		st.FreeAll()
 	}

@@ -120,9 +120,6 @@ func (b Buffer) Swap(i, j int) {
 	}
 }
 
-// Less reports whether record i's key is smaller than record j's.
-func (b Buffer) Less(i, j int) bool { return b.Key(i) < b.Key(j) }
-
 // Slice returns the sub-buffer of records [lo, hi); it aliases b.
 func (b Buffer) Slice(lo, hi int) Buffer {
 	return Buffer{data: b.data[lo*b.size : hi*b.size], size: b.size}

@@ -2,7 +2,6 @@ package records
 
 import (
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -144,30 +143,4 @@ func (b Buffer) permute(sc *sortScratch) {
 		copy(b.data[dst*size:(dst+1)*size], tmp)
 		pairs[dst].idx = done
 	}
-}
-
-// sortStdlib is the reference comparison path: sort.Sort over the buffer
-// with full-record swaps through a hoisted scratch record. Kept for
-// differential tests against the radix kernel.
-func (b Buffer) sortStdlib() {
-	sc := sortPool.Get().(*sortScratch)
-	sc.rec = slices.Grow(sc.rec[:0], b.size)[:b.size]
-	sort.Sort(&bufferSorter{Buffer: b, tmp: sc.rec})
-	sortPool.Put(sc)
-}
-
-// bufferSorter adapts Buffer to sort.Interface. The swap scratch lives in
-// the sorter, allocated once per sort, not once per Swap call.
-type bufferSorter struct {
-	Buffer
-	tmp []byte
-}
-
-func (s *bufferSorter) Len() int { return s.Buffer.Len() }
-
-func (s *bufferSorter) Swap(i, j int) {
-	ri, rj := s.Record(i), s.Record(j)
-	copy(s.tmp, ri)
-	copy(ri, rj)
-	copy(rj, s.tmp)
 }

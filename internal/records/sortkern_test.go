@@ -150,6 +150,52 @@ func TestSortAllocs(t *testing.T) {
 	}
 }
 
+// FuzzRadixMatchesStableSort holds Sort to referenceSort byte for byte on
+// any length (both sides of radixMinLen), record size and key spread: keys
+// are masked, so a sparse mask yields long equal runs, byte positions every
+// key shares (the skipped radix passes) or one key for all.
+func FuzzRadixMatchesStableSort(f *testing.F) {
+	f.Add(int64(1), uint16(radixMinLen-1), uint8(124), ^uint32(0))
+	f.Add(int64(2), uint16(1000), uint8(124), uint32(0x0000ff00))
+	f.Add(int64(3), uint16(777), uint8(0), uint32(3))
+	f.Add(int64(4), uint16(300), uint8(13), uint32(0))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, extra uint8, mask uint32) {
+		b := Generate(int(n%5000), KeyBytes+int(extra), seed, Uniform{})
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < b.Len(); i++ {
+			b.SetKey(i, Key(rng.Uint32()&mask))
+		}
+		ref := referenceSort(b)
+		b.Sort()
+		if !bytes.Equal(b.Raw(), ref.Raw()) {
+			t.Fatalf("n=%d size=%d mask=%#x: radix and stable sort differ", b.Len(), b.Size(), mask)
+		}
+	})
+}
+
+// sortStdlib is the comparison path: sort.Sort over the buffer with
+// full-record swaps through one scratch record.
+func (b Buffer) sortStdlib() {
+	sort.Sort(&bufferSorter{Buffer: b, tmp: make([]byte, b.size)})
+}
+
+// bufferSorter adapts Buffer to sort.Interface. The swap scratch lives in
+// the sorter, allocated once per sort, not once per Swap call.
+type bufferSorter struct {
+	Buffer
+	tmp []byte
+}
+
+func (s *bufferSorter) Len() int           { return s.Buffer.Len() }
+func (s *bufferSorter) Less(i, j int) bool { return s.Key(i) < s.Key(j) }
+
+func (s *bufferSorter) Swap(i, j int) {
+	ri, rj := s.Record(i), s.Record(j)
+	copy(s.tmp, ri)
+	copy(ri, rj)
+	copy(rj, s.tmp)
+}
+
 // BenchmarkBufferSortStdlib is the comparison path's benchmark twin of
 // BenchmarkBufferSort, so `benchstat` can quote the radix kernel's win.
 func BenchmarkBufferSortStdlib(b *testing.B) {
