@@ -62,20 +62,47 @@ func TestOpenLoopBadFlagsAreErrors(t *testing.T) {
 		{[]string{"-rate", "NaN"}, "rate"},
 		{[]string{"-rate", "+Inf"}, "rate"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"openloop"}, c.args...)...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%v: err = %v, want exit status 1", c.args, err)
-		}
-		if want := "asulab: openloop: " + c.field + " must be"; !strings.Contains(stderr.String(), want) {
-			t.Errorf("%v: stderr %q does not contain %q", c.args, stderr.String(), want)
-		}
-		if strings.Contains(stderr.String(), "goroutine ") {
-			t.Errorf("%v: stderr holds a goroutine dump:\n%s", c.args, stderr.String())
-		}
+		wantCleanError(t, append([]string{"openloop"}, c.args...), "asulab: openloop: "+c.field+" must be")
+	}
+}
+
+// TestTableRowBadFlagsAreErrors: a grid size, entry count or cluster shape a
+// table row cannot run is an error naming the field (exit 1), returned by the
+// row function before it builds anything, not a panic from deep inside the
+// workload.
+func TestTableRowBadFlagsAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"terraflow", "-w", "0"}, "asulab: terra: W must be >= 1, have 0"},
+		{[]string{"terraflow", "-h", "-3"}, "asulab: terra: H must be >= 1, have -3"},
+		{[]string{"terraflow", "-asus", "0"}, "asulab: terra: cluster: need at least one ASU, have 0"},
+		{[]string{"filter", "-asus", "0"}, "asulab: filter: cluster: need at least one ASU, have 0"},
+		{[]string{"onepass", "-hosts", "0"}, "asulab: onepass: cluster: need at least one host, have 0"},
+		{[]string{"rtree", "-entries", "0"}, "asulab: rtree: Entries must be >= 1, have 0"},
+	} {
+		wantCleanError(t, c.args, c.want)
+	}
+}
+
+// wantCleanError runs `asulab args...` and wants exit status 1 with want on
+// stderr and no goroutine dump.
+func wantCleanError(t *testing.T, args []string, want string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("%v: err = %v, want exit status 1", args, err)
+	}
+	if !strings.Contains(stderr.String(), want) {
+		t.Errorf("%v: stderr %q does not contain %q", args, stderr.String(), want)
+	}
+	if strings.Contains(stderr.String(), "goroutine ") {
+		t.Errorf("%v: stderr holds a goroutine dump:\n%s", args, stderr.String())
 	}
 }

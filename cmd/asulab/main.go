@@ -2,13 +2,15 @@
 // regenerates every figure and table of the paper's evaluation plus the
 // ablations catalogued in DESIGN.md. Each command is one entry of the
 // experiment table in table.go — fig9, fig10, cratio, gamma, routes, rtree,
-// terraflow, iso, hybrid, packet, filter, adapt, onepass, openloop, trace —
-// and dispatch, the usage text and `all` are generated from that table:
+// terraflow, iso, hybrid, packet, filter, adapt, onepass, openloop — and
+// dispatch, the usage text and `all` are generated from that table:
 //
 //	asulab                   (the command list, one line each)
 //	asulab <command> -h      (that command's flags and defaults)
 //	asulab <command> [flags]
-//	asulab all               (every command but trace, in table order, default flags)
+//	asulab all               (every command, in table order, default flags)
+//
+// A traced sort is `dsmsort -trace`, not an asulab command.
 package main
 
 import (
@@ -79,14 +81,10 @@ func usage(w io.Writer) {
 	fmt.Fprintf(w, "  %-10s %s\n", "all", "run everything at default sizes")
 }
 
-// runAll executes every table entry that prints to stdout only, in table
-// order, at its default flags.
+// runAll executes every table entry, in table order, at its default flags.
 func runAll() error {
 	for i := range table {
 		e := &table[i]
-		if e.solo {
-			continue
-		}
 		fmt.Printf("== %s ==\n", e.name)
 		if err := e.run(nil); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)

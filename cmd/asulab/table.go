@@ -13,7 +13,6 @@ import (
 	"lmas/internal/rtree"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
-	"lmas/internal/trace"
 )
 
 // experiment is one asulab command. Adding a table experiment is a row type
@@ -24,7 +23,6 @@ type experiment struct {
 	name    string
 	aliases []string
 	summary string // one line, shown by usage
-	solo    bool   // writes a file rather than a table: not part of `all`
 	// bind registers the experiment's flags on fs and returns the runner to
 	// call once fs has parsed the command line.
 	bind func(fs *flag.FlagSet) runner
@@ -50,7 +48,6 @@ var table = []experiment{
 	{name: "adapt", summary: "mid-run routing-policy adaptation under skew (TAB-ADAPT)", bind: bindAdapt},
 	{name: "onepass", summary: "one-pass cluster sort vs DSM-Sort across the memory wall (TAB-ONEPASS)", bind: bindOnePass},
 	{name: "openloop", summary: "open-loop churn: Poisson job stream over short-lived procs (TAB-CHURN)", bind: bindOpenLoop},
-	{name: "trace", summary: "record a structured trace of a small DSM-Sort (Perfetto JSON or CSV)", solo: true, bind: bindTrace},
 }
 
 func bindFig9(fs *flag.FlagSet) runner {
@@ -412,34 +409,6 @@ func bindOpenLoop(fs *flag.FlagSet) runner {
 			}
 			fmt.Fprintf(w, "report: %s\n", *report)
 		}
-		return nil, nil
-	}
-}
-
-// bindTrace records a structured trace of one small DSM-Sort run and writes
-// it to a file: Chrome trace-event JSON (open in Perfetto or
-// chrome://tracing) or, with a .csv output name, a flat time series.
-func bindTrace(fs *flag.FlagSet) runner {
-	n := fs.Int("n", 1<<14, "input records")
-	asus := fs.Int("asus", 4, "ASU count")
-	seed := fs.Int64("seed", 42, "workload seed")
-	out := fs.String("o", "dsmsort-trace.json", "output file (.json or .csv)")
-	return func(w io.Writer, _ int) (any, error) {
-		sink := trace.New()
-		_, res, err := experiments.RunSortReport(experiments.SortRunSpec{
-			Name: "trace", N: *n, Hosts: 1, ASUs: *asus, C: 8,
-			Alpha: 8, Beta: 64, Gamma2: 8, PacketRecords: 64,
-			Placement: dsmsort.Active, Policy: "static", Dist: "uniform",
-			Seed: *seed, Trace: sink,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := experiments.WriteTrace(sink, *out); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "sorted %d records in %.4fs virtual; %d events on %d tracks -> %s\n",
-			*n, res.Elapsed.Seconds(), sink.Events(), sink.Tracks(), *out)
 		return nil, nil
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -14,8 +15,8 @@ import (
 
 // pinnedFlags is every command's flag set — names and defaults — as
 // `asulab <command> -h` printed them at the commit before the table existed
-// (2071812), in table order. The table may gain entries; an existing command
-// must neither gain a knob nor lose one.
+// (2071812), in table order. The table may gain entries and a command may be
+// removed whole; a command that stays must neither gain a knob nor lose one.
 var pinnedFlags = []struct {
 	name  string
 	flags []string
@@ -34,7 +35,6 @@ var pinnedFlags = []struct {
 	{"adapt", []string{"n=262144"}},
 	{"onepass", []string{"hosts=2"}},
 	{"openloop", []string{"asus=8", "experiment=", "hosts=2", "jobs=20000", "rate=5000", "record=", "report=", "seed=42", "timeout=1000", "zipf=1.3"}},
-	{"trace", []string{"asus=4", "n=16384", "o=dsmsort-trace.json", "seed=42"}},
 }
 
 func TestTableFlagsPinned(t *testing.T) {
@@ -64,9 +64,8 @@ func TestTableFlagsPinned(t *testing.T) {
 
 // TestTableReachableAndListedOnce: every entry resolves by name and by each
 // alias, to itself; no name or alias is claimed twice; the generated usage
-// shows each command on exactly one line, `all` last; and `all` runs the
-// parent's fourteen experiments in the parent's order (trace, which writes a
-// file, stays out).
+// shows each command on exactly one line, `all` last; and `all` runs exactly
+// the fourteen experiments below, in that order.
 func TestTableReachableAndListedOnce(t *testing.T) {
 	var buf bytes.Buffer
 	usage(&buf)
@@ -95,9 +94,7 @@ func TestTableReachableAndListedOnce(t *testing.T) {
 		if n := listed(e.name); n != 1 || e.summary == "" {
 			t.Errorf("%s: on %d usage lines with summary %q, want exactly one", e.name, n, e.summary)
 		}
-		if !e.solo {
-			inAll = append(inAll, e.name)
-		}
+		inAll = append(inAll, e.name)
 	}
 	if lookup("isolation") != lookup("iso") || lookup("iso") == nil {
 		t.Error("isolation is not an alias of iso")
@@ -172,7 +169,7 @@ func TestExperimentsDocQuotesCommittedTables(t *testing.T) {
 			continue
 		}
 		cmd, _, _ = strings.Cut(cmd, "`")
-		if e := lookup(cmd); e == nil || e.solo || cmd == "openloop" {
+		if lookup(cmd) == nil || cmd == "openloop" {
 			continue
 		}
 		for ; i < len(lines) && lines[i] != "```"; i++ {
@@ -186,5 +183,36 @@ func TestExperimentsDocQuotesCommittedTables(t *testing.T) {
 	}
 	if blocks < 13 {
 		t.Errorf("found %d Measured blocks quoting asulab tables, want the 13 of fig9…onepass", blocks)
+	}
+}
+
+// TestDocsNameExistingFrontDoors: the documents a reader follows to run
+// something name only front doors that exist. Every `asulab <word>` (quoted,
+// or after ./cmd/) is a table command, `all` or `help`; every cmd/<name> is a
+// command directory; and no path points into examples/ — the walkthroughs are
+// the Example functions of package lmas.
+func TestDocsNameExistingFrontDoors(t *testing.T) {
+	asulabCmd := regexp.MustCompile("(?:`|cmd/)asulab ([a-z0-9]+)")
+	cmdDir := regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z0-9]+)`) // a repo path, not a URL's
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range asulabCmd.FindAllStringSubmatch(line, -1) {
+				if lookup(m[1]) == nil && m[1] != "all" && m[1] != "help" {
+					t.Errorf("%s:%d names `asulab %s`, which is not a command", doc, i+1, m[1])
+				}
+			}
+			for _, m := range cmdDir.FindAllStringSubmatch(line, -1) {
+				if info, err := os.Stat("../" + m[1]); err != nil || !info.IsDir() {
+					t.Errorf("%s:%d names cmd/%s, which does not exist", doc, i+1, m[1])
+				}
+			}
+			if strings.Contains(line, "examples/") {
+				t.Errorf("%s:%d points into examples/, which does not exist", doc, i+1)
+			}
+		}
 	}
 }

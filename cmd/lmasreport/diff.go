@@ -11,8 +11,8 @@ import (
 	"lmas/internal/telemetry"
 )
 
-// comparison is the flags and the body `diff` and `query gate` share: the two
-// commands differ only in how BASE and NEW are spelled on the command line.
+// comparison is the flags and the body `diff` and `query gate` share: diff
+// compares two report files, gate two experiments of a run store.
 type comparison struct {
 	rt, p99 *float64
 	quiet   *bool
@@ -64,23 +64,11 @@ func (c comparison) run(cmd string, st *recorder.Store, base, next string) error
 func runDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	cmp := bindComparison(fs)
-	store := fs.String("store", "",
-		"read BASE and NEW as experiment names from this run store instead of report files")
-	names := parseMixed(fs, args)
-	if len(names) != 2 {
-		if *store != "" {
-			return fmt.Errorf("diff: want BASE and NEW experiment names, have %d arg(s)", len(names))
-		}
-		return fmt.Errorf("diff: want BASE and NEW report files, have %d arg(s)", len(names))
+	files := parseMixed(fs, args)
+	if len(files) != 2 {
+		return fmt.Errorf("diff: want BASE and NEW report files, have %d arg(s)", len(files))
 	}
-	var st *recorder.Store
-	if *store != "" {
-		var err error
-		if st, err = openStoreRead(*store); err != nil {
-			return err
-		}
-	}
-	return cmp.run("diff", st, names[0], names[1])
+	return cmp.run("diff", nil, files[0], files[1])
 }
 
 // renderDiff prints the comparison table and any missing-run notes, and

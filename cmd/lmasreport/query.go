@@ -286,8 +286,8 @@ func queryPrune(dir string, args []string) error {
 	return nil
 }
 
-// queryGate is `diff -store DIR BASE NEW` with the experiments named by flag:
-// the store-backed verdict is computed by the same code as the file-based CI
+// queryGate is the store-backed `diff`: BASE and NEW are experiments named
+// by flag, and the verdict is computed by the same code as the file-based CI
 // gate.
 func queryGate(dir string, args []string) error {
 	fs := flag.NewFlagSet("query gate", flag.ExitOnError)

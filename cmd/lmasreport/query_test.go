@@ -59,12 +59,13 @@ func TestQueryToleratesUnreadableSegments(t *testing.T) {
 	}
 }
 
-// TestGateAndStoreDiffAgree: `query STORE gate -base A -new B` and
-// `diff -store STORE A B` are two spellings of one command — same stdout and
-// same exit code, with and without a regression past threshold. The runs are
-// shaped like openloop reports: the p99 gate reads latencies[], so a tail
-// that grows while the runtime holds fails it (and only when it is on).
-func TestGateAndStoreDiffAgree(t *testing.T) {
+// TestQueryGateVerdicts: `query STORE gate -base A -new B` is the one
+// store-backed gate — exit 0 and "no regressions" when nothing moved past
+// threshold, exit 1 and a REGRESSED row when something did. The runs are
+// shaped like openloop reports: the p99 gate reads latencies[], so a tail that
+// grows while the runtime holds fails it (and only when it is on). `diff`
+// reads report files only: it refuses -store.
+func TestQueryGateVerdicts(t *testing.T) {
 	dir := t.TempDir()
 	st, err := recorder.OpenStore(dir)
 	if err != nil {
@@ -85,7 +86,7 @@ func TestGateAndStoreDiffAgree(t *testing.T) {
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
-	run := func(args ...string) (stdout string, code int) {
+	run := func(args ...string) (stdout, stderr string, code int) {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.Output()
@@ -93,7 +94,10 @@ func TestGateAndStoreDiffAgree(t *testing.T) {
 		if err != nil && !errors.As(err, &exit) {
 			t.Fatalf("%v: %v", args, err)
 		}
-		return string(out), cmd.ProcessState.ExitCode()
+		if exit != nil {
+			stderr = string(exit.Stderr)
+		}
+		return string(out), stderr, cmd.ProcessState.ExitCode()
 	}
 	p99Gate := []string{"-p99-threshold", "0.1"}
 	for _, tc := range []struct {
@@ -108,16 +112,16 @@ func TestGateAndStoreDiffAgree(t *testing.T) {
 		{"tail", nil, 0, "openloop.job.latency.p99"},
 		{"tail", p99Gate, 1, "REGRESSED"},
 	} {
-		gateOut, gateCode := run(append([]string{"query", dir, "gate", "-base", "base", "-new", tc.next}, tc.flags...)...)
-		diffOut, diffCode := run(append([]string{"diff", "-store", dir, "base", tc.next}, tc.flags...)...)
-		if gateCode != tc.code || diffCode != tc.code {
-			t.Errorf("base vs %s %v: gate exit %d, diff exit %d, want %d", tc.next, tc.flags, gateCode, diffCode, tc.code)
+		out, _, code := run(append([]string{"query", dir, "gate", "-base", "base", "-new", tc.next}, tc.flags...)...)
+		if code != tc.code {
+			t.Errorf("base vs %s %v: exit %d, want %d", tc.next, tc.flags, code, tc.code)
 		}
-		if gateOut != diffOut {
-			t.Errorf("base vs %s %v: stdout differs\ngate:\n%s\ndiff:\n%s", tc.next, tc.flags, gateOut, diffOut)
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("base vs %s %v: stdout lacks %q:\n%s", tc.next, tc.flags, tc.want, out)
 		}
-		if !strings.Contains(gateOut, tc.want) {
-			t.Errorf("base vs %s %v: stdout lacks %q:\n%s", tc.next, tc.flags, tc.want, gateOut)
-		}
+	}
+	if _, stderr, code := run("diff", "-store", dir, "base", "same"); code != 2 ||
+		!strings.Contains(stderr, "flag provided but not defined: -store") {
+		t.Errorf("diff -store: exit %d, stderr %q; want exit 2 refusing the flag", code, stderr)
 	}
 }

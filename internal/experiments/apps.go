@@ -30,6 +30,15 @@ type TerraRow struct {
 func Terra(row TerraRow) (TerraRow, error) {
 	params := row.Params
 	params.RecordSize = terraflow.CellRecordSize
+	switch {
+	case row.W < 1:
+		return row, fmt.Errorf("terra: W must be >= 1, have %d", row.W)
+	case row.H < 1:
+		return row, fmt.Errorf("terra: H must be >= 1, have %d", row.H)
+	}
+	if err := params.Validate(); err != nil {
+		return row, fmt.Errorf("terra: %w", err)
+	}
 	g, _ := terraflow.SyntheticBasins(row.W, row.H, 6, 10, row.Seed)
 	opt := terraflow.DefaultOptions()
 	opt.Placement, opt.Flow = row.Placement, true
@@ -65,6 +74,9 @@ type RTreeRow struct {
 // query's results are validated against brute force.
 func RTree(row RTreeRow) (RTreeRow, error) {
 	const fanout, queries, side, clients = 16, 128, 0.02, 8
+	if row.Entries < 1 {
+		return row, fmt.Errorf("rtree: Entries must be >= 1, have %d", row.Entries)
+	}
 	entries := rtree.GenerateEntries(row.Entries, 0.005, row.Seed)
 	var dts [3]*rtree.Distributed // wide scan, uniform load, hot spot
 	for i := range dts {

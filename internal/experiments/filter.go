@@ -31,6 +31,9 @@ type FilterRow struct {
 // Filter measures the selection scan in both placements, validating each
 // one's match count against a direct count and the two against each other.
 func Filter(row FilterRow) (FilterRow, error) {
+	if err := row.Params.Validate(); err != nil {
+		return row, fmt.Errorf("filter: %w", err)
+	}
 	threshold := records.Key(float64(records.MaxKey) * row.Selectivity)
 	var err error
 	var matches int64

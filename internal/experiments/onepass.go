@@ -25,6 +25,9 @@ type OnePassRow struct {
 
 // OnePass measures both sorts on uniform input.
 func OnePass(row OnePassRow) (OnePassRow, error) {
+	if err := row.Params.Validate(); err != nil {
+		return row, fmt.Errorf("onepass: %w", err)
+	}
 	cl := cluster.New(row.Params)
 	in := dsmsort.MakeInput(cl, row.N, records.Uniform{}, row.Sort.Seed, row.Sort.PacketRecords)
 	oneRes, err := onepass.Sort(cl, onepass.Config{
