@@ -81,8 +81,15 @@ func TestTableRowBadFlagsAreErrors(t *testing.T) {
 		{[]string{"filter", "-asus", "0"}, "asulab: filter: cluster: need at least one ASU, have 0"},
 		{[]string{"onepass", "-hosts", "0"}, "asulab: onepass: cluster: need at least one host, have 0"},
 		{[]string{"rtree", "-entries", "0"}, "asulab: rtree: Entries must be >= 1, have 0"},
+		{[]string{"openloop", "-timeout", "NaN"}, "asulab: openloop: -timeout must be finite and within ±9.223e+12 ms, have NaN"},
+		{[]string{"openloop", "-timeout", "1e300"}, "asulab: openloop: -timeout must be finite and within ±9.223e+12 ms, have 1e+300"},
 	} {
 		wantCleanError(t, c.args, c.want)
+	}
+	// A sort table with no records would time nothing: every ratio NaN, every
+	// row zero.
+	for _, table := range []string{"fig9", "cratio", "hybrid", "packet", "filter", "gamma", "routes", "iso", "adapt"} {
+		wantCleanError(t, []string{table, "-n", "0"}, "N must be >= 1, have 0")
 	}
 }
 

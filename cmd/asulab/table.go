@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"lmas/internal/cluster"
@@ -384,7 +385,14 @@ func bindOpenLoop(fs *flag.FlagSet) runner {
 	record := fs.String("record", "", "also stream the run into this run-store directory")
 	fs.StringVar(&opt.Experiment, "experiment", opt.Experiment, "experiment label for recorded runs")
 	return func(w io.Writer, _ int) (any, error) {
-		opt.Timeout = sim.Duration(*timeoutMs * float64(sim.Millisecond))
+		// Convert only what fits: a float-to-int overflow would wrap to a
+		// negative Duration and be misreported as a non-positive timeout.
+		ns := *timeoutMs * float64(sim.Millisecond)
+		if !(math.Abs(ns) < math.MaxInt64) {
+			return nil, fmt.Errorf("openloop: -timeout must be finite and within ±%.4g ms, have %v",
+				math.MaxInt64/float64(sim.Millisecond), *timeoutMs)
+		}
+		opt.Timeout = sim.Duration(ns)
 		var store *recorder.Store
 		if *record != "" {
 			var err error

@@ -206,25 +206,17 @@ func (pf *Profiler) Bind(p *sim.Proc, stage, node string, cpuClass, waitBlame Cl
 	}
 }
 
-// BlameWait declares that condition waits on the named cond (e.g. an inbox's
-// "not-full" backpressure cond) are blamed on cls rather than the residual
-// cond-wait class. Producer-side blocking on a full queue is how a saturated
-// consumer slows the pipeline; charging it to the consumer's service class
-// is what lets the verdict name the saturated resource.
-func (pf *Profiler) BlameWait(name string, cls Class) {
-	if pf == nil {
-		return
-	}
-	pf.blame[name] = classIndex(cls)
-}
-
-// BlameWaitProc declares that waits on the named cond are backpressure from
-// consumer: they are apportioned across blame classes in proportion to where
-// the consumer proc's own time has gone so far (its mix). That carries blame
-// transitively — when the consumer is itself mostly blocked on a stage
-// further downstream, waits on its queue land mostly on that downstream
-// resource, not on the consumer's processor. Until the consumer has accrued
-// any mix, waits fall back to the static class cls, as with BlameWait.
+// BlameWaitProc declares that condition waits on the named cond (e.g. an
+// inbox's "not-full" backpressure cond) are backpressure from consumer, not
+// the residual cond-wait class. Producer-side blocking on a full queue is how a
+// saturated consumer slows the pipeline; charging it to the consumer is what
+// lets the verdict name the saturated resource. The waits are apportioned
+// across blame classes in proportion to where the consumer proc's own time has
+// gone so far (its mix). That carries blame transitively — when the consumer
+// is itself mostly blocked on a stage further downstream, waits on its queue
+// land mostly on that downstream resource, not on the consumer's processor.
+// Until the consumer has accrued any mix, or when consumer is nil, waits go to
+// the static class cls.
 func (pf *Profiler) BlameWaitProc(name string, consumer *sim.Proc, cls Class) {
 	if pf == nil {
 		return

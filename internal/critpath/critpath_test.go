@@ -23,7 +23,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	var pf *Profiler
 	withProc(t, func(p *sim.Proc) {
 		pf.Bind(p, "s", "n", ClassHostCPU, ClassHostCPU)
-		pf.BlameWait("q not-full", ClassDisk)
+		pf.BlameWaitProc("q not-full", nil, ClassDisk)
 		if id := pf.StartChain(p); id != 0 {
 			t.Errorf("nil StartChain = %d, want 0", id)
 		}
@@ -101,7 +101,7 @@ func TestChargeClampingConservation(t *testing.T) {
 
 func TestBlameWaitRouting(t *testing.T) {
 	pf := New()
-	pf.BlameWait("inbox not-full", ClassASUCPU)
+	pf.BlameWaitProc("inbox not-full", nil, ClassASUCPU)
 	withProc(t, func(p *sim.Proc) {
 		pf.Bind(p, "stage", "node", ClassHostCPU, ClassHostCPU)
 		id := pf.StartChain(p)

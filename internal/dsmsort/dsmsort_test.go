@@ -412,9 +412,3 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		})
 	}
 }
-
-func TestSpeedupHelper(t *testing.T) {
-	if Speedup(100, 50) != 2 || Speedup(50, 100) != 0.5 || Speedup(1, 0) != 0 {
-		t.Fatal("Speedup arithmetic wrong")
-	}
-}

@@ -50,12 +50,3 @@ func Sort(cl *cluster.Cluster, cfg Config, in *Input) (*Result, error) {
 func (r *Result) MeasuredWork() (hostOps, asuOps float64) {
 	return r.Pass1.HostOps + r.Merge.HostOps, r.Pass1.ASUOps + r.Merge.ASUOps
 }
-
-// Speedup is the ratio of two elapsed durations (baseline over candidate),
-// the metric of Figure 9.
-func Speedup(baseline, candidate sim.Duration) float64 {
-	if candidate <= 0 {
-		return 0
-	}
-	return float64(baseline) / float64(candidate)
-}

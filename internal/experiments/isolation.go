@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"lmas/internal/cluster"
 	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
+	"lmas/internal/telemetry"
 )
 
 // IsolationRow is one quantum (Params.IsolationQuantum, 0 = off) of TAB-ISO,
@@ -69,7 +69,7 @@ func Isolation(row IsolationRow) (IsolationRow, error) {
 
 	// Foreground clients: one per ASU, issuing requests until the sort
 	// completes.
-	var latencies []sim.Duration
+	var lat telemetry.LatencyHistogram
 	for i, asu := range cl.ASUs {
 		cl.Sim.Spawn(fmt.Sprintf("client@asu%d", i), func(p *sim.Proc) {
 			for !sortDone {
@@ -79,7 +79,7 @@ func Isolation(row IsolationRow) (IsolationRow, error) {
 				}
 				start := p.Now()
 				asu.ServeRequest(p, isoRequestOps)
-				latencies = append(latencies, sim.Duration(p.Now()-start))
+				lat.Observe(sim.Duration(p.Now() - start))
 			}
 		})
 	}
@@ -89,9 +89,8 @@ func Isolation(row IsolationRow) (IsolationRow, error) {
 	if err := cl.Sim.Run(); err != nil {
 		return row, fmt.Errorf("isolation quantum=%v: %w", row.Params.IsolationQuantum, err)
 	}
-	slices.Sort(latencies)
 	row.SortSecs = (sim.Duration(cl.Sim.Now() - start)).Seconds()
-	row.P50, row.P99, row.Max = nearestRank(latencies, 50), nearestRank(latencies, 99), nearestRank(latencies, 100)
-	row.Requests = len(latencies)
+	row.P50, row.P99 = sim.Duration(lat.Quantile(0.50)), sim.Duration(lat.Quantile(0.99))
+	row.Max, row.Requests = sim.Duration(lat.Max()), int(lat.Count())
 	return row, nil
 }

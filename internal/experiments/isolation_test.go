@@ -44,22 +44,3 @@ func TestIsolationBaselinePositive(t *testing.T) {
 		t.Fatal("idle baseline latency not measured")
 	}
 }
-
-// TestNearestRank pins the order statistic TAB-ISO and TAB-CHURN report:
-// nearest rank over an ascending slice, the ends clamped, zero when empty.
-func TestNearestRank(t *testing.T) {
-	sorted := []sim.Duration{10, 20, 30, 40, 50}
-	for _, c := range []struct {
-		q    float64
-		want sim.Duration
-	}{
-		{0, 10}, {20, 10}, {50, 30}, {90, 50}, {99, 50}, {99.9, 50}, {100, 50},
-	} {
-		if got := nearestRank(sorted, c.q); got != c.want {
-			t.Errorf("P%v = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if nearestRank(nil, 50) != 0 {
-		t.Error("empty sample set must report zero")
-	}
-}

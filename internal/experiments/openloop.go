@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"lmas/internal/cluster"
@@ -179,6 +178,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		return nil, fmt.Errorf("openloop: rate must be finite and > 0 jobs/s, have %v", opt.Rate)
 	case opt.Timeout <= 0:
 		return nil, fmt.Errorf("openloop: timeout must be > 0, have %v", opt.Timeout)
+	case opt.Deadlines < 0:
+		return nil, fmt.Errorf("openloop: deadlines must be >= 0, have %d", opt.Deadlines)
 	}
 	params := opt.Base
 	params.Hosts, params.ASUs = opt.Hosts, opt.ASUs
@@ -207,7 +208,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	s := cl.Sim
 
 	// The recorder's sampler lists the registry's latency histograms at each
-	// tick, so its latency strip sees this one from the first.
+	// tick, so its latency strip sees this one from the first. It observes
+	// each job once, at completion: its count and quantiles are the result's.
 	latHist := cl.Telemetry.Latency("openloop.job.latency")
 
 	queues := make([]*sim.Queue[openJob], opt.ASUs)
@@ -217,11 +219,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	}
 
 	var (
-		latencies = make([]sim.Duration, 0, opt.Jobs)
-		completed = make([]bool, opt.Jobs)
 		tracks    = make([]jobTrack, opt.Jobs)
 		delivered = 0
-		misses    = 0
 		good      = 0
 		firstAt   sim.Time
 		lastAt    sim.Time
@@ -240,9 +239,16 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		tr.phase, tr.phaseAt = phase, now
 	}
 
-	// Per-ASU server: drain the queue in batches, charge CPU and disk per
-	// job, and exit on the sentinel the generator enqueues after the last
-	// delivery. FIFO order guarantees the sentinel is seen last.
+	// The last delivery closes every queue, so each server drains what is
+	// left and exits.
+	closeQueues := func() {
+		for _, q := range queues {
+			q.Close()
+		}
+	}
+
+	// Per-ASU server: drain the queue in batches and charge CPU and disk per
+	// job.
 	for i, asu := range cl.ASUs {
 		i, asu := i, asu
 		q := queues[i]
@@ -254,9 +260,6 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 					return
 				}
 				for _, j := range batch[:n] {
-					if j.id < 0 {
-						return
-					}
 					setPhase(j.id, jobPhaseASUCPU, p.Now())
 					// Reads stream sequentially per ASU (read-ahead credit
 					// applies): the workload stresses the scheduler, not
@@ -268,9 +271,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 					}
 					now := p.Now()
 					setPhase(j.id, jobPhaseDone, now)
-					completed[j.id] = true
 					lat := sim.Duration(now - j.arrival)
-					latencies = append(latencies, lat)
 					latHist.Observe(lat)
 					if lat <= opt.Timeout {
 						good++
@@ -314,7 +315,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 			// horizon is recovered from the fire time), so arming ten
 			// horizons costs the same single allocation as one.
 			probe := func() {
-				if completed[id] {
+				if tracks[id].phase == jobPhaseDone {
 					return
 				}
 				now := s.Now()
@@ -323,9 +324,6 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 					h = 1
 				} else if h > opt.Deadlines {
 					h = opt.Deadlines
-				}
-				if h == 1 {
-					misses++
 				}
 				horizonMiss[h]++
 				tr := &tracks[id]
@@ -362,18 +360,14 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 				if err := queues[asuIdx].Put(jp, openJob{id: id, arrival: arrival}); err != nil {
 					panic(err)
 				}
-				delivered++
+				if delivered++; delivered == opt.Jobs {
+					closeQueues()
+				}
 			})
 			p.Sleep(sim.DurationOf(rng.ExpFloat64() / opt.Rate))
 		}
-		// Wait for the stragglers, then release the servers.
-		for delivered < opt.Jobs {
-			p.Sleep(sim.Millisecond)
-		}
-		for _, q := range queues {
-			if err := q.Put(p, openJob{id: -1}); err != nil {
-				panic(err)
-			}
+		if opt.Jobs == 0 {
+			closeQueues()
 		}
 	})
 
@@ -383,19 +377,22 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 
 	res := &OpenLoopResult{
 		Options:   opt,
-		Completed: len(latencies),
-		Misses:    misses,
+		Completed: int(latHist.Count()),
 		Elapsed:   sim.Duration(lastAt - firstAt),
+		P50:       sim.Duration(latHist.Quantile(0.50)),
+		P99:       sim.Duration(latHist.Quantile(0.99)),
+		P999:      sim.Duration(latHist.Quantile(0.999)),
 	}
-	// Nothing below reads the latencies in arrival order: sort them in place.
-	slices.Sort(latencies)
-	res.P50, res.P99, res.P999 = nearestRank(latencies, 50), nearestRank(latencies, 99), nearestRank(latencies, 99.9)
+	// A job misses its SLO when the first horizon's probe finds it unserved.
+	if opt.Deadlines > 0 {
+		res.Misses = int(horizonMiss[1])
+	}
 	if res.Elapsed > 0 {
 		res.Goodput = float64(res.Completed) / res.Elapsed.Seconds()
 	}
 	// The report's workload is the header's plus the run's outcome.
 	outcome := maps.Clone(workload)
-	outcome["misses"] = misses
+	outcome["misses"] = res.Misses
 	outcome["p50_ns"] = int64(res.P50)
 	outcome["p99_ns"] = int64(res.P99)
 	outcome["p999_ns"] = int64(res.P999)

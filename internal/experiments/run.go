@@ -126,6 +126,9 @@ func (r *observedRun) close() {
 // skewMean > 0 — and runs DSM-Sort's first pass under cfg. The input's and
 // the stored runs' pooled storage goes back to the buffer pool on every path.
 func formRuns(cl *cluster.Cluster, n int, skewMean float64, cfg dsmsort.Config) (*dsmsort.Pass1Result, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("N must be >= 1, have %d", n)
+	}
 	var in *dsmsort.Input
 	if skewMean > 0 {
 		in = dsmsort.MakeInputHalves(cl, n, records.Uniform{}, records.Exponential{Mean: skewMean}, cfg.Seed, cfg.PacketRecords)
@@ -162,27 +165,21 @@ func pass1Cells(s Spec, placements ...dsmsort.Placement) ([]*dsmsort.Pass1Result
 // over the run's whole windows.
 func hostImbalance(cl *cluster.Cluster, elapsed sim.Duration) ([]*telemetry.UtilTrace, float64) {
 	traces := make([]*telemetry.UtilTrace, len(cl.Hosts))
+	series := make([][]float64, len(cl.Hosts))
 	for i, h := range cl.Hosts {
 		traces[i] = h.CPUTrace
+		_, series[i] = h.CPUTrace.Series()
 	}
-	return traces, loadmgr.Imbalance(traces, int(elapsed/cl.Params.UtilWindow))
-}
-
-// nearestRank reports the q'th percentile (0..100) of sorted, which must be
-// in ascending order, by nearest rank; zero when there are no samples.
-func nearestRank(sorted []sim.Duration, q float64) sim.Duration {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	rank := int(q/100*float64(n)+0.5) - 1
-	return sorted[min(max(rank, 0), n-1)]
+	return traces, loadmgr.ImbalanceSeries(series, int(elapsed/cl.Params.UtilWindow))
 }
 
 // sortCell runs the full two-pass DSM-Sort over uniform input on a bare
 // cluster built from s.Params, returning the input's and the validated
 // output's storage to the buffer pool.
 func sortCell(s Spec) (*dsmsort.Result, error) {
+	if s.N < 1 {
+		return nil, fmt.Errorf("N must be >= 1, have %d", s.N)
+	}
 	cl := cluster.New(s.Params)
 	in := dsmsort.MakeInput(cl, s.N, records.Uniform{}, s.Sort.Seed, s.Sort.PacketRecords)
 	defer in.Free()
@@ -201,6 +198,9 @@ func sortCell(s Spec) (*dsmsort.Result, error) {
 // scanning them (adapt, filter, isolation) have always been timed with.
 func stripeSets(cl *cluster.Cluster, n int, gen *records.Generator, packetRecords int,
 	loaded func(records.Buffer)) ([]*container.Set, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("N must be >= 1, have %d", n)
+	}
 	sets := make([]*container.Set, len(cl.ASUs))
 	recSize := cl.Params.RecordSize
 	cl.Sim.Spawn("load", func(p *sim.Proc) {

@@ -173,45 +173,12 @@ func SaturationASUs(p cluster.Params, alpha, beta int) int {
 	return int(math.Ceil(hostRate / perASU))
 }
 
-// Imbalance summarizes how unevenly a set of utilization traces loaded
-// their nodes: the mean absolute utilization spread across the first n
-// windows (n <= 0 means the longest trace). Zero means perfectly balanced —
-// the load-managed ideal of Figure 10.
-func Imbalance(traces []*telemetry.UtilTrace, n int) float64 {
-	if len(traces) < 2 {
-		return 0
-	}
-	if n <= 0 {
-		for _, tr := range traces {
-			if tr.Len() > n {
-				n = tr.Len()
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	var total float64
-	for w := 0; w < n; w++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, tr := range traces {
-			u := tr.At(w)
-			if u < lo {
-				lo = u
-			}
-			if u > hi {
-				hi = u
-			}
-		}
-		total += hi - lo
-	}
-	return total / float64(n)
-}
-
-// ImbalanceSeries is Imbalance over already-serialized utilization series
-// (one windowed utilization slice per node, as stored in a RunReport), so
-// report viewers can recompute load skew without the live traces. Series
-// shorter than the comparison horizon read as idle (utilization 0).
+// ImbalanceSeries summarizes how unevenly a set of nodes was loaded, from one
+// windowed utilization series per node (a live trace's Series, or a
+// RunReport's stored one): the mean absolute utilization spread across the
+// first n windows (n <= 0 means the longest series). Series shorter than the
+// comparison horizon read as idle (utilization 0). Zero means perfectly
+// balanced — the load-managed ideal of Figure 10.
 func ImbalanceSeries(series [][]float64, n int) float64 {
 	if len(series) < 2 {
 		return 0

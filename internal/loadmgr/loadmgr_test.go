@@ -97,24 +97,29 @@ func TestImbalance(t *testing.T) {
 	// Busy intervals are right-aligned within their window so every trace
 	// ends exactly on the last window boundary; otherwise the final window
 	// would be pro-rated to each trace's own observed width.
-	mk := func(vals ...float64) *telemetry.UtilTrace {
+	mk := func(vals ...float64) []float64 {
 		tr := telemetry.NewUtilTrace("x", sim.Second)
 		for i, v := range vals {
 			winEnd := sim.Time(i+1) * sim.Time(sim.Second)
 			tr.RecordBusy(winEnd.Add(-sim.Duration(v*float64(sim.Second))), winEnd)
 		}
-		return tr
+		_, util := tr.Series()
+		return util
 	}
-	balanced := []*telemetry.UtilTrace{mk(0.5, 0.5), mk(0.5, 0.5)}
-	if got := Imbalance(balanced, 2); got != 0 {
+	balanced := [][]float64{mk(0.5, 0.5), mk(0.5, 0.5)}
+	if got := ImbalanceSeries(balanced, 2); got != 0 {
 		t.Fatalf("balanced imbalance = %v", got)
 	}
-	skewed := []*telemetry.UtilTrace{mk(1.0, 1.0), mk(0.2, 0.4)}
-	if got := Imbalance(skewed, 2); math.Abs(got-0.7) > 1e-9 {
+	skewed := [][]float64{mk(1.0, 1.0), mk(0.2, 0.4)}
+	if got := ImbalanceSeries(skewed, 2); math.Abs(got-0.7) > 1e-9 {
 		t.Fatalf("skewed imbalance = %v, want 0.7", got)
 	}
-	if Imbalance(nil, 0) != 0 || Imbalance(balanced[:1], 0) != 0 {
+	if ImbalanceSeries(nil, 0) != 0 || ImbalanceSeries(balanced[:1], 0) != 0 {
 		t.Fatal("degenerate cases must be 0")
+	}
+	// A series that stops early reads as idle past its end.
+	if got := ImbalanceSeries([][]float64{{0.5, 0.5}, {0.5}}, 0); got != 0.25 {
+		t.Fatalf("short series imbalance = %v, want 0.25", got)
 	}
 }
 

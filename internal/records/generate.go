@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // KeyDist generates sort keys for synthetic workloads. Implementations must
@@ -186,30 +185,6 @@ func BucketOf(k Key, sp []Key) int {
 		}
 	}
 	return lo
-}
-
-// SampleSplitters draws α-1 splitters from the empirical distribution of b
-// so buckets balance even for skewed data — the data-dependent alternative
-// that static configurations lack.
-func SampleSplitters(b Buffer, alpha, sampleSize int, seed int64) []Key {
-	if alpha < 2 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := b.Len()
-	if sampleSize > n {
-		sampleSize = n
-	}
-	keys := make([]Key, sampleSize)
-	for i := range keys {
-		keys[i] = b.Key(rng.Intn(n))
-	}
-	slices.Sort(keys)
-	sp := make([]Key, alpha-1)
-	for i := range sp {
-		sp[i] = keys[(i+1)*sampleSize/alpha]
-	}
-	return sp
 }
 
 // ExpectedShare reports the expected fraction of keys falling in bucket i of

@@ -337,22 +337,6 @@ func TestBucketOfMonotone(t *testing.T) {
 	}
 }
 
-func TestSampleSplittersBalanceSkewedData(t *testing.T) {
-	const n, alpha = 50000, 8
-	b := Generate(n, KeyBytes+4, 21, Exponential{Mean: 0.05})
-	sp := SampleSplitters(b, alpha, 4096, 1)
-	counts := make([]int, alpha)
-	for i := 0; i < n; i++ {
-		counts[BucketOf(b.Key(i), sp)]++
-	}
-	want := float64(n) / alpha
-	for i, c := range counts {
-		if float64(c) > 2*want || float64(c) < want/2 {
-			t.Fatalf("sampled splitters: bucket %d has %d records, want ~%.0f", i, c, want)
-		}
-	}
-}
-
 func TestSortedDistIncreases(t *testing.T) {
 	var s Sorted
 	rng := rand.New(rand.NewSource(1))
@@ -377,25 +361,6 @@ func TestZipfDraws(t *testing.T) {
 	}
 	if low < 600 {
 		t.Fatalf("zipf: only %d/1000 keys in lowest quarter; expected skew", low)
-	}
-}
-
-// TestSampleSplittersSorted: whatever keys the sample draws, the splitters
-// come back nondecreasing (BucketOf's binary search depends on it).
-func TestSampleSplittersSorted(t *testing.T) {
-	f := func(raw []uint32, alpha uint8) bool {
-		if len(raw) == 0 {
-			return true // SampleSplitters needs something to sample
-		}
-		b := NewBuffer(len(raw), KeyBytes)
-		for i, k := range raw {
-			b.SetKey(i, Key(k))
-		}
-		sp := SampleSplitters(b, int(alpha), len(raw), 1)
-		return sort.SliceIsSorted(sp, func(i, j int) bool { return sp[i] < sp[j] })
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

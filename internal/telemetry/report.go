@@ -210,35 +210,55 @@ func WriteJSON(path string, v any) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadFile loads path, which may hold either a single RunReport or a bench
-// Trajectory; a single report comes back as a one-run trajectory so callers
-// handle both shapes uniformly.
+// ReadFile loads path with Decode, naming path in any error.
 func ReadFile(path string) (*Trajectory, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	tr, err := Decode(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return tr, nil
+}
+
+// Decode parses b, which may hold either a single RunReport or a bench
+// Trajectory; a single report comes back as a one-run trajectory so callers
+// handle both shapes uniformly. A trajectory with a null run, or with two runs
+// of one name (Diff matches runs by name), is an error naming the run's index.
+func Decode(b []byte) (*Trajectory, error) {
 	var probe struct {
 		Schema string `json:"schema"`
 	}
 	if err := json.Unmarshal(b, &probe); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	switch probe.Schema {
 	case ReportSchema:
 		var rep RunReport
 		if err := json.Unmarshal(b, &rep); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
 		}
 		return &Trajectory{Schema: TrajectorySchema, Runs: []*RunReport{&rep}}, nil
 	case TrajectorySchema:
 		var tr Trajectory
 		if err := json.Unmarshal(b, &tr); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
+		}
+		first := make(map[string]int, len(tr.Runs))
+		for i, r := range tr.Runs {
+			if r == nil {
+				return nil, fmt.Errorf("run %d is null", i)
+			}
+			if j, dup := first[r.Name]; dup {
+				return nil, fmt.Errorf("run %d has run %d's name %q", i, j, r.Name)
+			}
+			first[r.Name] = i
 		}
 		return &tr, nil
 	default:
-		return nil, fmt.Errorf("%s: unknown schema %q (want %q or %q)",
-			path, probe.Schema, ReportSchema, TrajectorySchema)
+		return nil, fmt.Errorf("unknown schema %q (want %q or %q)",
+			probe.Schema, ReportSchema, TrajectorySchema)
 	}
 }

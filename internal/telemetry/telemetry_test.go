@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -165,6 +166,56 @@ func TestReadFileRoundTrip(t *testing.T) {
 	if _, err := ReadFile(bad); err == nil {
 		t.Fatal("unknown schema accepted")
 	}
+}
+
+// nullRunTrajectory is a bench file whose one run is null: json.Unmarshal
+// leaves a nil *RunReport in Runs for it.
+const nullRunTrajectory = `{"schema":"lmas/bench/v1","runs":[null]}`
+
+// TestDecodeRejectsMalformedRuns: a null run and a repeated run name are
+// errors naming the run's index, never a trajectory a caller could trip on.
+func TestDecodeRejectsMalformedRuns(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{nullRunTrajectory, "run 0 is null"},
+		{`{"schema":"lmas/bench/v1","runs":[{"name":"a"},{"name":"b"},null]}`, "run 2 is null"},
+		{`{"schema":"lmas/bench/v1","runs":[{"name":"a"},{"name":"a"}]}`, "run 1 has run 0's name"},
+	} {
+		tr, err := Decode([]byte(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Decode(%s) = %v, %v; want an error containing %q", c.in, tr, err, c.want)
+		}
+	}
+}
+
+// FuzzDecode: Decode returns a trajectory or an error on any bytes — it
+// never panics — and what it accepts has no nil run and diffs clean against
+// itself.
+func FuzzDecode(f *testing.F) {
+	baseline, err := os.ReadFile("../../bench/baseline.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	single, err := Marshal(NewRunReport("one", 1, sim.Second))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(baseline)
+	f.Add(single)
+	f.Add([]byte(nullRunTrajectory))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		for i, r := range tr.Runs {
+			if r == nil {
+				t.Fatalf("accepted a nil run %d", i)
+			}
+		}
+		if res := Diff(tr, tr, DefaultDiffOptions()); res.Regressed() {
+			t.Fatalf("a trajectory regressed against itself: %+v", res.Entries)
+		}
+	})
 }
 
 // TestDiffDetectsRuntimeRegression is the acceptance check: a 2x runtime
