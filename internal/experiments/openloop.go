@@ -157,13 +157,13 @@ var jobPhaseClass = [jobNumPhases]critpath.Class{
 
 // jobTrack is one job's latency provenance: where its time has gone so far.
 // The slice of these is allocated once up front, so blame tracking never
-// perturbs the workload's own churn-heavy allocation profile.
+// perturbs the workload's own churn-heavy allocation profile. Its phase is a
+// separate []int8: SLO probes read only that, and it stays in cache.
 type jobTrack struct {
 	classNs [jobNumPhases]int64
 	phaseAt sim.Time
 	host    int32
 	asu     int32
-	phase   int8
 }
 
 // RunOpenLoop executes the open-loop churn workload. The dispatch history is
@@ -220,6 +220,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 
 	var (
 		tracks    = make([]jobTrack, opt.Jobs)
+		phases    = make([]int8, opt.Jobs)
 		delivered = 0
 		good      = 0
 		firstAt   sim.Time
@@ -233,10 +234,10 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 
 	setPhase := func(id int, phase int8, now sim.Time) {
 		tr := &tracks[id]
-		if tr.phase >= 0 {
-			tr.classNs[tr.phase] += int64(now - tr.phaseAt)
+		if cur := phases[id]; cur >= 0 {
+			tr.classNs[cur] += int64(now - tr.phaseAt)
 		}
-		tr.phase, tr.phaseAt = phase, now
+		phases[id], tr.phaseAt = phase, now
 	}
 
 	// The last delivery closes every queue, so each server drains what is
@@ -308,14 +309,14 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 				phaseAt: arrival,
 				host:    int32(hostIdx),
 				asu:     int32(asuIdx),
-				phase:   jobPhaseHostCPU,
 			}
+			phases[id] = jobPhaseHostCPU
 			// SLO deadlines: a ladder of far-future probes per job,
 			// cancel-by-flag. One closure serves the whole ladder (its
 			// horizon is recovered from the fire time), so arming ten
 			// horizons costs the same single allocation as one.
 			probe := func() {
-				if tracks[id].phase == jobPhaseDone {
+				if phases[id] == jobPhaseDone {
 					return
 				}
 				now := s.Now()
@@ -334,7 +335,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 				}
 				for ph := 0; ph < jobNumPhases; ph++ {
 					ns := tr.classNs[ph]
-					if ph == int(tr.phase) {
+					if ph == int(phases[id]) {
 						ns += int64(now - tr.phaseAt)
 					}
 					if ns == 0 {
