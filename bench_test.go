@@ -203,6 +203,7 @@ func BenchmarkTerraFlow(b *testing.B) {
 			b.ReportMetric(res.Restructure.Seconds()*1e3, "restructure-ms")
 			b.ReportMetric(res.Sort.Seconds()*1e3, "sort-ms")
 			b.ReportMetric(res.Watershed.Seconds()*1e3, "watershed-ms")
+			b.ReportMetric(res.FlowAccum.Seconds()*1e3, "flow-ms")
 		})
 	}
 }

@@ -218,8 +218,8 @@ func Example_offload() {
 }
 
 // Watershed analysis of a synthetic terrain on active storage: grid
-// restructuring and sorting accelerate on the ASUs while the time-forward
-// coloring stays on the host.
+// restructuring and sorting accelerate on the ASUs while the two
+// time-forward passes (watershed coloring, upstream area) stay on the host.
 func Example_terraflow() {
 	params := lmas.DefaultParams()
 	params.Hosts, params.ASUs = 1, 8
@@ -240,6 +240,8 @@ func Example_terraflow() {
 		res.Sort.Seconds())
 	fmt.Printf("  step 3  time-forward coloring:         %.4fs (host only)\n",
 		res.Watershed.Seconds())
+	fmt.Printf("  flow    time-forward upstream area:    %.4fs (host only)\n",
+		res.FlowAccum.Seconds())
 	fmt.Printf("  total:                                 %.4fs\n", res.Total().Seconds())
 
 	// Where does each basin's area go? Largest watershed first, ties by the
@@ -264,7 +266,8 @@ func Example_terraflow() {
 	//   step 1  restructure grid -> cell set:  0.0118s (parallel on ASUs)
 	//   step 2  sort cells by elevation:       0.0221s (DSM-Sort on ASUs+host)
 	//   step 3  time-forward coloring:         0.0529s (host only)
-	//   total:                                 0.0868s
+	//   flow    time-forward upstream area:    0.0188s (host only)
+	//   total:                                 0.1056s
 	// watershed areas:
 	//   minimum at ( 63, 68):  8671 cells (52.9%)
 	//   minimum at ( 60,124):  6894 cells (42.1%)

@@ -26,7 +26,8 @@ type TerraRow struct {
 }
 
 // Terra runs all three steps plus flow accumulation on a six-basin terrain;
-// the run is validated against the reference watershed labeling.
+// the run is validated against the reference watershed labeling and upstream
+// areas.
 func Terra(row TerraRow) (TerraRow, error) {
 	params := row.Params
 	params.RecordSize = terraflow.CellRecordSize
@@ -41,7 +42,7 @@ func Terra(row TerraRow) (TerraRow, error) {
 	}
 	g, _ := terraflow.SyntheticBasins(row.W, row.H, 6, 10, row.Seed)
 	opt := terraflow.DefaultOptions()
-	opt.Placement, opt.Flow = row.Placement, true
+	opt.Placement = row.Placement
 	r, err := terraflow.Run(cluster.New(params), g, opt)
 	if err != nil {
 		return row, fmt.Errorf("terra %v: %w", row.Placement, err)

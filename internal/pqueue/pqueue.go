@@ -14,7 +14,6 @@ package pqueue
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -40,11 +39,6 @@ const itemBytes = 16
 // the provided engine and charged to its device. CPU comparison costs are
 // charged to the owning node.
 type PQ struct {
-	// Strict enables the time-forward-processing invariant check: once
-	// set, popped keys must never regress (TFP only ever sends messages
-	// forward in the processing order).
-	Strict bool
-
 	node *cluster.Node
 	cl   *cluster.Cluster
 	eng  bte.Engine
@@ -53,12 +47,8 @@ type PQ struct {
 	buf    []Item // insertion buffer, unsorted
 	runs   []*run
 
-	len      int
-	spills   int
-	maxRuns  int
-	popped   uint64
-	lastKey  uint64
-	havePrev bool
+	len    int
+	spills int
 }
 
 // run is a spilled sorted run with a read cursor. Drained runs return to
@@ -114,9 +104,6 @@ func (q *PQ) spill(p *sim.Proc) {
 	*r = run{id: id, items: r.items[:0]}
 	q.runs = append(q.runs, r)
 	q.spills++
-	if len(q.runs) > q.maxRuns {
-		q.maxRuns = len(q.runs)
-	}
 	q.buf = q.buf[:0]
 }
 
@@ -160,7 +147,6 @@ func (q *PQ) Peek(p *sim.Proc) (Item, bool) {
 }
 
 // PopMin removes and returns the smallest item. ok is false when empty.
-// With Strict set, PopMin panics if keys regress across calls.
 func (q *PQ) PopMin(p *sim.Proc) (Item, bool) {
 	if q.len == 0 {
 		return Item{}, false
@@ -210,11 +196,6 @@ func (q *PQ) PopMin(p *sim.Proc) (Item, bool) {
 	}
 	q.len--
 	q.charge(p, cluster.CeilLog2(q.memCap)+cluster.CeilLog2(len(q.runs)+1))
-	if q.Strict && q.havePrev && out.Key < q.lastKey {
-		panic(fmt.Sprintf("pqueue: keys regressed: %d after %d", out.Key, q.lastKey))
-	}
-	q.lastKey, q.havePrev = out.Key, true
-	q.popped++
 	return out, true
 }
 

@@ -1,13 +1,11 @@
 package terraflow
 
-import (
-	"encoding/binary"
-
-	"lmas/internal/records"
-)
+import "encoding/binary"
 
 // CellRecordSize is the fixed record size for restructured grid cells:
-// 4 B elevation key, 4 B x, 4 B y, 8 x 4 B neighbor elevations, 4 B pad.
+// 4 B elevation key (the leading 4-byte sort key of package records, so
+// both sorts order cells by elevation), 4 B x, 4 B y, 8 x 4 B neighbor
+// elevations, 4 B pad.
 // Embedding neighbor and position information is exactly what lets cells
 // "be processed independently, effectively converting the grid from a
 // stream into a set".
@@ -100,5 +98,3 @@ func SteepestDescent(w, h int, c Cell) (int, bool) {
 	}
 	return best, found
 }
-
-var _ = records.KeyBytes // cell records reuse the 4-byte key convention

@@ -2,9 +2,7 @@ package terraflow
 
 import (
 	"testing"
-	"testing/quick"
 
-	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 )
 
@@ -50,7 +48,6 @@ func TestFlowAccumulationMatchesReference(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Sort = dsmsort.Config{Alpha: 4, Beta: 64, Gamma2: 4, PacketRecords: 32, Placement: dsmsort.Active, Seed: 1}
 	opt.PacketRecords = 32
-	opt.Flow = true
 	res, err := Run(cl, g, opt) // Run validates areas and the cross-check
 	if err != nil {
 		t.Fatal(err)
@@ -69,29 +66,7 @@ func TestFlowOnRandomTerrain(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Sort = dsmsort.Config{Alpha: 2, Beta: 32, Gamma2: 4, PacketRecords: 16, Placement: dsmsort.Active, Seed: 1}
 	opt.PacketRecords = 16
-	opt.Flow = true
 	if _, err := Run(cl, g, opt); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlowProperty: emulated accumulation equals the reference on
-// arbitrary random terrains (validated inside Run, including the
-// watershed-size cross-check).
-func TestFlowProperty(t *testing.T) {
-	f := func(seed int64, wRaw, hRaw uint8) bool {
-		w := int(wRaw%10) + 4
-		h := int(hRaw%10) + 4
-		cl := testCluster(1, 2)
-		g := Random(w, h, seed)
-		opt := DefaultOptions()
-		opt.Sort = dsmsort.Config{Alpha: 2, Beta: 32, Gamma2: 4, PacketRecords: 16, Placement: dsmsort.Active, Seed: 1}
-		opt.PacketRecords = 16
-		opt.Flow = true
-		_, err := Run(cl, g, opt)
-		return err == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,32 +82,11 @@ func TestFlowPlateau(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Sort = dsmsort.Config{Alpha: 2, Beta: 32, Gamma2: 4, PacketRecords: 16, Placement: dsmsort.Active, Seed: 1}
 	opt.PacketRecords = 16
-	opt.Flow = true
 	res, err := Run(cl, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Areas[0] != 36 {
 		t.Fatalf("plateau sink area %d, want 36", res.Areas[0])
-	}
-}
-
-func testClusterFlowBench(b *testing.B) *cluster.Cluster {
-	b.Helper()
-	p := cluster.DefaultParams()
-	p.Hosts, p.ASUs = 1, 4
-	p.RecordSize = CellRecordSize
-	return cluster.New(p)
-}
-
-func BenchmarkFlowAccumulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cl := testClusterFlowBench(b)
-		g, _ := SyntheticBasins(64, 64, 4, 10, 7)
-		opt := DefaultOptions()
-		opt.Flow = true
-		if _, err := Run(cl, g, opt); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -127,46 +127,37 @@ func inputFromSets(sets []*container.Set) *dsmsort.Input {
 	return in
 }
 
-// sortedCells is the elevation-ordered cell sequence step 3 consumes, with
-// the storage location of each packet so its delivery can be charged.
-type sortedCells struct {
-	packets []container.Packet
-	srcASU  []int
+// sortedPacket is one packet of step 2's elevation-ordered output, with the
+// ASU whose disk holds it so its delivery can be charged (-1: the output is
+// not on an ASU's disk and is delivered free).
+type sortedPacket struct {
+	pk  container.Packet
+	asu int
 }
 
 // sortCells runs step 2 and returns the ordered sequence. Active placement
 // uses DSM-Sort; Conventional uses the host-only external mergesort.
-func sortCells(cl *cluster.Cluster, placement dsmsort.Placement, cfg dsmsort.Config, xcfg extsort.Config, in *dsmsort.Input) (*sortedCells, sim.Duration, error) {
+func sortCells(cl *cluster.Cluster, placement dsmsort.Placement, cfg dsmsort.Config, xcfg extsort.Config, in *dsmsort.Input) ([]sortedPacket, sim.Duration, error) {
 	start := cl.Sim.Now()
-	out := &sortedCells{}
+	var out []sortedPacket
 	switch placement {
 	case dsmsort.Active:
 		res, err := dsmsort.Sort(cl, cfg, in)
 		if err != nil {
 			return nil, 0, fmt.Errorf("terraflow: sort: %w", err)
 		}
-		type tagged struct {
-			pk  container.Packet
-			asu int
-		}
-		var all []tagged
 		for asuIdx, st := range res.Output.Streams {
-			asuIdx := asuIdx
 			st.ForEach(func(pk container.Packet) bool {
-				all = append(all, tagged{pk: pk, asu: asuIdx})
+				out = append(out, sortedPacket{pk: pk, asu: asuIdx})
 				return true
 			})
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].pk.Bucket != all[j].pk.Bucket {
-				return all[i].pk.Bucket < all[j].pk.Bucket
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].pk.Bucket != out[j].pk.Bucket {
+				return out[i].pk.Bucket < out[j].pk.Bucket
 			}
-			return all[i].pk.Run < all[j].pk.Run
+			return out[i].pk.Run < out[j].pk.Run
 		})
-		for _, t := range all {
-			out.packets = append(out.packets, t.pk)
-			out.srcASU = append(out.srcASU, t.asu)
-		}
 	case dsmsort.Conventional:
 		res, err := extsort.Sort(cl, xcfg, in)
 		if err != nil {
@@ -179,8 +170,7 @@ func sortCells(cl *cluster.Cluster, placement dsmsort.Placement, cfg dsmsort.Con
 			}
 		}
 		res.Output.ForEach(func(pk container.Packet) bool {
-			out.packets = append(out.packets, pk)
-			out.srcASU = append(out.srcASU, srcASU)
+			out = append(out, sortedPacket{pk: pk, asu: srcASU})
 			return true
 		})
 	default:

@@ -1,6 +1,9 @@
 package terraflow
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +16,15 @@ func testCluster(hosts, asus int) *cluster.Cluster {
 	p.Hosts, p.ASUs = hosts, asus
 	p.RecordSize = CellRecordSize
 	return cluster.New(p)
+}
+
+// countWatersheds reports the number of distinct labels.
+func countWatersheds(colors []uint32) int {
+	seen := make(map[uint32]struct{})
+	for _, c := range colors {
+		seen[c] = struct{}{}
+	}
+	return len(seen)
 }
 
 func TestGridBasics(t *testing.T) {
@@ -77,7 +89,7 @@ func TestSteepestDescent(t *testing.T) {
 func TestReferenceSingleCone(t *testing.T) {
 	g := FromBasins(16, 16, []Basin{{X: 8, Y: 8, Base: 0}}, 10)
 	colors := ReferenceWatersheds(g)
-	if n := CountWatersheds(colors); n != 1 {
+	if n := countWatersheds(colors); n != 1 {
 		t.Fatalf("cone has %d watersheds, want 1", n)
 	}
 	if colors[0] != g.ID(8, 8) {
@@ -88,7 +100,7 @@ func TestReferenceSingleCone(t *testing.T) {
 func TestReferenceTwoBasins(t *testing.T) {
 	g := FromBasins(32, 16, []Basin{{X: 4, Y: 8, Base: 0}, {X: 27, Y: 8, Base: 0}}, 10)
 	colors := ReferenceWatersheds(g)
-	if n := CountWatersheds(colors); n != 2 {
+	if n := countWatersheds(colors); n != 2 {
 		t.Fatalf("%d watersheds, want 2", n)
 	}
 	if colors[g.ID(0, 8)] != g.ID(4, 8) || colors[g.ID(31, 8)] != g.ID(27, 8) {
@@ -160,8 +172,9 @@ func TestPlateauTerrain(t *testing.T) {
 	}
 }
 
-// TestWatershedProperty: emulated TFP equals the reference on arbitrary
-// random terrains (Run returns an error on any divergence).
+// TestWatershedProperty: both emulated time-forward passes equal their
+// references on arbitrary random terrains (Run returns an error on any
+// divergence, including the watershed-size cross-check).
 func TestWatershedProperty(t *testing.T) {
 	f := func(seed int64, wRaw, hRaw uint8) bool {
 		w := int(wRaw%12) + 4
@@ -176,6 +189,87 @@ func TestWatershedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPassDurationsPinned pins every phase's virtual time, so a change to
+// the time-forward loop that reorders its queue, disk or CPU charges shows
+// up here. The third case spills the priority queue to disk.
+func TestPassDurationsPinned(t *testing.T) {
+	small := dsmsort.Config{Alpha: 4, Beta: 64, Gamma2: 4, PacketRecords: 32, Placement: dsmsort.Active, Seed: 1}
+	basins := func(w, h, n int, seed int64) *Grid {
+		g, _ := SyntheticBasins(w, h, n, 10, seed)
+		return g
+	}
+	cases := []struct {
+		name string
+		asus int
+		g    *Grid
+		opt  func(*Options)
+		// want is restructure, sort, watershed, flow accumulation in ns.
+		want       [4]int64
+		watersheds int
+	}{
+		{"active", 4, basins(32, 32, 3, 11), func(o *Options) { o.Sort, o.PacketRecords = small, 32 },
+			[4]int64{5795192, 6954489, 7923418, 1180752}, 2},
+		{"conventional", 2, basins(16, 16, 2, 3), func(o *Options) { o.Placement, o.XSort.MemRecords = dsmsort.Conventional, 128 },
+			[4]int64{10201428, 10446632, 5983706, 305640}, 1},
+		{"spilling", 2, Random(96, 96, 5), func(o *Options) { o.Sort = small },
+			[4]int64{19812663, 80205994, 52680201, 13363099}, 1021},
+	}
+	for _, c := range cases {
+		opt := DefaultOptions()
+		c.opt(&opt)
+		res, err := Run(testCluster(1, c.asus), c.g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := [4]int64{int64(res.Restructure), int64(res.Sort), int64(res.Watershed), int64(res.FlowAccum)}
+		if got != c.want || res.Watersheds != c.watersheds {
+			t.Errorf("%s: phases %v ns and %d watersheds, want %v and %d", c.name, got, res.Watersheds, c.want, c.watersheds)
+		}
+	}
+}
+
+// TestFailedVisitStopsThePass: a visit error ends the pass at that cell
+// and closes the feeds, so the prefetch readers blocked on them exit
+// instead of leaving the simulation deadlocked; cells out of order end it
+// the same way.
+func TestFailedVisitStopsThePass(t *testing.T) {
+	cl := testCluster(1, 4)
+	g, _ := SyntheticBasins(64, 64, 3, 10, 11) // 16 packets per ASU, 4 fit a feed
+	opt := DefaultOptions()
+	sets, _, err := Restructure(cl, g, opt.Placement, opt.PacketRecords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, _, err := sortCells(cl, opt.Placement, opt.Sort, opt.XSort, inputFromSets(sets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	visited := 0
+	_, err = timeForward(cl, g, cells, "failing", false, func(Cell, uint32, []uint64, func(int, uint64)) error {
+		if visited++; visited == 10 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || !strings.Contains(err.Error(), "terraflow: failing: ") {
+		t.Fatalf("err = %v, want the visit's error naming the pass", err)
+	}
+	if visited != 10 {
+		t.Fatalf("visited %d cells, want the pass to stop at the failing 10th", visited)
+	}
+	// Cells fed out of order are an error, not a panic: the watershed
+	// misses its first steepest-descent message, and flow accumulation
+	// meets a cell below the one before it.
+	slices.Reverse(cells)
+	if _, _, err := watershed(cl, g, cells); err == nil || !strings.Contains(err.Error(), "missing message") {
+		t.Fatalf("watershed over reversed cells: err = %v, want a missing message", err)
+	}
+	if _, _, err := flowAccumulation(cl, g, cells); err == nil || !strings.Contains(err.Error(), "terraflow: flowaccum: cell ") || !strings.Contains(err.Error(), "visited out of order") {
+		t.Fatalf("flow accumulation over reversed cells: err = %v, want a cell visited out of order", err)
 	}
 }
 
