@@ -143,6 +143,52 @@ func TestBadInputSizeIsAnError(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesAreErrors: a flag value with no defined meaning exits 1
+// naming the flag, instead of falling back to a default or silently turning
+// the feature off.
+func TestBadFlagValuesAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-net", "-5"}, "dsmsort: -net must be >= 0"},
+		{[]string{"-progress", "-5"}, "dsmsort: -progress must be >= 0"},
+		{[]string{"-gauges", "-3"}, "dsmsort: -gauges must be >= 0"},
+		{[]string{"-sample", "0"}, "dsmsort: -sample must be >= 1"},
+		{[]string{"-sample", "-5"}, "dsmsort: -sample must be >= 1"},
+		{[]string{"-placement", "bogus"}, `dsmsort: unknown placement "bogus" (want active|conventional|hybrid)`},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-n", "4096", "-asus", "4"}, tc.args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1", tc.args, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q does not contain %q", tc.args, msg, tc.want)
+		}
+	}
+}
+
+// TestHybridPlacementSorts: -placement accepts every placement's name, so
+// the hybrid placement the bench matrix runs sorts and validates here too.
+func TestHybridPlacementSorts(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-n", "4096", "-asus", "4", "-placement", "hybrid")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, want := range []string{"(uniform, hybrid)", "output validated: sorted, complete, uncorrupted"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestProgressIsAPureObserver: `-progress 10 -report` prints the progress
 // table — stage record counts that only grow and end at N, over both passes,
 // and utilizations within [0,1] — and writes the report the bare run writes

@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"lmas/internal/bufpool"
 	"lmas/internal/cluster"
@@ -37,8 +39,12 @@ func main() {
 	flag.Int64Var(&spec.Seed, "seed", 42, "workload seed")
 	flag.BoolVar(&spec.Critpath, "critpath", false, "attach the critical-path profiler and print the bottleneck verdict")
 	flag.StringVar(&spec.Experiment, "experiment", "adhoc", "experiment name for the recorded run")
+	names := make([]string, len(placements))
+	for i, p := range placements {
+		names[i] = p.String()
+	}
 	var (
-		placement = flag.String("placement", "active", "active|conventional")
+		placement = flag.String("placement", dsmsort.Active.String(), strings.Join(names, "|"))
 		netMBps   = flag.Float64("net", 0, "per-interface network bandwidth override (MB/s, 0 = default)")
 		progress  = flag.Int("progress", 0, "print a progress table sampled at this virtual-ms interval; implies -gauges at the same interval unless -gauges is given (0 = off)")
 		traceFile = flag.String("trace", "", "write a structured trace of the run (.json for Perfetto/chrome://tracing, .csv for a flat series)")
@@ -50,6 +56,16 @@ func main() {
 		gaugeMs   = flag.Int("gauges", 0, "also emit periodic node/queue/stage gauges into the report at this virtual-ms interval (0 = off)")
 	)
 	flag.Parse()
+	switch {
+	case !(*netMBps >= 0):
+		fail(fmt.Errorf("-net must be >= 0 MB/s, have %g", *netMBps))
+	case *progress < 0:
+		fail(fmt.Errorf("-progress must be >= 0 ms, have %d", *progress))
+	case *gaugeMs < 0:
+		fail(fmt.Errorf("-gauges must be >= 0 ms, have %d", *gaugeMs))
+	case *sampleMs < 1:
+		fail(fmt.Errorf("-sample must be >= 1 ms, have %d", *sampleMs))
+	}
 	spec.SampleEvery = sim.Duration(*sampleMs) * sim.Millisecond
 	if *gaugeMs == 0 {
 		*gaugeMs = *progress // the table is rendered from the report's gauges
@@ -62,14 +78,11 @@ func main() {
 	}
 	defer stopProf()
 
-	switch *placement {
-	case "active":
-		spec.Placement = dsmsort.Active
-	case "conventional":
-		spec.Placement = dsmsort.Conventional
-	default:
-		fail(fmt.Errorf("unknown placement %q", *placement))
+	i := slices.Index(names, *placement)
+	if i < 0 {
+		fail(fmt.Errorf("unknown placement %q (want %s)", *placement, strings.Join(names, "|")))
 	}
+	spec.Placement = placements[i]
 	if *traceFile != "" {
 		spec.Trace = trace.New()
 	}
@@ -154,6 +167,10 @@ func main() {
 		}
 	}
 }
+
+// placements is every DSM-Sort placement: -placement accepts, and its usage
+// text lists, exactly their String names.
+var placements = []dsmsort.Placement{dsmsort.Active, dsmsort.Conventional, dsmsort.Hybrid}
 
 // progressTable renders the report's periodic gauges (-gauges, which
 // -progress implies) as the paper's progress view: one row per sampler tick

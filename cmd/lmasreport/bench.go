@@ -32,6 +32,9 @@ func runBench(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("bench: unexpected argument %q", fs.Arg(0))
 	}
+	if *sampleMs < 1 {
+		return fmt.Errorf("bench: -sample must be >= 1 ms, have %d", *sampleMs)
+	}
 	path := *out
 	if path == "" {
 		path = fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))

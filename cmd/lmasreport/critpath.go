@@ -19,7 +19,6 @@ import (
 func runCritpath(args []string) error {
 	fs := flag.NewFlagSet("critpath", flag.ExitOnError)
 	svgOut := fs.String("svg", "", "write a per-node stacked attribution SVG")
-	slo := fs.Bool("slo", false, "render the SLO deadline ladder with per-horizon miss blame")
 	files := parseMixed(fs, args)
 	if len(files) != 1 {
 		return fmt.Errorf("critpath: want exactly one report file, have %d", len(files))
@@ -27,23 +26,6 @@ func runCritpath(args []string) error {
 	tr, err := telemetry.ReadFile(files[0])
 	if err != nil {
 		return err
-	}
-	if *slo {
-		shown := 0
-		for _, rep := range tr.Runs {
-			if rep.SLO == nil {
-				continue
-			}
-			if shown > 0 {
-				fmt.Println()
-			}
-			showSLO(rep)
-			shown++
-		}
-		if shown == 0 {
-			return fmt.Errorf("critpath: %s has no slo section (open-loop runs export one)", files[0])
-		}
-		return nil
 	}
 	shown := 0
 	var svgRep *telemetry.RunReport

@@ -82,10 +82,8 @@ func usage() {
 
 commands:
   show  FILE [-svg OUT.svg] [-all]     render a report as tables (+ utilization plot)
-  critpath FILE [-svg OUT.svg] [-slo]  latency attribution: bottleneck verdict,
-                                       critical path, per-stage waterfall;
-                                       -slo renders the deadline ladder with
-                                       per-horizon miss blame instead
+  critpath FILE [-svg OUT.svg]         latency attribution: bottleneck verdict,
+                                       critical path, per-stage waterfall
   diff  BASE NEW [-runtime-threshold R] [-p99-threshold P] [-q]
                                        field-by-field comparison; exit 1 on regression
   bench [-quick] [-o FILE] [-seed S] [-stamp=false]

@@ -71,11 +71,9 @@ func Adapt(row AdaptRow) (AdaptRow, error) {
 	}
 
 	start := cl.Sim.Now()
-	pl.Start()
-	if err := cl.Sim.Run(); err != nil {
+	if _, err := pl.Run(); err != nil {
 		return row, fmt.Errorf("adapt %s: %w", row.Strategy, err)
 	}
-	pl.FlushTelemetry()
 	// Elapsed is measured at pipeline completion, excluding the watch's
 	// trailing sampling window.
 	row.Elapsed = sim.Duration(finishedAt - start)

@@ -37,13 +37,14 @@ func Terra(row TerraRow) (TerraRow, error) {
 	case row.H < 1:
 		return row, fmt.Errorf("terra: H must be >= 1, have %d", row.H)
 	}
-	if err := params.Validate(); err != nil {
+	cl, err := bareCluster(params)
+	if err != nil {
 		return row, fmt.Errorf("terra: %w", err)
 	}
 	g, _ := terraflow.SyntheticBasins(row.W, row.H, 6, 10, row.Seed)
 	opt := terraflow.DefaultOptions()
 	opt.Placement = row.Placement
-	r, err := terraflow.Run(cluster.New(params), g, opt)
+	r, err := terraflow.Run(cl, g, opt)
 	if err != nil {
 		return row, fmt.Errorf("terra %v: %w", row.Placement, err)
 	}

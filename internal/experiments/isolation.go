@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"lmas/internal/cluster"
 	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
@@ -45,7 +44,10 @@ const (
 func Isolation(row IsolationRow) (IsolationRow, error) {
 	idle := row.Params
 	idle.Hosts, idle.ASUs = 1, 1
-	cl := cluster.New(idle)
+	cl, err := bareCluster(idle)
+	if err != nil {
+		return row, fmt.Errorf("isolation baseline: %w", err)
+	}
 	cl.Sim.Spawn("baseline", func(p *sim.Proc) {
 		start := p.Now()
 		cl.ASUs[0].ServeRequest(p, isoRequestOps)
@@ -55,7 +57,9 @@ func Isolation(row IsolationRow) (IsolationRow, error) {
 		return row, fmt.Errorf("isolation baseline: %w", err)
 	}
 
-	cl = cluster.New(row.Params)
+	if cl, err = bareCluster(row.Params); err != nil {
+		return row, fmt.Errorf("isolation quantum=%v: %w", row.Params.IsolationQuantum, err)
+	}
 	// Input striped over the ASUs, as in Figure 9.
 	gen := records.NewGenerator(row.Sort.Seed, records.Uniform{}, records.Uniform{}, row.N)
 	// The background computation: distribute on the ASUs, sort on the
@@ -84,12 +88,11 @@ func Isolation(row IsolationRow) (IsolationRow, error) {
 		})
 	}
 
-	start := cl.Sim.Now()
-	pl.Start()
-	if err := cl.Sim.Run(); err != nil {
+	elapsed, err := pl.Run()
+	if err != nil {
 		return row, fmt.Errorf("isolation quantum=%v: %w", row.Params.IsolationQuantum, err)
 	}
-	row.SortSecs = (sim.Duration(cl.Sim.Now() - start)).Seconds()
+	row.SortSecs = elapsed.Seconds()
 	row.P50, row.P99 = sim.Duration(lat.Quantile(0.50)), sim.Duration(lat.Quantile(0.99))
 	row.Max, row.Requests = sim.Duration(lat.Max()), int(lat.Count())
 	return row, nil

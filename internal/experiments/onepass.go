@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/onepass"
 	"lmas/internal/records"
@@ -25,10 +24,10 @@ type OnePassRow struct {
 
 // OnePass measures both sorts on uniform input.
 func OnePass(row OnePassRow) (OnePassRow, error) {
-	if err := row.Params.Validate(); err != nil {
+	cl, err := bareCluster(row.Params)
+	if err != nil {
 		return row, fmt.Errorf("onepass: %w", err)
 	}
-	cl := cluster.New(row.Params)
 	in := dsmsort.MakeInput(cl, row.N, records.Uniform{}, row.Sort.Seed, row.Sort.PacketRecords)
 	oneRes, err := onepass.Sort(cl, onepass.Config{
 		SampleSize: 2048, PacketRecords: row.Sort.PacketRecords, Seed: row.Sort.Seed,

@@ -144,6 +144,15 @@ func formRuns(cl *cluster.Cluster, n int, skewMean float64, cfg dsmsort.Config) 
 	return r, nil
 }
 
+// bareCluster builds an unobserved cluster from params, returning
+// Params.Validate's error where cluster.New would panic.
+func bareCluster(params cluster.Params) (*cluster.Cluster, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	return cluster.New(params), nil
+}
+
 // pass1Cells is the cell of every sweep that only times the first pass: run
 // formation from uniform input under each placement in turn, each on a fresh
 // bare cluster built from s.Params.
@@ -152,7 +161,11 @@ func pass1Cells(s Spec, placements ...dsmsort.Placement) ([]*dsmsort.Pass1Result
 	cfg := s.Sort
 	for i, pl := range placements {
 		cfg.Placement = pl
-		r, err := formRuns(cluster.New(s.Params), s.N, 0, cfg)
+		cl, err := bareCluster(s.Params)
+		if err != nil {
+			return nil, err
+		}
+		r, err := formRuns(cl, s.N, 0, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", pl, err)
 		}
@@ -180,7 +193,10 @@ func sortCell(s Spec) (*dsmsort.Result, error) {
 	if s.N < 1 {
 		return nil, fmt.Errorf("N must be >= 1, have %d", s.N)
 	}
-	cl := cluster.New(s.Params)
+	cl, err := bareCluster(s.Params)
+	if err != nil {
+		return nil, err
+	}
 	in := dsmsort.MakeInput(cl, s.N, records.Uniform{}, s.Sort.Seed, s.Sort.PacketRecords)
 	defer in.Free()
 	res, err := dsmsort.Sort(cl, s.Sort, in)

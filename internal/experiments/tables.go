@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/route"
 	"lmas/internal/sim"
@@ -49,7 +48,10 @@ func Routing(row RoutingRow) (RoutingRow, error) {
 	if cfg.SortPolicy, err = route.ByName(row.Policy, cfg.Alpha, cfg.Seed); err != nil {
 		return row, err
 	}
-	cl := cluster.New(row.Params)
+	cl, err := bareCluster(row.Params)
+	if err != nil {
+		return row, fmt.Errorf("routing %s: %w", row.Policy, err)
+	}
 	r1, err := formRuns(cl, row.N, row.SkewMean, cfg)
 	if err != nil {
 		return row, fmt.Errorf("routing %s: %w", row.Policy, err)

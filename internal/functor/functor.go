@@ -68,11 +68,12 @@ type Kernel interface {
 // primitives or short code sequences whose execution behavior is statically
 // determinable. These constraints create a basis for isolating ASUs and
 // applications from damage by competing functors." The pipeline refuses to
-// place unmarked kernels on ASUs (Pipeline.Start panics), so arbitrary
-// host-side computation cannot wander onto shared storage nodes. All
-// kernels in this package except FusedDistributeSort (a host-only baseline
-// with unbounded fused state) carry the mark; per-record functors adapted
-// with Adapt are eligible by construction — the adapter bounds their state.
+// place unmarked kernels on ASUs (Pipeline.Run returns an error before
+// spawning anything), so arbitrary host-side computation cannot wander onto
+// shared storage nodes. All kernels in this package except
+// FusedDistributeSort (a host-only baseline with unbounded fused state)
+// carry the mark; per-record functors adapted with Adapt are eligible by
+// construction — the adapter bounds their state.
 type ASUEligible interface {
 	// ASUEligible declares the kernel validated for ASU execution.
 	ASUEligible()

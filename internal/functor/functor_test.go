@@ -12,6 +12,7 @@ import (
 	"lmas/internal/records"
 	"lmas/internal/route"
 	"lmas/internal/sim"
+	"lmas/internal/trace"
 )
 
 const recSize = 16
@@ -440,37 +441,96 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-func TestStageWithoutOutputPanicsAtStart(t *testing.T) {
-	cl := testCluster(1, 1)
+// graphCluster is a traced one-host, one-ASU cluster, so a test can see
+// whether a Run spawned anything: every proc gets its own trace track.
+func graphCluster() (*cluster.Cluster, *trace.Sink) {
+	sink := trace.New()
+	return testClusterWith(1, 1, cluster.Observers{Trace: sink}), sink
+}
+
+// wantGraphError runs pl and wants an error holding every one of want, with
+// no proc spawned and no virtual time spent.
+func wantGraphError(t *testing.T, pl *Pipeline, cl *cluster.Cluster, sink *trace.Sink, want ...string) {
+	t.Helper()
+	tracks := sink.Tracks()
+	_, err := pl.Run()
+	if err == nil {
+		t.Fatal("Run accepted a malformed graph")
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q does not contain %q", err, w)
+		}
+	}
+	if got := sink.Tracks(); got != tracks {
+		t.Errorf("a rejected Run spawned %d proc(s)", got-tracks)
+	}
+	if err := cl.Sim.Run(); err != nil || cl.Sim.Now() != 0 {
+		t.Errorf("a rejected Run left work behind: err %v, clock %v", err, cl.Sim.Now())
+	}
+}
+
+func TestStageWithoutNodesIsAnError(t *testing.T) {
+	cl, sink := graphCluster()
+	pl := NewPipeline(cl)
+	pl.AddStage("ok", cl.Hosts, func() Kernel { return &Passthrough{} }).Terminal()
+	pl.AddStage("nowhere", nil, func() Kernel { return &Passthrough{} }).Terminal()
+	wantGraphError(t, pl, cl, sink, "stage nowhere has no placement nodes")
+}
+
+func TestStageWithoutOutputIsAnError(t *testing.T) {
+	cl, sink := graphCluster()
 	pl := NewPipeline(cl)
 	pl.AddStage("dangling", cl.Hosts, func() Kernel { return &Passthrough{} })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Start did not panic for unconnected stage")
-		}
-	}()
-	pl.Start()
+	wantGraphError(t, pl, cl, sink, "stage dangling has no output")
+}
+
+func TestStageOutputSetTwiceIsAnError(t *testing.T) {
+	cl, sink := graphCluster()
+	pl := NewPipeline(cl)
+	st := pl.AddStage("forked", cl.Hosts, func() Kernel { return &Passthrough{} })
+	next := pl.AddStage("next", cl.Hosts, func() Kernel { return &Passthrough{} })
+	next.Terminal()
+	st.ConnectTo(next, &route.RoundRobin{})
+	st.Terminal()
+	wantGraphError(t, pl, cl, sink, "stage forked output set 2 times")
 }
 
 func TestUnvalidatedKernelRejectedOnASU(t *testing.T) {
 	// FusedDistributeSort is a host-only baseline: it is deliberately
 	// not marked ASU-eligible, and placing it on an ASU must fail fast.
-	cl := testCluster(1, 1)
+	cl, sink := graphCluster()
 	pl := NewPipeline(cl)
-	st := pl.AddStage("rogue", cl.ASUs, func() Kernel {
+	pl.AddStage("host-ok", cl.Hosts, func() Kernel { return &Passthrough{} }).Terminal()
+	pl.AddStage("rogue", cl.ASUs, func() Kernel {
 		return NewFusedDistributeSort(4, 16, recSize)
+	}).Terminal()
+	k := NewFusedDistributeSort(4, 16, recSize)
+	wantGraphError(t, pl, cl, sink, "not ASU-eligible", fmt.Sprintf("%q", k.Name()), "stage rogue", cl.ASUs[0].Name)
+}
+
+func TestSecondRunIsAnError(t *testing.T) {
+	cl, sink := graphCluster()
+	var set *container.Set
+	cl.Sim.Spawn("seed", func(p *sim.Proc) {
+		set = container.NewSet("in", bte.NewMemory(), recSize)
+		set.Add(p, container.NewPacket(mkBuf(3, 1, 2)))
 	})
-	st.Terminal()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("unvalidated kernel accepted on an ASU")
-		}
-		if !strings.Contains(fmt.Sprint(r), "not ASU-eligible") {
-			t.Fatalf("wrong panic: %v", r)
-		}
-	}()
-	pl.Start()
+	cl.Sim.Run()
+	pl := NewPipeline(cl)
+	once := pl.AddStage("once", cl.Hosts, func() Kernel { return &Passthrough{} })
+	once.Terminal()
+	pl.AddSource("src", cl.ASUs[0], set.Scan(0, false), once, &route.RoundRobin{})
+	if _, err := pl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tracks := sink.Tracks()
+	if _, err := pl.Run(); err == nil || !strings.Contains(err.Error(), "already ran") {
+		t.Fatalf("second Run: err %v, want already ran", err)
+	}
+	if got := sink.Tracks(); got != tracks {
+		t.Errorf("a second Run spawned %d proc(s)", got-tracks)
+	}
 }
 
 func TestUnvalidatedKernelAllowedOnHost(t *testing.T) {

@@ -38,9 +38,8 @@ type Instance struct {
 	kernel Kernel
 
 	// Stats.
-	PacketsIn, RecordsIn   int64
-	PacketsOut, RecordsOut int64
-	OpsCharged             float64
+	PacketsIn, RecordsIn int64
+	OpsCharged           float64
 }
 
 // Label identifies the instance for routing diagnostics.
@@ -73,12 +72,12 @@ type Stage struct {
 
 	pipeline  *Pipeline
 	out       output
+	outputs   int // times an output was set; Run wants exactly one
 	instances []*Instance
 	producers int // input producers not yet finished
-	started   bool
 }
 
-// Instances returns the stage's placed instances (valid after Start).
+// Instances returns the stage's placed instances (valid once Run starts).
 func (st *Stage) Instances() []*Instance { return st.instances }
 
 // recordsIn reports the records the stage's instances have consumed so far.
@@ -107,15 +106,12 @@ type Edge struct {
 	eps []route.Endpoint
 
 	// Stats.
-	Packets, Records int64
-	NetBytes         int64
-	CrossNode        int64
+	Packets   int64
+	NetBytes  int64
+	CrossNode int64
 }
 
 func (e *Edge) deliver(ctx *Ctx, pk container.Packet) {
-	if len(e.eps) == 0 {
-		panic("functor: edge delivered before Start")
-	}
 	info := route.PacketInfo{Bucket: pk.Bucket, Records: pk.Len()}
 	dest := e.to.instances[e.policy.Pick(info, e.eps)]
 	if dest.Node != ctx.Node {
@@ -125,8 +121,8 @@ func (e *Edge) deliver(ctx *Ctx, pk container.Packet) {
 		e.CrossNode++
 	}
 	e.Packets++
-	e.Records += int64(pk.Len())
 	if err := dest.In.Put(ctx.Proc, pk); err != nil {
+		// Unreachable: inboxes close once every courier, this one too, called producerDone.
 		panic(fmt.Sprintf("functor: deliver to closed inbox %s", dest.Label()))
 	}
 	// Sparse backlog sampling: a gauge point every 64th delivery, not a
@@ -166,6 +162,7 @@ func (e *Edge) producerDone(ctx *Ctx) {
 	st := e.to
 	st.producers--
 	if st.producers < 0 {
+		// Unreachable: Run counts one producer per courier, and each calls this once.
 		panic("functor: too many producerDone on stage " + st.Name)
 	}
 	if st.producers == 0 {
@@ -180,7 +177,6 @@ func (e *Edge) addProducer(n int) { e.to.producers += n }
 // Discard is an output that drops packets; terminal stages whose kernels
 // perform their own side effects (e.g. writing containers) use it.
 type Discard struct {
-	Packets, Records int64
 	// Done, if set, runs (in scheduler context) when the terminal
 	// stage's last instance finishes — the pipeline-completion hook that
 	// lets co-resident workloads (e.g. foreground storage clients in the
@@ -191,8 +187,6 @@ type Discard struct {
 }
 
 func (d *Discard) deliver(ctx *Ctx, pk container.Packet) {
-	d.Packets++
-	d.Records += int64(pk.Len())
 	pk.Release() // terminal drop: recycle owned buffers
 }
 
@@ -211,7 +205,7 @@ type Pipeline struct {
 	cl      *cluster.Cluster
 	stages  []*Stage
 	sources []*source
-	started bool
+	ran     bool
 }
 
 // NewPipeline creates an empty pipeline on cl.
@@ -219,18 +213,12 @@ func NewPipeline(cl *cluster.Cluster) *Pipeline {
 	return &Pipeline{cl: cl}
 }
 
-// Cluster returns the pipeline's cluster.
-func (p *Pipeline) Cluster() *cluster.Cluster { return p.cl }
-
 // Stages returns the declared stages in declaration order.
 func (p *Pipeline) Stages() []*Stage { return p.stages }
 
 // AddStage declares a stage replicated across nodes. Connect its output
-// with ConnectTo or LeaveTerminal before Start.
+// with ConnectTo or Terminal before Run.
 func (p *Pipeline) AddStage(name string, nodes []*cluster.Node, newKernel func() Kernel) *Stage {
-	if len(nodes) == 0 {
-		panic("functor: stage " + name + " has no placement nodes")
-	}
 	st := &Stage{Name: name, Nodes: nodes, NewKernel: newKernel, pipeline: p}
 	p.stages = append(p.stages, st)
 	return st
@@ -252,10 +240,8 @@ func (st *Stage) Terminal() *Discard {
 }
 
 func (st *Stage) setOut(o output) {
-	if st.out != nil {
-		panic("functor: stage " + st.Name + " output set twice")
-	}
 	st.out = o
+	st.outputs++
 }
 
 // source feeds a container scan into an edge from a given node.
@@ -263,8 +249,8 @@ type source struct {
 	name   string
 	node   *cluster.Node
 	scan   *container.Scan
-	out    output
-	outbox *sim.Queue[container.Packet] // set at Start, for queue telemetry
+	out    *Edge
+	outbox *sim.Queue[container.Packet] // set by Run, for queue telemetry
 }
 
 // AddSource spawns a reader on node that scans sc and routes every packet
@@ -278,45 +264,43 @@ func (p *Pipeline) AddSource(name string, node *cluster.Node, sc *container.Scan
 	p.sources = append(p.sources, &source{name: name, node: node, scan: sc, out: e})
 }
 
-// Start places instances and spawns all procs. The caller then runs the
-// cluster's simulator; when it drains, the pipeline has completed.
-func (p *Pipeline) Start() {
-	if p.started {
-		panic("functor: pipeline started twice")
+// place checks the graph and materializes its instances and edges. It
+// registers nothing with the cluster until the whole graph has passed.
+func (p *Pipeline) place() error {
+	if p.ran {
+		return fmt.Errorf("functor: pipeline already ran")
 	}
-	p.started = true
-	// Materialize instances.
+	p.ran = true
 	for _, st := range p.stages {
-		if st.out == nil {
-			panic("functor: stage " + st.Name + " has no output; call ConnectTo or Terminal")
+		switch {
+		case len(st.Nodes) == 0:
+			return fmt.Errorf("functor: stage %s has no placement nodes", st.Name)
+		case st.outputs == 0:
+			return fmt.Errorf("functor: stage %s has no output; call ConnectTo or Terminal", st.Name)
+		case st.outputs > 1:
+			return fmt.Errorf("functor: stage %s output set %d times, want once", st.Name, st.outputs)
 		}
 		cap := st.InboxPackets
 		if cap <= 0 {
 			cap = DefaultInboxPackets
 		}
 		for i, n := range st.Nodes {
-			inst := &Instance{
-				Stage: st,
-				Node:  n,
-				Index: i,
-				In:    sim.NewQueue[container.Packet](p.cl.Sim, fmt.Sprintf("%s#%d.in", st.Name, i), cap),
+			k := st.NewKernel()
+			// ASUs are shared infrastructure: only prevalidated kernels
+			// may run there (Section 3.1's constraint, and the basis for
+			// the isolation guarantees).
+			if _, ok := k.(ASUEligible); !ok && n.Kind == cluster.ASU {
+				return fmt.Errorf("functor: kernel %q is not ASU-eligible but stage %s places it on %s",
+					k.Name(), st.Name, n.Name)
 			}
-			inst.kernel = st.NewKernel()
-			p.cl.WatchQueue(inst.In)
-			// ASUs are shared infrastructure: only prevalidated
-			// kernels may run there (Section 3.1's constraint, and
-			// the basis for the isolation guarantees).
-			if n.Kind == cluster.ASU {
-				if _, ok := inst.kernel.(ASUEligible); !ok {
-					panic(fmt.Sprintf(
-						"functor: kernel %q is not ASU-eligible but stage %s places it on %s",
-						inst.kernel.Name(), st.Name, n.Name))
-				}
-			}
-			st.instances = append(st.instances, inst)
+			in := sim.NewQueue[container.Packet](p.cl.Sim, fmt.Sprintf("%s#%d.in", st.Name, i), cap)
+			st.instances = append(st.instances, &Instance{Stage: st, Node: n, Index: i, In: in, kernel: k})
 		}
 	}
 	for _, st := range p.stages {
+		for _, inst := range st.instances {
+			p.cl.WatchQueue(inst.In)
+		}
 		p.cl.WatchStage(st.Name, st.recordsIn)
 	}
 	// Resolve edge endpoints and producer counts.
@@ -327,11 +311,15 @@ func (p *Pipeline) Start() {
 		st.out.addProducer(len(st.instances))
 	}
 	for _, src := range p.sources {
-		e := src.out.(*Edge)
-		e.resolve()
-		e.addProducer(1)
+		src.out.resolve()
+		src.out.addProducer(1)
 	}
-	// Spawn. Every producer (source or instance) gets a courier that
+	return nil
+}
+
+// spawn starts every proc of a placed pipeline.
+func (p *Pipeline) spawn() {
+	// Every producer (source or instance) gets a courier that
 	// drains its outbox through the stage output, so transfers overlap
 	// with reading and computing.
 	//
@@ -365,6 +353,7 @@ func (p *Pipeline) Start() {
 				}
 				pk.Prov = id
 				if err := outbox.Put(proc, pk); err != nil {
+					// Unreachable: only this proc closes the outbox, after its last Put.
 					panic(err)
 				}
 				pf.EndPacket(proc)
@@ -373,9 +362,7 @@ func (p *Pipeline) Start() {
 		})
 		courier := p.spawnCourier(fmt.Sprintf("%s.courier%d", src.name, i), stage, src.node, outbox, src.out)
 		if pf != nil {
-			if e, ok := src.out.(*Edge); ok {
-				pf.BlameWaitProc(outbox.Name()+" not-full", courier, edgeBlame(e))
-			}
+			pf.BlameWaitProc(outbox.Name()+" not-full", courier, edgeBlame(src.out))
 		}
 	}
 	for _, st := range p.stages {
@@ -457,14 +444,8 @@ func (p *Pipeline) spawnCourier(name, stage string, node *cluster.Node, outbox *
 }
 
 func (e *Edge) resolve() {
-	if e.eps != nil {
-		return
-	}
 	for _, in := range e.to.instances {
 		e.eps = append(e.eps, in)
-	}
-	if len(e.eps) == 0 {
-		panic("functor: edge to stage " + e.to.Name + " with no instances")
 	}
 }
 
@@ -490,9 +471,8 @@ func (in *Instance) run(proc *sim.Proc) {
 			// Flush-time emissions — the last one this instance handled.
 			pk.Prov = pf.Derive(proc)
 		}
-		in.PacketsOut++
-		in.RecordsOut += int64(pk.Len())
 		if err := in.out.Put(proc, pk); err != nil {
+			// Unreachable: the outbox closes only after Flush, the kernel's last emit, returns.
 			panic(err)
 		}
 	}
@@ -529,25 +509,28 @@ func (in *Instance) run(proc *sim.Proc) {
 	proc.TraceEnd(trace.Int("packets", in.PacketsIn), trace.Int("records", in.RecordsIn))
 }
 
-// Run is a convenience: Start the pipeline and run the simulator to
-// completion, returning the elapsed virtual time. With telemetry attached,
-// per-stage totals (packets, records, ops, cross-node traffic) are flushed
-// to counters when the pipeline drains.
+// Run places the pipeline, spawns its procs and runs the cluster's simulator
+// (with any procs already spawned on it) until it drains, returning the
+// elapsed virtual time. A stage with no placement nodes, without exactly one
+// output, or placing an unmarked kernel on an ASU is an error naming the
+// stage, as is a second Run; either returns before any proc is spawned. With
+// telemetry attached, per-stage totals are flushed to counters at the end.
 func (p *Pipeline) Run() (sim.Duration, error) {
+	if err := p.place(); err != nil {
+		return 0, err
+	}
 	start := p.cl.Sim.Now()
-	p.Start()
+	p.spawn()
 	if err := p.cl.Sim.Run(); err != nil {
 		return 0, err
 	}
-	p.FlushTelemetry()
+	p.flushTelemetry()
 	return sim.Duration(p.cl.Sim.Now() - start), nil
 }
 
-// FlushTelemetry records each stage's totals as counters on the cluster's
-// registry. Run calls it automatically; callers driving Start and the
-// simulator themselves should call it once the pipeline has drained. No-op
-// without telemetry.
-func (p *Pipeline) FlushTelemetry() {
+// flushTelemetry records each stage's totals as counters on the cluster's
+// registry. No-op without telemetry.
+func (p *Pipeline) flushTelemetry() {
 	reg := p.cl.Telemetry
 	if reg == nil {
 		return
@@ -571,10 +554,8 @@ func (p *Pipeline) FlushTelemetry() {
 	}
 	var srcBytes, srcCross int64
 	for _, src := range p.sources {
-		if e, ok := src.out.(*Edge); ok {
-			srcBytes += e.NetBytes
-			srcCross += e.CrossNode
-		}
+		srcBytes += src.out.NetBytes
+		srcCross += src.out.CrossNode
 	}
 	reg.Counter("functor.sources.net_bytes").Add(srcBytes)
 	reg.Counter("functor.sources.cross_node").Add(srcCross)
@@ -586,8 +567,6 @@ func (p *Pipeline) FlushTelemetry() {
 		}
 	}
 	for _, src := range p.sources {
-		if src.outbox != nil {
-			p.cl.FlushQueueStats(src.outbox)
-		}
+		p.cl.FlushQueueStats(src.outbox)
 	}
 }
