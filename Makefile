@@ -66,7 +66,7 @@ bench-allocs:
 	@$(call alloc_gate,./internal/sim,BenchmarkResourceContention,100000x,0,park reason allocates per contended acquire)
 	@$(call alloc_gate,./internal/sim,BenchmarkFarTimerSteadyState,2000x,0,wheel chunks not recycled through the free list)
 	@$(call alloc_gate,./internal/recorder,BenchmarkStoreSpan,1000000x,0,span encoder or chunk hand-off allocates per span)
-	@$(call alloc_gate,./internal/trace,BenchmarkSinkSpan,1000000x,0,trace sink allocates per event instead of per chunk)
+	@$(call alloc_gate,./internal/trace,BenchmarkSinkSpan,1000000x,0,trace sink allocates per event)
 	@$(call alloc_gate,./internal/cluster,BenchmarkSinkSpanArgs,200000x,0,a trace arg is boxed or copied between call site and span line)
 	@$(call alloc_gate,./internal/experiments,BenchmarkObservedQuickCell,10x,$(OBSERVED_ALLOC_BUDGET),traced+recorded quick cell over budget)
 	@$(call bytes_gate,./internal/dsmsort,BenchmarkMakeInput,10x,$(INPUT_BYTES_BUDGET),the input loader builds an N-record buffer again)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -99,6 +100,52 @@ func TestFailedRunLeavesClosedSegment(t *testing.T) {
 	}
 	if good.Report() == nil {
 		t.Error("good run has no report")
+	}
+}
+
+// TestTraceFileOnEveryPath: a -trace path that cannot be created exits 1
+// naming it before any sort runs (no "sorted" line on stdout), and a run
+// that fails after its trace file was opened still leaves the file closed,
+// holding a complete document.
+func TestTraceFileOnEveryPath(t *testing.T) {
+	dir := t.TempDir()
+	run := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], append([]string{"-n", "4096", "-asus", "4"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var out, errOut bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err = %v, want exit status 1\n%s%s", args, err, out.String(), errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+
+	bad := filepath.Join(dir, "missing", "x.json")
+	stdout, stderr := run("-trace", bad)
+	if !strings.Contains(stderr, "dsmsort: open "+bad) {
+		t.Errorf("stderr %q does not name %s", stderr, bad)
+	}
+	if strings.Contains(stdout, "sorted") {
+		t.Errorf("the sort ran before the bad trace path failed:\n%s", stdout)
+	}
+
+	for _, name := range []string{"failed.json", "failed.csv"} {
+		path := filepath.Join(dir, name)
+		run("-trace", path, "-dist", "bogus")
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(name, ".csv") {
+			if !strings.HasPrefix(string(b), "ts_ns,dur_ns,phase,group,track,name,cat,args\n") {
+				t.Errorf("%s: no CSV header in %q", name, b)
+			}
+		} else if !json.Valid(b) {
+			t.Errorf("%s: not a complete JSON document: %q", name, b)
+		}
 	}
 }
 

@@ -25,6 +25,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "dsmsort:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command; every path out of it, failed or not, closes what it
+// opened (the -trace file, the profiles).
+func run() error {
 	spec := experiments.SortRunSpec{Name: "dsmsort"}
 	flag.IntVar(&spec.N, "n", 1<<18, "records to sort")
 	flag.IntVar(&spec.Hosts, "hosts", 1, "host count")
@@ -58,13 +67,13 @@ func main() {
 	flag.Parse()
 	switch {
 	case !(*netMBps >= 0):
-		fail(fmt.Errorf("-net must be >= 0 MB/s, have %g", *netMBps))
+		return fmt.Errorf("-net must be >= 0 MB/s, have %g", *netMBps)
 	case *progress < 0:
-		fail(fmt.Errorf("-progress must be >= 0 ms, have %d", *progress))
+		return fmt.Errorf("-progress must be >= 0 ms, have %d", *progress)
 	case *gaugeMs < 0:
-		fail(fmt.Errorf("-gauges must be >= 0 ms, have %d", *gaugeMs))
+		return fmt.Errorf("-gauges must be >= 0 ms, have %d", *gaugeMs)
 	case *sampleMs < 1:
-		fail(fmt.Errorf("-sample must be >= 1 ms, have %d", *sampleMs))
+		return fmt.Errorf("-sample must be >= 1 ms, have %d", *sampleMs)
 	}
 	spec.SampleEvery = sim.Duration(*sampleMs) * sim.Millisecond
 	if *gaugeMs == 0 {
@@ -74,22 +83,27 @@ func main() {
 
 	stopProf, err := prof.Start(*cpuprof, *memprof)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer stopProf()
 
 	i := slices.Index(names, *placement)
 	if i < 0 {
-		fail(fmt.Errorf("unknown placement %q (want %s)", *placement, strings.Join(names, "|")))
+		return fmt.Errorf("unknown placement %q (want %s)", *placement, strings.Join(names, "|"))
 	}
 	spec.Placement = placements[i]
+	var out *traceOut
 	if *traceFile != "" {
 		spec.Trace = trace.New()
+		if out, err = openTrace(spec.Trace, *traceFile); err != nil {
+			return err
+		}
+		defer out.close()
 	}
 	var store *recorder.Store
 	if *record != "" {
 		if store, err = recorder.OpenStore(*record); err != nil {
-			fail(err)
+			return err
 		}
 		spec.Record = store
 	}
@@ -111,7 +125,7 @@ func main() {
 			cl.Telemetry.FillBufpoolGauges(cl.Sim.Now(), bufpool.ClassStatsSnapshot())
 		})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *progress > 0 {
 		stages := []string{"distribute", "blocksort", "collect"}
@@ -138,23 +152,23 @@ func main() {
 	fmt.Printf("  interconnect: %.1f MB in pass 1\n", float64(res.Pass1.NetBytes)/1e6)
 	fmt.Println("  output validated: sorted, complete, uncorrupted")
 
-	if spec.Trace != nil {
-		if err := experiments.WriteTrace(spec.Trace, *traceFile); err != nil {
-			fail(err)
+	if out != nil {
+		if err := out.close(); err != nil {
+			return err
 		}
 		fmt.Printf("  trace: %d events on %d tracks -> %s\n",
 			spec.Trace.Events(), spec.Trace.Tracks(), *traceFile)
 	}
 	if *report != "" {
 		if err := telemetry.WriteJSON(*report, rep); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("  report: %d counters, %d histograms, %d decisions -> %s\n",
 			len(rep.Counters), len(rep.Latencies), len(rep.Decisions), *report)
 	}
 	if store != nil {
 		if err := store.Err(); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("  recorded -> %s (experiment %q)\n", *record, spec.Experiment)
 	}
@@ -166,6 +180,49 @@ func main() {
 				cp.Verdict.Predicted, cp.Verdict.PredictedRate, cp.Verdict.Agree)
 		}
 	}
+	return nil
+}
+
+// traceOut is the -trace file and the writer its sink streams the run into:
+// a flat CSV time series when the name ends in .csv, Chrome trace-event JSON
+// (Perfetto, chrome://tracing) otherwise.
+type traceOut struct {
+	f *os.File
+	w interface {
+		trace.Consumer
+		Close() error
+	}
+}
+
+// openTrace creates path and attaches its writer to sink, so a path that
+// cannot be written fails before the run starts.
+func openTrace(sink *trace.Sink, path string) (*traceOut, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	out := &traceOut{f: f}
+	if strings.HasSuffix(path, ".csv") {
+		out.w = trace.NewCSVWriter(f)
+	} else {
+		out.w = trace.NewChromeWriter(f)
+	}
+	sink.Attach(out.w)
+	return out, nil
+}
+
+// close ends the document and closes the file, returning the first error;
+// calls after the first do nothing.
+func (out *traceOut) close() error {
+	if out.f == nil {
+		return nil
+	}
+	err := out.w.Close()
+	if cerr := out.f.Close(); err == nil {
+		err = cerr
+	}
+	out.f = nil
+	return err
 }
 
 // placements is every DSM-Sort placement: -placement accepts, and its usage
@@ -213,9 +270,4 @@ func progressTable(rep *telemetry.RunReport, stages, nodes []string) *plot.Table
 		t.AddRow(row...)
 	}
 	return t
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dsmsort:", err)
-	os.Exit(1)
 }

@@ -294,6 +294,7 @@ type Cluster struct {
 	samplers []*clusterSampler // recorder and gauge daemons, until FinishSampling
 	queues   []SampledQueue    // watched by the samplers, in registration order
 	stages   []stageProbe
+	spans    *recorderBridge // the recorder's trace consumer, until FinishSampling
 
 	// lastSched remembers the scheduler-tier counters already copied into
 	// the telemetry registry, so repeated BuildReport calls add deltas
@@ -417,20 +418,9 @@ func (c *Cluster) observe(obs Observers) {
 			rec.Event(ev)
 		})
 		// Event order is deterministic, so the streamed spans keep segments
-		// deterministic below the header. The sink's args are the span's.
-		obs.Trace.SetStreamer(func(e trace.StreamEvent) {
-			rec.Span(recorder.Span{
-				T:     e.TS,
-				DurNs: e.Dur,
-				Ph:    phaseString(e.Ph),
-				Group: e.Group,
-				Track: e.Track,
-				TID:   e.TID,
-				Name:  e.Name,
-				Cat:   e.Cat,
-				Args:  e.Args,
-			})
-		})
+		// deterministic below the header.
+		c.spans = &recorderBridge{rec}
+		obs.Trace.Attach(c.spans)
 		every := obs.SampleEvery
 		if every <= 0 {
 			every = 100 * sim.Millisecond
@@ -440,6 +430,25 @@ func (c *Cluster) observe(obs Observers) {
 	if obs.GaugeEvery > 0 && c.Telemetry != nil {
 		c.startSampler("gauge.sampler", obs.GaugeEvery, nil, true)
 	}
+}
+
+// recorderBridge is the trace consumer that stores each event as a span of
+// the run's record. The sink's args are the span's: the store encodes the
+// line before the call returns.
+type recorderBridge struct{ rec recorder.Recorder }
+
+func (b *recorderBridge) Event(e trace.StreamEvent) {
+	b.rec.Span(recorder.Span{
+		T:     e.TS,
+		DurNs: e.Dur,
+		Ph:    phaseString(e.Ph),
+		Group: e.Group,
+		Track: e.Track,
+		TID:   e.TID,
+		Name:  e.Name,
+		Cat:   e.Cat,
+		Args:  e.Args,
+	})
 }
 
 // phaseString spells a sink's event phase as a constant string: string(ph)

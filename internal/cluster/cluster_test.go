@@ -244,10 +244,10 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 }
 
 // BenchmarkSinkSpanArgs records one transfer the way netsim does — a Span
-// with an int and a string arg — on a sink whose streamer is the cluster's
+// with an int and a string arg — on a sink whose consumer is the cluster's
 // bridge into a store run: the whole call site → sink → bridge → span line
-// path. It allocates only per storage chunk, 0 allocs/op (gated by `make
-// bench-allocs`).
+// path. The args go through the sink's one reused scratch slice, so it is 0
+// allocs/op (gated by `make bench-allocs`).
 func BenchmarkSinkSpanArgs(b *testing.B) {
 	st, err := recorder.OpenStore(b.TempDir())
 	if err != nil {

@@ -76,7 +76,10 @@ func (c *Cluster) FinishSampling() {
 	c.queues = nil
 	c.stages = nil
 	c.Telemetry.SetOnDecide(nil)
-	c.Sim.Tracer().SetStreamer(nil)
+	if c.spans != nil {
+		c.Sim.Tracer().Detach(c.spans)
+		c.spans = nil
+	}
 }
 
 type clusterSampler struct {

@@ -12,12 +12,16 @@ import (
 )
 
 // tracedSort runs a small DSM-Sort with an optional trace sink attached and
-// returns the elapsed virtual time and the sink.
-func tracedSort(t *testing.T, attach bool) (sim.Duration, *trace.Sink) {
+// returns the elapsed virtual time, the sink and the Chrome JSON its events
+// streamed into.
+func tracedSort(t *testing.T, attach bool) (sim.Duration, *trace.Sink, []byte) {
 	t.Helper()
 	var sink *trace.Sink
+	var doc bytes.Buffer
+	cw := trace.NewChromeWriter(&doc)
 	if attach {
 		sink = trace.New()
+		sink.Attach(cw)
 	}
 	cl := cluster.NewObserved(testParams(1, 4), cluster.Observers{Trace: sink})
 	in := MakeInput(cl, 1<<12, records.Uniform{}, 42, 64)
@@ -27,7 +31,10 @@ func tracedSort(t *testing.T, attach bool) (sim.Duration, *trace.Sink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Elapsed, sink
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res.Elapsed, sink, doc.Bytes()
 }
 
 type traceEvent struct {
@@ -43,19 +50,15 @@ type traceEvent struct {
 // exports valid Chrome trace-event JSON with nested spans, non-negative
 // durations, and per-track monotonic timestamps.
 func TestTraceExportWellFormed(t *testing.T) {
-	_, sink := tracedSort(t, true)
+	_, sink, js := tracedSort(t, true)
 	if sink.Events() == 0 {
 		t.Fatal("traced sort recorded no events")
 	}
 
-	var buf bytes.Buffer
-	if err := sink.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(js, &doc); err != nil {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
 
@@ -105,16 +108,9 @@ func TestTraceExportWellFormed(t *testing.T) {
 
 // TestTraceDeterministic: the same seed must export a byte-identical trace.
 func TestTraceDeterministic(t *testing.T) {
-	_, s1 := tracedSort(t, true)
-	_, s2 := tracedSort(t, true)
-	var a, b bytes.Buffer
-	if err := s1.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	_, _, a := tracedSort(t, true)
+	_, _, b := tracedSort(t, true)
+	if !bytes.Equal(a, b) {
 		t.Fatal("same seed exported different traces")
 	}
 }
@@ -122,8 +118,8 @@ func TestTraceDeterministic(t *testing.T) {
 // TestNilSinkTimingUnchanged: tracing must be observation only — attaching a
 // sink cannot change any simulated timing.
 func TestNilSinkTimingUnchanged(t *testing.T) {
-	untraced, _ := tracedSort(t, false)
-	traced, _ := tracedSort(t, true)
+	untraced, _, _ := tracedSort(t, false)
+	traced, _, _ := tracedSort(t, true)
 	if untraced != traced {
 		t.Fatalf("traced run elapsed %v, untraced %v", traced, untraced)
 	}

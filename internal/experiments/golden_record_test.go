@@ -32,10 +32,22 @@ import (
 // new `latencies` member was removed, and the finish line equalled the old
 // one once `histograms` (old) and `latencies` (new) were removed — both list
 // the same nine instruments with the same counts.
+//
+// The two JSON hashes were captured again (d4aa09b6... composed and
+// fe549185... sink before) when the sink stopped storing events and both
+// documents became one pass of trace.ChromeWriter, which names a process or
+// thread just before the first event that uses it. What moved: the 59
+// metadata events now sit in front of their first use instead of all at the
+// top; the sink's pids are numbered by first appearance (procs, asu0, asu1,
+// queues, host0) instead of group registration (host0, asu0, asu1, procs,
+// queues), which the composed export already did; and a track with no events
+// is no longer named, which drops nothing here because every one of this
+// cell's tracks carries events. The 4 712 data events are the same in the
+// same order once each pid is read as its process name.
 const (
 	goldenSegmentBody = "30fa6cd836743eebe7b9b05fa4eb12317fe8182a5c2b9a4723a93e32f3e9cf46"
-	goldenComposed    = "d4aa09b6adb197c6fe2ae09296e5dbe11ae4cf61b7396ad8ff37742baf14bf69"
-	goldenSinkJSON    = "fe549185aab79d309a39a66892364b7a55f7bb5bfcd12f5182dc94562fb4f5eb"
+	goldenComposed    = "edc4c353a100916fead615f6dfdc722918f3ffb1acac794397ddae7ac8ffd4b4"
+	goldenSinkJSON    = "a9f1d6964fc9c0ff2cd69c57941850660d958ee4183ec2453277dfefe801516a"
 	goldenSinkCSV     = "42cad73a0643ab0d7e9fff7a4a1cef00315f23bf5ba21a7eddbc585eb94b2d97"
 )
 
@@ -68,9 +80,10 @@ func segmentBody(t *testing.T, st *recorder.Store) (*recorder.RunRecord, []byte)
 	return runs[0], b[i+1:]
 }
 
-// TestGoldenSegmentAndTrace records the small traced cell and compares every
-// byte it stores or exports with what the parent commit produced, then
-// replays the loaded run into a fresh store and requires the same bytes back.
+// TestGoldenSegmentAndTrace records the small traced cell, with the JSON and
+// CSV writers streaming beside the store, and compares every byte it stores
+// or exports with the pinned hashes, then replays the loaded run into a fresh
+// store and requires the same bytes back.
 func TestGoldenSegmentAndTrace(t *testing.T) {
 	st, err := recorder.OpenStore(t.TempDir())
 	if err != nil {
@@ -78,6 +91,10 @@ func TestGoldenSegmentAndTrace(t *testing.T) {
 	}
 	spec := recordSpec("cell")
 	spec.Trace = trace.New()
+	var sinkJSON, sinkCSV bytes.Buffer
+	jw, cw := trace.NewChromeWriter(&sinkJSON), trace.NewCSVWriter(&sinkCSV)
+	spec.Trace.Attach(jw)
+	spec.Trace.Attach(cw)
 	spec.Record = st
 	spec.Experiment = "golden"
 	spec.SampleEvery = 2 * sim.Millisecond
@@ -89,14 +106,14 @@ func TestGoldenSegmentAndTrace(t *testing.T) {
 		t.Fatalf("stored %d spans, sink recorded %d events", n, spec.Trace.Events())
 	}
 
-	var composed, sinkJSON, sinkCSV bytes.Buffer
+	var composed bytes.Buffer
 	if err := recorder.ComposeTrace(&composed, []*recorder.RunRecord{run}); err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.Trace.WriteJSON(&sinkJSON); err != nil {
+	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.Trace.WriteCSV(&sinkCSV); err != nil {
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -105,12 +122,17 @@ func TestGoldenSegmentAndTrace(t *testing.T) {
 	}{
 		{"segment below the header", goldenSegmentBody, body},
 		{"ComposeTrace output", goldenComposed, composed.Bytes()},
-		{"Sink.WriteJSON output", goldenSinkJSON, sinkJSON.Bytes()},
-		{"Sink.WriteCSV output", goldenSinkCSV, sinkCSV.Bytes()},
+		{"ChromeWriter output", goldenSinkJSON, sinkJSON.Bytes()},
+		{"CSVWriter output", goldenSinkCSV, sinkCSV.Bytes()},
 	} {
 		if got := sha256Hex(c.got); got != c.want {
 			t.Errorf("%s: sha256 %s over %d bytes, want %s", c.what, got, len(c.got), c.want)
 		}
+	}
+	// One path: the composed export is the live one but for the run-id
+	// prefix on its process names.
+	if got := bytes.ReplaceAll(composed.Bytes(), []byte(`"`+run.Header.RunID+"/"), []byte(`"`)); !bytes.Equal(got, sinkJSON.Bytes()) {
+		t.Error("ComposeTrace output differs from the live ChromeWriter's beyond the run-id process prefix")
 	}
 
 	st2, err := recorder.OpenStore(t.TempDir())

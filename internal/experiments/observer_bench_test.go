@@ -48,10 +48,10 @@ func benchObservers(b *testing.B, spec SortRunSpec, traced, critpath, recorded b
 }
 
 // BenchmarkObservedQuickCell is the quick bench cell with the trace sink and
-// the run store both attached — every trace event stored and streamed. Its
-// allocs/op are gated by `make bench-allocs`: no trace event allocates, so a
-// regression in the call sites' args, the span encoder, the bridge or the
-// sink's storage shows up here as a multiple.
+// the run store both attached — every trace event streamed into the store.
+// Its allocs/op are gated by `make bench-allocs`: no trace event allocates,
+// so a regression in the call sites' args, the sink, the bridge or the span
+// encoder shows up here as a multiple.
 func BenchmarkObservedQuickCell(b *testing.B) {
 	benchObservers(b, BenchMatrix(true, 1)[0], true, false, true)
 }

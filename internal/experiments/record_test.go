@@ -343,8 +343,8 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestTraceRecordingNeutrality extends the neutrality property to the trace
-// streamer: a run with tracing attached AND streamed into a store produces a
+// TestTraceRecordingNeutrality extends the neutrality property to the
+// recorder's trace consumer: a run with tracing attached AND streamed into a store produces a
 // report byte-identical to the bare run, the stored segment holds the sink's
 // spans, and re-recording yields byte-identical span streams (below the
 // volatile header).

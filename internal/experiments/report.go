@@ -35,7 +35,8 @@ type SortRunSpec struct {
 	// is a pure observer — the report's bytes are identical with or
 	// without it.
 	Record recorder.Sink
-	// Trace, when non-nil, attaches a structured trace sink to the run.
+	// Trace, when non-nil, attaches a structured trace sink to the run; its
+	// consumers (a trace file's writer, say) are attached before the run.
 	// With Record also set, every trace event additionally streams into the
 	// recorder as a Span record. Tracing is a pure observer too: the
 	// report's bytes are identical with or without it.

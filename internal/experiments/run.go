@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"strings"
 
 	"lmas/internal/bte"
 	"lmas/internal/cluster"
@@ -261,22 +259,4 @@ func distSortPipeline(cl *cluster.Cluster, n int, gen *records.Generator, alpha,
 		pl.AddSource(fmt.Sprintf("read%d", i), cl.ASUs[i], set.Scan(i, false), dist, route.Pin(i))
 	}
 	return pl, edge, nil
-}
-
-// WriteTrace exports sink to path: a flat CSV time series when the name ends
-// in .csv, Chrome trace-event JSON (Perfetto, chrome://tracing) otherwise.
-func WriteTrace(sink *trace.Sink, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = sink.WriteCSV(f)
-	} else {
-		err = sink.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -16,45 +16,25 @@ import (
 // (emission) order; the output is byte-stable for identical inputs.
 func ComposeTrace(w io.Writer, runs []*RunRecord) error {
 	cw := trace.NewChromeWriter(w)
-	// Pass 1: name every process and thread before any event references it.
-	// pids are assigned by first appearance across the given run order;
-	// tids reuse the stored per-run track ids (unique within a run, and
-	// every pid belongs to exactly one run).
-	type pidKey struct {
-		run   int
-		group string
-	}
-	pids := make(map[pidKey]int)
-	type tidKey struct {
-		run int
-		tid int32
-	}
-	namedTIDs := make(map[tidKey]bool)
-	for ri, run := range runs {
+	for _, run := range runs {
+		// The writer numbers processes by first appearance across the given
+		// run order and names each (process, stored track id) pair before its
+		// first span. A run's track ids are unique within it, and its run ID
+		// within its store, so every process belongs to exactly one run.
+		procs := make(map[string]string) // group -> "<run-id>/<group>"
 		for _, sp := range run.Spans() {
-			pk := pidKey{ri, sp.Group}
-			pid, ok := pids[pk]
+			proc, ok := procs[sp.Group]
 			if !ok {
-				pid = len(pids)
-				pids[pk] = pid
-				cw.Process(pid, run.Header.RunID+"/"+sp.Group)
+				proc = run.Header.RunID + "/" + sp.Group
+				procs[sp.Group] = proc
 			}
-			tk := tidKey{ri, sp.TID}
-			if !namedTIDs[tk] {
-				namedTIDs[tk] = true
-				cw.Thread(pid, sp.TID, sp.Track)
-			}
-		}
-	}
-	// Pass 2: the events themselves.
-	for ri, run := range runs {
-		for _, sp := range run.Spans() {
-			e := trace.StreamEvent{TS: sp.T, Dur: sp.DurNs, TID: sp.TID, Name: sp.Name, Cat: sp.Cat, Args: sp.Args}
+			e := trace.StreamEvent{TS: sp.T, Dur: sp.DurNs, Group: proc, Track: sp.Track, TID: sp.TID,
+				Name: sp.Name, Cat: sp.Cat, Args: sp.Args}
 			if len(sp.Ph) == 1 { // anything else stays 0, which Event rejects
 				e.Ph = sp.Ph[0]
 			}
-			if err := cw.Event(pids[pidKey{ri, sp.Group}], e); err != nil {
-				return fmt.Errorf("compose trace: run %s: %w", run.Header.RunID, err)
+			if cw.Event(e); cw.Err() != nil {
+				return fmt.Errorf("compose trace: run %s: %w", run.Header.RunID, cw.Err())
 			}
 		}
 	}

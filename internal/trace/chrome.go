@@ -63,20 +63,32 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// ChromeWriter streams one Chrome trace-event JSON document ("JSON object
-// format", loadable in Perfetto or chrome://tracing): name the processes and
-// threads, write the events, Close. It is the only place the event layout is
-// spelled out — Sink.WriteJSON and the run store's composed export both go
-// through it. Write errors are sticky and reported by Close.
+// ChromeWriter is the Consumer that writes one Chrome trace-event JSON
+// document ("JSON object format", loadable in Perfetto or chrome://tracing)
+// as events arrive, then Close. Each event group becomes a process, numbered
+// by first appearance, and each track id a thread of its process; both are
+// named by a metadata event just before the first event that uses them. It is
+// the only place the event layout is spelled out — `dsmsort -trace` and the
+// run store's composed export both go through it. Timestamps are virtual-time
+// microseconds. Errors are sticky: Err reports an unknown phase, Close that
+// or else the first write error.
 type ChromeWriter struct {
-	w   *bufio.Writer
-	buf []byte
-	n   int // array elements written so far
+	w       *bufio.Writer
+	buf     []byte
+	n       int            // array elements written so far
+	pids    map[string]int // process name -> pid
+	threads map[thread]bool
+	err     error
+}
+
+type thread struct {
+	pid int
+	tid int32
 }
 
 // NewChromeWriter starts a document on w.
 func NewChromeWriter(w io.Writer) *ChromeWriter {
-	cw := &ChromeWriter{w: bufio.NewWriter(w)}
+	cw := &ChromeWriter{w: bufio.NewWriter(w), pids: make(map[string]int), threads: make(map[thread]bool)}
 	cw.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	return cw
 }
@@ -107,14 +119,6 @@ func (cw *ChromeWriter) meta(kind string, pid int, tid int32, name string) {
 	cw.emit(append(b, `}}`...))
 }
 
-// Process names process pid.
-func (cw *ChromeWriter) Process(pid int, name string) { cw.meta("process_name", pid, 0, name) }
-
-// Thread names thread tid of process pid.
-func (cw *ChromeWriter) Thread(pid int, tid int32, name string) {
-	cw.meta("thread_name", pid, tid, name)
-}
-
 // appendUsec renders a virtual-time nanosecond stamp as the microseconds the
 // Chrome trace-event format expects, with fixed sub-microsecond precision so
 // output is byte-stable.
@@ -122,15 +126,27 @@ func appendUsec(dst []byte, t Time) []byte {
 	return strconv.AppendFloat(dst, float64(t)/1e3, 'f', 3, 64)
 }
 
-// Event writes e on thread e.TID of process pid; e.Group and e.Track are not
-// used (Process and Thread carry the names). It fails on a phase a Sink never
-// records (a stored span can hold anything), and then writes nothing for that
-// event.
-func (cw *ChromeWriter) Event(pid int, e StreamEvent) error {
+// Event writes e on thread e.TID of process e.Group, naming either first if
+// no earlier event used it. A phase a Sink never records (a stored span can
+// hold anything) writes nothing and becomes the writer's error.
+func (cw *ChromeWriter) Event(e StreamEvent) {
 	switch e.Ph {
 	case phaseBegin, phaseEnd, phaseSpan, phaseInstant, phaseCounter:
 	default:
-		return fmt.Errorf("trace: event %q: unknown phase %q", e.Name, e.Ph)
+		if cw.err == nil {
+			cw.err = fmt.Errorf("trace: event %q: unknown phase %q", e.Name, e.Ph)
+		}
+		return
+	}
+	pid, ok := cw.pids[e.Group]
+	if !ok {
+		pid = len(cw.pids)
+		cw.pids[e.Group] = pid
+		cw.meta("process_name", pid, 0, e.Group)
+	}
+	if th := (thread{pid, e.TID}); !cw.threads[th] {
+		cw.threads[th] = true
+		cw.meta("thread_name", pid, e.TID, e.Track)
 	}
 	b := append(cw.open(), `{"name":`...)
 	b = AppendString(b, e.Name)
@@ -166,11 +182,17 @@ func (cw *ChromeWriter) Event(pid int, e StreamEvent) error {
 		b = append(b, '}')
 	}
 	cw.emit(append(b, '}'))
-	return nil
 }
 
-// Close ends the document and flushes it, returning the first write error.
+// Err returns the first unknown-phase error, nil if there was none.
+func (cw *ChromeWriter) Err() error { return cw.err }
+
+// Close ends the document and flushes it. It returns the first error: an
+// unknown phase, else the first write error.
 func (cw *ChromeWriter) Close() error {
 	cw.w.WriteString("\n]}\n")
-	return cw.w.Flush()
+	if err := cw.w.Flush(); cw.err == nil {
+		cw.err = err
+	}
+	return cw.err
 }

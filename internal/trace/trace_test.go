@@ -50,18 +50,9 @@ func TestNilSinkIsInert(t *testing.T) {
 	s.Span(tr, 0, 1, "x", "c")
 	s.Instant(tr, 0, "x", "c")
 	s.Counter(tr, 0, "x", 1)
+	s.Attach(&lines{})
 	if s.Events() != 0 || s.Tracks() != 0 {
 		t.Fatal("nil sink recorded something")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil-sink JSON invalid: %v", err)
 	}
 }
 
@@ -74,10 +65,15 @@ func TestZeroTrackEventsDropped(t *testing.T) {
 	}
 }
 
-func buildSample() *Sink {
+// buildSample records a small trace into the given consumers.
+func buildSample(consumers ...Consumer) *Sink {
 	s := New()
+	for _, c := range consumers {
+		s.Attach(c)
+	}
 	cpu := s.SharedTrack("asu0", "asu0.cpu")
 	disk := s.SharedTrack("asu0", "asu0.disk")
+	s.SharedTrack("asu0", "asu0.nic") // no events: never named
 	proc := s.NewTrack("procs", "reader")
 	s.Instant(proc, 0, "spawn", "proc")
 	s.Begin(cpu, 1000, "hold", "resource", Str("proc", "reader"), Bool("high", false))
@@ -85,6 +81,18 @@ func buildSample() *Sink {
 	s.End(cpu, 3000)
 	s.Counter(proc, 3000, "depth", 2)
 	return s
+}
+
+// sampleJSON is buildSample's events through a ChromeWriter.
+func sampleJSON(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := NewChromeWriter(&buf)
+	buildSample(cw)
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 type traceEvent struct {
@@ -98,11 +106,11 @@ type traceEvent struct {
 	Args json.RawMessage `json:"args"`
 }
 
+// TestWriteJSONValid: the ChromeWriter's document parses, names each
+// process and thread once, just before the first event that uses it, and
+// leaves a track without events unnamed.
 func TestWriteJSONValid(t *testing.T) {
-	var buf bytes.Buffer
-	if err := buildSample().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(sampleJSON(t))
 	var doc struct {
 		DisplayTimeUnit string       `json:"displayTimeUnit"`
 		TraceEvents     []traceEvent `json:"traceEvents"`
@@ -129,9 +137,17 @@ func TestWriteJSONValid(t *testing.T) {
 			t.Fatalf("negative duration on %q", e.Name)
 		}
 	}
-	// 2 groups + 3 tracks named, 5 recorded events.
+	// 2 groups + 3 tracks named (not the idle NIC), 5 recorded events.
 	if meta != 5 || data != 5 {
 		t.Fatalf("meta=%d data=%d, want 5/5", meta, data)
+	}
+	var order []string
+	for _, e := range doc.TraceEvents {
+		order = append(order, e.Ph+":"+e.Name)
+	}
+	want := "M:process_name M:thread_name i:spawn M:process_name M:thread_name B:hold M:thread_name X:read.cold E: C:depth"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("event order:\n%s\nwant:\n%s", got, want)
 	}
 	// Timestamps are microseconds: the hold began at 1000 ns = 1 µs.
 	if !strings.Contains(buf.String(), `"ts":1.000`) {
@@ -140,21 +156,16 @@ func TestWriteJSONValid(t *testing.T) {
 }
 
 func TestWriteJSONDeterministic(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := buildSample().WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildSample().WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(sampleJSON(t), sampleJSON(t)) {
 		t.Fatal("identical sinks exported different bytes")
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := buildSample().WriteCSV(&buf); err != nil {
+	cw := NewCSVWriter(&buf)
+	buildSample(cw)
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -170,14 +181,34 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestSpanClampsNegativeDuration(t *testing.T) {
+	var buf bytes.Buffer
+	cw := NewChromeWriter(&buf)
 	s := New()
+	s.Attach(cw)
 	tr := s.NewTrack("g", "n")
 	s.Span(tr, 100, 50, "x", "c")
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"dur":0.000`) {
 		t.Fatalf("inverted span not clamped:\n%s", buf.String())
+	}
+}
+
+// TestChromeWriterRejectsUnknownPhase: an event whose phase a Sink never
+// records (a stored span can hold anything) writes nothing and is the
+// writer's error.
+func TestChromeWriterRejectsUnknownPhase(t *testing.T) {
+	var buf bytes.Buffer
+	cw := NewChromeWriter(&buf)
+	cw.Event(StreamEvent{Ph: 'Q', Group: "g", Track: "t", TID: 1, Name: "odd"})
+	if cw.Err() == nil {
+		t.Fatal("unknown phase accepted")
+	}
+	if err := cw.Close(); err == nil || !strings.Contains(err.Error(), `event "odd": unknown phase 'Q'`) {
+		t.Fatalf("Close = %v, want the unknown-phase error", err)
+	}
+	if got := buf.String(); got != `{"displayTimeUnit":"ms","traceEvents":[`+"\n]}\n" {
+		t.Fatalf("wrote %q, want an empty document", got)
 	}
 }
