@@ -36,7 +36,7 @@ func NewRunStore(cl *cluster.Cluster, alpha int) *RunStore {
 
 func (rs *RunStore) put(p *sim.Proc, asu int, pk container.Packet) {
 	if pk.Bucket < 0 || pk.Bucket >= len(rs.Streams[asu]) {
-		panic(fmt.Sprintf("dsmsort: run with bucket %d out of range", pk.Bucket))
+		p.Fail(fmt.Errorf("run with bucket %d out of range on asu%d", pk.Bucket, asu))
 	}
 	st := rs.Streams[asu][pk.Bucket]
 	if st == nil {

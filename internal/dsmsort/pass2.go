@@ -342,7 +342,7 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 		// Stream to the consuming host merger; the network hop is
 		// charged by the host side on receipt (it knows its NIC).
 		if err := q.Put(p, pk); err != nil {
-			panic(err)
+			p.Fail(err)
 		}
 		pf.EndPacket(p)
 	})
@@ -394,7 +394,7 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 		*stripe++
 		cl.Net.Stream(p, host.NIC, cl.ASUs[dest].NIC, pk.Bytes()+64)
 		if err := collectors[dest].Put(p, pk); err != nil {
-			panic(err)
+			p.Fail(err)
 		}
 		pf.EndPacket(p)
 	})

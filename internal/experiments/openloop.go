@@ -359,7 +359,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 				cl.Net.Send(jp, host.NIC, asu.NIC, 256)
 				setPhase(id, jobPhaseQueueWait, jp.Now())
 				if err := queues[asuIdx].Put(jp, openJob{id: id, arrival: arrival}); err != nil {
-					panic(err)
+					// Unreachable: the queues close after the last job's Put.
+					jp.Fail(err)
 				}
 				if delivered++; delivered == opt.Jobs {
 					closeQueues()
@@ -373,7 +374,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	})
 
 	if err := s.Run(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("openloop: %w", err)
 	}
 
 	res := &OpenLoopResult{

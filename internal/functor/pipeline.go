@@ -123,7 +123,7 @@ func (e *Edge) deliver(ctx *Ctx, pk container.Packet) {
 	e.Packets++
 	if err := dest.In.Put(ctx.Proc, pk); err != nil {
 		// Unreachable: inboxes close once every courier, this one too, called producerDone.
-		panic(fmt.Sprintf("functor: deliver to closed inbox %s", dest.Label()))
+		ctx.Proc.Fail(fmt.Errorf("deliver to closed inbox %s: %w", dest.Label(), err))
 	}
 	// Sparse backlog sampling: a gauge point every 64th delivery, not a
 	// periodic sampler proc — a sampler's trailing wakeups would extend the
@@ -163,7 +163,7 @@ func (e *Edge) producerDone(ctx *Ctx) {
 	st.producers--
 	if st.producers < 0 {
 		// Unreachable: Run counts one producer per courier, and each calls this once.
-		panic("functor: too many producerDone on stage " + st.Name)
+		ctx.Proc.Fail(fmt.Errorf("too many producerDone on stage %s", st.Name))
 	}
 	if st.producers == 0 {
 		for _, in := range st.instances {
@@ -354,7 +354,7 @@ func (p *Pipeline) spawn() {
 				pk.Prov = id
 				if err := outbox.Put(proc, pk); err != nil {
 					// Unreachable: only this proc closes the outbox, after its last Put.
-					panic(err)
+					proc.Fail(err)
 				}
 				pf.EndPacket(proc)
 			}
@@ -473,7 +473,7 @@ func (in *Instance) run(proc *sim.Proc) {
 		}
 		if err := in.out.Put(proc, pk); err != nil {
 			// Unreachable: the outbox closes only after Flush, the kernel's last emit, returns.
-			panic(err)
+			proc.Fail(err)
 		}
 	}
 	proc.TraceBegin("stage "+in.Stage.Name, "functor", trace.Str("node", in.Node.Name))
@@ -522,7 +522,7 @@ func (p *Pipeline) Run() (sim.Duration, error) {
 	start := p.cl.Sim.Now()
 	p.spawn()
 	if err := p.cl.Sim.Run(); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("functor: %w", err)
 	}
 	p.flushTelemetry()
 	return sim.Duration(p.cl.Sim.Now() - start), nil

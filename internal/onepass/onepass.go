@@ -95,7 +95,7 @@ func Sort(cl *cluster.Cluster, cfg Config, in *dsmsort.Input) (*Result, error) {
 		cl.Hosts[0].Compute(p, float64(len(sampleKeys))*cluster.CeilLog2(len(sampleKeys))*cl.Params.Costs.CompareOps)
 	})
 	if err := cl.Sim.Run(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("onepass: %w", err)
 	}
 	if len(sampleKeys) == 0 {
 		return nil, fmt.Errorf("onepass: empty input")

@@ -267,7 +267,8 @@ func (dt *Distributed) runQuery(p *sim.Proc, host *cluster.Node, q Rect, qIdx in
 			}
 			cl.Net.Send(sub, asu.NIC, host.NIC, len(w.matches)*EntryBytes+64)
 			if err := results.Put(sub, w.matches); err != nil {
-				panic(err)
+				// Unreachable: nothing closes the result queue.
+				sub.Fail(err)
 			}
 		})
 	}
@@ -281,7 +282,7 @@ func (dt *Distributed) runQuery(p *sim.Proc, host *cluster.Node, q Rect, qIdx in
 	for got := 0; got < len(work); {
 		k, ok := results.GetN(p, batch[:len(work)-got])
 		if !ok {
-			panic("rtree: result queue closed early")
+			p.Fail(fmt.Errorf("query %d: result queue closed early", qIdx))
 		}
 		for _, m := range batch[:k] {
 			ids = append(ids, m...)
@@ -302,11 +303,11 @@ func (dt *Distributed) QueryOnce(q Rect) (ids []uint32, latency sim.Duration, er
 		ids = dt.runQuery(p, cl.Hosts[0], q, 0)
 		end = p.Now()
 	})
-	if rerr := cl.Sim.Run(); rerr != nil {
-		return nil, 0, rerr
+	if err := cl.Sim.Run(); err != nil {
+		return nil, 0, fmt.Errorf("rtree: %w", err)
 	}
 	if err := validate(ids, BruteForce(dt.entries, q)); err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("rtree: %w", err)
 	}
 	return ids, sim.Duration(end - start), nil
 }
@@ -320,31 +321,27 @@ func (dt *Distributed) Throughput(queries []Rect, clientsPerHost int) (sim.Durat
 		clientsPerHost = 1
 	}
 	next := 0
-	var verr error
 	start := cl.Sim.Now()
 	for h, host := range cl.Hosts {
 		for c := 0; c < clientsPerHost; c++ {
 			host := host
 			cl.Sim.Spawn(fmt.Sprintf("client%d.%d", h, c), func(p *sim.Proc) {
 				for {
-					if next >= len(queries) || verr != nil {
+					if next >= len(queries) {
 						return
 					}
 					qi := next
 					next++
 					ids := dt.runQuery(p, host, queries[qi], qi)
-					if err := validate(ids, BruteForce(dt.entries, queries[qi])); err != nil && verr == nil {
-						verr = fmt.Errorf("query %d: %w", qi, err)
+					if err := validate(ids, BruteForce(dt.entries, queries[qi])); err != nil {
+						p.Fail(fmt.Errorf("query %d: %w", qi, err))
 					}
 				}
 			})
 		}
 	}
 	if err := cl.Sim.Run(); err != nil {
-		return 0, 0, err
-	}
-	if verr != nil {
-		return 0, 0, verr
+		return 0, 0, fmt.Errorf("rtree: %w", err)
 	}
 	elapsed := sim.Duration(cl.Sim.Now() - start)
 	if elapsed <= 0 {
@@ -355,7 +352,7 @@ func (dt *Distributed) Throughput(queries []Rect, clientsPerHost int) (sim.Durat
 
 func validate(got, want []uint32) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("rtree: %d matches, brute force %d", len(got), len(want))
+		return fmt.Errorf("%d matches, brute force %d", len(got), len(want))
 	}
 	g := append([]uint32(nil), got...)
 	w := append([]uint32(nil), want...)
@@ -363,7 +360,7 @@ func validate(got, want []uint32) error {
 	sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
 	for i := range g {
 		if g[i] != w[i] {
-			return fmt.Errorf("rtree: match set differs at %d: %d vs %d", i, g[i], w[i])
+			return fmt.Errorf("match set differs at %d: %d vs %d", i, g[i], w[i])
 		}
 	}
 	return nil

@@ -145,7 +145,7 @@ func (dt *Distributed) maintain(onHost bool) (sim.Duration, error) {
 		}
 	}
 	if err := cl.Sim.Run(); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("rtree: %w", err)
 	}
 	return sim.Duration(cl.Sim.Now() - start), nil
 }
@@ -164,7 +164,7 @@ func (dt *Distributed) InsertBatch(entries []Entry) (sim.Duration, error) {
 		}
 	})
 	if err := cl.Sim.Run(); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("rtree: %w", err)
 	}
 	return sim.Duration(cl.Sim.Now() - start), nil
 }

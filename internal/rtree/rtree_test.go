@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +180,23 @@ func TestThroughputValidatesResults(t *testing.T) {
 	dt := NewDistributed(distCluster(3), es, 8, Partition)
 	if _, _, err := dt.Throughput(GenerateQueries(20, 0.1, 11), 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestThroughputFailsOnFirstInvalidQuery: a query whose matches disagree
+// with the brute-force scan fails the whole run, naming the query, and the
+// clients and ASU responders still in flight are killed, not leaked.
+func TestThroughputFailsOnFirstInvalidQuery(t *testing.T) {
+	es := GenerateEntries(500, 0.01, 10)
+	dt := NewDistributed(distCluster(3), es, 8, Partition)
+	dt.entries = nil // the brute-force reference now finds nothing
+	before := runtime.NumGoroutine()
+	_, _, err := dt.Throughput(GenerateQueries(20, 0.1, 11), 4)
+	if err == nil || !strings.HasPrefix(err.Error(), "rtree: query ") || !strings.Contains(err.Error(), "brute force 0") {
+		t.Fatalf("Throughput = %v, want the first invalid query's error", err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after", before, after)
 	}
 }
 

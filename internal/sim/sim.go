@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"math/bits"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -42,8 +44,8 @@ func (e event) before(f event) bool {
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
-// one with New. The goroutine that calls Run, RunFor, Kill or Shutdown is
-// the scheduler and the only dispatcher: it pops events in (time, partition,
+// one with New. The goroutine that calls Run, Kill or Shutdown is the
+// scheduler and the only dispatcher: it pops events in (time, partition,
 // seq) order and runs each callback or proc resumption to completion before
 // the next. Procs are runtime coroutines (iter.Pull) that the scheduler
 // switches into and that switch back when they park, so exactly one flow of
@@ -84,6 +86,8 @@ type Sim struct {
 
 	procs  map[*Proc]bool // all live procs
 	inProc bool           // true while a proc has control
+
+	err error // the run's first failure (Fail or a proc panic), for Run
 
 	// tracer, when non-nil, receives structured events from the kernel and
 	// from device models built on it. Untraced runs pay one nil check.
@@ -355,27 +359,6 @@ func (hp *eventHeap) pop() event {
 	return top
 }
 
-// peekNext reports the earliest queued event without removing it. The
-// current-instant candidate is the head of the lowest active ring: every
-// ring entry shares t == now, so the ascending-partition scan plus each
-// ring's FIFO order is exactly (t, part, seq) order.
-func (s *Sim) peekNext() (event, bool) {
-	s.syncTier()
-	part := s.lowestActive()
-	hok := len(s.events) > 0
-	if part >= 0 {
-		r := &s.nowqs[part]
-		if hok && s.events[0].before(r.q[r.head]) {
-			return s.events[0], true
-		}
-		return r.q[r.head], true
-	}
-	if hok {
-		return s.events[0], true
-	}
-	return event{}, false
-}
-
 // popNext removes and returns the earliest queued event.
 func (s *Sim) popNext() (event, bool) {
 	s.syncTier()
@@ -459,7 +442,7 @@ type Proc struct {
 	part int32 // event-ordering partition (0 = global)
 	// next switches from the scheduler into the proc and returns when the
 	// proc parks or its coroutine ends; yield is the switch back. A panic in
-	// the proc resurfaces from next with its original value.
+	// the proc is recovered inside it and fails the run (see Proc.run).
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
 	killed bool
@@ -486,6 +469,40 @@ func (p *Proc) Sim() *Sim { return p.sim }
 func (p *Proc) Now() Time { return p.sim.now }
 
 type killedSentinel struct{ name string }
+
+// unwind ends the calling proc through its deferred calls (killed or Fail).
+func (p *Proc) unwind() { panic(killedSentinel{p.name}) }
+
+// Fail ends the run with err, unless an earlier failure did, and unwinds the
+// calling proc through its deferred calls; then Run kills every other proc
+// and returns the first failure. Like testing.T.FailNow, it does not return.
+// It must be called by the running proc; a nil err still fails the run.
+func (p *Proc) Fail(err error) {
+	if err == nil {
+		err = errors.New("sim: proc " + p.name + " failed with a nil error")
+	}
+	if p.sim.err == nil {
+		p.sim.err = err
+	}
+	p.unwind()
+}
+
+// ProcPanicError is the failure Run returns when a proc body panics.
+type ProcPanicError struct {
+	Proc  string // the panicking proc's name
+	Value any    // the value passed to panic
+	Stack []byte // the proc's stack at the panic (debug.Stack)
+}
+
+func (e *ProcPanicError) Error() string {
+	return fmt.Sprintf("sim: proc %s panicked: %v", e.Proc, e.Value)
+}
+
+// Unwrap returns Value when it is an error, for errors.Is and errors.As.
+func (e *ProcPanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
 
 // Spawn starts a new proc running fn. The proc is scheduled to begin at the
 // current virtual time and inherits the spawning context's partition
@@ -527,7 +544,8 @@ func (p *Proc) Partition() int { return int(p.part) }
 // daemon parked with its next wakeup queued. A later Run on the same sim
 // resumes it. Daemons must only Sleep between observations (never block on
 // queues, conds, or resources, which would deadlock them once real work
-// drains), and they survive Run; terminate one with Kill or Shutdown.
+// drains), and they survive a Run that does not fail; terminate one with
+// Kill or Shutdown.
 func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return s.spawn(int(s.curPart), name, fn, true)
 }
@@ -571,7 +589,7 @@ func (s *Sim) spawn(part int, name string, fn func(p *Proc), daemon bool) *Proc 
 }
 
 // main is the body of every proc coroutine: it runs incarnations of p until
-// one ends without pooling the shell (kill, panic, pool cap), or until
+// one ends without pooling the shell (kill, Fail, panic, pool cap), or until
 // drainPool resumes a pooled shell without giving it a body.
 func (p *Proc) main(yield func(struct{}) bool) {
 	p.yield = yield
@@ -588,39 +606,44 @@ func (p *Proc) main(yield func(struct{}) bool) {
 // resumption (wakeups are consumed before it runs, and nothing can target a
 // running proc), so on clean exit no stale event can reference the recycled
 // pointer. A killed proc's pending wakeup may still sit in the queue, so its
-// shell is never reused, and a panicking proc's coroutine is over — the
-// panic leaves through next and reaches the caller of Run. Profiled sims
-// never pool either: the critical-path profiler keys per-proc state by *Proc
-// and must see a fresh pointer per logical proc.
+// shell is never reused, nor a failed one. A proc that failed the run (Fail
+// or a panic, not a kill) empties the event queue after its deferred calls,
+// so Run's loop ends before anything else dispatches. Profiled sims never
+// pool either: the critical-path profiler keys per-proc state by *Proc and
+// must see a fresh pointer per logical proc.
 func (p *Proc) run() (pooled bool) {
 	s := p.sim
 	defer func() {
 		delete(s.procs, p)
-		switch r := recover().(type) {
-		case nil:
+		r := recover()
+		if r == nil {
 			s.tracer.Instant(p.track, int64(s.now), "exit", "proc")
 			if !p.daemon && s.profiler == nil && len(s.freeProcs) < maxFreeProcs {
 				p.fn = nil
 				s.freeProcs = append(s.freeProcs, p)
 				pooled = true
 			}
-		case killedSentinel:
-			s.tracer.Instant(p.track, int64(s.now), "killed", "proc")
-		default:
-			s.inProc = false // runProc's reset is skipped by the unwinding
-			panic(r)
+			return
 		}
+		if _, ok := r.(killedSentinel); !ok && s.err == nil {
+			s.err = &ProcPanicError{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+		if p.killed {
+			s.tracer.Instant(p.track, int64(s.now), "killed", "proc")
+			return
+		}
+		s.tracer.Instant(p.track, int64(s.now), "failed", "proc")
+		s.clearEvents()
 	}()
 	if p.killed {
-		panic(killedSentinel{p.name})
+		p.unwind()
 	}
 	p.fn(p)
 	return
 }
 
 // drainPool ends the coroutines suspended on the free list. Run, Shutdown,
-// and killProcs drain so a finished or abandoned Sim leaks no goroutines;
-// RunFor keeps the pool warm across adaptive windows.
+// and killProcs drain so a finished or abandoned Sim leaks no goroutines.
 func (s *Sim) drainPool() {
 	for i, p := range s.freeProcs {
 		p.next() // fn is nil: main returns
@@ -654,7 +677,7 @@ func (p *Proc) park(why string) {
 		t.End(p.track, int64(p.sim.now))
 	}
 	if p.killed {
-		panic(killedSentinel{p.name})
+		p.unwind()
 	}
 }
 
@@ -697,7 +720,9 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run executes events in virtual-time order until no non-daemon events
-// remain (daemon wakeups are left queued; see SpawnDaemon). If non-daemon
+// remain (daemon wakeups are left queued; see SpawnDaemon) or a proc fails
+// the run (Fail, or a panic as a *ProcPanicError): then Run kills every proc,
+// daemons included, and returns the first failure. Otherwise, if non-daemon
 // procs are still blocked when the queue drains, Run force-terminates every
 // proc and returns a DeadlockError naming the blocked ones. On success all
 // spawned non-daemon procs have finished; daemons stay parked for a later
@@ -711,6 +736,11 @@ func (s *Sim) Run() error {
 		s.now = ev.t
 		s.dispatch(ev)
 	}
+	if err := s.err; err != nil {
+		s.killProcs()
+		s.err = nil
+		return err
+	}
 	var names []string
 	for p := range s.procs {
 		if !p.daemon {
@@ -723,34 +753,14 @@ func (s *Sim) Run() error {
 		return &DeadlockError{Blocked: names}
 	}
 	// End the recycling pool's coroutines: a Sim dropped after Run must not
-	// leak their goroutines. RunFor deliberately keeps the pool warm so
-	// churn keeps reusing shells across adaptive windows.
+	// leak their goroutines.
 	s.drainPool()
 	return nil
 }
 
-// RunFor executes events until the event queue drains or virtual time would
-// pass the current time plus d, whichever comes first. Remaining procs are
-// left parked; call Run to continue or Shutdown to terminate them.
-func (s *Sim) RunFor(d Duration) {
-	deadline := s.now.Add(d)
-	for {
-		ev, ok := s.peekNext()
-		if !ok || ev.t > deadline {
-			break
-		}
-		s.popNext()
-		s.now = ev.t
-		s.dispatch(ev)
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
 // Shutdown force-terminates all live procs (each unwinds via an internal
-// panic its own coroutine recovers). It is safe to call after Run or
-// RunFor; it must not be called from proc context.
+// panic its own coroutine recovers). It is safe to call after Run; it must
+// not be called from proc context.
 func (s *Sim) Shutdown() {
 	s.killProcs()
 }

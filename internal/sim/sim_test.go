@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -182,18 +183,13 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-// runPanics runs s and returns the value Run panicked with (nil if it
-// returned).
-func runPanics(s *Sim) (r any) {
-	defer func() { r = recover() }()
-	s.Run()
-	return
-}
+// explode is a named panicking frame, so the stack test can find it.
+func explode() { panic("kaboom") }
 
-// TestProcPanicPropagates: a proc's panic reaches Run's caller with its
-// original value and leaves the sim in scheduler context, so the survivors
-// can still be shut down.
-func TestProcPanicPropagates(t *testing.T) {
+// TestProcPanicIsAnError: a proc's panic comes back from Run as a
+// *ProcPanicError carrying the original value and the panicking stack, and
+// Run has already killed the survivors and left scheduler context.
+func TestProcPanicIsAnError(t *testing.T) {
 	s := New()
 	c := NewCond(s, "never")
 	unwound := false
@@ -203,20 +199,111 @@ func TestProcPanicPropagates(t *testing.T) {
 	})
 	s.Spawn("boom", func(p *Proc) {
 		p.Sleep(Microsecond)
-		panic("kaboom")
+		explode()
 	})
-	if r := runPanics(s); r != "kaboom" {
-		t.Fatalf("recovered %v, want kaboom", r)
+	err := s.Run()
+	var pe *ProcPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run = %v, want a *ProcPanicError", err)
 	}
-	if s.inProc {
-		t.Error("inProc still set after the panic left Run")
+	if pe.Proc != "boom" || pe.Value != "kaboom" {
+		t.Errorf("ProcPanicError{Proc: %q, Value: %v}, want boom and kaboom", pe.Proc, pe.Value)
 	}
-	if len(s.procs) != 1 {
-		t.Errorf("%d live procs after the panic, want 1 (the bystander)", len(s.procs))
+	if !strings.Contains(string(pe.Stack), "sim.explode(") {
+		t.Errorf("stack does not name the panicking frame:\n%s", pe.Stack)
 	}
-	s.Shutdown()
-	if !unwound || len(s.procs) != 0 || c.Waiters() != 0 {
-		t.Errorf("Shutdown after panic: unwound=%v procs=%d waiters=%d", unwound, len(s.procs), c.Waiters())
+	if !unwound || c.Waiters() != 0 {
+		t.Errorf("bystander: deferred call ran=%v, cond waiters=%d; want it killed by Run", unwound, c.Waiters())
+	}
+	if len(s.procs) != 0 || s.inProc {
+		t.Errorf("after Run: %d live procs, inProc=%v; want 0 and false", len(s.procs), s.inProc)
+	}
+	if got, want := s.Now(), Time(Microsecond); got != want {
+		t.Errorf("Run ended at %v, want the panic's instant %v", got, want)
+	}
+}
+
+// TestProcPanicUnwrapsErrorValue: a panic(err) is a *ProcPanicError whose
+// chain reaches err; a runtime error reaches Run the same way.
+func TestProcPanicUnwrapsErrorValue(t *testing.T) {
+	errBoom := errors.New("boom")
+	s := New()
+	s.Spawn("p", func(p *Proc) { panic(errBoom) })
+	var pe *ProcPanicError
+	if err := s.Run(); !errors.Is(err, errBoom) || !errors.As(err, &pe) {
+		t.Fatalf("Run = %v, want a *ProcPanicError wrapping errBoom", err)
+	}
+	s.Spawn("nil", func(p *Proc) {
+		var m map[string]int
+		m["x"] = 1
+	})
+	var re runtime.Error
+	if err := s.Run(); !errors.As(err, &re) {
+		t.Fatalf("Run = %v, want a runtime.Error in the chain", err)
+	}
+}
+
+// TestFailEndsRun: Fail stops the run at its instant. Run returns exactly the
+// first failure, although the failing proc's own deferred calls fail again
+// and panic, a second proc is due to fail in the same instant and a killed bystander
+// fails from a deferred call; the blocked procs and the parked daemon are
+// killed, not reported as a deadlock; and the sim runs again afterwards.
+func TestFailEndsRun(t *testing.T) {
+	errFirst, errSecond, errLate := errors.New("first"), errors.New("second"), errors.New("late")
+	s := New()
+	c := NewCond(s, "never")
+	ticks := 0
+	s.SpawnDaemon("sampler", func(p *Proc) {
+		for {
+			p.Sleep(Microsecond)
+			ticks++
+		}
+	})
+	s.Spawn("bystander", func(p *Proc) {
+		defer p.Fail(errLate)
+		c.Wait(p)
+	})
+	ranAfter := false
+	s.Spawn("first", func(p *Proc) {
+		defer func() { panic("after the failure") }()
+		defer p.Fail(errSecond)
+		p.Sleep(10 * Microsecond)
+		p.Fail(errFirst)
+		ranAfter = true
+	})
+	s.Spawn("second", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		p.Fail(errSecond)
+	})
+	s.Spawn("later", func(p *Proc) {
+		p.Sleep(Second)
+		t.Error("a proc ran after the run failed")
+	})
+	err := s.Run()
+	if err != errFirst {
+		t.Fatalf("Run = %v, want exactly the first failure", err)
+	}
+	var dl *DeadlockError
+	if errors.As(err, &dl) {
+		t.Errorf("Run reported a deadlock for procs it killed: %v", dl)
+	}
+	if ranAfter {
+		t.Error("Fail returned to its caller")
+	}
+	if got, want := s.Now(), Time(10*Microsecond); got != want {
+		t.Errorf("Run ended at %v, want the failure's instant %v", got, want)
+	}
+	if ticks > 10 || len(s.procs) != 0 || c.Waiters() != 0 || s.inProc {
+		t.Errorf("after Run: ticks=%d procs=%d waiters=%d inProc=%v", ticks, len(s.procs), c.Waiters(), s.inProc)
+	}
+	done := false
+	s.Spawn("next", func(p *Proc) { p.Sleep(Microsecond); done = true })
+	if err := s.Run(); err != nil || !done {
+		t.Fatalf("Run after a failed run = %v (done=%v), want a clean run", err, done)
+	}
+	s.Spawn("nil", func(p *Proc) { p.Fail(nil) })
+	if err := s.Run(); err == nil || !strings.Contains(err.Error(), "nil error") {
+		t.Fatalf("Run after Fail(nil) = %v, want an error naming the nil failure", err)
 	}
 }
 
@@ -296,19 +383,45 @@ func TestNoGoroutineLeak(t *testing.T) {
 			}
 			s.Shutdown()
 		}},
-		{"proc panic then Shutdown", func(t *testing.T) {
+		{"Fail with peers blocked on a cond, a queue and a resource", func(t *testing.T) {
+			s := New()
+			c := NewCond(s, "never")
+			q := NewQueue[int](s, "q", 1)
+			r := NewResource(s, "cpu")
+			s.SpawnDaemon("sampler", func(p *Proc) {
+				for {
+					p.Sleep(Microsecond)
+				}
+			})
+			for i := 0; i < 5; i++ {
+				s.Spawn("cond", func(p *Proc) { c.Wait(p) })
+				s.Spawn("get", func(p *Proc) { q.Get(p) })
+				s.Spawn("use", func(p *Proc) { r.Use(p, Second) })
+				s.Spawn("short", func(p *Proc) { p.Sleep(Microsecond) }) // pooled
+			}
+			errBoom := errors.New("boom")
+			s.Spawn("fail", func(p *Proc) {
+				p.Sleep(Millisecond)
+				p.Fail(errBoom)
+			})
+			if err := s.Run(); err != errBoom {
+				t.Fatalf("Run = %v, want errBoom", err)
+			}
+		}},
+		{"proc panic", func(t *testing.T) {
 			s := New()
 			for i := 0; i < 5; i++ {
 				s.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+				s.Spawn("short", func(p *Proc) { p.Sleep(Microsecond) }) // pooled
 			}
 			s.Spawn("boom", func(p *Proc) {
-				p.Sleep(Microsecond)
+				p.Sleep(Millisecond)
 				panic("kaboom")
 			})
-			if r := runPanics(s); r != "kaboom" {
-				t.Fatalf("recovered %v, want kaboom", r)
+			var pe *ProcPanicError
+			if err := s.Run(); !errors.As(err, &pe) || pe.Value != "kaboom" {
+				t.Fatalf("Run = %v, want a *ProcPanicError with kaboom", err)
 			}
-			s.Shutdown()
 		}},
 	}
 	for _, tc := range cases {

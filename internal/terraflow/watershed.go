@@ -52,7 +52,6 @@ func timeForward(cl *cluster.Cluster, g *Grid, cells []sortedPacket, name string
 		cells = slices.Clone(cells)
 		slices.Reverse(cells)
 	}
-	var werr error
 	start := cl.Sim.Now()
 	// Per-ASU prefetch readers stream the sorted packets toward the host
 	// in parallel, so the (striped) disks overlap their transfers with
@@ -74,9 +73,7 @@ func timeForward(cl *cluster.Cluster, g *Grid, cells []sortedPacket, name string
 			for _, pk := range perASU[i] {
 				asu.Disk.Read(p, pk.Bytes())
 				cl.Net.Stream(p, asu.NIC, host.NIC, pk.Bytes()+64)
-				if feed.Put(p, pk) != nil {
-					return // the host closed the feed: the pass failed
-				}
+				_ = feed.Put(p, pk) // only this reader closes the feed, after its last Put
 			}
 			feed.Close()
 		})
@@ -140,7 +137,7 @@ func timeForward(cl *cluster.Cluster, g *Grid, cells []sortedPacket, name string
 			group = group[:0]
 			return nil
 		}
-		werr = func() error {
+		err := func() error {
 			for _, sp := range cells {
 				pk := sp.pk
 				// Wait for the packet's delivery from its storage unit.
@@ -177,19 +174,12 @@ func timeForward(cl *cluster.Cluster, g *Grid, cells []sortedPacket, name string
 			}
 			return nil
 		}()
-		if werr != nil {
-			for _, f := range feeds {
-				if f != nil {
-					f.Close()
-				}
-			}
+		if err != nil {
+			p.Fail(err) // Run kills the readers still blocked on their feeds
 		}
 	})
 	if err := cl.Sim.Run(); err != nil {
 		return 0, fmt.Errorf("terraflow: %s: %w", name, err)
-	}
-	if werr != nil {
-		return 0, fmt.Errorf("terraflow: %s: %w", name, werr)
 	}
 	return sim.Duration(cl.Sim.Now() - start), nil
 }
