@@ -64,9 +64,9 @@ func Example_quickstart() {
 
 	// Output:
 	// sorted 65536 records on 1 host + 16 ASUs (c=8)
-	//   active storage (distribute on ASUs): 0.2891s total, 0.0399s run formation
-	//   conventional  (all work on host):    0.2849s total, 0.0420s run formation
-	//   run-formation speedup from active storage: 1.05x (the Figure 9 metric)
+	//   active storage (distribute on ASUs): 0.2911s total, 0.0374s run formation
+	//   conventional  (all work on host):    0.2896s total, 0.0403s run formation
+	//   run-formation speedup from active storage: 1.08x (the Figure 9 metric)
 	//   active work split: host 1.8 Mops / ASUs 3.1 Mops
 	//   both outputs validated (sorted + checksummed)
 }
@@ -92,29 +92,29 @@ func Example_skew() {
 
 	// Output:
 	// DSM-Sort on 2 hosts + 16 ASUs; second half of input is skewed
-	//   static routing:   0.82s, host imbalance 0.66
-	//   load-managed SR:  0.58s, host imbalance 0.04
+	//   static routing:   0.84s, host imbalance 0.69
+	//   load-managed SR:  0.57s, host imbalance 0.03
 	//
 	// host CPU utilization over time (#=host1, :=host2):
 	//
 	// static:
 	//   t 0  host1 #################               host2
-	//   t 1  host1 ##############################  host2 ::::
-	//   t 2  host1 ##############################  host2 :::::
-	//   t 3  host1 ##############################  host2 :::::
-	//   t 4  host1 ##############################  host2 ::::::
-	//   t 5  host1 ##############################  host2 :::::::
-	//   t 6  host1 ###########################     host2 ::::::::::
-	//   t 7  host1 ###########################     host2 ::::::::::::::::::::::::::::::
-	//   t 8  host1 ####################            host2 ::::::::::::::::::::::::::::::
+	//   t 1  host1 ##############################  host2 ::
+	//   t 2  host1 ##############################  host2 :
+	//   t 3  host1 ##############################  host2 :
+	//   t 4  host1 ##############################  host2 :::::::
+	//   t 5  host1 ##############################  host2 :::::
+	//   t 6  host1 ##############################  host2 ::::::::::::::::
+	//   t 7  host1 ##############################  host2 ::::::::::::::::::::::::::::
+	//   t 8  host1                                 host2 ::::::::::::::::::::::::::::::
 	//
 	// load-managed (SR):
 	//   t 0  host1 ###########                     host2 ::::::::::::
 	//   t 1  host1 ##############################  host2 ::::::::::::::::::::::::::::
 	//   t 2  host1 ##############################  host2 ::::::::::::::::::::::::::::::
-	//   t 3  host1 ############################    host2 ::::::::::::::::::::::::::::::
-	//   t 4  host1 ##############################  host2 ::::::::::::::::::::::::::::::
-	//   t 5  host1 ##############################  host2 ::::::::::::::::::::::::::
+	//   t 3  host1 ##############################  host2 ::::::::::::::::::::::::::::::
+	//   t 4  host1 ############################    host2 ::::::::::::::::::::::::::::::
+	//   t 5  host1 #############################   host2 ::::::::::::::::::::::::::::::
 }
 
 // printUtil draws two hosts' utilization windows as bars, one line per

@@ -206,11 +206,6 @@ type Node struct {
 	Kind  NodeKind
 	Index int
 
-	// Part is the node's event-ordering partition in the simulator: procs
-	// pinned to this node (sim.SpawnOn) break same-instant ties by
-	// (partition, per-node seq).
-	Part int
-
 	CPU       *sim.Resource
 	OpsPerSec float64
 	Disk      *disk.Disk    // nil on hosts
@@ -351,7 +346,6 @@ func NewObserved(p Params, obs Observers) *Cluster {
 			Name:      name,
 			Kind:      kind,
 			Index:     i,
-			Part:      s.AddPartition(),
 			CPU:       sim.NewResource(s, name+".cpu"),
 			OpsPerSec: opsPerSec,
 			NIC:       netsim.NewIface(s, name+".nic", p.NetBandwidth),

@@ -184,7 +184,7 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	q := sim.NewQueue[int](c.Sim, "q", 4)
 	c.WatchQueue(q)
 	host, asu := c.Hosts[0], c.ASUs[0]
-	c.Sim.SpawnOn(asu.Part, "producer", func(pr *sim.Proc) {
+	c.Sim.Spawn("producer", func(pr *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			asu.Disk.Read(pr, 1<<20)
 			asu.Compute(pr, 1e4)
@@ -193,7 +193,7 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 		}
 		q.Close()
 	})
-	c.Sim.SpawnOn(host.Part, "consumer", func(pr *sim.Proc) {
+	c.Sim.Spawn("consumer", func(pr *sim.Proc) {
 		for {
 			if _, ok := q.Get(pr); !ok {
 				break

@@ -140,7 +140,7 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 		i, asu := i, asu
 		collectors[i] = sim.NewQueue[container.Packet](cl.Sim, fmt.Sprintf("out.collect%d", i), 8)
 		cl.WatchQueue(collectors[i])
-		collectProc := cl.Sim.SpawnOn(asu.Part, fmt.Sprintf("collect@asu%d", i), func(p *sim.Proc) {
+		collectProc := cl.Sim.Spawn(fmt.Sprintf("collect@asu%d", i), func(p *sim.Proc) {
 			pf.Bind(p, "merge.collect", asu.Name, critpath.ClassASUCPU, critpath.ClassASUCPU)
 			touch := cl.Touch(asu)
 			for {
@@ -188,7 +188,7 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 			asu := cl.ASUs[asuIdx]
 			srcs = append(srcs, asu)
 			b := b
-			cl.Sim.SpawnOn(asu.Part, fmt.Sprintf("asumerge.b%d@asu%d", b, asuIdx), func(p *sim.Proc) {
+			cl.Sim.Spawn(fmt.Sprintf("asumerge.b%d@asu%d", b, asuIdx), func(p *sim.Proc) {
 				pf.Bind(p, "merge.asu", asu.Name, critpath.ClassASUCPU, critpath.ClassASUCPU)
 				levels := asuLocalMerge(cl, cfg, p, asu, st, q, res)
 				if levels > res.ASUMergeLevels {
@@ -224,7 +224,7 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 	for i, bw := range buckets {
 		bw := bw
 		host := cl.Hosts[i%hostN]
-		hostProc := cl.Sim.SpawnOn(host.Part, fmt.Sprintf("hostmerge.b%d@%s", bw.bucket, host.Name), func(p *sim.Proc) {
+		hostProc := cl.Sim.Spawn(fmt.Sprintf("hostmerge.b%d@%s", bw.bucket, host.Name), func(p *sim.Proc) {
 			pf.Bind(p, "merge.host", host.Name, critpath.ClassHostCPU, critpath.ClassHostCPU)
 			hostBucketMerge(cl, cfg, p, host, bw.bucket, bw.queues, bw.srcs, collectors, &stripe, res)
 			done()

@@ -75,14 +75,15 @@ func TestFig9Shape(t *testing.T) {
 		if !(get(2, 256) < 1 && get(64, 256) > 1) {
 			t.Errorf("no crossover for a=256: d=2 %.3f, d=64 %.3f", get(2, 256), get(64, 256))
 		}
-		// Host saturation: beyond 16 ASUs, adding ASUs helps a=256 little.
-		if gain := get(64, 256) / get(16, 256); gain > 1.5 {
-			t.Errorf("d=16->64 a=256 still gained %.2fx; host should saturate around 16", gain)
+		// Host saturation: the paper's host saturates at 16 ASUs, so going
+		// to 64 gains a=256 at most 5 %.
+		if gain := get(64, 256) / get(16, 256); gain > 1.05 {
+			t.Errorf("d=16->64 a=256 still gained %.3fx; host should saturate around 16", gain)
 		}
-		// Adaptive tracks the best static series within tolerance.
+		// Adaptive equals the best static series (within 1 %).
 		for d, r := range rows {
-			if ad, best := r.Speedups[r.Adaptive], slices.Max(r.Speedups); ad < 0.9*best {
-				t.Errorf("d=%d: adaptive %.3f < 90%% of best static %.3f", d, ad, best)
+			if ad, best := r.Speedups[r.Adaptive], slices.Max(r.Speedups); ad < 0.99*best {
+				t.Errorf("d=%d: adaptive %.3f < 99%% of best static %.3f", d, ad, best)
 			}
 		}
 	})
@@ -110,7 +111,9 @@ func TestFig10Shape(t *testing.T) {
 	if res.Static.Imbalance < 0.1 {
 		t.Errorf("static imbalance %.3f too small; skew did not bite", res.Static.Imbalance)
 	}
-	if res.Managed.Imbalance > 0.25 {
+	// The paper's bound is 3 %, which the full-size run meets (asulab fig10
+	// reads 0.026); this reduced input has fewer windows to even out in.
+	if res.Managed.Imbalance > 0.05 {
 		t.Errorf("managed imbalance %.3f; SR should nearly equalize hosts", res.Managed.Imbalance)
 	}
 	if len(res.Static.HostUtil) != 2 || len(res.Managed.HostUtil) != 2 {

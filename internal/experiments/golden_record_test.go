@@ -44,11 +44,18 @@ import (
 // is no longer named, which drops nothing here because every one of this
 // cell's tracks carries events. The 4 712 data events are the same in the
 // same order once each pid is read as its process name.
+//
+// All four were captured again (30fa6cd8..., edc4c353..., a9f1d696... and
+// 42cad73a... before) when the kernel's event key went from (time, node
+// partition, per-partition seq) back to (time, seq): same-instant events of
+// different nodes now dispatch in schedule order instead of node by node,
+// which moves spans and samples within an instant and, through them, later
+// virtual times. Nothing else in the cell changed.
 const (
-	goldenSegmentBody = "30fa6cd836743eebe7b9b05fa4eb12317fe8182a5c2b9a4723a93e32f3e9cf46"
-	goldenComposed    = "edc4c353a100916fead615f6dfdc722918f3ffb1acac794397ddae7ac8ffd4b4"
-	goldenSinkJSON    = "a9f1d6964fc9c0ff2cd69c57941850660d958ee4183ec2453277dfefe801516a"
-	goldenSinkCSV     = "42cad73a0643ab0d7e9fff7a4a1cef00315f23bf5ba21a7eddbc585eb94b2d97"
+	goldenSegmentBody = "f15ec3f64ee4a324a951bf026a3faa4ef386e6e294c4f567c2c0dfedd4f6bd27"
+	goldenComposed    = "265d5ca18a3e748718b82513d5535d1c3a3ff8f6e87e9f2b990910e49bd59f69"
+	goldenSinkJSON    = "cf3d21fae2e25d592cfeb6155a1dbe04d80969cc1b7372d2a5b7319172e81fbf"
+	goldenSinkCSV     = "373b86c1f343d03f0518f889fb72d8290e1577186a2bb2b5cec5e43664082b82"
 )
 
 func sha256Hex(b []byte) string {

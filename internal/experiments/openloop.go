@@ -253,7 +253,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	for i, asu := range cl.ASUs {
 		i, asu := i, asu
 		q := queues[i]
-		s.SpawnOn(asu.Part, fmt.Sprintf("server@asu%d", i), func(p *sim.Proc) {
+		s.Spawn(fmt.Sprintf("server@asu%d", i), func(p *sim.Proc) {
 			batch := make([]openJob, opt.Batch)
 			for {
 				n, ok := q.GetN(p, batch)
@@ -353,7 +353,7 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 			}
 			// A constant proc name: a per-job Sprintf would dominate the
 			// workload's own allocation profile at 100k+ jobs.
-			s.SpawnOn(host.Part, "job", func(jp *sim.Proc) {
+			s.Spawn("job", func(jp *sim.Proc) {
 				host.Compute(jp, opt.HostOps+cl.Touch(host))
 				setPhase(id, jobPhaseNet, jp.Now())
 				cl.Net.Send(jp, host.NIC, asu.NIC, 256)

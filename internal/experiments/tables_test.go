@@ -85,12 +85,11 @@ func TestHybridDominatesWhereStaticsLose(t *testing.T) {
 			t.Errorf("host share did not shrink with ASUs: %.2f (d=2) vs %.2f (d=32)",
 				byD[2].HostShare, byD[32].HostShare)
 		}
-		// Many ASUs: hybrid must capture most of active's benefit.
-		if c := byD[32]; c.Hybrid < 0.85*c.Active {
-			t.Errorf("d=32: hybrid %.2f captured too little of active %.2f", c.Hybrid, c.Active)
+		// Many ASUs: hybrid is within 5 % of the better static placement.
+		if c := byD[32]; c.Hybrid < 0.95*max(c.Active, 1) {
+			t.Errorf("d=32: hybrid %.3f < 95%% of max(active %.3f, conventional 1)", c.Hybrid, c.Active)
 		}
-		// Seed 3 reaches only 1.047 here: a ✗ in EXPERIMENTS.md TAB-HYBRID.
-		if c := byD[32]; c.Hybrid <= 1.05 && seed != 3 {
+		if c := byD[32]; c.Hybrid <= 1.05 {
 			t.Errorf("d=32: hybrid %.3f shows no active-storage benefit", c.Hybrid)
 		}
 	})

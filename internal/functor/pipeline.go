@@ -338,7 +338,7 @@ func (p *Pipeline) spawn() {
 		outbox := sim.NewQueue[container.Packet](p.cl.Sim, fmt.Sprintf("%s.out", src.name), outboxPackets)
 		src.outbox = outbox
 		stage := sourceStage(src.name)
-		p.cl.Sim.SpawnOn(src.node.Part, src.name, func(proc *sim.Proc) {
+		p.cl.Sim.Spawn(src.name, func(proc *sim.Proc) {
 			// Sources spend disk time, not CPU, so queued packets behind
 			// them are storage-bound.
 			pf.Bind(proc, stage, src.node.Name, nodeClass(src.node), critpath.ClassDisk)
@@ -369,7 +369,7 @@ func (p *Pipeline) spawn() {
 		for _, inst := range st.instances {
 			inst := inst
 			inst.out = sim.NewQueue[container.Packet](p.cl.Sim, inst.Label()+".out", outboxPackets)
-			instProc := p.cl.Sim.SpawnOn(inst.Node.Part, inst.Label(), func(proc *sim.Proc) { inst.run(proc) })
+			instProc := p.cl.Sim.Spawn(inst.Label(), func(proc *sim.Proc) { inst.run(proc) })
 			courier := p.spawnCourier(inst.Label()+".courier", st.Name, inst.Node, inst.out, st.out)
 			if pf != nil {
 				pf.BlameWaitProc(inst.In.Name()+" not-full", instProc, stageBlame(st, inst.Node))
@@ -427,7 +427,7 @@ const outboxPackets = 4
 func (p *Pipeline) spawnCourier(name, stage string, node *cluster.Node, outbox *sim.Queue[container.Packet], out output) *sim.Proc {
 	ctx := &Ctx{Cluster: p.cl, Node: node}
 	pf := p.cl.Profiler
-	return p.cl.Sim.SpawnOn(node.Part, name, func(proc *sim.Proc) {
+	return p.cl.Sim.Spawn(name, func(proc *sim.Proc) {
 		ctx.Proc = proc
 		pf.Bind(proc, stage, node.Name, nodeClass(node), nodeClass(node))
 		for {

@@ -9,21 +9,9 @@ package sim
 // run between the signal and the wakeup.
 type Cond struct {
 	sim      *Sim
-	waiters  []condWaiter
+	waiters  []*Proc // in wait order
 	what     string
 	waitWhat string // "wait: " + what, precomputed so Wait is allocation-free
-}
-
-// condWaiter tags a parked proc with the deterministic tie-break key
-// (partition, per-partition seq) assigned when it began waiting. Signal
-// wakes the minimum key, so wake order is a pure function of the schedule
-// history — not of slice insertion order, which purge mutates when procs
-// are killed mid-wait. For unpinned sims (every proc in partition 0) the
-// minimum key is always the oldest waiter, i.e. exactly the old FIFO order.
-type condWaiter struct {
-	p    *Proc
-	part int32
-	seq  uint64
 }
 
 // NewCond creates a condition variable. what describes the awaited condition
@@ -38,13 +26,13 @@ func NewCond(s *Sim, what string) *Cond {
 func (c *Cond) purge(p *Proc) {
 	out := c.waiters[:0]
 	for _, w := range c.waiters {
-		if w.p != p {
+		if w != p {
 			out = append(out, w)
 		}
 	}
 	// Clear the tail so the backing array doesn't pin the removed proc.
 	for i := len(out); i < len(c.waiters); i++ {
-		c.waiters[i] = condWaiter{}
+		c.waiters[i] = nil
 	}
 	c.waiters = out
 }
@@ -52,8 +40,7 @@ func (c *Cond) purge(p *Proc) {
 // Wait parks p until another proc or event calls Signal or Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	s := c.sim
-	s.seqs[p.part]++
-	c.waiters = append(c.waiters, condWaiter{p: p, part: p.part, seq: s.seqs[p.part]})
+	c.waiters = append(c.waiters, p)
 	if pf := s.profiler; pf != nil {
 		from := s.now
 		p.park(c.waitWhat)
@@ -63,29 +50,21 @@ func (c *Cond) Wait(p *Proc) {
 	p.park(c.waitWhat)
 }
 
-// Signal wakes the waiter with the minimum (partition, seq) key, if any.
-// The wakeup is delivered as an event at the current time, so the caller
-// continues first.
+// Signal wakes the longest-waiting proc, if any. The wakeup is delivered as
+// an event at the current time, so the caller continues first.
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	min := 0
-	for i := 1; i < len(c.waiters); i++ {
-		w, m := c.waiters[i], c.waiters[min]
-		if w.part < m.part || (w.part == m.part && w.seq < m.seq) {
-			min = i
-		}
-	}
-	p := c.waiters[min].p
+	p := c.waiters[0]
 	// Shift rather than re-slice so the backing array doesn't pin procs.
-	copy(c.waiters[min:], c.waiters[min+1:])
-	c.waiters[len(c.waiters)-1] = condWaiter{}
+	copy(c.waiters, c.waiters[1:])
+	c.waiters[len(c.waiters)-1] = nil
 	c.waiters = c.waiters[:len(c.waiters)-1]
 	c.sim.resumeAt(c.sim.now, p)
 }
 
-// Broadcast wakes all waiting procs in key order.
+// Broadcast wakes all waiting procs in wait order.
 func (c *Cond) Broadcast() {
 	for len(c.waiters) > 0 {
 		c.Signal()

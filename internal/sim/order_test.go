@@ -8,29 +8,16 @@ import (
 	"lmas/internal/trace"
 )
 
-// TestSameInstantOrderAcrossPartitions: events at one instant dispatch in
-// ascending partition order regardless of spawn order, including partitions
-// past the first 64-bit word of the active bitmap.
-func TestSameInstantOrderAcrossPartitions(t *testing.T) {
+// TestSameInstantFIFO: events at one instant dispatch in schedule order.
+// Procs spawned together run in spawn order, and two procs that each run a
+// chain of zero-time steps interleave step for step: neither drains its
+// chain while the other waits.
+func TestSameInstantFIFO(t *testing.T) {
 	s := New()
 	const n = 70
-	parts := make([]int, n)
-	for i := range parts {
-		parts[i] = s.AddPartition()
-	}
-	if parts[n-1] != n {
-		t.Fatalf("last of %d added partitions is %d, want %d (0 is the global one)", n, parts[n-1], n)
-	}
 	var order []int
-	// Spawn in reverse partition order: dispatch order must not follow it.
 	for i := n - 1; i >= 0; i-- {
-		part := parts[i]
-		s.SpawnOn(part, fmt.Sprintf("p%d", part), func(p *Proc) {
-			if p.Partition() != part {
-				t.Errorf("proc on partition %d, want %d", p.Partition(), part)
-			}
-			order = append(order, part)
-		})
+		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { order = append(order, i) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -39,13 +26,29 @@ func TestSameInstantOrderAcrossPartitions(t *testing.T) {
 		t.Fatalf("ran %d procs, want %d", len(order), n)
 	}
 	for i := 1; i < len(order); i++ {
-		if order[i] <= order[i-1] {
-			t.Fatalf("same-instant dispatch order %v not ascending by partition", order)
+		if order[i] != order[i-1]-1 {
+			t.Fatalf("same-instant dispatch order %v is not spawn order", order)
 		}
+	}
+
+	var steps []string
+	for _, name := range []string{"a", "b"} {
+		s.Spawn(name, func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				steps = append(steps, fmt.Sprintf("%s%d", name, i))
+				p.Sleep(0)
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(steps); got != "[a0 b0 a1 b1 a2 b2]" {
+		t.Fatalf("zero-time chains ran %s, want them interleaved [a0 b0 a1 b1 a2 b2]", got)
 	}
 }
 
-// randomTopology runs a seeded random mesh of pinned producers and consumers
+// randomTopology runs a seeded random mesh of producers and consumers
 // exchanging tokens through bounded queues and contending for per-node
 // resources. It returns the ordered event log and the final virtual time —
 // the observables two runs of one seed must agree on.
@@ -54,11 +57,9 @@ func randomTopology(t *testing.T, seed int64) ([]string, Time) {
 	s := New()
 	rng := rand.New(rand.NewSource(seed))
 	nodes := 2 + rng.Intn(4)
-	parts := make([]int, nodes)
 	qs := make([]*Queue[int], nodes)
 	rs := make([]*Resource, nodes)
 	for i := 0; i < nodes; i++ {
-		parts[i] = s.AddPartition()
 		qs[i] = NewQueue[int](s, fmt.Sprintf("q%d", i), 1+rng.Intn(3))
 		rs[i] = NewResource(s, fmt.Sprintf("r%d", i))
 	}
@@ -76,7 +77,7 @@ func randomTopology(t *testing.T, seed int64) ([]string, Time) {
 		for j := range delays {
 			delays[j] = Duration(rng.Intn(900)+1) * Microsecond
 		}
-		s.SpawnOn(parts[i], fmt.Sprintf("prod%d", i), func(p *Proc) {
+		s.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
 			for j := 0; j < n; j++ {
 				p.Sleep(delays[j])
 				rs[i].Use(p, 100*Microsecond)
@@ -90,7 +91,7 @@ func randomTopology(t *testing.T, seed int64) ([]string, Time) {
 			qs[i].Close()
 		})
 		next := (i + 1) % nodes
-		s.SpawnOn(parts[next], fmt.Sprintf("cons%d", i), func(p *Proc) {
+		s.Spawn(fmt.Sprintf("cons%d", i), func(p *Proc) {
 			for {
 				v, ok := qs[i].Get(p)
 				if !ok {
@@ -109,7 +110,7 @@ func randomTopology(t *testing.T, seed int64) ([]string, Time) {
 }
 
 // TestRandomTopologyDeterministic is the randomized determinism property
-// test: for a sweep of seeded random topologies of pinned procs, two runs of
+// test: for a sweep of seeded random topologies of procs, two runs of
 // the same seed must produce identical event logs and final times.
 func TestRandomTopologyDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
@@ -144,7 +145,7 @@ func TestTraceAttachNeutral(t *testing.T) {
 		}
 		r := NewResource(s, "cpu")
 		q := NewQueue[int](s, "q", 2)
-		s.SpawnOn(s.AddPartition(), "producer", func(p *Proc) {
+		s.Spawn("producer", func(p *Proc) {
 			for i := 0; i < 10; i++ {
 				r.Use(p, Millisecond)
 				if err := q.Put(p, 2*i); err != nil {
@@ -154,7 +155,7 @@ func TestTraceAttachNeutral(t *testing.T) {
 			}
 			q.Close()
 		})
-		s.SpawnOn(s.AddPartition(), "consumer", func(p *Proc) {
+		s.Spawn("consumer", func(p *Proc) {
 			for {
 				if _, ok := q.Get(p); !ok {
 					return

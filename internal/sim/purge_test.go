@@ -140,28 +140,24 @@ func TestWaitStatsCountsBufferedResidual(t *testing.T) {
 	}
 }
 
-// TestCondWakeOrderFollowsKey pins satellite 2: Signal wakes the waiter
-// with the minimum (partition, seq) key — a pure function of the schedule
-// history — not the waiter that happens to be first in the slice.
+// TestCondWakeOrderFollowsKey: Signal wakes the waiter with the oldest wait
+// — the only wake key the cond keeps — and a waiter killed mid-wait, which
+// purge removes from the wait list, leaves the others' order intact.
 func TestCondWakeOrderFollowsKey(t *testing.T) {
 	s := New()
 	c := NewCond(s, "gate")
-	p1, p2, p3 := s.AddPartition(), s.AddPartition(), s.AddPartition()
 	var order []string
-	wait := func(part int, name string, delay Duration) {
-		s.SpawnOn(part, name, func(p *Proc) {
-			p.Sleep(delay)
+	var procs []*Proc
+	for i, name := range []string{"w0", "w1", "w2"} {
+		procs = append(procs, s.Spawn(name, func(p *Proc) {
+			p.Sleep(Duration(i) * Millisecond)
 			c.Wait(p)
 			order = append(order, name)
-		})
+		}))
 	}
-	// Arrival (= insertion) order is partition 3, 2, 1; wake order must be
-	// key order 1, 2, 3.
-	wait(p3, "on3", 0)
-	wait(p2, "on2", Millisecond)
-	wait(p1, "on1", 2*Millisecond)
+	s.At(Time(3*Millisecond), func() { s.Kill(procs[1]) })
 	s.Spawn("sig", func(p *Proc) {
-		p.Sleep(3 * Millisecond)
+		p.Sleep(4 * Millisecond)
 		c.Signal()
 		p.Sleep(Millisecond)
 		c.Broadcast()
@@ -169,15 +165,14 @@ func TestCondWakeOrderFollowsKey(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(order) != "[on1 on2 on3]" {
-		t.Fatalf("wake order %v, want key order [on1 on2 on3]", order)
+	if fmt.Sprint(order) != "[w0 w2]" {
+		t.Fatalf("wake order %v, want wait order [w0 w2]", order)
 	}
 }
 
-// TestCondWakeFIFOWhenUnpinned: with every proc in partition 0 the minimum
-// key is the oldest waiter, i.e. exactly the historical FIFO order — the
-// compatibility property that keeps unpinned sims bit-identical to the old
-// global-seq kernel.
+// TestCondWakeFIFOWhenUnpinned: waiters that park at staggered instants
+// wake in the order they began waiting. No proc is pinned anywhere — the
+// kernel has one event order — so this FIFO order is the only wake order.
 func TestCondWakeFIFOWhenUnpinned(t *testing.T) {
 	s := New()
 	c := NewCond(s, "gate")

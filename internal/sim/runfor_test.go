@@ -22,15 +22,12 @@ func (s *Sim) RunFor(d Duration) {
 }
 
 // peekNext reports the earliest queued event without removing it. The
-// current-instant candidate is the head of the lowest active ring: every
-// ring entry shares t == now, so the ascending-partition scan plus each
-// ring's FIFO order is exactly (t, part, seq) order.
+// current-instant candidate is the ring's head: every ring entry shares
+// t == now, so the ring's FIFO order is exactly (t, seq) order.
 func (s *Sim) peekNext() (event, bool) {
 	s.syncTier()
-	part := s.lowestActive()
 	hok := len(s.events) > 0
-	if part >= 0 {
-		r := &s.nowqs[part]
+	if r := &s.nowq; r.len() > 0 {
 		if hok && s.events[0].before(r.q[r.head]) {
 			return s.events[0], true
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math/bits"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -13,46 +12,38 @@ import (
 )
 
 // event is a scheduled callback or proc resumption. Events with equal times
-// fire in (partition, per-partition seq) order: within a partition, schedule
-// order; across partitions, ascending partition rank. A partition's seq
-// numbering depends only on that partition's schedule history, not on how
-// unrelated partitions' events interleaved. An event resumes proc when proc
-// is non-nil and calls fn otherwise; tagging resumptions with the proc
-// (instead of closing over it) keeps the hot scheduling paths allocation-free.
+// fire in schedule order (ascending seq). An event resumes proc when proc is
+// non-nil and calls fn otherwise; tagging resumptions with the proc (instead
+// of closing over it) keeps the hot scheduling paths allocation-free.
 type event struct {
-	t    Time
-	part int32
+	t Time
 	// viaWheel marks an event that was staged in the timer wheel before
 	// spilling into the heap; countPopped uses it to attribute dispatched
-	// events to the scheduler tier (packs into part's padding, costs no
-	// space).
+	// events to the scheduler tier.
 	viaWheel bool
 	seq      uint64
 	fn       func()
 	proc     *Proc
 }
 
-// before reports whether e fires ahead of f in (time, partition, seq) order.
+// before reports whether e fires ahead of f in (time, seq) order.
 func (e event) before(f event) bool {
 	if e.t != f.t {
 		return e.t < f.t
-	}
-	if e.part != f.part {
-		return e.part < f.part
 	}
 	return e.seq < f.seq
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New. The goroutine that calls Run, Kill or Shutdown is the
-// scheduler and the only dispatcher: it pops events in (time, partition,
-// seq) order and runs each callback or proc resumption to completion before
-// the next. Procs are runtime coroutines (iter.Pull) that the scheduler
-// switches into and that switch back when they park, so exactly one flow of
-// control touches the Sim at any moment and no locking is needed.
+// scheduler and the only dispatcher: it pops events in (time, seq) order and
+// runs each callback or proc resumption to completion before the next. Procs
+// are runtime coroutines (iter.Pull) that the scheduler switches into and
+// that switch back when they park, so exactly one flow of control touches
+// the Sim at any moment and no locking is needed.
 type Sim struct {
 	now Time
-	// events is a hand-rolled binary min-heap ordered by (t, part, seq).
+	// events is a hand-rolled binary min-heap ordered by (t, seq).
 	// It is not container/heap because that interface boxes every popped
 	// event into an interface value — one allocation per event — and this
 	// is the hottest path in the emulator. The heap holds only current and
@@ -66,23 +57,15 @@ type Sim struct {
 	// wheel-vs-heap differential tests use it to prove the tier never
 	// reorders a dispatch.
 	disableWheel bool
-	// nowqs holds events scheduled for the current instant, one FIFO ring
-	// per partition, consumed before the heap advances time. Scheduling
-	// "at now" is the dominant case (proc wakeups from conds, resources,
-	// and spawns), and the rings make it O(1) instead of an O(log n) heap
-	// round trip. Invariant: every queued entry has t == now (the rings
-	// drain before time advances), so within a ring FIFO order is exactly
-	// (t, part, seq) order, and the globally next entry is the head of the
-	// lowest-numbered non-empty ring. nowActive is a bitmap of non-empty
-	// rings (bit i of word i/64) so finding that ring is one
-	// find-first-set in the common single-word case.
-	nowqs     []nowRing
-	nowActive []uint64
-	// seqs holds one tie-break counter per partition.
-	seqs []uint64
-	// curPart is the partition of the currently dispatching event; fn
-	// events and spawns scheduled from inside it inherit this partition.
-	curPart int32
+	// nowq holds events scheduled for the current instant, consumed before
+	// the heap advances time. Scheduling "at now" is the dominant case
+	// (proc wakeups from conds, resources, and spawns), and the ring makes
+	// it O(1) instead of an O(log n) heap round trip. Invariant: every
+	// queued entry has t == now (the ring drains before time advances), so
+	// its FIFO order is exactly (t, seq) order.
+	nowq nowRing
+	// seq is the tie-break counter: the schedule order of every event.
+	seq uint64
 
 	procs  map[*Proc]bool // all live procs
 	inProc bool           // true while a proc has control
@@ -152,44 +135,45 @@ func (s *Sim) Tracer() *trace.Sink { return s.tracer }
 
 // New creates an empty simulation at time zero.
 func New() *Sim {
-	return &Sim{
-		procs: make(map[*Proc]bool),
-		// Partition 0 (the global/unpinned partition) always exists.
-		seqs:      make([]uint64, 1),
-		nowqs:     make([]nowRing, 1),
-		nowActive: make([]uint64, 1),
-	}
+	return &Sim{procs: make(map[*Proc]bool)}
 }
 
 // Now reports the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// nowRing is one partition's FIFO ring of current-instant events.
+// nowRing is the FIFO ring of current-instant events.
 type nowRing struct {
 	q    []event
 	head int
 }
 
+// len reports the number of queued events.
+func (r *nowRing) len() int { return len(r.q) - r.head }
+
+// pop removes and returns the head; the caller checks len first.
+func (r *nowRing) pop() event {
+	e := r.q[r.head]
+	r.q[r.head] = event{}
+	r.head++
+	if r.head == len(r.q) {
+		r.q = r.q[:0] // reuse the ring's storage
+		r.head = 0
+	}
+	return e
+}
+
 // schedule enqueues an event at absolute time t (clamped to the present).
-// Proc resumptions are keyed by the proc's partition; fn callbacks by the
-// scheduling context's.
 func (s *Sim) schedule(t Time, fn func(), p *Proc) {
 	if t < s.now {
 		t = s.now
 	}
-	part := s.curPart
-	if p != nil {
-		part = p.part
-	}
-	s.seqs[part]++
+	s.seq++
 	if p == nil || !p.daemon {
 		s.liveEvents++
 	}
-	e := event{t: t, part: part, seq: s.seqs[part], fn: fn, proc: p}
+	e := event{t: t, seq: s.seq, fn: fn, proc: p}
 	if t == s.now {
-		r := &s.nowqs[part]
-		r.q = append(r.q, e)
-		s.nowActive[part>>6] |= 1 << (uint(part) & 63)
+		s.nowq.q = append(s.nowq.q, e)
 		return
 	}
 	// Near-deadline events go straight to the heap; far-future ones stage
@@ -215,7 +199,7 @@ func (s *Sim) schedule(t Time, fn func(), p *Proc) {
 
 // spill receives events leaving the wheel whose deadline is near (or past)
 // the advancing horizon and files them in the heap under their original
-// (t, part, seq) key.
+// (t, seq) key.
 func (s *Sim) spill(e event) {
 	e.viaWheel = true
 	s.events.push(e)
@@ -236,7 +220,7 @@ func (s *Sim) syncTierSlow(w *timerWheel) {
 	for {
 		var cand int64
 		switch {
-		case s.lowestActive() >= 0:
+		case s.nowq.len() > 0:
 			cand = tickOf(s.now)
 		case len(s.events) > 0:
 			cand = tickOf(s.events[0].t)
@@ -246,8 +230,8 @@ func (s *Sim) syncTierSlow(w *timerWheel) {
 		if w.minLB > cand {
 			// Every wheel event's tick is at least minLB, hence strictly
 			// after the candidate's tick: the candidate dispatches first
-			// under the (t, part, seq) order no matter what the wheel
-			// holds. One comparison is the whole cost on the hot path.
+			// under the (t, seq) order no matter what the wheel holds.
+			// One comparison is the whole cost on the hot path.
 			return
 		}
 		w.advanceTo(cand+1, s.spill)
@@ -255,17 +239,6 @@ func (s *Sim) syncTierSlow(w *timerWheel) {
 			return
 		}
 	}
-}
-
-// lowestActive returns the lowest-numbered partition with a non-empty
-// current-instant ring, or -1.
-func (s *Sim) lowestActive() int32 {
-	for wi, w := range s.nowActive {
-		if w != 0 {
-			return int32(wi)<<6 + int32(bits.TrailingZeros64(w))
-		}
-	}
-	return -1
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is
@@ -289,13 +262,10 @@ func (s *Sim) pending() int {
 	if s.wheel != nil {
 		n += s.wheel.count
 	}
-	for i := range s.nowqs {
-		n += len(s.nowqs[i].q) - s.nowqs[i].head
-	}
-	return n
+	return n + s.nowq.len()
 }
 
-// eventHeap is a binary min-heap of events in (t, part, seq) order, used
+// eventHeap is a binary min-heap of events in (t, seq) order, used
 // for the sim's near-term event queue and the wheel's overflow tier.
 type eventHeap []event
 
@@ -362,19 +332,10 @@ func (hp *eventHeap) pop() event {
 // popNext removes and returns the earliest queued event.
 func (s *Sim) popNext() (event, bool) {
 	s.syncTier()
-	part := s.lowestActive()
 	hok := len(s.events) > 0
-	if part >= 0 {
-		r := &s.nowqs[part]
+	if r := &s.nowq; r.len() > 0 {
 		if !hok || !s.events[0].before(r.q[r.head]) {
-			e := r.q[r.head]
-			r.q[r.head] = event{}
-			r.head++
-			if r.head == len(r.q) {
-				r.q = r.q[:0] // reuse the ring's storage
-				r.head = 0
-				s.nowActive[part>>6] &^= 1 << (uint(part) & 63)
-			}
+			e := r.pop()
 			s.countPopped(e)
 			return e, true
 		}
@@ -398,10 +359,8 @@ func (s *Sim) countPopped(e event) {
 	}
 }
 
-// dispatch executes one event in scheduler context. The event's partition
-// becomes the scheduling context for everything it runs.
+// dispatch executes one event in scheduler context.
 func (s *Sim) dispatch(ev event) {
-	s.curPart = ev.part
 	if ev.proc != nil {
 		s.runProc(ev.proc)
 	} else {
@@ -415,17 +374,8 @@ func (s *Sim) clearEvents() {
 		s.events[i] = event{}
 	}
 	s.events = s.events[:0]
-	for p := range s.nowqs {
-		r := &s.nowqs[p]
-		for i := r.head; i < len(r.q); i++ {
-			r.q[i] = event{}
-		}
-		r.q = r.q[:0]
-		r.head = 0
-	}
-	for i := range s.nowActive {
-		s.nowActive[i] = 0
-	}
+	clear(s.nowq.q)
+	s.nowq = nowRing{q: s.nowq.q[:0]}
 	if s.wheel != nil {
 		s.wheel.clear(tickOf(s.now))
 	}
@@ -439,7 +389,6 @@ func (s *Sim) clearEvents() {
 type Proc struct {
 	sim  *Sim
 	name string
-	part int32 // event-ordering partition (0 = global)
 	// next switches from the scheduler into the proc and returns when the
 	// proc parks or its coroutine ends; yield is the switch back. A panic in
 	// the proc is recovered inside it and fails the run (see Proc.run).
@@ -505,37 +454,11 @@ func (e *ProcPanicError) Unwrap() error {
 }
 
 // Spawn starts a new proc running fn. The proc is scheduled to begin at the
-// current virtual time and inherits the spawning context's partition
-// (partition 0 when spawned from outside the event loop). Spawn may be
-// called before Run or from a running proc or event callback.
+// current virtual time, after every event already queued for that instant.
+// Spawn may be called before Run or from a running proc or event callback.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(int(s.curPart), name, fn, false)
+	return s.spawn(name, fn, false)
 }
-
-// SpawnOn is Spawn with the proc pinned to an explicit partition (see
-// AddPartition); clusters pin each node's procs to that node's partition.
-func (s *Sim) SpawnOn(part int, name string, fn func(p *Proc)) *Proc {
-	return s.spawn(part, name, fn, false)
-}
-
-// AddPartition allocates a new event-ordering partition and returns its id.
-// Partitions are the deterministic tie-break domains of the event key
-// (time, partition, per-partition seq): clusters allocate one per node and
-// pin each node's procs to it with SpawnOn, which makes same-instant
-// ordering independent of global scheduling history. Partition 0 is the
-// global partition for unpinned work and always exists.
-func (s *Sim) AddPartition() int {
-	id := len(s.seqs)
-	s.seqs = append(s.seqs, 0)
-	s.nowqs = append(s.nowqs, nowRing{})
-	if id>>6 >= len(s.nowActive) {
-		s.nowActive = append(s.nowActive, 0)
-	}
-	return id
-}
-
-// Partition reports the partition p is pinned to (0 = global).
-func (p *Proc) Partition() int { return int(p.part) }
 
 // SpawnDaemon starts a background observer proc: its queued wakeups do not
 // count toward Run's exit condition, so a daemon that sleeps on a fixed
@@ -547,17 +470,14 @@ func (p *Proc) Partition() int { return int(p.part) }
 // drains), and they survive a Run that does not fail; terminate one with
 // Kill or Shutdown.
 func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(int(s.curPart), name, fn, true)
+	return s.spawn(name, fn, true)
 }
 
 // maxFreeProcs caps the recycling pool so a one-off burst of concurrency
 // doesn't pin its peak goroutine count forever.
 const maxFreeProcs = 4096
 
-func (s *Sim) spawn(part int, name string, fn func(p *Proc), daemon bool) *Proc {
-	if part < 0 || part >= len(s.seqs) {
-		panic(fmt.Sprintf("sim: SpawnOn partition %d of %d", part, len(s.seqs)))
-	}
+func (s *Sim) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	var p *Proc
 	// Reuse a pooled shell (and its suspended coroutine) when one is free.
 	// Daemon spawns always allocate: a recorder's samplers must not
@@ -569,14 +489,13 @@ func (s *Sim) spawn(part int, name string, fn func(p *Proc), daemon bool) *Proc 
 		s.freeProcs[n-1] = nil
 		s.freeProcs = s.freeProcs[:n-1]
 		p.name = name
-		p.part = int32(part)
 		p.killed = false
 		p.blocked = ""
 		p.track = 0
 		p.fn = fn
 		s.stats.ProcReuses++
 	} else {
-		p = &Proc{sim: s, name: name, part: int32(part), daemon: daemon, fn: fn}
+		p = &Proc{sim: s, name: name, daemon: daemon, fn: fn}
 		p.next, _ = iter.Pull(p.main)
 	}
 	if t := s.tracer; t != nil {

@@ -7,7 +7,7 @@ import "math/bits"
 // Varghese & Lauck's hierarchical timing wheels. Far-future events
 // (open-loop arrival schedules, timeouts) cost O(1) to insert instead of an
 // O(log n) sift through a heap holding every pending timer, and they spill
-// into the (t, partition, seq)-ordered heap only near their deadline, so
+// into the (t, seq)-ordered heap only near their deadline, so
 // the hot near-term dispatch path never pays for idle far timers.
 //
 // Determinism contract: the wheel is a staging area only. Every event

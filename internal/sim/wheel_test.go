@@ -11,7 +11,7 @@ import (
 // wheelTrace runs a randomized adversarial schedule and records the exact
 // dispatch sequence: far-future inserts across every wheel level (including
 // the overflow tier), same-instant storms at shared far deadlines, tick
-// boundary cases, short-lived procs, partition pinning, a mid-run RunFor
+// boundary cases, short-lived procs, a mid-run RunFor
 // window with events left pending (which Shutdown then cancels), and a
 // final Run to completion. fanout is the number of roots planted before
 // each run phase (half of it before the cancelled one). The log captures
@@ -21,10 +21,6 @@ func wheelTrace(t *testing.T, seed int64, fanout int, disableWheel bool) []strin
 	t.Helper()
 	s := New()
 	s.disableWheel = disableWheel
-	const partitions = 4 // the global one plus three added
-	for i := 1; i < partitions; i++ {
-		s.AddPartition()
-	}
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
 	id := 0
@@ -73,14 +69,13 @@ func wheelTrace(t *testing.T, seed int64, fanout int, disableWheel bool) []strin
 						log = append(log, fmt.Sprintf("storm%d@%d", sid, s.Now()))
 					})
 				}
-			case 1: // short-lived proc on a random partition
-				part := rng.Intn(partitions)
+			case 1: // short-lived proc
 				naps := 1 + rng.Intn(3)
 				ds := make([]Duration, naps)
 				for j := range ds {
 					ds[j] = delta()
 				}
-				s.SpawnOn(part, fmt.Sprintf("p%d", myID), func(p *Proc) {
+				s.Spawn(fmt.Sprintf("p%d", myID), func(p *Proc) {
 					for _, d := range ds {
 						p.Sleep(d)
 						log = append(log, fmt.Sprintf("proc%d@%d", myID, s.Now()))
@@ -161,18 +156,16 @@ func FuzzWheelMatchesReferenceHeap(f *testing.F) {
 
 // TestWheelChunkBoundaries files n far events in one bucket — empty, one
 // event, a chunk less one, exactly a chunk, a chunk plus one, several
-// chunks — with ties on t across two partitions, and checks the bucket's
-// chunk list and that the events dispatch in (t, part, seq) order.
+// chunks — with ties on t, and checks the bucket's chunk list and that the
+// events dispatch in (t, insertion) order.
 func TestWheelChunkBoundaries(t *testing.T) {
 	type key struct {
-		t    Time
-		part int32
-		i    int // insertion order, hence seq order within a partition
+		t Time
+		i int // insertion order, hence seq order
 	}
 	for _, n := range []int{0, 1, wheelChunkLen - 1, wheelChunkLen, wheelChunkLen + 1, 1000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			s := New()
-			s.AddPartition()
 			rng := rand.New(rand.NewSource(int64(n)))
 			// Level-1 slot 8 spans ticks [2048, 2304): every deadline is far
 			// from now = 0 and lands in that one bucket.
@@ -180,15 +173,12 @@ func TestWheelChunkBoundaries(t *testing.T) {
 			var want, got []key
 			for i := 0; i < n; i++ {
 				k := key{
-					t:    Time(slot<<wheelBits+4*rng.Intn(64))<<wheelTickShift + Time(rng.Intn(3)),
-					part: int32(rng.Intn(2)),
-					i:    i,
+					t: Time(slot<<wheelBits+4*rng.Intn(64))<<wheelTickShift + Time(rng.Intn(3)),
+					i: i,
 				}
 				want = append(want, k)
-				s.curPart = k.part
-				s.At(k.t, func() { got = append(got, key{s.Now(), s.curPart, k.i}) })
+				s.At(k.t, func() { got = append(got, key{s.Now(), k.i}) })
 			}
-			s.curPart = 0
 
 			if n > 0 {
 				b := s.wheel.slots[1][slot]
@@ -213,10 +203,10 @@ func TestWheelChunkBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			slices.SortFunc(want, func(a, b key) int {
-				return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.part, b.part), cmp.Compare(a.i, b.i))
+				return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.i, b.i))
 			})
 			if !slices.Equal(got, want) {
-				t.Fatalf("dispatched %d events out of (t, part, seq) order, want %d", len(got), len(want))
+				t.Fatalf("dispatched %d events out of (t, insertion) order, want %d", len(got), len(want))
 			}
 		})
 	}
