@@ -1,7 +1,7 @@
 # Convenience targets for the lmas emulation library. Everything here is a
 # thin wrapper over the go tool; no target is required by CI or the build.
 
-.PHONY: all build test race bench bench-smoke bench-allocs baseline tables monitor perf perf-compare loc
+.PHONY: all build test race bench bench-smoke bench-allocs baseline tables perf perf-compare loc
 
 all: build
 
@@ -84,13 +84,6 @@ baseline:
 # result and update the Measured blocks that quote it.
 tables:
 	go run ./cmd/asulab all > bench/asulab_all.txt
-
-# Run the quick bench with the live dashboard and a run store attached:
-# open the printed address in a browser to watch cells stream in, and query
-# the recorded runs afterwards with `lmasreport query runs ...`.
-monitor:
-	go run ./cmd/lmasreport bench -quick -stamp=false -o /dev/null \
-		-record runs -serve 127.0.0.1:8070
 
 # Host-time benchmark (perf/README.md): all four workloads, 20-s windows,
 # one record per workload appended to .perf_out/runs.jsonl.

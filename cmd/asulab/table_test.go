@@ -5,10 +5,12 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -153,14 +155,7 @@ func TestExperimentsDocQuotesCommittedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := os.ReadFile("../../bench/asulab_all.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	printed := map[string]bool{}
-	for _, l := range strings.Split(string(all), "\n") {
-		printed[strings.TrimRight(l, " ")] = true
-	}
+	printed := committedLines(t)
 	blocks := 0
 	lines := strings.Split(string(doc), "\n")
 	for i := 0; i < len(lines); i++ {
@@ -186,14 +181,86 @@ func TestExperimentsDocQuotesCommittedTables(t *testing.T) {
 	}
 }
 
+// committedLines is the set of lines of bench/asulab_all.txt, each with its
+// trailing padding trimmed.
+func committedLines(t *testing.T) map[string]bool {
+	t.Helper()
+	all, err := os.ReadFile("../../bench/asulab_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := map[string]bool{}
+	for _, l := range strings.Split(string(all), "\n") {
+		printed[strings.TrimRight(l, " ")] = true
+	}
+	return printed
+}
+
+// TestReadmeQuotesCommittedTables: README's "Results at a glance" quotes the
+// committed tables too. Every line of its Figure 9 block is a line of
+// bench/asulab_all.txt, and its "~N% earlier" is what the Figure 10
+// summary's elapsed column gives: round(100·(1 − SR/static)).
+func TestReadmeQuotesCommittedTables(t *testing.T) {
+	src, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, glance, ok := strings.Cut(string(src), "\n## Results at a glance\n")
+	if !ok {
+		t.Fatal("README.md has no \"Results at a glance\" section")
+	}
+	glance, _, _ = strings.Cut(glance, "\n## ")
+	_, block, ok := strings.Cut(glance, "```\n")
+	if !ok {
+		t.Fatal("README.md's results section has no quoted block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	printed := committedLines(t)
+	for _, l := range strings.Split(strings.TrimSuffix(block, "\n"), "\n") {
+		if !printed[l] {
+			t.Errorf("README.md Figure 9 block: %q is not a line of bench/asulab_all.txt", l)
+		}
+	}
+
+	m := regexp.MustCompile(`~(\d+)%\s+earlier`).FindStringSubmatch(glance)
+	if m == nil {
+		t.Fatal("README.md's results section has no \"~N% earlier\"")
+	}
+	elapsed := func(run string) float64 {
+		t.Helper()
+		for l := range printed {
+			if rest, ok := strings.CutPrefix(l, run); ok {
+				f := strings.Fields(rest)
+				if len(f) != 2 {
+					t.Fatalf("Figure 10 summary row %q: want elapsed and imbalance", l)
+				}
+				v, err := strconv.ParseFloat(f[0], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("bench/asulab_all.txt has no Figure 10 summary row %q", run)
+		return 0
+	}
+	static, sr := elapsed("static (no load control)  "), elapsed("load-managed (SR)  ")
+	if want := strconv.Itoa(int(math.Round(100 * (1 - sr/static)))); m[1] != want {
+		t.Errorf("README.md says SR finishes ~%s%% earlier; the Figure 10 summary (%.3f s vs %.3f s) gives %s%%", m[1], sr, static, want)
+	}
+}
+
 // TestDocsNameExistingFrontDoors: the documents a reader follows to run
 // something name only front doors that exist. Every `asulab <word>` (quoted,
 // or after ./cmd/) is a table command, `all` or `help`; every cmd/<name> is a
-// command directory; and no path points into examples/ — the walkthroughs are
-// the Example functions of package lmas.
+// command directory; no path points into examples/ — the walkthroughs are
+// the Example functions of package lmas; and none names the deleted live
+// dashboard's doors (`lmasreport serve`, `-serve`, `make monitor`) — the run
+// store is the one recorder backend.
 func TestDocsNameExistingFrontDoors(t *testing.T) {
 	asulabCmd := regexp.MustCompile("(?:`|cmd/)asulab ([a-z0-9]+)")
 	cmdDir := regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z0-9]+)`) // a repo path, not a URL's
+	deleted := regexp.MustCompile(`lmasreport serve|(?:^|[^\w-])-serve\b|make monitor`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		src, err := os.ReadFile("../../" + doc)
 		if err != nil {
@@ -212,6 +279,9 @@ func TestDocsNameExistingFrontDoors(t *testing.T) {
 			}
 			if strings.Contains(line, "examples/") {
 				t.Errorf("%s:%d points into examples/, which does not exist", doc, i+1)
+			}
+			if m := deleted.FindString(line); m != "" {
+				t.Errorf("%s:%d names %q, which was deleted with the live dashboard", doc, i+1, m)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"time"
 
 	"lmas/internal/experiments"
@@ -26,7 +25,6 @@ func runBench(args []string) error {
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	record := fs.String("record", "", "record every cell into this run store directory")
 	experiment := fs.String("experiment", "bench", "experiment name for recorded runs")
-	serveAddr := fs.String("serve", "", "serve the live monitoring dashboard on this address while running (blocks after the bench so the page stays up)")
 	sampleMs := fs.Int("sample", 100, "recorder sampling interval in virtual-time milliseconds")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -46,31 +44,15 @@ func runBench(args []string) error {
 	}
 	defer stopProf()
 
-	// Assemble the recorder sink: a store, a live dashboard, or both. The
-	// store goes first so the run IDs it assigns are the ones the dashboard
-	// shows.
-	var sinks recorder.Multi
 	var store *recorder.Store
 	if *record != "" {
 		if store, err = recorder.OpenStore(*record); err != nil {
 			return err
 		}
-		sinks = append(sinks, store)
-	}
-	var live *recorder.Live
-	if *serveAddr != "" {
-		live = recorder.NewLive()
-		sinks = append(sinks, live)
-		srv := &http.Server{Addr: *serveAddr, Handler: live.Handler()}
-		go func() {
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				fmt.Println("bench: monitor server:", err)
-			}
-		}()
-		fmt.Printf("bench: live monitor on http://%s/\n", *serveAddr)
 	}
 	opt := experiments.BenchOptions{
 		Quick: *quick, Seed: *seed, Jobs: *jobs,
+		Record:      store,
 		Experiment:  *experiment,
 		SampleEvery: sim.Duration(*sampleMs) * sim.Millisecond,
 		Progress: func(spec experiments.SortRunSpec) {
@@ -78,10 +60,6 @@ func runBench(args []string) error {
 				spec.Name, spec.N, spec.Hosts, spec.ASUs, spec.Policy, spec.Dist)
 		},
 	}
-	if len(sinks) > 0 {
-		opt.Record = sinks
-	}
-
 	tr, err := experiments.RunBenchWith(opt)
 	if err != nil {
 		return err
@@ -100,10 +78,6 @@ func runBench(args []string) error {
 		}
 		fmt.Printf("bench: %d run(s) recorded in %s (experiment %q)\n",
 			len(tr.Runs), *record, *experiment)
-	}
-	if live != nil {
-		fmt.Printf("bench: monitor still serving on http://%s/ — interrupt to exit\n", *serveAddr)
-		select {}
 	}
 	return nil
 }

@@ -5,9 +5,9 @@
 //	lmasreport show  run.json [-svg util.svg] [-all]
 //	lmasreport critpath run.json [-svg attr.svg]
 //	lmasreport diff  base.json new.json [-runtime-threshold 0.10] [-p99-threshold T]
-//	lmasreport bench [-quick] [-o FILE] [-seed S] [-record DIR] [-serve ADDR]
-//	lmasreport query STORE {list|show|metric|gate|import} ...
-//	lmasreport serve STORE [-addr A]
+//	lmasreport bench [-quick] [-o FILE] [-seed S] [-record DIR]
+//	lmasreport query STORE {list|show|metric|gate|import|trace|prune} ...
+//	lmasreport trend STORE -metric NAME [-svg OUT.svg]
 //
 // show renders paper-style tables (config, runtime, per-node utilization,
 // counters, latency quantiles, the load-manager decision log) and can plot
@@ -15,11 +15,10 @@
 // or bench trajectories field by field and exits non-zero when a gated
 // field regresses past its threshold — the CI regression gate. bench runs
 // the standard DSM-Sort matrix and writes one trajectory point; with
-// -record it also streams every cell into a queryable run store, and with
-// -serve it hosts the live monitoring dashboard while the sweep runs.
-// query filters, aggregates, and compares stored runs (gate reproduces the
-// bench regression verdict from store records alone); serve replays stored
-// runs into the same dashboard.
+// -record it also streams every cell into a queryable run store. query
+// filters, aggregates, and compares stored runs (gate reproduces the bench
+// regression verdict from store records alone), and trend follows one
+// metric across stored runs.
 package main
 
 import (
@@ -48,8 +47,6 @@ func main() {
 		err = runQuery(args)
 	case "trend":
 		err = runTrend(args)
-	case "serve":
-		err = runServe(args)
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -87,9 +84,9 @@ commands:
   diff  BASE NEW [-runtime-threshold R] [-p99-threshold P] [-q]
                                        field-by-field comparison; exit 1 on regression
   bench [-quick] [-o FILE] [-seed S] [-stamp=false]
-        [-record DIR] [-serve ADDR] [-experiment E] [-sample MS]
+        [-record DIR] [-experiment E] [-sample MS]
                                        run the DSM-Sort matrix, write a trajectory point;
-                                       optionally record runs and serve the live dashboard
+                                       optionally record every cell into a run store
   query STORE list   [-experiment E]   enumerate recorded runs
   query STORE show   RUN-ID            render one stored run's report
   query STORE metric NAME [-experiment E]
@@ -103,7 +100,5 @@ commands:
   query STORE prune  -keep N [-dry-run]
                                        delete the oldest segments beyond the newest N
   trend STORE -metric NAME [-experiment E] [-name CELL] [-svg OUT.svg]
-                                       one metric across stored runs grouped by git_rev
-  serve STORE-or-FILE [-addr A] [-experiment E]
-                                       replay stored runs into the monitoring dashboard`)
+                                       one metric across stored runs grouped by git_rev`)
 }

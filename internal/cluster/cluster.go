@@ -310,13 +310,13 @@ type Observers struct {
 	Trace *trace.Sink
 	// Critpath attaches a critical-path profiler (Cluster.Profiler).
 	Critpath bool
-	// Recorder streams the run into a record: one Sample per SampleEvery
-	// (0 means 100ms of virtual time) with per-node utilization, queue
-	// depths and latency quantiles, every load-manager decision as it is
-	// logged (they reach the recorder through Telemetry), and every Trace
-	// event as a Span. The caller has already sent it the run's Header, and
-	// passes it the finished report itself after FinishSampling.
-	Recorder    recorder.Recorder
+	// Recorder streams the run into its store segment: one Sample per
+	// SampleEvery (0 means 100ms of virtual time) with per-node utilization
+	// and queue depths, every load-manager decision as it is logged (they
+	// reach the segment through Telemetry), and every Trace event as a
+	// Span. The caller has already begun the segment with the run's Header,
+	// and passes it the finished report itself after FinishSampling.
+	Recorder    *recorder.Segment
 	SampleEvery sim.Duration
 	// GaugeEvery, when positive, additionally emits the periodic
 	// observations as Telemetry gauges — node.<name>.cpu.busy_sec
@@ -429,7 +429,7 @@ func (c *Cluster) observe(obs Observers) {
 // recorderBridge is the trace consumer that stores each event as a span of
 // the run's record. The sink's args are the span's: the store encodes the
 // line before the call returns.
-type recorderBridge struct{ rec recorder.Recorder }
+type recorderBridge struct{ rec *recorder.Segment }
 
 func (b *recorderBridge) Event(e trace.StreamEvent) {
 	b.rec.Span(recorder.Span{

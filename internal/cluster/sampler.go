@@ -84,7 +84,7 @@ func (c *Cluster) FinishSampling() {
 
 type clusterSampler struct {
 	c      *Cluster
-	rec    recorder.Recorder // nil: gauges only
+	rec    *recorder.Segment // nil: gauges only
 	gauges bool
 	proc   *sim.Proc
 	// prev holds each node's cumulative (cpu, disk, nic) busy time at the
@@ -94,7 +94,7 @@ type clusterSampler struct {
 	prevT sim.Time
 }
 
-func (c *Cluster) startSampler(name string, every sim.Duration, rec recorder.Recorder, gauges bool) {
+func (c *Cluster) startSampler(name string, every sim.Duration, rec *recorder.Segment, gauges bool) {
 	s := &clusterSampler{
 		c: c, rec: rec, gauges: gauges,
 		prev: make([][3]sim.Duration, len(c.Hosts)+len(c.ASUs)),
@@ -154,20 +154,9 @@ func (s *clusterSampler) tick(now sim.Time) {
 			c.Telemetry.Gauge("stage."+sp.name+".records_in").Set(now, float64(sp.records()))
 		}
 	}
-	var lats []recorder.LatencySnapshot
-	if s.rec != nil {
-		for _, h := range c.Telemetry.LatencyHistograms() {
-			lats = append(lats, recorder.LatencySnapshot{
-				Name:  h.Name(),
-				Count: h.Count(),
-				P50Ns: h.Quantile(0.50),
-				P99Ns: h.Quantile(0.99),
-			})
-		}
-	}
 	s.prevT = now
 	if s.rec != nil {
-		s.rec.Sample(recorder.Sample{T: int64(now), Nodes: nodes, Queues: queues, Latencies: lats})
+		s.rec.Sample(recorder.Sample{T: int64(now), Nodes: nodes, Queues: queues})
 	}
 }
 

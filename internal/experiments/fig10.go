@@ -39,9 +39,9 @@ type Fig10Options struct {
 	// latency-attribution sections (with Pass1Model predictions) to their
 	// reports.
 	Critpath bool
-	// Record streams both runs into a recorder sink; Experiment and
-	// SampleEvery follow SortRunSpec's semantics.
-	Record      recorder.Sink
+	// Record streams both runs into the store; Experiment and SampleEvery
+	// follow SortRunSpec's semantics.
+	Record      *recorder.Store
 	Experiment  string
 	SampleEvery sim.Duration
 }

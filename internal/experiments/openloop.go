@@ -54,11 +54,11 @@ type OpenLoopOptions struct {
 	Deadlines int
 	Base      cluster.Params
 	Seed      int64
-	// Record, when non-nil, streams the run into a recorder sink: periodic
-	// samples (with queue depths and the latency strip), load-manager
-	// events, and the finished report. Recording is a pure observer — the
-	// report stays byte-identical with or without it.
-	Record recorder.Sink
+	// Record, when non-nil, streams the run into a segment of this store:
+	// periodic samples (with queue depths), load-manager events, and the
+	// finished report. Recording is a pure observer — the report stays
+	// byte-identical with or without it.
+	Record *recorder.Store
 	// Experiment names the recorded run's store experiment (default
 	// "openloop"); only used when Record is set.
 	Experiment string
@@ -207,9 +207,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	cl := run.cl
 	s := cl.Sim
 
-	// The recorder's sampler lists the registry's latency histograms at each
-	// tick, so its latency strip sees this one from the first. It observes
-	// each job once, at completion: its count and quantiles are the result's.
+	// The job latency histogram observes each job once, at completion: its
+	// count and quantiles are the result's.
 	latHist := cl.Telemetry.Latency("openloop.job.latency")
 
 	queues := make([]*sim.Queue[openJob], opt.ASUs)

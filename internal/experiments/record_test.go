@@ -38,10 +38,9 @@ func recordSpec(name string) SortRunSpec {
 	}
 }
 
-// TestRecordingNeutrality pins the acceptance criterion: attaching a
-// recorder (store and live dashboard together) must leave the RunReport
-// byte-identical to an unrecorded run. The recorder is a pure observer of
-// the virtual-time trajectory.
+// TestRecordingNeutrality pins the acceptance criterion: recording a run into
+// a store must leave the RunReport byte-identical to an unrecorded run. The
+// segment is a pure observer of the virtual-time trajectory.
 func TestRecordingNeutrality(t *testing.T) {
 	plain, _, err := RunSortReport(recordSpec("cell"))
 	if err != nil {
@@ -52,9 +51,8 @@ func TestRecordingNeutrality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := recorder.NewLive()
 	spec := recordSpec("cell")
-	spec.Record = recorder.Multi{st, live}
+	spec.Record = st
 	spec.Experiment = "neutrality"
 	spec.SampleEvery = 2 * sim.Millisecond
 	recorded, _, err := RunSortReport(spec)
@@ -93,25 +91,6 @@ func TestRecordingNeutrality(t *testing.T) {
 	stored := runs[0].Report()
 	if stored == nil {
 		t.Fatal("stored run has no finish report")
-	}
-	// The samples carry the dashboard's latency strip: every per-stage
-	// distribution the report ends up with shows in the last sample, with
-	// observations and a p50 below its p99 bound.
-	samples := runs[0].Samples()
-	strip := map[string]recorder.LatencySnapshot{}
-	for _, l := range samples[len(samples)-1].Latencies {
-		strip[l.Name] = l
-	}
-	for _, stage := range []string{"distribute", "blocksort", "collect"} {
-		for _, what := range []string{"queue_wait", "service", "latency"} {
-			name := "functor." + stage + "." + what
-			if l, ok := strip[name]; !ok || l.Count == 0 || l.P50Ns > l.P99Ns {
-				t.Errorf("last sample's latency strip: %s = %+v (present %v)", name, l, ok)
-			}
-		}
-	}
-	if len(strip) != len(stored.Latencies) {
-		t.Errorf("latency strip has %d entries, the report %d", len(strip), len(stored.Latencies))
 	}
 	c, err := json.Marshal(stored)
 	if err != nil {
@@ -295,16 +274,14 @@ func TestStoreDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording exercises shared store + live sinks from parallel
-// sweep cells — the configuration `lmasreport bench -record -serve` runs —
-// so `go test -race` covers the cross-goroutine recorder paths.
+// TestConcurrentRecording records parallel sweep cells into one shared store
+// — the configuration `lmasreport bench -record` runs — so `go test -race`
+// covers the cross-goroutine store paths.
 func TestConcurrentRecording(t *testing.T) {
 	st, err := recorder.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := recorder.NewLive()
-	sink := recorder.Multi{st, live}
 
 	const cells = 3
 	var wg sync.WaitGroup
@@ -314,7 +291,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			spec := recordSpec(fmt.Sprintf("cell-%d", i))
-			spec.Record = sink
+			spec.Record = st
 			spec.Experiment = "race"
 			spec.SampleEvery = 2 * sim.Millisecond
 			_, _, errs[i] = RunSortReport(spec)
@@ -436,10 +413,10 @@ func settledGoroutines(want int) int {
 // is a finish with no report, and no goroutine — sampler daemon or segment
 // writer — outlives the call.
 func TestEarlyErrorFinishesSegment(t *testing.T) {
-	sortWith := func(edit func(*SortRunSpec)) func(recorder.Sink) error {
-		return func(sink recorder.Sink) error {
+	sortWith := func(edit func(*SortRunSpec)) func(*recorder.Store) error {
+		return func(st *recorder.Store) error {
 			spec := recordSpec("cell")
-			spec.Record = sink
+			spec.Record = st
 			spec.Trace = trace.New()
 			spec.Experiment = "early-error"
 			edit(&spec)
@@ -449,18 +426,18 @@ func TestEarlyErrorFinishesSegment(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		run  func(recorder.Sink) error
+		run  func(*recorder.Store) error
 	}{
 		{"unknown dist", sortWith(func(s *SortRunSpec) { s.Dist = "no-such-dist" })},
 		{"unknown policy", sortWith(func(s *SortRunSpec) { s.Policy = "no-such-policy" })},
-		{"fig10 bad beta", func(sink recorder.Sink) error {
+		{"fig10 bad beta", func(st *recorder.Store) error {
 			opt := DefaultFig10Options()
 			opt.N, opt.Beta, opt.Jobs = 1<<12, 0, 1
-			opt.Record, opt.Experiment = sink, "early-error"
+			opt.Record, opt.Experiment = st, "early-error"
 			_, err := RunFig10(opt)
 			return err
 		}},
-		{"openloop panics", func(sink recorder.Sink) (err error) {
+		{"openloop panics", func(st *recorder.Store) (err error) {
 			defer func() {
 				if r := recover(); r != nil {
 					err = fmt.Errorf("panic: %v", r)
@@ -468,7 +445,7 @@ func TestEarlyErrorFinishesSegment(t *testing.T) {
 			}()
 			opt := smallOpenLoop()
 			opt.QueueCap = 0
-			opt.Record, opt.Experiment = sink, "early-error"
+			opt.Record, opt.Experiment = st, "early-error"
 			_, err = RunOpenLoop(opt)
 			return err
 		}},

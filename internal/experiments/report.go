@@ -29,16 +29,15 @@ type SortRunSpec struct {
 	// Critpath attaches the critical-path profiler and adds a latency
 	// attribution section (with the Pass1Model prediction) to the report.
 	Critpath bool
-	// Record, when non-nil, streams the run into a recorder sink (store
-	// and/or live dashboard): header at start, periodic samples and
-	// decisions during the run, the finished report at the end. Recording
-	// is a pure observer — the report's bytes are identical with or
-	// without it.
-	Record recorder.Sink
+	// Record, when non-nil, streams the run into a segment of this run
+	// store: header at start, periodic samples and decisions during the
+	// run, the finished report at the end. Recording is a pure observer —
+	// the report's bytes are identical with or without it.
+	Record *recorder.Store
 	// Trace, when non-nil, attaches a structured trace sink to the run; its
 	// consumers (a trace file's writer, say) are attached before the run.
 	// With Record also set, every trace event additionally streams into the
-	// recorder as a Span record. Tracing is a pure observer too: the
+	// run's segment as a Span record. Tracing is a pure observer too: the
 	// report's bytes are identical with or without it.
 	Trace *trace.Sink
 	// Experiment labels the run's store segment ("" = "adhoc").
@@ -176,9 +175,9 @@ type BenchOptions struct {
 	Quick bool
 	Seed  int64
 	Jobs  int
-	// Record streams every cell into the sink (each cell is its own run);
+	// Record streams every cell into the store (each cell is its own run);
 	// Experiment and SampleEvery are passed through to the cells' specs.
-	Record      recorder.Sink
+	Record      *recorder.Store
 	Experiment  string
 	SampleEvery sim.Duration
 	Progress    func(spec SortRunSpec)

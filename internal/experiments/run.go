@@ -23,7 +23,7 @@ import (
 type observers struct {
 	trace       *trace.Sink
 	critpath    bool
-	record      recorder.Sink
+	record      *recorder.Store
 	experiment  string       // store label for the recorded run
 	sampleEvery sim.Duration // recorder sampling interval (0 = 100ms)
 	gaugeEvery  sim.Duration // > 0: periodic node/queue gauges in the report
@@ -43,7 +43,7 @@ type observedRun struct {
 	name     string
 	seed     int64
 	workload map[string]any
-	rec      recorder.Recorder
+	rec      *recorder.Segment
 	finished bool
 }
 

@@ -1,11 +1,11 @@
 // Package plot holds the shared SVG plotting vocabulary used by every chart
-// the toolchain emits — lmasreport's utilization and attribution plots and
-// the recorder's live dashboard. Geometry, the ink palette, and the fixed
-// categorical series order live here once, so a color or margin change lands
-// in every output, and so the charts stay visually consistent: categorical
-// slots are assigned to entities in fixed order (color follows the entity),
-// series draw as 2px lines over a recessive grid, and identity never rides
-// on color alone (every series is also direct-labeled or legended).
+// the toolchain emits — lmasreport's utilization, attribution and trend
+// plots. Geometry, the ink palette, and the fixed categorical series order
+// live here once, so a color or margin change lands in every output, and so
+// the charts stay visually consistent: categorical slots are assigned to
+// entities in fixed order (color follows the entity), series draw as 2px
+// lines over a recessive grid, and identity never rides on color alone
+// (every series is also direct-labeled or legended).
 //
 // The text side of the same job lives here too: Table (table.go) is the
 // column-aligned results table every experiment harness and report command

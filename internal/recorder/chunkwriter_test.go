@@ -50,8 +50,8 @@ func (f *fakeFile) Close() error {
 	return nil
 }
 
-func runOn(st *Store, f *fakeFile) *storeRun {
-	return &storeRun{st: st, f: f, out: newChunkWriter(f, st.setErr)}
+func runOn(st *Store, f *fakeFile) *Segment {
+	return &Segment{st: st, f: f, out: newChunkWriter(f, st.setErr)}
 }
 
 // testSpan is ~130 bytes a line, so 2100 of them fill one chunk.

@@ -1,10 +1,8 @@
-// Package recorder is the run-record layer of the emulator: a small
-// recorder interface (Begin/Sample/Event/Finish) that observability
-// backends implement, with two stdlib-only implementations — an append-only
-// JSONL store under a runs/ directory (store.go) and a live monitoring HTTP
-// server with an SSE dashboard (live.go).
+// Package recorder is the run-record layer of the emulator: an append-only
+// JSONL run store under a runs/ directory (store.go) holding one segment per
+// run, which `lmasreport query` and `lmasreport trend` read back.
 //
-// A recorder is a pure observer, wired through the cluster behind a
+// A run's Segment is a pure observer, wired through the cluster behind a
 // nil-by-default hook exactly like sim.Profiler and the telemetry registry:
 // it receives a header when a run begins, periodic virtual-time samples
 // (per-node utilization, queue depth/high-water), streamed events (load
@@ -68,23 +66,13 @@ type QueueSample struct {
 	High  int    `json:"high_water"`
 }
 
-// LatencySnapshot is one latency histogram's running summary at sample time,
-// the data behind the live dashboard's p50/p99 strip.
-type LatencySnapshot struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	P50Ns int64  `json:"p50_ns"`
-	P99Ns int64  `json:"p99_ns"`
-}
-
 // Sample is one periodic virtual-time observation of the whole cluster.
-// Nodes follow cluster order (hosts first), queues registration order, and
-// latencies telemetry registration order, so samples are deterministic.
+// Nodes follow cluster order (hosts first) and queues registration order, so
+// samples are deterministic.
 type Sample struct {
-	T         int64             `json:"t_ns"`
-	Nodes     []NodeSample      `json:"nodes,omitempty"`
-	Queues    []QueueSample     `json:"queues,omitempty"`
-	Latencies []LatencySnapshot `json:"latencies,omitempty"`
+	T      int64         `json:"t_ns"`
+	Nodes  []NodeSample  `json:"nodes,omitempty"`
+	Queues []QueueSample `json:"queues,omitempty"`
 }
 
 // Event is one streamed run event: a load-manager decision, a phase marker,
@@ -139,78 +127,15 @@ type Record struct {
 	Finish *Finish `json:"finish,omitempty"`
 }
 
-// Recorder receives one run's record stream. Implementations must tolerate
-// concurrent runs (one Recorder per run, runs possibly on different
-// goroutines) but calls on a single Recorder are sequential.
-type Recorder interface {
-	// Begin opens the run. The header's RunID/StartedAt/GitRev may be
-	// empty; backends fill them in place, so under a Multi fan-out later
-	// sinks see the IDs earlier sinks assigned.
-	Begin(h *Header)
-	// Sample records one periodic observation.
-	Sample(s Sample)
-	// Event records one streamed event.
-	Event(e Event)
-	// Span records one streamed trace event. Backends that do not keep
-	// traces (the live dashboard) may drop spans. sp.Args belongs to the
-	// caller: a backend that keeps the span past its return copies Args.
-	Span(sp Span)
-	// Finish closes the run with its completed report (nil if the run
-	// failed before reporting).
-	Finish(rep *telemetry.RunReport)
-}
-
-// Sink creates per-run recorders. A sweep calls NewRun once per cell, from
-// the worker goroutine running that cell, so NewRun must be safe for
-// concurrent use.
-type Sink interface {
-	NewRun() Recorder
-}
-
-// Multi fans a run's records out to several sinks (e.g. a store and a live
-// dashboard at once).
-type Multi []Sink
-
-// NewRun returns a recorder that forwards every call to one recorder per
-// underlying sink.
-func (m Multi) NewRun() Recorder {
-	recs := make(multiRecorder, len(m))
-	for i, s := range m {
-		recs[i] = s.NewRun()
+// kinds counts the record's set fields; a stored record has exactly one.
+func (r *Record) kinds() int {
+	n := 0
+	for _, set := range [...]bool{r.Sample != nil, r.Event != nil, r.Span != nil, r.Finish != nil} {
+		if set {
+			n++
+		}
 	}
-	return recs
-}
-
-type multiRecorder []Recorder
-
-func (m multiRecorder) Begin(h *Header) {
-	for _, r := range m {
-		r.Begin(h)
-	}
-}
-
-func (m multiRecorder) Sample(s Sample) {
-	for _, r := range m {
-		r.Sample(s)
-	}
-}
-
-func (m multiRecorder) Event(e Event) {
-	for _, r := range m {
-		r.Event(e)
-	}
-}
-
-func (m multiRecorder) Span(sp Span) {
-	for _, r := range m {
-		r.Span(sp)
-	}
-}
-
-func (m multiRecorder) Finish(rep *telemetry.RunReport) {
-	for _, r := range m {
-		r.Finish(rep)
-	}
+	return n
 }
 
 // ConfigHash digests a run's cluster configuration, workload, and seed into

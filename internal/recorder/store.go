@@ -57,13 +57,15 @@ func (st *Store) setErr(err error) {
 	st.mu.Unlock()
 }
 
-// NewRun opens a recorder for one run; the segment file is created at Begin.
-func (st *Store) NewRun() Recorder { return &storeRun{st: st} }
+// NewRun opens the writer of one run's segment; the file is created at Begin.
+func (st *Store) NewRun() *Segment { return &Segment{st: st} }
 
-// storeRun writes one segment. Lines are encoded into out's current chunk on
-// the caller's goroutine and reach the file from out's writer goroutine, which
-// lives from Begin to Finish.
-type storeRun struct {
+// Segment writes one run's segment: Begin, then any number of Sample, Event
+// and Span calls, then Finish. Calls on one Segment are sequential; segments
+// of the same store may be written from different goroutines. Lines are
+// encoded into out's current chunk on the caller's goroutine and reach the
+// file from out's writer goroutine, which lives from Begin to Finish.
+type Segment struct {
 	st   *Store
 	f    io.WriteCloser // the segment file
 	out  *chunkWriter   // nil before Begin, after Finish, and when Begin failed
@@ -89,7 +91,10 @@ func sanitizeID(s string) string {
 	return out
 }
 
-func (r *storeRun) Begin(h *Header) {
+// Begin creates the segment file and writes the header as its first line.
+// The header's RunID, StartedAt and GitRev may be empty; Begin fills them in
+// place, so the caller sees the run ID the store assigned.
+func (r *Segment) Begin(h *Header) {
 	h.Schema = StoreSchema
 	if h.Experiment == "" {
 		h.Experiment = "adhoc"
@@ -128,12 +133,12 @@ func (r *storeRun) Begin(h *Header) {
 
 // fail latches an encode error and ends the stream: a segment with a line
 // missing from its middle would parse as a complete run.
-func (r *storeRun) fail(err error) {
+func (r *Segment) fail(err error) {
 	r.st.setErr(err)
 	r.dead = true
 }
 
-func (r *storeRun) writeLine(v any) {
+func (r *Segment) writeLine(v any) {
 	if r.out == nil || r.dead {
 		return
 	}
@@ -146,12 +151,17 @@ func (r *storeRun) writeLine(v any) {
 	r.out.lineDone()
 }
 
-func (r *storeRun) Sample(s Sample) { r.writeLine(Record{Sample: &s}) }
-func (r *storeRun) Event(e Event)   { r.writeLine(Record{Event: &e}) }
+// Sample records one periodic observation.
+func (r *Segment) Sample(s Sample) { r.writeLine(Record{Sample: &s}) }
 
-// Span is the one high-rate record (one per trace event, 10^5 per sort cell),
-// so its line is appended in place by appendSpanLine rather than marshalled.
-func (r *storeRun) Span(sp Span) {
+// Event records one streamed event.
+func (r *Segment) Event(e Event) { r.writeLine(Record{Event: &e}) }
+
+// Span records one streamed trace event. It is the one high-rate record (one
+// per trace event, 10^5 per sort cell), so its line is appended in place by
+// appendSpanLine rather than marshalled; sp.Args is encoded before Span
+// returns and stays the caller's.
+func (r *Segment) Span(sp Span) {
 	if r.out == nil || r.dead {
 		return
 	}
@@ -159,10 +169,11 @@ func (r *storeRun) Span(sp Span) {
 	r.out.lineDone()
 }
 
-// Finish writes the closing record, then flushes, joins the writer goroutine
-// and closes the file, so every error is latched in the store and the segment
-// is complete on disk when it returns.
-func (r *storeRun) Finish(rep *telemetry.RunReport) {
+// Finish closes the run with its completed report (nil if the run failed
+// before reporting). It writes the closing record, then flushes, joins the
+// writer goroutine and closes the file, so every error is latched in the
+// store and the segment is complete on disk when it returns.
+func (r *Segment) Finish(rep *telemetry.RunReport) {
 	if r.out == nil {
 		return
 	}
@@ -234,31 +245,34 @@ func (r *RunRecord) Spans() []Span {
 	return out
 }
 
-// Replay feeds the stored run into rec in original stream order — this is
-// how `lmasreport serve` pushes a finished run onto the live dashboard.
-func (r *RunRecord) Replay(rec Recorder) {
+// Replay writes the stored run into seg in original stream order, so a
+// loaded segment can be re-recorded byte for byte; a run that never finished
+// is closed with a nil-report finish.
+func (r *RunRecord) Replay(seg *Segment) {
 	h := r.Header
-	rec.Begin(&h)
+	seg.Begin(&h)
 	finished := false
 	for _, record := range r.Records {
 		switch {
 		case record.Sample != nil:
-			rec.Sample(*record.Sample)
+			seg.Sample(*record.Sample)
 		case record.Event != nil:
-			rec.Event(*record.Event)
+			seg.Event(*record.Event)
 		case record.Span != nil:
-			rec.Span(*record.Span)
+			seg.Span(*record.Span)
 		case record.Finish != nil:
-			rec.Finish(record.Finish.Report)
+			seg.Finish(record.Finish.Report)
 			finished = true
 		}
 	}
 	if !finished {
-		rec.Finish(nil)
+		seg.Finish(nil)
 	}
 }
 
-// LoadRun reads one segment file.
+// LoadRun reads one segment file. Each record must set exactly one field and
+// none may follow the finish record — the only segments a Segment writes — so
+// Replay writes any loaded run back as it was read.
 func LoadRun(path string) (*RunRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -293,6 +307,12 @@ func readRun(path string, r io.Reader) (*RunRecord, error) {
 			var rec Record
 			if uerr := json.Unmarshal(line, &rec); uerr != nil {
 				return nil, fmt.Errorf("%s: bad record: %w", path, uerr)
+			}
+			if run.Finished() {
+				return nil, fmt.Errorf("%s: record %d follows the finish record", path, len(run.Records)+1)
+			}
+			if n := rec.kinds(); n != 1 {
+				return nil, fmt.Errorf("%s: record %d sets %d of sample, event, span and finish, want 1", path, len(run.Records)+1, n)
 			}
 			run.Records = append(run.Records, rec)
 		}

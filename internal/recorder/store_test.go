@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,17 +68,20 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("report = %+v", rep)
 	}
 
-	// Replay reproduces the original stream order.
+	// The records keep the original stream order.
 	var kinds []string
-	run.Replay(&captureRec{kinds: &kinds})
-	want := []string{"begin", "sample", "event", "sample", "finish"}
-	if len(kinds) != len(want) {
-		t.Fatalf("replay stream %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("replay stream %v, want %v", kinds, want)
+	for _, r := range run.Records {
+		switch {
+		case r.Sample != nil:
+			kinds = append(kinds, "sample")
+		case r.Event != nil:
+			kinds = append(kinds, "event")
+		case r.Finish != nil:
+			kinds = append(kinds, "finish")
 		}
+	}
+	if want := []string{"sample", "event", "sample", "finish"}; !slices.Equal(kinds, want) {
+		t.Fatalf("record stream %v, want %v", kinds, want)
 	}
 }
 
@@ -182,13 +186,24 @@ func TestLoadRunRejectsUntypedArgs(t *testing.T) {
 	}
 }
 
-type captureRec struct{ kinds *[]string }
-
-func (c *captureRec) Begin(*Header)               { *c.kinds = append(*c.kinds, "begin") }
-func (c *captureRec) Sample(Sample)               { *c.kinds = append(*c.kinds, "sample") }
-func (c *captureRec) Event(Event)                 { *c.kinds = append(*c.kinds, "event") }
-func (c *captureRec) Span(Span)                   { *c.kinds = append(*c.kinds, "span") }
-func (c *captureRec) Finish(*telemetry.RunReport) { *c.kinds = append(*c.kinds, "finish") }
+// TestLoadRunRejectsNonCanonicalRecords: a record that sets no field or two,
+// or any record after the finish, fails LoadRun naming the record.
+func TestLoadRunRejectsNonCanonicalRecords(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct{ body, want string }{
+		{`{}` + "\n", "record 1 sets 0 of"},
+		{`{"sample":{"t_ns":1},"event":{"t_ns":1,"kind":"k"}}` + "\n", "record 1 sets 2 of"},
+		{`{"finish":{"report":null}}` + "\n" + `{"sample":{"t_ns":2}}` + "\n", "record 2 follows the finish"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("odd-%d.jsonl", i))
+		if err := os.WriteFile(path, []byte(segmentHeader+c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadRun(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("LoadRun(%q) = %v, want an error containing %q", c.body, err, c.want)
+		}
+	}
+}
 
 // TestSelectLatestPerCell: re-recorded cells supersede older segments; other
 // experiments stay invisible.

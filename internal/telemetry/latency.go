@@ -210,13 +210,3 @@ func (r *Registry) Latency(name string) *LatencyHistogram {
 	r.lats = append(r.lats, h)
 	return h
 }
-
-// LatencyHistograms returns the registered latency histograms in
-// registration order — the deterministic order periodic samplers snapshot
-// them in. Nil on a nil registry.
-func (r *Registry) LatencyHistograms() []*LatencyHistogram {
-	if r == nil {
-		return nil
-	}
-	return r.lats
-}

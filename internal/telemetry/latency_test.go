@@ -181,8 +181,7 @@ func TestRegistryLatency(t *testing.T) {
 	if r.Latency("a") != h1 {
 		t.Fatal("second lookup returned a different histogram")
 	}
-	lats := r.LatencyHistograms()
-	if len(lats) != 2 || lats[0] != h1 || lats[1] != h2 {
+	if lats := r.lats; len(lats) != 2 || lats[0] != h1 || lats[1] != h2 {
 		t.Fatalf("registration order lost: %v", lats)
 	}
 	defer func() {
