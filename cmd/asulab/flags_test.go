@@ -61,6 +61,9 @@ func TestOpenLoopBadFlagsAreErrors(t *testing.T) {
 		{[]string{"-rate", "-2"}, "rate"},
 		{[]string{"-rate", "NaN"}, "rate"},
 		{[]string{"-rate", "+Inf"}, "rate"},
+		{[]string{"-zipf", "NaN"}, "zipf"},
+		{[]string{"-zipf", "+Inf"}, "zipf"},
+		{[]string{"-zipf", "-Inf"}, "zipf"},
 	} {
 		wantCleanError(t, append([]string{"openloop"}, c.args...), "asulab: openloop: "+c.field+" must be")
 	}
@@ -81,8 +84,10 @@ func TestTableRowBadFlagsAreErrors(t *testing.T) {
 		{[]string{"filter", "-asus", "0"}, "asulab: filter: cluster: need at least one ASU, have 0"},
 		{[]string{"onepass", "-hosts", "0"}, "asulab: onepass: cluster: need at least one host, have 0"},
 		{[]string{"rtree", "-entries", "0"}, "asulab: rtree: Entries must be >= 1, have 0"},
-		{[]string{"fig9", "-c", "0"}, "cluster: power ratio c must be positive, have 0"},
-		{[]string{"fig9", "-c", "-1"}, "cluster: power ratio c must be positive, have -1"},
+		{[]string{"fig9", "-c", "0"}, "cluster: power ratio c must be finite and positive, have 0"},
+		{[]string{"fig9", "-c", "-1"}, "cluster: power ratio c must be finite and positive, have -1"},
+		{[]string{"fig9", "-c", "NaN"}, "cluster: power ratio c must be finite and positive, have NaN"},
+		{[]string{"fig9", "-c", "+Inf"}, "cluster: power ratio c must be finite and positive, have +Inf"},
 		{[]string{"openloop", "-timeout", "NaN"}, "asulab: openloop: -timeout must be finite and within ±9.223e+12 ms, have NaN"},
 		{[]string{"openloop", "-timeout", "1e300"}, "asulab: openloop: -timeout must be finite and within ±9.223e+12 ms, have 1e+300"},
 	} {

@@ -203,6 +203,8 @@ func TestBadFlagValuesAreErrors(t *testing.T) {
 		{[]string{"-gauges", "-3"}, "dsmsort: -gauges must be >= 0"},
 		{[]string{"-sample", "0"}, "dsmsort: -sample must be >= 1"},
 		{[]string{"-sample", "-5"}, "dsmsort: -sample must be >= 1"},
+		{[]string{"-c", "NaN"}, "dsmsort: cluster: power ratio c must be finite and positive, have NaN"},
+		{[]string{"-c", "+Inf"}, "dsmsort: cluster: power ratio c must be finite and positive, have +Inf"},
 		{[]string{"-placement", "bogus"}, `dsmsort: unknown placement "bogus" (want active|conventional|hybrid)`},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-n", "4096", "-asus", "4"}, tc.args...)...)

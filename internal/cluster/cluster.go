@@ -184,14 +184,16 @@ func (p Params) Validate() error {
 		return fmt.Errorf("cluster: need at least one host, have %d", p.Hosts)
 	case p.ASUs < 1:
 		return fmt.Errorf("cluster: need at least one ASU, have %d", p.ASUs)
-	case p.C <= 0:
-		return fmt.Errorf("cluster: power ratio c must be positive, have %g", p.C)
-	case p.HostOpsPerSec <= 0:
-		return fmt.Errorf("cluster: host ops/sec must be positive")
-	case p.DiskRate <= 0:
-		return fmt.Errorf("cluster: disk rate must be positive")
-	case p.NetBandwidth <= 0:
-		return fmt.Errorf("cluster: network bandwidth must be positive")
+	case !finitePositive(p.C):
+		return fmt.Errorf("cluster: power ratio c must be finite and positive, have %g", p.C)
+	case !finitePositive(p.HostOpsPerSec):
+		return fmt.Errorf("cluster: host ops/sec must be finite and positive, have %g", p.HostOpsPerSec)
+	case !finitePositive(p.DiskRate):
+		return fmt.Errorf("cluster: disk rate must be finite and positive, have %g", p.DiskRate)
+	case !finitePositive(p.NetBandwidth):
+		return fmt.Errorf("cluster: network bandwidth must be finite and positive, have %g", p.NetBandwidth)
+	case p.NetLatency < 0:
+		return fmt.Errorf("cluster: network latency must be >= 0, have %v", p.NetLatency)
 	case p.RecordSize < 8:
 		return fmt.Errorf("cluster: record size %d too small", p.RecordSize)
 	case p.HostMemRecords < 1 || p.ASUMemRecords < 1:
@@ -199,6 +201,10 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// finitePositive reports whether x is a usable rate: NaN and +Inf pass a
+// plain x <= 0 test.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Node is one emulated machine.
 type Node struct {
@@ -232,7 +238,6 @@ func (n *Node) Compute(p *sim.Proc, ops float64) {
 	d := sim.Duration(ops / n.OpsPerSec * float64(sim.Second))
 	if n.Quantum <= 0 {
 		n.CPU.Use(p, d)
-		n.chargeCPU(p, d)
 		return
 	}
 	for d > 0 {
@@ -241,18 +246,7 @@ func (n *Node) Compute(p *sim.Proc, ops float64) {
 			q = d
 		}
 		n.CPU.Use(p, q)
-		n.chargeCPU(p, q)
 		d -= q
-	}
-}
-
-// chargeCPU attributes a just-completed CPU hold of duration d (ending now)
-// to the attached profiler. Queueing ahead of the hold is charged separately
-// by the resource's acquire path.
-func (n *Node) chargeCPU(p *sim.Proc, d sim.Duration) {
-	if pf := p.Sim().Profiler(); pf != nil {
-		now := p.Now()
-		pf.Charge(p, sim.ChargeCPU, n.Name, now.Add(-d), now)
 	}
 }
 
@@ -266,7 +260,6 @@ func (n *Node) ServeRequest(p *sim.Proc, ops float64) {
 	}
 	d := sim.Duration(ops / n.OpsPerSec * float64(sim.Second))
 	n.CPU.UseHigh(p, d)
-	n.chargeCPU(p, d)
 }
 
 func (n *Node) String() string { return n.Name }

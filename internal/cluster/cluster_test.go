@@ -178,7 +178,7 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 		SampleEvery: 10 * sim.Millisecond,
 		GaugeEvery:  10 * sim.Millisecond,
 	})
-	if c.Profiler == nil || c.Sim.Profiler() == nil || c.Sim.Tracer() != sink {
+	if c.Profiler == nil || c.Sim.Tracer() != sink {
 		t.Fatal("an observer was not wired in")
 	}
 	q := sim.NewQueue[int](c.Sim, "q", 4)
@@ -296,9 +296,19 @@ func TestValidate(t *testing.T) {
 		func(p *Params) { p.Hosts = 0 },
 		func(p *Params) { p.ASUs = 0 },
 		func(p *Params) { p.C = 0 },
+		func(p *Params) { p.C = math.NaN() },
+		func(p *Params) { p.C = math.Inf(1) },
+		func(p *Params) { p.C = math.Inf(-1) },
 		func(p *Params) { p.HostOpsPerSec = 0 },
+		func(p *Params) { p.HostOpsPerSec = math.NaN() },
+		func(p *Params) { p.HostOpsPerSec = math.Inf(1) },
 		func(p *Params) { p.DiskRate = -1 },
+		func(p *Params) { p.DiskRate = math.NaN() },
+		func(p *Params) { p.DiskRate = math.Inf(1) },
 		func(p *Params) { p.NetBandwidth = 0 },
+		func(p *Params) { p.NetBandwidth = math.NaN() },
+		func(p *Params) { p.NetBandwidth = math.Inf(1) },
+		func(p *Params) { p.NetLatency = -1 },
 		func(p *Params) { p.RecordSize = 4 },
 		func(p *Params) { p.HostMemRecords = 0 },
 	}

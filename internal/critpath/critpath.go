@@ -8,10 +8,11 @@
 // latency across all chains) that can be diffed against the analytic
 // prediction of loadmgr.Pass1Model.
 //
-// The profiler is a pure observer, nil-by-default like trace.Sink: it is
-// driven by the sim.Profiler charge callbacks (CPU holds, disk and network
-// transfers, resource queueing, condition waits) plus explicit chain
-// bookkeeping from the pipeline layer, and attaching it never changes
+// The profiler is a pure observer, nil-by-default like trace.Sink. It is the
+// sim's Profiler, charged by the sim package alone: a device's sim.Timeline
+// charges a disk or network wait when the proc blocks, a Resource its CPU
+// holds and queueing when they end, a Cond its waits when they end. The
+// pipeline layer adds explicit chain bookkeeping. Attaching it never changes
 // virtual-time behaviour — the same seed completes at the same instant with
 // or without it.
 //

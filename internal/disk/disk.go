@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"lmas/internal/sim"
-	"lmas/internal/trace"
 )
 
 // Disk is a sequential-transfer storage device in virtual time. All methods
@@ -35,7 +34,6 @@ type Disk struct {
 	// ended, so concurrent streams divide the bandwidth.
 	sim.Timeline
 
-	s    *sim.Sim
 	rate float64 // bytes per second of virtual time
 	// seek is charged at the start of every cold read (the first read
 	// of a sequential run): arm positioning. Sequential experiments are
@@ -70,10 +68,11 @@ type Run struct {
 
 // New creates a disk transferring rate bytes per second of virtual time.
 func New(s *sim.Sim, name string, rate float64) *Disk {
-	if rate <= 0 {
+	if !(rate > 0) {
+		// Unreachable through cluster.Params, which Validate checks first.
 		panic("disk: rate must be positive")
 	}
-	d := &Disk{Timeline: sim.NewTimeline(name), s: s, rate: rate}
+	d := &Disk{Timeline: sim.NewTimeline(s, name, sim.ChargeDisk), rate: rate}
 	d.defRun.d = d
 	return d
 }
@@ -93,12 +92,12 @@ func (d *Disk) xferDur(n int) sim.Duration {
 
 // book reserves the device for a setup time (arm positioning, zero for
 // writes and warm reads) plus a transfer of n bytes, starting no earlier than
-// from, and returns the occupied interval.
-func (d *Disk) book(from sim.Time, n int, setup sim.Duration) (start, end sim.Time) {
-	start = max(from, d.BusyUntil())
-	end = start.Add(setup + d.xferDur(n))
-	d.Occupy(start, end)
-	return start, end
+// from, records it as a transfer named kind, and returns its end.
+func (d *Disk) book(from sim.Time, n int, setup sim.Duration, kind string) sim.Time {
+	start := max(from, d.BusyUntil())
+	end := start.Add(setup + d.xferDur(n))
+	d.Occupy(start, end, kind, int64(n), "", "")
+	return end
 }
 
 // Read performs a sequential read of n bytes on the disk's default stream,
@@ -126,36 +125,19 @@ func (r *Run) Read(p *sim.Proc, n int) {
 	if n <= 0 {
 		return
 	}
-	now := d.s.Now()
-	from := now
-	extra := sim.Duration(0)
+	from := p.Now()
+	extra, kind := d.seek, "read.cold" // cold read: position the arm first
 	if r.active {
-		if r.lastDelivery < now {
-			// Prefetch began when the previous block was delivered.
-			from = r.lastDelivery
-		}
-	} else {
-		extra = d.seek // cold read: position the arm first
+		extra, kind = 0, "read.prefetch"
+		// Prefetch began when the previous block was delivered.
+		from = min(from, r.lastDelivery)
 	}
-	start, end := d.book(from, n, extra)
+	end := d.book(from, n, extra, kind)
 	d.reads++
 	d.readBytes += int64(n)
-	if t := d.s.Tracer(); t != nil {
-		kind := "read.cold"
-		if r.active {
-			kind = "read.prefetch"
-		}
-		t.Span(d.TraceTrack(t), int64(start), int64(end), kind, "disk",
-			trace.Int("bytes", int64(n)))
-	}
-	if end > now {
-		if pf := d.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeDisk, d.Name(), now, end)
-		}
-		p.Sleep(sim.Duration(end - now))
-	}
+	d.Block(p, end)
 	r.active = true
-	r.lastDelivery = d.s.Now()
+	r.lastDelivery = p.Now()
 }
 
 // End marks the end of this stream's read run: its next Read is cold.
@@ -168,33 +150,14 @@ func (d *Disk) Write(p *sim.Proc, n int) {
 	if n <= 0 {
 		return
 	}
-	now := d.s.Now()
-	if d.writeDone > now {
-		if pf := d.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeDisk, d.Name(), now, d.writeDone)
-		}
-		p.Sleep(sim.Duration(d.writeDone - now))
-	}
-	start, end := d.book(d.s.Now(), n, 0)
-	d.writeDone = end
+	d.Block(p, d.writeDone)
+	d.writeDone = d.book(p.Now(), n, 0, "write")
 	d.writes++
 	d.writeBytes += int64(n)
-	if t := d.s.Tracer(); t != nil {
-		t.Span(d.TraceTrack(t), int64(start), int64(end), "write", "disk",
-			trace.Int("bytes", int64(n)))
-	}
 }
 
 // Flush blocks p until all accepted writes have retired.
-func (d *Disk) Flush(p *sim.Proc) {
-	now := d.s.Now()
-	if d.writeDone > now {
-		if pf := d.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeDisk, d.Name(), now, d.writeDone)
-		}
-		p.Sleep(sim.Duration(d.writeDone - now))
-	}
-}
+func (d *Disk) Flush(p *sim.Proc) { d.Block(p, d.writeDone) }
 
 // Stats reports cumulative operation and byte counts.
 func (d *Disk) Stats() (reads, writes, readBytes, writeBytes int64) {

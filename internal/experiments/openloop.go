@@ -176,6 +176,9 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		return nil, fmt.Errorf("openloop: jobs must be >= 0, have %d", opt.Jobs)
 	case !(opt.Rate > 0) || math.IsInf(opt.Rate, 1):
 		return nil, fmt.Errorf("openloop: rate must be finite and > 0 jobs/s, have %v", opt.Rate)
+	case math.IsNaN(opt.ZipfS) || math.IsInf(opt.ZipfS, 0):
+		// rand.Zipf never returns a draw at s = +Inf, and NaN would run uniform.
+		return nil, fmt.Errorf("openloop: zipf must be finite, have %v", opt.ZipfS)
 	case opt.Timeout <= 0:
 		return nil, fmt.Errorf("openloop: timeout must be > 0, have %v", opt.Timeout)
 	case opt.Deadlines < 0:

@@ -15,14 +15,12 @@ import (
 	"fmt"
 
 	"lmas/internal/sim"
-	"lmas/internal/trace"
 )
 
 // Iface is one node's network interface.
 type Iface struct {
 	sim.Timeline // serialization time on this interface
 
-	s  *sim.Sim
 	bw float64 // bytes per second
 
 	sentBytes, recvBytes int64
@@ -31,10 +29,11 @@ type Iface struct {
 
 // NewIface creates an interface with the given bandwidth in bytes/second.
 func NewIface(s *sim.Sim, name string, bw float64) *Iface {
-	if bw <= 0 {
+	if !(bw > 0) {
+		// Unreachable through cluster.Params, which Validate checks first.
 		panic("netsim: bandwidth must be positive")
 	}
-	return &Iface{Timeline: sim.NewTimeline(name), s: s, bw: bw}
+	return &Iface{Timeline: sim.NewTimeline(s, name, sim.ChargeNet), bw: bw}
 }
 
 // Stats reports cumulative message and byte counts.
@@ -55,6 +54,7 @@ type Net struct {
 // New creates a fabric with the given per-message propagation latency.
 func New(s *sim.Sim, latency sim.Duration) *Net {
 	if latency < 0 {
+		// Unreachable through cluster.Params, which Validate checks first.
 		panic("netsim: negative latency")
 	}
 	return &Net{s: s, latency: latency}
@@ -69,7 +69,7 @@ func New(s *sim.Sim, latency sim.Duration) *Net {
 // of it on the wire. Use Send for request/response exchanges whose initiator
 // waits for delivery; use Stream for pipelined bulk flows.
 func (n *Net) Send(p *sim.Proc, src, dst *Iface, size int) {
-	n.transfer(p, src, dst, size, true)
+	n.transfer(p, src, dst, size, "send", n.latency)
 }
 
 // Stream transfers size bytes like Send but blocks p only for the
@@ -78,10 +78,12 @@ func (n *Net) Send(p *sim.Proc, src, dst *Iface, size int) {
 // is hidden by the stream. Successive messages still serialize on the
 // endpoints, so bandwidth is conserved exactly.
 func (n *Net) Stream(p *sim.Proc, src, dst *Iface, size int) {
-	n.transfer(p, src, dst, size, false)
+	n.transfer(p, src, dst, size, "stream", 0)
 }
 
-func (n *Net) transfer(p *sim.Proc, src, dst *Iface, size int, withLatency bool) {
+// transfer books a message named kind on both endpoints and blocks p until
+// latency after its serialization ends.
+func (n *Net) transfer(p *sim.Proc, src, dst *Iface, size int, kind string, latency sim.Duration) {
 	now := n.s.Now()
 	start := max(now, src.BusyUntil(), dst.BusyUntil())
 	ser := sim.Duration(float64(size) / min(src.bw, dst.bw) * float64(sim.Second))
@@ -91,31 +93,12 @@ func (n *Net) transfer(p *sim.Proc, src, dst *Iface, size int, withLatency bool)
 		// transfers (start above) but must not advance either endpoint's
 		// timeline — otherwise a control message would mark an idle
 		// interface busy until the *other* endpoint's backlog clears.
-		src.Occupy(start, end)
-		dst.Occupy(start, end)
-		if t := n.s.Tracer(); t != nil {
-			kind := "stream"
-			if withLatency {
-				kind = "send"
-			}
-			t.Span(src.TraceTrack(t), int64(start), int64(end), kind, "net",
-				trace.Int("bytes", int64(size)), trace.Str("to", dst.Name()))
-			t.Span(dst.TraceTrack(t), int64(start), int64(end), "recv", "net",
-				trace.Int("bytes", int64(size)), trace.Str("from", src.Name()))
-		}
+		src.Occupy(start, end, kind, int64(size), "to", dst.Name())
+		dst.Occupy(start, end, "recv", int64(size), "from", src.Name())
 	}
 	src.sent++
 	src.sentBytes += int64(size)
 	dst.received++
 	dst.recvBytes += int64(size)
-	deliver := end
-	if withLatency {
-		deliver = deliver.Add(n.latency)
-	}
-	if deliver > now {
-		if pf := n.s.Profiler(); pf != nil {
-			pf.Charge(p, sim.ChargeNet, src.Name(), now, deliver)
-		}
-		p.Sleep(sim.Duration(deliver - now))
-	}
+	src.Block(p, end.Add(latency))
 }

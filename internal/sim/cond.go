@@ -39,15 +39,8 @@ func (c *Cond) purge(p *Proc) {
 
 // Wait parks p until another proc or event calls Signal or Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	s := c.sim
 	c.waiters = append(c.waiters, p)
-	if pf := s.profiler; pf != nil {
-		from := s.now
-		p.park(c.waitWhat)
-		pf.Charge(p, ChargeCondWait, c.what, from, s.now)
-		return
-	}
-	p.park(c.waitWhat)
+	p.parkCharged(c.waitWhat, ChargeCondWait, c.what)
 }
 
 // Signal wakes the longest-waiting proc, if any. The wakeup is delivered as

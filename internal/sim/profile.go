@@ -1,11 +1,11 @@
 package sim
 
-// ChargeKind classifies an interval of virtual time charged to a proc by the
-// kernel or a device model built on it: what the proc was doing (or waiting
-// for) during the interval. The kinds mirror the paper's bottleneck taxonomy
-// (host CPU vs ASU CPU vs disk vs network, Section 2.2): service kinds are
-// time a resource spent working for the proc, wait kinds are time the proc
-// spent queued behind other work or blocked on a condition.
+// ChargeKind classifies an interval of virtual time charged to a proc: what
+// the proc was doing (or waiting for) during the interval. The kinds mirror
+// the paper's bottleneck taxonomy (host CPU vs ASU CPU vs disk vs network,
+// Section 2.2): service kinds are time a resource spent working for the proc,
+// wait kinds are time the proc spent queued behind other work or blocked on a
+// condition.
 type ChargeKind uint8
 
 const (
@@ -47,12 +47,13 @@ func (k ChargeKind) String() string {
 	return "unknown"
 }
 
-// Profiler receives latency attribution charges from the kernel and the
-// device models layered on it. Each charge says: proc p was blocked by (or
-// served by) resource res for [from, to) of virtual time, for reason kind.
-// Like the trace sink, a profiler is a pure observer — implementations must
-// not call back into the simulation, and attaching one never changes
-// virtual-time behaviour. Unprofiled runs pay one nil check per site.
+// Profiler receives latency attribution charges: a device Timeline's blocked
+// intervals, a Resource's holds and queueing, a Cond's waits. Each charge
+// says: proc p was blocked by (or served by) resource res for [from, to) of
+// virtual time, for reason kind; empty intervals are not charged. Like the
+// trace sink, a profiler is a pure observer — implementations must not call
+// back into the simulation, and attaching one never changes virtual-time
+// behaviour. Unprofiled runs pay one nil check per site.
 type Profiler interface {
 	Charge(p *Proc, kind ChargeKind, res string, from, to Time)
 }
@@ -62,6 +63,10 @@ type Profiler interface {
 // sim, and the profiler keys its state by *Proc).
 func (s *Sim) SetProfiler(pf Profiler) { s.profiler = pf }
 
-// Profiler returns the attached profiler, or nil. Device models layered on
-// the sim (disk, netsim) charge their blocking intervals through it.
-func (s *Sim) Profiler() Profiler { return s.profiler }
+// charge reports [from, to) of p's time to the profiler, if one is attached;
+// an empty interval reaches none.
+func (s *Sim) charge(p *Proc, kind ChargeKind, res string, from, to Time) {
+	if s.profiler != nil && to > from {
+		s.profiler.Charge(p, kind, res, from, to)
+	}
+}

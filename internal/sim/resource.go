@@ -15,9 +15,8 @@ import "lmas/internal/trace"
 // Ownership is handed off directly on Release — no barging — so scheduling
 // is deterministic.
 type Resource struct {
-	Timeline // name, busy time (completed holds only), recorder, trace track
+	Timeline // sim, name, busy time (completed holds only), recorder, trace track
 
-	sim   *Sim
 	owner *Proc
 	high  []*Proc
 	low   []*Proc
@@ -31,7 +30,7 @@ type Resource struct {
 
 // NewResource creates an idle resource.
 func NewResource(s *Sim, name string) *Resource {
-	r := &Resource{Timeline: NewTimeline(name), sim: s, acquireWhat: "acquire " + name}
+	r := &Resource{Timeline: NewTimeline(s, name, ChargeCPU), acquireWhat: "acquire " + name}
 	s.registerPurger(r)
 	return r
 }
@@ -54,13 +53,7 @@ func (r *Resource) acquire(p *Proc, high bool) {
 	} else {
 		r.low = append(r.low, p)
 	}
-	if pf := r.sim.profiler; pf != nil {
-		from := r.sim.now
-		p.park(r.acquireWhat)
-		pf.Charge(p, ChargeQueueWait, r.name, from, r.sim.now)
-	} else {
-		p.park(r.acquireWhat)
-	}
+	p.parkCharged(r.acquireWhat, ChargeQueueWait, r.name)
 	// Ownership was transferred to us by Release before the wakeup.
 	if r.owner != p {
 		panic("sim: woke without ownership of " + r.name)
@@ -69,13 +62,13 @@ func (r *Resource) acquire(p *Proc, high bool) {
 
 func (r *Resource) take(p *Proc, high bool) {
 	r.owner = p
-	r.busyStart = r.sim.now
+	r.busyStart = r.s.now
 	r.holds++
 	if high {
 		r.priorityHolds++
 	}
-	if t := r.sim.tracer; t != nil {
-		t.Begin(r.TraceTrack(t), int64(r.sim.now), "hold", "resource",
+	if t := r.s.tracer; t != nil {
+		t.Begin(r.traceTrack(t), int64(r.s.now), "hold", "resource",
 			trace.Str("proc", p.name), trace.Bool("high", high))
 	}
 }
@@ -84,9 +77,9 @@ func (r *Resource) take(p *Proc, high bool) {
 // tracer is fixed before any proc exists (cluster.NewObserved), so a traced
 // sim opened a span for every hold.
 func (r *Resource) endHold() {
-	r.Occupy(r.busyStart, r.sim.now)
-	if t := r.sim.tracer; t != nil {
-		t.End(r.TraceTrack(t), int64(r.sim.now))
+	r.occupy(r.busyStart, r.s.now)
+	if t := r.s.tracer; t != nil {
+		t.End(r.traceTrack(t), int64(r.s.now))
 	}
 }
 
@@ -115,23 +108,22 @@ func (r *Resource) Release(p *Proc) {
 		return
 	}
 	r.take(next, wasHigh)
-	s := r.sim
-	s.resumeAt(s.now, next)
+	r.s.resumeAt(r.s.now, next)
 }
 
-// Use acquires r, holds it for d of virtual time, then releases it. This is
-// the primitive for "spend d of CPU (or disk, or link) time".
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release(p)
-}
+// Use acquires r, holds it for d of virtual time, then releases it and
+// charges the hold to the profiler as CPU service (queueing ahead of it is
+// charged by the acquire). This is the primitive for "spend d of CPU time".
+func (r *Resource) Use(p *Proc, d Duration) { r.use(p, d, false) }
 
 // UseHigh is Use with high-priority admission.
-func (r *Resource) UseHigh(p *Proc, d Duration) {
-	r.AcquireHigh(p)
+func (r *Resource) UseHigh(p *Proc, d Duration) { r.use(p, d, true) }
+
+func (r *Resource) use(p *Proc, d Duration, high bool) {
+	r.acquire(p, high)
 	p.Sleep(d)
 	r.Release(p)
+	r.s.charge(p, r.kind, r.name, r.s.now.Add(-d), r.s.now)
 }
 
 // InUse reports whether some proc currently holds r.

@@ -129,8 +129,9 @@ func (s *Sim) registerPurger(pg purger) { s.waitLists = append(s.waitLists, pg) 
 // opened.
 func (s *Sim) SetTracer(t *trace.Sink) { s.tracer = t }
 
-// Tracer returns the attached trace sink, or nil. Device models layered on
-// the sim (disk, netsim) record their transfers through it.
+// Tracer returns the attached trace sink, or nil. Device models record their
+// transfers through their Timeline instead; the cluster reads it to connect
+// its recorder to the stream.
 func (s *Sim) Tracer() *trace.Sink { return s.tracer }
 
 // New creates an empty simulation at time zero.
@@ -585,18 +586,29 @@ func (s *Sim) runProc(p *Proc) {
 
 // park suspends the calling proc until the scheduler resumes it. The caller
 // must have arranged for a wakeup (a scheduled event or a cond signal).
-func (p *Proc) park(why string) {
-	t := p.sim.tracer
+func (p *Proc) park(why string) { p.parkCharged(why, 0, "") }
+
+// parkCharged parks p like park and, once it resumes, charges the time it
+// spent parked as kind on res; an empty res charges nothing. It is park's one
+// body (park inlines to it): each call frame below a coroutine switch costs a
+// mispredicted return on every resume.
+func (p *Proc) parkCharged(why string, kind ChargeKind, res string) {
+	s := p.sim
+	from := s.now
+	t := s.tracer
 	if t != nil {
-		t.Begin(p.track, int64(p.sim.now), why, "park")
+		t.Begin(p.track, int64(from), why, "park")
 	}
 	p.blocked = why
 	p.yield(struct{}{})
 	if t != nil {
-		t.End(p.track, int64(p.sim.now))
+		t.End(p.track, int64(s.now))
 	}
 	if p.killed {
 		p.unwind()
+	}
+	if res != "" {
+		s.charge(p, kind, res, from, s.now)
 	}
 }
 
