@@ -34,7 +34,8 @@ ALLOC_BUDGET := 4600
 OBSERVED_ALLOC_BUDGET := 7000
 # alloc_gate(package, benchmark, benchtime, max allocs/op, what a failure means)
 define alloc_gate
-out=$$(go test $(1) -run 'TestXXX' -bench '$(2)$$' -benchmem -benchtime $(3) | tee /dev/stderr); \
+out=$$(go test $(1) -run 'TestXXX' -bench '$(2)$$' -benchmem -benchtime $(3)); \
+printf '%s\n' "$$out" >&2; \
 allocs=$$(echo "$$out" | awk '/^$(2)/ {print $$(NF-1)}'); \
 if [ -z "$$allocs" ]; then echo "bench-allocs: could not parse $(2) allocs/op"; exit 1; fi; \
 if [ "$$allocs" -gt $(4) ]; then \
@@ -52,7 +53,8 @@ INPUT_BYTES_BUDGET := 1048576
 MERGE_ALLOC_BUDGET := 2650
 # bytes_gate(package, benchmark, benchtime, max B/op, what a failure means)
 define bytes_gate
-out=$$(go test $(1) -run 'TestXXX' -bench '$(2)$$' -benchmem -benchtime $(3) | tee /dev/stderr); \
+out=$$(go test $(1) -run 'TestXXX' -bench '$(2)$$' -benchmem -benchtime $(3)); \
+printf '%s\n' "$$out" >&2; \
 bytes=$$(echo "$$out" | awk '/^$(2)/ {print $$(NF-3)}'); \
 if [ -z "$$bytes" ]; then echo "bench-allocs: could not parse $(2) B/op"; exit 1; fi; \
 if [ "$$bytes" -gt $(4) ]; then \

@@ -201,8 +201,6 @@ func TestBadFlagValuesAreErrors(t *testing.T) {
 		{[]string{"-net", "-5"}, "dsmsort: -net must be >= 0"},
 		{[]string{"-progress", "-5"}, "dsmsort: -progress must be >= 0"},
 		{[]string{"-gauges", "-3"}, "dsmsort: -gauges must be >= 0"},
-		{[]string{"-sample", "0"}, "dsmsort: -sample must be >= 1"},
-		{[]string{"-sample", "-5"}, "dsmsort: -sample must be >= 1"},
 		{[]string{"-c", "NaN"}, "dsmsort: cluster: power ratio c must be finite and positive, have NaN"},
 		{[]string{"-c", "+Inf"}, "dsmsort: cluster: power ratio c must be finite and positive, have +Inf"},
 		{[]string{"-placement", "bogus"}, `dsmsort: unknown placement "bogus" (want active|conventional|hybrid)`},

@@ -61,7 +61,6 @@ func run() error {
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		record    = flag.String("record", "", "record the run into this run store directory")
-		sampleMs  = flag.Int("sample", 100, "recorder sampling interval in virtual ms")
 		gaugeMs   = flag.Int("gauges", 0, "also emit periodic node/queue/stage gauges into the report at this virtual-ms interval (0 = off)")
 	)
 	flag.Parse()
@@ -72,10 +71,7 @@ func run() error {
 		return fmt.Errorf("-progress must be >= 0 ms, have %d", *progress)
 	case *gaugeMs < 0:
 		return fmt.Errorf("-gauges must be >= 0 ms, have %d", *gaugeMs)
-	case *sampleMs < 1:
-		return fmt.Errorf("-sample must be >= 1 ms, have %d", *sampleMs)
 	}
-	spec.SampleEvery = sim.Duration(*sampleMs) * sim.Millisecond
 	if *gaugeMs == 0 {
 		*gaugeMs = *progress // the table is rendered from the report's gauges
 	}

@@ -8,7 +8,6 @@ import (
 	"lmas/internal/experiments"
 	"lmas/internal/prof"
 	"lmas/internal/recorder"
-	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 )
 
@@ -25,13 +24,9 @@ func runBench(args []string) error {
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	record := fs.String("record", "", "record every cell into this run store directory")
 	experiment := fs.String("experiment", "bench", "experiment name for recorded runs")
-	sampleMs := fs.Int("sample", 100, "recorder sampling interval in virtual-time milliseconds")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("bench: unexpected argument %q", fs.Arg(0))
-	}
-	if *sampleMs < 1 {
-		return fmt.Errorf("bench: -sample must be >= 1 ms, have %d", *sampleMs)
 	}
 	path := *out
 	if path == "" {
@@ -52,9 +47,8 @@ func runBench(args []string) error {
 	}
 	opt := experiments.BenchOptions{
 		Quick: *quick, Seed: *seed, Jobs: *jobs,
-		Record:      store,
-		Experiment:  *experiment,
-		SampleEvery: sim.Duration(*sampleMs) * sim.Millisecond,
+		Record:     store,
+		Experiment: *experiment,
 		Progress: func(spec experiments.SortRunSpec) {
 			fmt.Printf("bench: %-28s n=%d hosts=%d asus=%d policy=%s dist=%s\n",
 				spec.Name, spec.N, spec.Hosts, spec.ASUs, spec.Policy, spec.Dist)

@@ -47,26 +47,6 @@ func TestEngineFlagsAreGone(t *testing.T) {
 	}
 }
 
-// TestBadSampleIntervalIsAnError: a recorder sampling interval below one
-// virtual millisecond exits 1 naming the flag, before any cell runs, instead
-// of silently becoming the 100 ms default.
-func TestBadSampleIntervalIsAnError(t *testing.T) {
-	for _, v := range []string{"0", "-5"} {
-		cmd := exec.Command(os.Args[0], "bench", "-quick", "-sample", v, "-o", filepath.Join(t.TempDir(), "b.json"))
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("-sample %s: err = %v, want exit status 1", v, err)
-		}
-		if want := "lmasreport: bench: -sample must be >= 1 ms, have " + v; !strings.Contains(stderr.String(), want) {
-			t.Errorf("-sample %s: stderr %q does not contain %q", v, stderr.String(), want)
-		}
-	}
-}
-
 // TestNullRunIsAnError: a trajectory holding a null run makes every command
 // that reads a report file exit 1 naming the run, not die on a nil report.
 func TestNullRunIsAnError(t *testing.T) {

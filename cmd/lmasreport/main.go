@@ -84,7 +84,7 @@ commands:
   diff  BASE NEW [-runtime-threshold R] [-p99-threshold P] [-q]
                                        field-by-field comparison; exit 1 on regression
   bench [-quick] [-o FILE] [-seed S] [-stamp=false]
-        [-record DIR] [-experiment E] [-sample MS]
+        [-record DIR] [-experiment E]
                                        run the DSM-Sort matrix, write a trajectory point;
                                        optionally record every cell into a run store
   query STORE list   [-experiment E]   enumerate recorded runs

@@ -62,7 +62,7 @@ func queryList(dir string, args []string) error {
 		return err
 	}
 	t := plot.NewTable(fmt.Sprintf("Run store %s", dir),
-		"run", "experiment", "name", "started", "config", "rev", "runtime(s)", "samples", "state")
+		"run", "experiment", "name", "started", "config", "rev", "runtime(s)", "spans", "state")
 	shown := 0
 	for _, run := range runs {
 		h := run.Header
@@ -77,7 +77,7 @@ func queryList(dir string, args []string) error {
 			state = "failed (no report)"
 		}
 		t.AddRow(h.RunID, h.Experiment, h.Name, h.StartedAt, h.ConfigHash, h.GitRev,
-			runtime, len(run.Samples()), state)
+			runtime, len(run.Spans()), state)
 		shown++
 	}
 	if shown == 0 {
@@ -108,7 +108,7 @@ func queryShow(dir string, args []string) error {
 		h := run.Header
 		fmt.Printf("run %s  experiment=%s  config=%s  rev=%s  started=%s\n",
 			h.RunID, h.Experiment, h.ConfigHash, h.GitRev, h.StartedAt)
-		fmt.Printf("records: %d samples, %d events\n\n", len(run.Samples()), len(run.Events()))
+		fmt.Printf("records: %d spans\n\n", len(run.Spans()))
 		rep := run.Report()
 		if rep == nil {
 			return fmt.Errorf("query show: run %s never finished (no report record)", pos[0])

@@ -279,10 +279,10 @@ type Cluster struct {
 	Telemetry *telemetry.Registry
 	Profiler  *critpath.Profiler
 
-	samplers []*clusterSampler // recorder and gauge daemons, until FinishSampling
-	queues   []SampledQueue    // watched by the samplers, in registration order
-	stages   []stageProbe
-	spans    *recorderBridge // the recorder's trace consumer, until FinishSampling
+	sampler *clusterSampler // the gauge daemon, until FinishSampling
+	queues  []SampledQueue  // watched by the sampler, in registration order
+	stages  []stageProbe
+	spans   *recorderBridge // the recorder's trace consumer, until FinishSampling
 
 	// lastSched remembers the scheduler-tier counters already copied into
 	// the telemetry registry, so repeated BuildReport calls add deltas
@@ -303,21 +303,19 @@ type Observers struct {
 	Trace *trace.Sink
 	// Critpath attaches a critical-path profiler (Cluster.Profiler).
 	Critpath bool
-	// Recorder streams the run into its store segment: one Sample per
-	// SampleEvery (0 means 100ms of virtual time) with per-node utilization
-	// and queue depths, every load-manager decision as it is logged (they
-	// reach the segment through Telemetry), and every Trace event as a
+	// Recorder streams every Trace event into the run's store segment as a
 	// Span. The caller has already begun the segment with the run's Header,
-	// and passes it the finished report itself after FinishSampling.
-	Recorder    *recorder.Segment
-	SampleEvery sim.Duration
-	// GaugeEvery, when positive, additionally emits the periodic
-	// observations as Telemetry gauges — node.<name>.cpu.busy_sec
-	// (cumulative completed busy time), queue.<name>.depth / .high_water
-	// and stage.<name>.records_in — so they land in the RunReport
-	// (`dsmsort -progress` renders its table from them). Off by default: it
-	// grows the report, so runs without it stay byte-identical to the
-	// committed baselines. Ignored without Telemetry.
+	// and passes it the finished report — utilization series, gauges and
+	// decision log included — after FinishSampling.
+	Recorder *recorder.Segment
+	// GaugeEvery, when positive, starts the gauge sampler: a daemon that
+	// records periodic observations as Telemetry gauges —
+	// node.<name>.cpu.busy_sec (cumulative completed busy time),
+	// queue.<name>.depth / .high_water and stage.<name>.records_in — so
+	// they land in the RunReport (`dsmsort -progress` renders its table
+	// from them). Off by default: it grows the report, so runs without it
+	// stay byte-identical to the committed baselines. Ignored without
+	// Telemetry.
 	GaugeEvery sim.Duration
 }
 
@@ -363,10 +361,9 @@ func NewObserved(p Params, obs Observers) *Cluster {
 
 // observe wires obs into a cluster that has no proc yet. The order is fixed
 // and load-bearing for byte-identical output: node tracks are registered
-// before any proc's (track ids), the recorder's sampler daemon is spawned
-// before the gauge sampler's (proc and track order), and the trace stream is
-// connected before either, so their spawn instants reach the recorder like
-// every later event.
+// before any proc's (track ids), and the recorder is connected to the trace
+// stream before the gauge sampler spawns, so its spawn instant reaches the
+// recorder like every later event.
 func (c *Cluster) observe(obs Observers) {
 	window := c.Params.UtilWindow
 	if window == 0 && obs.Telemetry != nil {
@@ -394,28 +391,13 @@ func (c *Cluster) observe(obs Observers) {
 		c.Sim.SetProfiler(c.Profiler)
 	}
 	if rec := obs.Recorder; rec != nil {
-		c.Telemetry.SetOnDecide(func(d telemetry.Decision) {
-			ev := recorder.Event{T: d.T, Kind: "decision", Source: d.Source, Action: d.Action, Detail: d.Detail}
-			if len(d.Readings) > 0 {
-				ev.Fields = make(map[string]float64, len(d.Readings))
-				for _, rd := range d.Readings {
-					ev.Fields[rd.Key] = rd.Value
-				}
-			}
-			rec.Event(ev)
-		})
 		// Event order is deterministic, so the streamed spans keep segments
 		// deterministic below the header.
 		c.spans = &recorderBridge{rec}
 		obs.Trace.Attach(c.spans)
-		every := obs.SampleEvery
-		if every <= 0 {
-			every = 100 * sim.Millisecond
-		}
-		c.startSampler("recorder.sampler", every, rec, false)
 	}
 	if obs.GaugeEvery > 0 && c.Telemetry != nil {
-		c.startSampler("gauge.sampler", obs.GaugeEvery, nil, true)
+		c.startSampler(obs.GaugeEvery)
 	}
 }
 

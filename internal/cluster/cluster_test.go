@@ -153,11 +153,11 @@ func TestUtilTracesInstalledOnce(t *testing.T) {
 	}
 }
 
-// TestEveryObserverStreamsEachEventOnce builds a cluster with all six
+// TestEveryObserverStreamsEachEventOnce builds a cluster with all five
 // observers on and drives every traced layer (procs, CPU holds, disk, NIC, a
 // watched queue, a logged decision): the stored segment holds exactly the
-// sink's events as spans — none lost before the samplers' spawn instants, none
-// replayed — beside the samples and the decision, and the gauges reached the
+// sink's events as spans — none lost before the gauge sampler's spawn
+// instant, none replayed — and the decision and the gauges reached the
 // report.
 func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	st, err := recorder.OpenStore(t.TempDir())
@@ -171,12 +171,11 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	p := DefaultParams()
 	p.ASUs = 2
 	c := NewObserved(p, Observers{
-		Telemetry:   reg,
-		Trace:       sink,
-		Critpath:    true,
-		Recorder:    rec,
-		SampleEvery: 10 * sim.Millisecond,
-		GaugeEvery:  10 * sim.Millisecond,
+		Telemetry:  reg,
+		Trace:      sink,
+		Critpath:   true,
+		Recorder:   rec,
+		GaugeEvery: 10 * sim.Millisecond,
 	})
 	if c.Profiler == nil || c.Sim.Tracer() != sink {
 		t.Fatal("an observer was not wired in")
@@ -220,25 +219,22 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	if got, want := len(run.Spans()), sink.Events(); got != want || want == 0 {
 		t.Errorf("segment holds %d spans, sink recorded %d events", got, want)
 	}
-	if first := run.Spans()[0]; first.Track != "recorder.sampler" || first.Name != "spawn" {
-		t.Errorf("first span = %s on %q, want the recorder sampler's spawn instant", first.Name, first.Track)
+	if first := run.Spans()[0]; first.Track != "gauge.sampler" || first.Name != "spawn" {
+		t.Errorf("first span = %s on %q, want the gauge sampler's spawn instant", first.Name, first.Track)
 	}
-	if len(run.Samples()) < int(elapsed/(10*sim.Millisecond)) {
-		t.Errorf("%d samples over %v at 10ms", len(run.Samples()), elapsed)
-	}
-	if evs := run.Events(); len(evs) != 1 || evs[0].Action != "done" {
-		t.Errorf("events = %+v, want the one decision", evs)
+	if ds := run.Report().Decisions; len(ds) != 1 || ds[0].Action != "done" {
+		t.Errorf("stored decisions = %+v, want the one decision", ds)
 	}
 	if rep.Critpath == nil {
 		t.Error("report has no critpath section")
 	}
-	gauges := map[string]bool{}
+	gauges := map[string]int{}
 	for _, g := range rep.Gauges {
-		gauges[g.Name] = true
+		gauges[g.Name] = len(g.Samples)
 	}
 	for _, want := range []string{"node.host0.cpu.busy_sec", "queue.q.depth"} {
-		if !gauges[want] {
-			t.Errorf("report lacks gauge %s", want)
+		if gauges[want] < int(elapsed/(10*sim.Millisecond)) {
+			t.Errorf("report gauge %s has %d samples over %v at 10ms", want, gauges[want], elapsed)
 		}
 	}
 }

@@ -25,16 +25,19 @@ import (
 	"lmas/internal/route"
 )
 
-// Placement selects where DSM-Sort's distribute computation executes.
+// Placement selects where DSM-Sort's pass-1 (run formation) computation
+// executes. It does not reach the merge pass: MergePass runs its γ2 pre-merge
+// on the ASUs and its γ1 merge on the hosts under every placement.
 type Placement int
 
 const (
 	// Active places distribute functors on the ASUs (the active-storage
 	// configuration of Figure 9).
 	Active Placement = iota
-	// Conventional places all computation on the hosts; storage units
-	// only stream raw blocks (the Figure 9 baseline: "conventional
-	// storage units with no integrated processing").
+	// Conventional places all of pass 1 on the hosts; storage units only
+	// stream raw blocks to them (the Figure 9 baseline: "conventional
+	// storage units with no integrated processing"). Pass 2's γ2 pre-merge
+	// still runs on the ASUs, as under every placement.
 	Conventional
 	// Hybrid replicates the distribute functor on both the ASUs and the
 	// hosts; each reader routes packets to its local ASU instance or a
@@ -69,7 +72,8 @@ type Config struct {
 	// distribute and sort stages ("the size of the packet may be limited
 	// by a memory bound on the ASU-resident functor").
 	PacketRecords int
-	// Placement selects active versus conventional execution.
+	// Placement selects active, conventional or hybrid execution of
+	// pass 1.
 	Placement Placement
 	// SortPolicy routes subset packets across host sorter instances.
 	// Static{Buckets: Alpha} is the non-load-managed configuration of

@@ -39,11 +39,10 @@ type Fig10Options struct {
 	// latency-attribution sections (with Pass1Model predictions) to their
 	// reports.
 	Critpath bool
-	// Record streams both runs into the store; Experiment and SampleEvery
-	// follow SortRunSpec's semantics.
-	Record      *recorder.Store
-	Experiment  string
-	SampleEvery sim.Duration
+	// Record streams both runs into the store; Experiment follows
+	// SortRunSpec's semantics.
+	Record     *recorder.Store
+	Experiment string
 }
 
 // DefaultFig10Options mirrors the paper's setup: two hosts, 16 ASUs. The
@@ -138,10 +137,9 @@ func RunFig10(opt Fig10Options) (*Fig10Result, error) {
 	runOne := func(policy string) (Fig10Run, error) {
 		s := opt.Spec()
 		run, err := startRun(s.Params, observers{
-			critpath:    opt.Critpath,
-			record:      opt.Record,
-			experiment:  opt.Experiment,
-			sampleEvery: opt.SampleEvery,
+			critpath:   opt.Critpath,
+			record:     opt.Record,
+			experiment: opt.Experiment,
 		}, "fig10-"+policy, opt.Seed, map[string]any{
 			"program": "dsmsort-pass1",
 			"n":       opt.N,

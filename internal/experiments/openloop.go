@@ -55,15 +55,12 @@ type OpenLoopOptions struct {
 	Base      cluster.Params
 	Seed      int64
 	// Record, when non-nil, streams the run into a segment of this store:
-	// periodic samples (with queue depths), load-manager events, and the
-	// finished report. Recording is a pure observer — the report stays
-	// byte-identical with or without it.
+	// its header, then the finished report. Recording is a pure observer —
+	// the report stays byte-identical with or without it.
 	Record *recorder.Store
 	// Experiment names the recorded run's store experiment (default
 	// "openloop"); only used when Record is set.
 	Experiment string
-	// SampleEvery is the recorder sampling interval (0 means 100ms).
-	SampleEvery sim.Duration
 }
 
 // DefaultOpenLoopOptions sizes the workload so a run exercises every wheel
@@ -199,9 +196,8 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 		"timeout": int64(opt.Timeout),
 	}
 	run, err := startRun(params, observers{
-		record:      opt.Record,
-		experiment:  exp,
-		sampleEvery: opt.SampleEvery,
+		record:     opt.Record,
+		experiment: exp,
 	}, "openloop", opt.Seed, workload)
 	if err != nil {
 		return nil, err

@@ -19,7 +19,7 @@ import (
 )
 
 // recordSpec is a small cell used by the recording tests: big enough to
-// produce several sampling intervals, small enough to keep the suite fast.
+// produce several gauge intervals at 2ms, small enough to keep the suite fast.
 func recordSpec(name string) SortRunSpec {
 	return SortRunSpec{
 		Name:          name,
@@ -54,7 +54,6 @@ func TestRecordingNeutrality(t *testing.T) {
 	spec := recordSpec("cell")
 	spec.Record = st
 	spec.Experiment = "neutrality"
-	spec.SampleEvery = 2 * sim.Millisecond
 	recorded, _, err := RunSortReport(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +74,8 @@ func TestRecordingNeutrality(t *testing.T) {
 		t.Fatalf("recording changed the report bytes:\nplain:    %s\nrecorded: %s", a, b)
 	}
 
-	// The observer did observe: the stored segment holds periodic samples,
-	// load-manager-style decision events (if any fired), and the finished
-	// report, reloadable byte-for-byte.
+	// The observer did observe: the stored segment of this untraced run is
+	// the finished report alone, reloadable byte-for-byte.
 	runs, err := st.Select("neutrality")
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +83,8 @@ func TestRecordingNeutrality(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("store has %d runs, want 1", len(runs))
 	}
-	if n := len(runs[0].Samples()); n < 2 {
-		t.Fatalf("stored run has %d samples, want >= 2 (sampler never ticked?)", n)
+	if n := len(runs[0].Records); n != 1 || !runs[0].Finished() {
+		t.Fatalf("stored run has %d records, want the finish alone", n)
 	}
 	stored := runs[0].Report()
 	if stored == nil {
@@ -261,7 +259,6 @@ func TestStoreDeterminism(t *testing.T) {
 		spec := recordSpec("cell")
 		spec.Record = st
 		spec.Experiment = "det"
-		spec.SampleEvery = 2 * sim.Millisecond
 		if _, _, err := RunSortReport(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +290,6 @@ func TestConcurrentRecording(t *testing.T) {
 			spec := recordSpec(fmt.Sprintf("cell-%d", i))
 			spec.Record = st
 			spec.Experiment = "race"
-			spec.SampleEvery = 2 * sim.Millisecond
 			_, _, errs[i] = RunSortReport(spec)
 		}(i)
 	}
@@ -321,15 +317,41 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 // TestTraceRecordingNeutrality extends the neutrality property to the
-// recorder's trace consumer: a run with tracing attached AND streamed into a store produces a
-// report byte-identical to the bare run, the stored segment holds the sink's
-// spans, and re-recording yields byte-identical span streams (below the
-// volatile header).
+// recorder's trace consumer: a run with tracing attached AND streamed into a
+// store produces a report byte-identical to the bare run and JSON and CSV
+// trace files byte-identical to the traced-only run's (the recorder adds no
+// proc, so no track), the stored segment holds the sink's spans, and
+// re-recording yields byte-identical span streams (below the volatile
+// header).
 func TestTraceRecordingNeutrality(t *testing.T) {
 	plain, _, err := RunSortReport(recordSpec("cell"))
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// traceFiles runs spec with JSON and CSV writers on its trace sink and
+	// returns the report and both documents.
+	traceFiles := func(spec SortRunSpec) (*telemetry.RunReport, []byte, []byte) {
+		t.Helper()
+		var j, c bytes.Buffer
+		jw, cw := trace.NewChromeWriter(&j), trace.NewCSVWriter(&c)
+		spec.Trace.Attach(jw)
+		spec.Trace.Attach(cw)
+		rep, _, err := RunSortReport(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rep, j.Bytes(), c.Bytes()
+	}
+	only := recordSpec("cell")
+	only.Trace = trace.New()
+	_, onlyJSON, onlyCSV := traceFiles(only)
 
 	traced := func() (*telemetry.RunReport, []recorder.Span) {
 		t.Helper()
@@ -341,10 +363,12 @@ func TestTraceRecordingNeutrality(t *testing.T) {
 		spec.Trace = trace.New()
 		spec.Record = st
 		spec.Experiment = "trace-neutrality"
-		spec.SampleEvery = 2 * sim.Millisecond
-		rep, _, err := RunSortReport(spec)
-		if err != nil {
-			t.Fatal(err)
+		rep, recJSON, recCSV := traceFiles(spec)
+		if !bytes.Equal(recJSON, onlyJSON) {
+			t.Errorf("recording changed the JSON trace: %d bytes recorded, %d traced only", len(recJSON), len(onlyJSON))
+		}
+		if !bytes.Equal(recCSV, onlyCSV) {
+			t.Errorf("recording changed the CSV trace: %d bytes recorded, %d traced only", len(recCSV), len(onlyCSV))
 		}
 		if err := st.Err(); err != nil {
 			t.Fatal(err)
@@ -419,6 +443,7 @@ func TestEarlyErrorFinishesSegment(t *testing.T) {
 			spec.Record = st
 			spec.Trace = trace.New()
 			spec.Experiment = "early-error"
+			spec.GaugeInterval = 2 * sim.Millisecond // a daemon to stop on the error path
 			edit(&spec)
 			_, _, err := RunSortReport(spec)
 			return err

@@ -30,9 +30,9 @@ type SortRunSpec struct {
 	// attribution section (with the Pass1Model prediction) to the report.
 	Critpath bool
 	// Record, when non-nil, streams the run into a segment of this run
-	// store: header at start, periodic samples and decisions during the
-	// run, the finished report at the end. Recording is a pure observer —
-	// the report's bytes are identical with or without it.
+	// store: header at start, the finished report at the end. Recording is
+	// a pure observer — the report's bytes are identical with or without
+	// it.
 	Record *recorder.Store
 	// Trace, when non-nil, attaches a structured trace sink to the run; its
 	// consumers (a trace file's writer, say) are attached before the run.
@@ -42,9 +42,6 @@ type SortRunSpec struct {
 	Trace *trace.Sink
 	// Experiment labels the run's store segment ("" = "adhoc").
 	Experiment string
-	// SampleEvery is the recorder's virtual-time sampling interval
-	// (0 = 100ms). Only meaningful with Record set.
-	SampleEvery sim.Duration
 	// GaugeInterval, when positive, additionally emits the periodic
 	// observations as report gauges (node.*.cpu.busy_sec, queue.*.depth /
 	// .high_water). Off by default so baseline reports are unchanged.
@@ -74,7 +71,7 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 // tune, when non-nil, adjusts the cluster parameters and sort configuration
 // derived from spec before anything is built; sorted, when non-nil, sees the
 // live cluster and the validated result right after the sort — before the
-// samplers stop, the report is built and any storage is returned. Errors come
+// sampler stops, the report is built and any storage is returned. Errors come
 // back unwrapped.
 func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 	sorted func(*cluster.Cluster, *dsmsort.Result)) (*telemetry.RunReport, *dsmsort.Result, error) {
@@ -92,12 +89,11 @@ func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 		tune(&params, &cfg)
 	}
 	run, err := startRun(params, observers{
-		trace:       spec.Trace,
-		critpath:    spec.Critpath,
-		record:      spec.Record,
-		experiment:  spec.Experiment,
-		sampleEvery: spec.SampleEvery,
-		gaugeEvery:  spec.GaugeInterval,
+		trace:      spec.Trace,
+		critpath:   spec.Critpath,
+		record:     spec.Record,
+		experiment: spec.Experiment,
+		gaugeEvery: spec.GaugeInterval,
 	}, spec.Name, spec.Seed, map[string]any{
 		"program":   "dsmsort",
 		"n":         spec.N,
@@ -176,11 +172,10 @@ type BenchOptions struct {
 	Seed  int64
 	Jobs  int
 	// Record streams every cell into the store (each cell is its own run);
-	// Experiment and SampleEvery are passed through to the cells' specs.
-	Record      *recorder.Store
-	Experiment  string
-	SampleEvery sim.Duration
-	Progress    func(spec SortRunSpec)
+	// Experiment is passed through to the cells' specs.
+	Record     *recorder.Store
+	Experiment string
+	Progress   func(spec SortRunSpec)
 }
 
 // RunBenchWith executes the bench matrix on up to opt.Jobs concurrent workers
@@ -195,7 +190,6 @@ func RunBenchWith(opt BenchOptions) (*telemetry.Trajectory, error) {
 	for i := range specs {
 		specs[i].Record = opt.Record
 		specs[i].Experiment = opt.Experiment
-		specs[i].SampleEvery = opt.SampleEvery
 		if opt.Progress != nil {
 			opt.Progress(specs[i])
 		}

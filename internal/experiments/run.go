@@ -21,12 +21,11 @@ import (
 // always on. The zero value adds nothing; every observer is a pure observer,
 // so no combination changes virtual time or the report's bytes.
 type observers struct {
-	trace       *trace.Sink
-	critpath    bool
-	record      *recorder.Store
-	experiment  string       // store label for the recorded run
-	sampleEvery sim.Duration // recorder sampling interval (0 = 100ms)
-	gaugeEvery  sim.Duration // > 0: periodic node/queue gauges in the report
+	trace      *trace.Sink
+	critpath   bool
+	record     *recorder.Store
+	experiment string       // store label for the recorded run
+	gaugeEvery sim.Duration // > 0: periodic node/queue gauges in the report
 }
 
 // observedRun is the one lifecycle of a reported run; RunSortWith, RunFig10
@@ -36,7 +35,7 @@ type observers struct {
 //	         wired in (cluster.NewObserved), before any workload proc
 //	finish   FinishSampling → BuildReport → workload → Pass1Model → rec.Finish(report)
 //	close    deferred right after startRun: a run that never reached finish
-//	         still stops its samplers and leaves a closed segment ending in a
+//	         still stops its sampler and leaves a closed segment ending in a
 //	         nil-report finish, with no writer goroutine behind it
 type observedRun struct {
 	cl       *cluster.Cluster
@@ -73,7 +72,7 @@ func startRun(params cluster.Params, obs observers, name string, seed int64, wor
 			Config:     cfg,
 			Workload:   workload,
 		})
-		watch.Recorder, watch.SampleEvery = r.rec, obs.sampleEvery
+		watch.Recorder = r.rec
 	}
 	r.cl = cluster.NewObserved(params, watch)
 	return r, nil

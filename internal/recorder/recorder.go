@@ -4,12 +4,12 @@
 //
 // A run's Segment is a pure observer, wired through the cluster behind a
 // nil-by-default hook exactly like sim.Profiler and the telemetry registry:
-// it receives a header when a run begins, periodic virtual-time samples
-// (per-node utilization, queue depth/high-water), streamed events (load
-// manager decisions, trace summaries), and the finished RunReport. It never
-// blocks a proc, charges virtual time, or touches the event queue, so a run
-// recorded and a run unrecorded produce byte-identical reports — the
-// neutrality property pinned by the tests.
+// it receives a header when a run begins, every trace event as a span while
+// the run goes, and the finished RunReport, which carries the run's
+// utilization series, gauges and decision log. It spawns no proc, never
+// blocks one, charges no virtual time and touches no event queue, so a run
+// recorded and a run unrecorded produce byte-identical reports and traces —
+// the neutrality property pinned by the tests.
 package recorder
 
 import (
@@ -27,7 +27,7 @@ import (
 
 // StoreSchema identifies the run-store segment format: line one of every
 // segment is a Header bearing this schema, followed by one Record per line.
-const StoreSchema = "lmas/runstore/v1"
+const StoreSchema = "lmas/runstore/v2"
 
 // Header identifies a run: which experiment it belongs to, the cell name,
 // a content hash of its configuration, and the code revision. The run ID
@@ -45,46 +45,6 @@ type Header struct {
 	Seed       int64                   `json:"seed"`
 	Config     telemetry.ClusterConfig `json:"config"`
 	Workload   map[string]any          `json:"workload,omitempty"`
-}
-
-// NodeSample is one node's slice of a periodic sample: cumulative completed
-// busy time plus per-resource utilization over the last interval (0..1,
-// derived from completed holds, so a hold still in progress shows up when
-// it ends).
-type NodeSample struct {
-	Node    string  `json:"node"`
-	CPUBusy float64 `json:"cpu_busy_sec"`
-	CPU     float64 `json:"cpu"`
-	Disk    float64 `json:"disk,omitempty"`
-	NIC     float64 `json:"nic,omitempty"`
-}
-
-// QueueSample is one queue's instantaneous depth and high-water mark.
-type QueueSample struct {
-	Queue string `json:"queue"`
-	Depth int    `json:"depth"`
-	High  int    `json:"high_water"`
-}
-
-// Sample is one periodic virtual-time observation of the whole cluster.
-// Nodes follow cluster order (hosts first) and queues registration order, so
-// samples are deterministic.
-type Sample struct {
-	T      int64         `json:"t_ns"`
-	Nodes  []NodeSample  `json:"nodes,omitempty"`
-	Queues []QueueSample `json:"queues,omitempty"`
-}
-
-// Event is one streamed run event: a load-manager decision, a phase marker,
-// or a trace-span summary. Fields carries numeric attachments; it marshals
-// with sorted keys (encoding/json), so events are byte-stable.
-type Event struct {
-	T      int64              `json:"t_ns"`
-	Kind   string             `json:"kind"`
-	Source string             `json:"source,omitempty"`
-	Action string             `json:"action,omitempty"`
-	Detail string             `json:"detail,omitempty"`
-	Fields map[string]float64 `json:"fields,omitempty"`
 }
 
 // SpanArg is one ordered key/value annotation on a stored span. It is the
@@ -121,8 +81,6 @@ type Finish struct {
 // Record is one post-header line of a store segment: exactly one of the
 // fields is set.
 type Record struct {
-	Sample *Sample `json:"sample,omitempty"`
-	Event  *Event  `json:"event,omitempty"`
 	Span   *Span   `json:"span,omitempty"`
 	Finish *Finish `json:"finish,omitempty"`
 }
@@ -130,7 +88,7 @@ type Record struct {
 // kinds counts the record's set fields; a stored record has exactly one.
 func (r *Record) kinds() int {
 	n := 0
-	for _, set := range [...]bool{r.Sample != nil, r.Event != nil, r.Span != nil, r.Finish != nil} {
+	for _, set := range [...]bool{r.Span != nil, r.Finish != nil} {
 		if set {
 			n++
 		}

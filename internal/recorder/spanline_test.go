@@ -157,12 +157,14 @@ func FuzzLoadRun(f *testing.F) {
 	f.Add([]byte(segmentHeader))
 	f.Add([]byte(`{"schema":"other"}` + "\n"))
 	f.Add([]byte(segmentHeader + `{"span":{"t_ns":1,"ph":"X","group":"g","track":"t","tid":1,"args":[{"k":"a","v":1}]}}` + "\n" +
-		`{"sample":{"t_ns":2}}` + "\n" + `{"event":{"t_ns":3,"kind":"decision"}}` + "\n" + `{"finish":{"report":null}}` + "\n"))
+		`{"span":{"t_ns":2,"ph":"i","group":"g","track":"u","tid":2,"name":"spawn"}}` + "\n" + `{"finish":{"report":null}}` + "\n"))
 	f.Add([]byte(segmentHeader + `{"span":` + "\n"))
 	f.Add([]byte(segmentHeader + "\n\n" + `{"finish":{"report":{"name":"c"}}}`))
-	f.Add([]byte(segmentHeader + `{"sample":{"t_ns":2,"nodes":[]}}` + "\n"))
+	f.Add([]byte(segmentHeader + `{"span":{"t_ns":2,"ph":"C","group":"g","track":"t","tid":1,"args":[]}}` + "\n"))
 	f.Add([]byte(segmentHeader + `{}` + "\n"))
-	f.Add([]byte(segmentHeader + `{"finish":{}}` + "\n" + `{"sample":{"t_ns":2}}` + "\n"))
+	f.Add([]byte(segmentHeader + `{"span":{"t_ns":2,"ph":"X","group":"g","track":"t","tid":1},"finish":{}}` + "\n"))
+	f.Add([]byte(segmentHeader + `{"finish":{}}` + "\n" + `{"span":{"t_ns":2,"ph":"X","group":"g","track":"t","tid":1}}` + "\n"))
+	f.Add([]byte(`{"schema":"lmas/runstore/v1"}` + "\n" + `{"sample":{"t_ns":2}}` + "\n"))
 	for _, arg := range append(exactArgs, untypedArgs...) {
 		f.Add([]byte(segmentHeader + spanWithArg(arg) + "\n"))
 	}

@@ -60,11 +60,11 @@ func (st *Store) setErr(err error) {
 // NewRun opens the writer of one run's segment; the file is created at Begin.
 func (st *Store) NewRun() *Segment { return &Segment{st: st} }
 
-// Segment writes one run's segment: Begin, then any number of Sample, Event
-// and Span calls, then Finish. Calls on one Segment are sequential; segments
-// of the same store may be written from different goroutines. Lines are
-// encoded into out's current chunk on the caller's goroutine and reach the
-// file from out's writer goroutine, which lives from Begin to Finish.
+// Segment writes one run's segment: Begin, then any number of Span calls,
+// then Finish. Calls on one Segment are sequential; segments of the same
+// store may be written from different goroutines. Lines are encoded into
+// out's current chunk on the caller's goroutine and reach the file from
+// out's writer goroutine, which lives from Begin to Finish.
 type Segment struct {
 	st   *Store
 	f    io.WriteCloser // the segment file
@@ -151,12 +151,6 @@ func (r *Segment) writeLine(v any) {
 	r.out.lineDone()
 }
 
-// Sample records one periodic observation.
-func (r *Segment) Sample(s Sample) { r.writeLine(Record{Sample: &s}) }
-
-// Event records one streamed event.
-func (r *Segment) Event(e Event) { r.writeLine(Record{Event: &e}) }
-
 // Span records one streamed trace event. It is the one high-rate record (one
 // per trace event, 10^5 per sort cell), so its line is appended in place by
 // appendSpanLine rather than marshalled; sp.Args is encoded before Span
@@ -184,8 +178,8 @@ func (r *Segment) Finish(rep *telemetry.RunReport) {
 }
 
 // RunRecord is one loaded store segment: the identifying header plus every
-// record in stream order. Samples/events/finish stay interleaved exactly as
-// written so Replay reproduces the original stream.
+// record in stream order: the spans, then the finish, exactly as written, so
+// Replay reproduces the original stream.
 type RunRecord struct {
 	// Path is the segment file the run was loaded from.
 	Path    string
@@ -211,28 +205,6 @@ func (r *RunRecord) Finished() bool {
 	return len(r.Records) > 0 && r.Records[len(r.Records)-1].Finish != nil
 }
 
-// Samples returns the run's periodic samples in stream order.
-func (r *RunRecord) Samples() []Sample {
-	var out []Sample
-	for _, rec := range r.Records {
-		if rec.Sample != nil {
-			out = append(out, *rec.Sample)
-		}
-	}
-	return out
-}
-
-// Events returns the run's streamed events in stream order.
-func (r *RunRecord) Events() []Event {
-	var out []Event
-	for _, rec := range r.Records {
-		if rec.Event != nil {
-			out = append(out, *rec.Event)
-		}
-	}
-	return out
-}
-
 // Spans returns the run's streamed trace events in stream order — which is
 // emission order, the order Perfetto export expects.
 func (r *RunRecord) Spans() []Span {
@@ -254,10 +226,6 @@ func (r *RunRecord) Replay(seg *Segment) {
 	finished := false
 	for _, record := range r.Records {
 		switch {
-		case record.Sample != nil:
-			seg.Sample(*record.Sample)
-		case record.Event != nil:
-			seg.Event(*record.Event)
 		case record.Span != nil:
 			seg.Span(*record.Span)
 		case record.Finish != nil:
@@ -312,7 +280,7 @@ func readRun(path string, r io.Reader) (*RunRecord, error) {
 				return nil, fmt.Errorf("%s: record %d follows the finish record", path, len(run.Records)+1)
 			}
 			if n := rec.kinds(); n != 1 {
-				return nil, fmt.Errorf("%s: record %d sets %d of sample, event, span and finish, want 1", path, len(run.Records)+1, n)
+				return nil, fmt.Errorf("%s: record %d sets %d of span and finish, want 1", path, len(run.Records)+1, n)
 			}
 			run.Records = append(run.Records, rec)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"lmas/internal/telemetry"
+	"lmas/internal/trace"
 )
 
 func testHeader(exp, name string) *Header {
@@ -42,9 +43,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if h.RunID == "" || h.StartedAt == "" || h.GitRev == "" {
 		t.Fatalf("Begin left header unfilled: %+v", h)
 	}
-	rec.Sample(Sample{T: 100, Nodes: []NodeSample{{Node: "host0", CPU: 0.5, CPUBusy: 0.05}}})
-	rec.Event(Event{T: 150, Kind: "decision", Source: "route.x", Action: "set-policy"})
-	rec.Sample(Sample{T: 200, Queues: []QueueSample{{Queue: "q", Depth: 3, High: 5}}})
+	rec.Span(Span{T: 100, DurNs: 50, Ph: "X", Group: "host0", Track: "host0.cpu", TID: 1, Name: "compute"})
+	rec.Span(Span{T: 150, Ph: "i", Group: "procs", Track: "merge", TID: 2, Name: "spawn"})
 	rec.Finish(testReport("cell-a"))
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
@@ -57,11 +57,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if run.Header.Experiment != "exp1" || run.Header.Name != "cell-a" {
 		t.Fatalf("header = %+v", run.Header)
 	}
-	if got := len(run.Samples()); got != 2 {
-		t.Fatalf("samples = %d, want 2", got)
-	}
-	if got := len(run.Events()); got != 1 {
-		t.Fatalf("events = %d, want 1", got)
+	if spans := run.Spans(); len(spans) != 2 || spans[1].Track != "merge" {
+		t.Fatalf("spans = %+v, want the two recorded", spans)
 	}
 	rep := run.Report()
 	if rep == nil || rep.Name != "cell-a" || rep.RuntimeSec != 1.5 {
@@ -72,15 +69,13 @@ func TestStoreRoundTrip(t *testing.T) {
 	var kinds []string
 	for _, r := range run.Records {
 		switch {
-		case r.Sample != nil:
-			kinds = append(kinds, "sample")
-		case r.Event != nil:
-			kinds = append(kinds, "event")
+		case r.Span != nil:
+			kinds = append(kinds, "span")
 		case r.Finish != nil:
 			kinds = append(kinds, "finish")
 		}
 	}
-	if want := []string{"sample", "event", "sample", "finish"}; !slices.Equal(kinds, want) {
+	if want := []string{"span", "span", "finish"}; !slices.Equal(kinds, want) {
 		t.Fatalf("record stream %v, want %v", kinds, want)
 	}
 }
@@ -187,20 +182,24 @@ func TestLoadRunRejectsUntypedArgs(t *testing.T) {
 }
 
 // TestLoadRunRejectsNonCanonicalRecords: a record that sets no field or two,
-// or any record after the finish, fails LoadRun naming the record.
+// or any record after the finish, fails LoadRun naming the record; a v1
+// segment, whose periodic sample lines this format no longer has, is refused
+// by its header.
 func TestLoadRunRejectsNonCanonicalRecords(t *testing.T) {
 	dir := t.TempDir()
-	for i, c := range []struct{ body, want string }{
-		{`{}` + "\n", "record 1 sets 0 of"},
-		{`{"sample":{"t_ns":1},"event":{"t_ns":1,"kind":"k"}}` + "\n", "record 1 sets 2 of"},
-		{`{"finish":{"report":null}}` + "\n" + `{"sample":{"t_ns":2}}` + "\n", "record 2 follows the finish"},
+	v1Header := strings.Replace(segmentHeader, StoreSchema, "lmas/runstore/v1", 1)
+	for i, c := range []struct{ segment, want string }{
+		{segmentHeader + `{}` + "\n", "record 1 sets 0 of"},
+		{segmentHeader + `{"span":{"t_ns":1,"ph":"X","group":"g","track":"t","tid":1},"finish":{"report":null}}` + "\n", "record 1 sets 2 of"},
+		{segmentHeader + `{"finish":{"report":null}}` + "\n" + `{"span":{"t_ns":2,"ph":"X","group":"g","track":"t","tid":1}}` + "\n", "record 2 follows the finish"},
+		{v1Header + `{"sample":{"t_ns":100}}` + "\n", fmt.Sprintf(`schema "lmas/runstore/v1", want %q`, StoreSchema)},
 	} {
 		path := filepath.Join(dir, fmt.Sprintf("odd-%d.jsonl", i))
-		if err := os.WriteFile(path, []byte(segmentHeader+c.body), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(c.segment), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadRun(path); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("LoadRun(%q) = %v, want an error containing %q", c.body, err, c.want)
+			t.Errorf("LoadRun(%q) = %v, want an error containing %q", c.segment, err, c.want)
 		}
 	}
 }
@@ -258,8 +257,8 @@ func TestHeaderOnlyVolatileFields(t *testing.T) {
 		rec := st.NewRun()
 		h := testHeader("exp", "cell")
 		rec.Begin(h)
-		rec.Sample(Sample{T: 100, Nodes: []NodeSample{{Node: "host0", CPU: 0.25}}})
-		rec.Event(Event{T: 120, Kind: "decision", Fields: map[string]float64{"b": 2, "a": 1}})
+		rec.Span(Span{T: 100, DurNs: 20, Ph: "X", Group: "host0", Track: "host0.cpu", TID: 1, Name: "compute",
+			Args: []SpanArg{trace.Int("ops", 1e4), trace.Str("to", "asu1")}})
 		rec.Finish(testReport("cell"))
 		if err := st.Err(); err != nil {
 			t.Fatal(err)
@@ -377,7 +376,7 @@ func TestRunsSkipsUnreadableSegments(t *testing.T) {
 		rec := st.NewRun()
 		h := testHeader("exp", fmt.Sprintf("cell-%d", i))
 		rec.Begin(h)
-		rec.Sample(Sample{T: 100})
+		rec.Span(Span{T: 100, Ph: "i", Group: "procs", Track: "p", TID: 1, Name: "spawn"})
 		if i == 2 {
 			rec.Finish(nil) // failed after Begin
 		} else {

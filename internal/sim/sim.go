@@ -92,13 +92,13 @@ type Sim struct {
 
 	// freeProcs is the pool of exited proc shells whose coroutines are
 	// suspended awaiting reuse; see Proc.run. Daemons and profiled sims never
-	// pool (daemon spawns must not perturb pool state across recorded and
-	// unrecorded runs, and the critpath profiler keys state by *Proc).
+	// pool (daemon spawns must not perturb pool state across sampled and
+	// unsampled runs, and the critpath profiler keys state by *Proc).
 	freeProcs []*Proc
 
 	// stats counts scheduler-tier activity for non-daemon events only, so
-	// the numbers are identical with or without a recorder attached (daemon
-	// samplers never contribute).
+	// the numbers are identical with or without a gauge sampler (daemons
+	// never contribute).
 	stats SchedStats
 }
 
@@ -481,9 +481,9 @@ const maxFreeProcs = 4096
 func (s *Sim) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	var p *Proc
 	// Reuse a pooled shell (and its suspended coroutine) when one is free.
-	// Daemon spawns always allocate: a recorder's samplers must not
-	// perturb the pool state the workload's own spawns observe, or
-	// recorded and unrecorded runs would diverge in SchedStats. Profiled
+	// Daemon spawns always allocate: a gauge sampler must not perturb the
+	// pool state the workload's own spawns observe, or sampled and
+	// unsampled runs would diverge in SchedStats. Profiled
 	// sims never reach here (the pool stays empty; see Proc.run).
 	if n := len(s.freeProcs); n > 0 && !daemon {
 		p = s.freeProcs[n-1]

@@ -118,7 +118,6 @@ type Registry struct {
 	lats      []*LatencyHistogram
 	byName    map[string]any
 	decisions []Decision
-	onDecide  func(Decision)
 }
 
 // NewRegistry creates an empty registry.
@@ -169,22 +168,7 @@ func (r *Registry) Decide(t sim.Time, source, action, detail string, readings ..
 	if r == nil {
 		return
 	}
-	d := Decision{T: int64(t), Source: source, Action: action, Detail: detail, Readings: readings}
-	r.decisions = append(r.decisions, d)
-	if r.onDecide != nil {
-		r.onDecide(d)
-	}
-}
-
-// SetOnDecide installs an observer called synchronously for every Decide,
-// after the entry lands in the audit log — the hook a run recorder uses to
-// stream load-manager decisions as they happen. Nil clears it; no-op on a
-// nil registry.
-func (r *Registry) SetOnDecide(fn func(Decision)) {
-	if r == nil {
-		return
-	}
-	r.onDecide = fn
+	r.decisions = append(r.decisions, Decision{T: int64(t), Source: source, Action: action, Detail: detail, Readings: readings})
 }
 
 // Decisions returns the audit log in record order.
