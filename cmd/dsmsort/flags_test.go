@@ -7,13 +7,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
 	"lmas/internal/recorder"
-	"lmas/internal/telemetry"
 )
 
 // runMainEnv makes the test binary stand in for the command: TestMain runs
@@ -28,14 +25,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestEngineFlagsAreGone: the flags that selected the parallel engine no
-// longer exist, so `dsmsort` refuses them the way Go's flag package refuses any
+// TestEngineFlagsAreGone: removed flags — the ones that selected the
+// parallel engine, and the gauge sampler's -progress and -gauges — no longer
+// exist, so `dsmsort` refuses them the way Go's flag package refuses any
 // unknown flag (exit 2) instead of accepting and ignoring them.
 func TestEngineFlagsAreGone(t *testing.T) {
 	for _, args := range [][]string{
 		{"-engine", "parallel"},
 		{"-workers", "2"},
 		{"-groups", "2"},
+		{"-progress", "10"},
+		{"-gauges", "5"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
@@ -199,8 +199,6 @@ func TestBadFlagValuesAreErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-net", "-5"}, "dsmsort: -net must be >= 0"},
-		{[]string{"-progress", "-5"}, "dsmsort: -progress must be >= 0"},
-		{[]string{"-gauges", "-3"}, "dsmsort: -gauges must be >= 0"},
 		{[]string{"-c", "NaN"}, "dsmsort: cluster: power ratio c must be finite and positive, have NaN"},
 		{[]string{"-c", "+Inf"}, "dsmsort: cluster: power ratio c must be finite and positive, have +Inf"},
 		{[]string{"-placement", "bogus"}, `dsmsort: unknown placement "bogus" (want active|conventional|hybrid)`},
@@ -232,93 +230,6 @@ func TestHybridPlacementSorts(t *testing.T) {
 	for _, want := range []string{"(uniform, hybrid)", "output validated: sorted, complete, uncorrupted"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestProgressIsAPureObserver: `-progress 10 -report` prints the progress
-// table — stage record counts that only grow and end at N, over both passes,
-// and utilizations within [0,1] — and writes the report the bare run writes
-// apart from the gauges: the same runtime_ns and the same cpu/disk/nic series
-// on every node.
-func TestProgressIsAPureObserver(t *testing.T) {
-	dir := t.TempDir()
-	const n = 16384
-	run := func(report string, extra ...string) (string, *telemetry.RunReport) {
-		t.Helper()
-		path := filepath.Join(dir, report)
-		args := append([]string{"-n", strconv.Itoa(n), "-asus", "8", "-report", path}, extra...)
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%v: %v\n%s", args, err, out)
-		}
-		tr, err := telemetry.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(out), tr.Runs[0]
-	}
-	bareOut, bare := run("bare.json")
-	out, rep := run("progress.json", "-progress", "10")
-
-	if rep.RuntimeNs != bare.RuntimeNs {
-		t.Errorf("runtime_ns %d with -progress, %d bare", rep.RuntimeNs, bare.RuntimeNs)
-	}
-	if !reflect.DeepEqual(rep.Nodes, bare.Nodes) {
-		t.Errorf("node utilization series differ from the bare run's")
-	}
-	for _, node := range rep.Nodes {
-		if node.CPU == nil {
-			t.Errorf("node %s has no cpu series", node.Name)
-		}
-	}
-
-	// The table comes first; below it the summary is the bare run's but for
-	// the report line's path.
-	table, summary, ok := strings.Cut(out, "\n\n")
-	if !ok || !strings.HasPrefix(table, "progress\n") {
-		t.Fatalf("no progress table at the top of the output:\n%s", out)
-	}
-	if want := strings.ReplaceAll(bareOut, "bare.json", "progress.json"); summary != want {
-		t.Errorf("summary below the table:\n%s\nwant the bare run's:\n%s", summary, want)
-	}
-	lines := strings.Split(table, "\n")
-	headers := strings.Fields(strings.ReplaceAll(lines[1], " util", "-util"))
-	want := []string{"t(s)", "distribute", "blocksort", "collect", "merge.asu", "merge.host", "merge.collect", "host0-util", "asu0-util"}
-	if !reflect.DeepEqual(headers, want) {
-		t.Fatalf("table columns %v, want %v", headers, want)
-	}
-	rows := lines[3:]
-	if len(rows) < 3 {
-		t.Fatalf("only %d progress rows:\n%s", len(rows), table)
-	}
-	prev := make([]float64, len(headers))
-	for _, row := range rows {
-		cells := strings.Fields(row)
-		if len(cells) != len(headers) {
-			t.Fatalf("row %q has %d cells, want %d", row, len(cells), len(headers))
-		}
-		for i, cell := range cells {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				t.Fatalf("row %q: %v", row, err)
-			}
-			switch {
-			case strings.HasSuffix(headers[i], "-util"):
-				if v < 0 || v > 1 {
-					t.Errorf("row %q: %s = %v out of [0,1]", row, headers[i], v)
-				}
-			case v < prev[i]:
-				t.Errorf("row %q: %s went back from %v to %v", row, headers[i], prev[i], v)
-			}
-			prev[i] = v
-		}
-	}
-	for i, h := range headers[1:7] {
-		if prev[i+1] != n {
-			t.Errorf("stage %s ends at %v records, want %d", h, prev[i+1], n)
 		}
 	}
 }

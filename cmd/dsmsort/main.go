@@ -16,10 +16,8 @@ import (
 	"lmas/internal/cluster"
 	"lmas/internal/dsmsort"
 	"lmas/internal/experiments"
-	"lmas/internal/plot"
 	"lmas/internal/prof"
 	"lmas/internal/recorder"
-	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 	"lmas/internal/trace"
 )
@@ -55,27 +53,16 @@ func run() error {
 	var (
 		placement = flag.String("placement", dsmsort.Active.String(), strings.Join(names, "|"))
 		netMBps   = flag.Float64("net", 0, "per-interface network bandwidth override (MB/s, 0 = default)")
-		progress  = flag.Int("progress", 0, "print a progress table sampled at this virtual-ms interval; implies -gauges at the same interval unless -gauges is given (0 = off)")
 		traceFile = flag.String("trace", "", "write a structured trace of the run (.json for Perfetto/chrome://tracing, .csv for a flat series)")
 		report    = flag.String("report", "", "write a machine-readable RunReport (JSON) of the run")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		record    = flag.String("record", "", "record the run into this run store directory")
-		gaugeMs   = flag.Int("gauges", 0, "also emit periodic node/queue/stage gauges into the report at this virtual-ms interval (0 = off)")
 	)
 	flag.Parse()
-	switch {
-	case !(*netMBps >= 0):
+	if !(*netMBps >= 0) {
 		return fmt.Errorf("-net must be >= 0 MB/s, have %g", *netMBps)
-	case *progress < 0:
-		return fmt.Errorf("-progress must be >= 0 ms, have %d", *progress)
-	case *gaugeMs < 0:
-		return fmt.Errorf("-gauges must be >= 0 ms, have %d", *gaugeMs)
 	}
-	if *gaugeMs == 0 {
-		*gaugeMs = *progress // the table is rendered from the report's gauges
-	}
-	spec.GaugeInterval = sim.Duration(*gaugeMs) * sim.Millisecond
 
 	stopProf, err := prof.Start(*cpuprof, *memprof)
 	if err != nil {
@@ -122,18 +109,6 @@ func run() error {
 		})
 	if err != nil {
 		return err
-	}
-	if *progress > 0 {
-		stages := []string{"distribute", "blocksort", "collect"}
-		if cfg.Placement == dsmsort.Conventional {
-			stages = []string{"host-dist-sort", "writeback"}
-		}
-		stages = append(stages, "merge.asu", "merge.host", "merge.collect")
-		var nodes []string
-		for _, n := range rep.Nodes[:spec.Hosts+1] { // every host and the first ASU
-			nodes = append(nodes, n.Name)
-		}
-		fmt.Println(progressTable(rep, stages, nodes))
 	}
 	hostOps, asuOps := res.MeasuredWork()
 	fmt.Printf("sorted %d records (%s, %s) on %d host(s) + %d ASU(s), c=%g\n",
@@ -224,46 +199,3 @@ func (out *traceOut) close() error {
 // placements is every DSM-Sort placement: -placement accepts, and its usage
 // text lists, exactly their String names.
 var placements = []dsmsort.Placement{dsmsort.Active, dsmsort.Conventional, dsmsort.Hybrid}
-
-// progressTable renders the report's periodic gauges (-gauges, which
-// -progress implies) as the paper's progress view: one row per sampler tick
-// with each stage's cumulative records consumed and each node's CPU
-// utilization over the interval the tick closes. A stage that has not started
-// by a tick reads zero.
-func progressTable(rep *telemetry.RunReport, stages, nodes []string) *plot.Table {
-	gauges := make(map[string][]telemetry.GaugeSample, len(rep.Gauges))
-	for _, g := range rep.Gauges {
-		gauges[g.Name] = g.Samples
-	}
-	headers := []string{"t(s)"}
-	headers = append(headers, stages...)
-	for _, n := range nodes {
-		headers = append(headers, n+" util")
-	}
-	t := plot.NewTable("progress", headers...)
-	// The node gauges tick from the sampler's first wake-up to the run's end;
-	// a stage's gauge starts at the first tick after its pass registered it.
-	ticks := gauges["node."+nodes[0]+".cpu.busy_sec"]
-	prevT := int64(0)
-	prevBusy := make([]float64, len(nodes))
-	for i, tick := range ticks {
-		row := []any{fmt.Sprintf("%.3f", sim.Time(tick.T).Seconds())}
-		for _, st := range stages {
-			recs := int64(0)
-			series := gauges["stage."+st+".records_in"]
-			if late := len(ticks) - len(series); i >= late {
-				recs = int64(series[i-late].V)
-			}
-			row = append(row, recs)
-		}
-		for j, n := range nodes {
-			busy := gauges["node."+n+".cpu.busy_sec"][i].V
-			util := (busy - prevBusy[j]) / sim.Duration(tick.T-prevT).Seconds()
-			row = append(row, fmt.Sprintf("%.2f", plot.Clamp01(util)))
-			prevBusy[j] = busy
-		}
-		prevT = tick.T
-		t.AddRow(row...)
-	}
-	return t
-}

@@ -279,10 +279,7 @@ type Cluster struct {
 	Telemetry *telemetry.Registry
 	Profiler  *critpath.Profiler
 
-	sampler *clusterSampler // the gauge daemon, until FinishSampling
-	queues  []SampledQueue  // watched by the sampler, in registration order
-	stages  []stageProbe
-	spans   *recorderBridge // the recorder's trace consumer, until FinishSampling
+	spans *recorderBridge // the recorder's trace consumer, until Finish
 
 	// lastSched remembers the scheduler-tier counters already copied into
 	// the telemetry registry, so repeated BuildReport calls add deltas
@@ -306,17 +303,8 @@ type Observers struct {
 	// Recorder streams every Trace event into the run's store segment as a
 	// Span. The caller has already begun the segment with the run's Header,
 	// and passes it the finished report — utilization series, gauges and
-	// decision log included — after FinishSampling.
+	// decision log included — after Finish.
 	Recorder *recorder.Segment
-	// GaugeEvery, when positive, starts the gauge sampler: a daemon that
-	// records periodic observations as Telemetry gauges —
-	// node.<name>.cpu.busy_sec (cumulative completed busy time),
-	// queue.<name>.depth / .high_water and stage.<name>.records_in — so
-	// they land in the RunReport (`dsmsort -progress` renders its table
-	// from them). Off by default: it grows the report, so runs without it
-	// stay byte-identical to the committed baselines. Ignored without
-	// Telemetry.
-	GaugeEvery sim.Duration
 }
 
 // New builds a bare cluster: NewObserved with nothing watching.
@@ -324,7 +312,7 @@ func New(p Params) *Cluster { return NewObserved(p, Observers{}) }
 
 // NewObserved builds a cluster on a fresh simulator with obs wired in. It
 // panics if p is invalid; use Params.Validate to check first. Call
-// FinishSampling after Sim.Run returns and before BuildReport.
+// Finish after Sim.Run returns and before BuildReport.
 func NewObserved(p Params, obs Observers) *Cluster {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -362,8 +350,7 @@ func NewObserved(p Params, obs Observers) *Cluster {
 // observe wires obs into a cluster that has no proc yet. The order is fixed
 // and load-bearing for byte-identical output: node tracks are registered
 // before any proc's (track ids), and the recorder is connected to the trace
-// stream before the gauge sampler spawns, so its spawn instant reaches the
-// recorder like every later event.
+// stream before the first proc spawns, so every event reaches it.
 func (c *Cluster) observe(obs Observers) {
 	window := c.Params.UtilWindow
 	if window == 0 && obs.Telemetry != nil {
@@ -396,9 +383,36 @@ func (c *Cluster) observe(obs Observers) {
 		c.spans = &recorderBridge{rec}
 		obs.Trace.Attach(c.spans)
 	}
-	if obs.GaugeEvery > 0 && c.Telemetry != nil {
-		c.startSampler(obs.GaugeEvery)
+}
+
+// Finish disconnects the recorder from the trace stream: the run's record is
+// complete but for its report. Call after Sim.Run returns and before
+// BuildReport. Safe on a cluster without observers, and more than once.
+func (c *Cluster) Finish() {
+	if c.spans != nil {
+		c.Sim.Tracer().Detach(c.spans)
+		c.spans = nil
 	}
+}
+
+// SampledQueue is what FlushQueueStats reads of a queue; every *sim.Queue[T]
+// is one.
+type SampledQueue interface {
+	Name() string
+	WaitStats() (cumWait sim.Duration, highWater int)
+}
+
+// FlushQueueStats records q's end-of-run accounting — cumulative buffered
+// time and high-water depth — as gauges, so the report's queue table shows
+// where packets sat. No-op without telemetry.
+func (c *Cluster) FlushQueueStats(q SampledQueue) {
+	if c.Telemetry == nil {
+		return
+	}
+	now := c.Sim.Now()
+	cum, high := q.WaitStats()
+	c.Telemetry.Gauge("queue."+q.Name()+".wait_sec").Set(now, cum.Seconds())
+	c.Telemetry.Gauge("queue."+q.Name()+".high_water").Set(now, float64(high))
 }
 
 // recorderBridge is the trace consumer that stores each event as a span of
@@ -512,8 +526,8 @@ func (c *Cluster) BuildReport(name string, seed int64, elapsed sim.Duration) *te
 // fillSchedStats copies the sim kernel's scheduler-tier activity (timer-wheel
 // hits, near-deadline heap spills, recycled proc shells) into the telemetry
 // registry, so every RunReport — and hence `lmasreport show` — can explain
-// scheduler behavior per run. The kernel counts non-daemon events only, so
-// these counters are byte-identical with or without a recorder attached.
+// scheduler behavior per run. Observers schedule no events, so these
+// counters are byte-identical with or without a recorder attached.
 func (c *Cluster) fillSchedStats() {
 	st := c.Sim.SchedStats()
 	c.Telemetry.Counter("sim.scheduler.wheel_hits").Add(int64(st.WheelHits - c.lastSched.WheelHits))

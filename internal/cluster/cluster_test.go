@@ -153,11 +153,11 @@ func TestUtilTracesInstalledOnce(t *testing.T) {
 	}
 }
 
-// TestEveryObserverStreamsEachEventOnce builds a cluster with all five
+// TestEveryObserverStreamsEachEventOnce builds a cluster with all four
 // observers on and drives every traced layer (procs, CPU holds, disk, NIC, a
-// watched queue, a logged decision): the stored segment holds exactly the
-// sink's events as spans — none lost before the gauge sampler's spawn
-// instant, none replayed — and the decision and the gauges reached the
+// flushed queue, a logged decision): the stored segment holds exactly the
+// sink's events as spans — none lost before the first proc's spawn instant,
+// none replayed — and the decision and the queue's gauges reached the
 // report.
 func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	st, err := recorder.OpenStore(t.TempDir())
@@ -171,17 +171,15 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	p := DefaultParams()
 	p.ASUs = 2
 	c := NewObserved(p, Observers{
-		Telemetry:  reg,
-		Trace:      sink,
-		Critpath:   true,
-		Recorder:   rec,
-		GaugeEvery: 10 * sim.Millisecond,
+		Telemetry: reg,
+		Trace:     sink,
+		Critpath:  true,
+		Recorder:  rec,
 	})
 	if c.Profiler == nil || c.Sim.Tracer() != sink {
 		t.Fatal("an observer was not wired in")
 	}
 	q := sim.NewQueue[int](c.Sim, "q", 4)
-	c.WatchQueue(q)
 	host, asu := c.Hosts[0], c.ASUs[0]
 	c.Sim.Spawn("producer", func(pr *sim.Proc) {
 		for i := 0; i < 8; i++ {
@@ -205,7 +203,8 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := sim.Duration(c.Sim.Now())
-	c.FinishSampling()
+	c.FlushQueueStats(q)
+	c.Finish()
 	rep := c.BuildReport("all", 1, elapsed)
 	rec.Finish(rep)
 	if err := st.Err(); err != nil {
@@ -219,8 +218,8 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	if got, want := len(run.Spans()), sink.Events(); got != want || want == 0 {
 		t.Errorf("segment holds %d spans, sink recorded %d events", got, want)
 	}
-	if first := run.Spans()[0]; first.Track != "gauge.sampler" || first.Name != "spawn" {
-		t.Errorf("first span = %s on %q, want the gauge sampler's spawn instant", first.Name, first.Track)
+	if first := run.Spans()[0]; first.Track != "producer" || first.Name != "spawn" {
+		t.Errorf("first span = %s on %q, want the producer's spawn instant", first.Name, first.Track)
 	}
 	if ds := run.Report().Decisions; len(ds) != 1 || ds[0].Action != "done" {
 		t.Errorf("stored decisions = %+v, want the one decision", ds)
@@ -232,9 +231,9 @@ func TestEveryObserverStreamsEachEventOnce(t *testing.T) {
 	for _, g := range rep.Gauges {
 		gauges[g.Name] = len(g.Samples)
 	}
-	for _, want := range []string{"node.host0.cpu.busy_sec", "queue.q.depth"} {
-		if gauges[want] < int(elapsed/(10*sim.Millisecond)) {
-			t.Errorf("report gauge %s has %d samples over %v at 10ms", want, gauges[want], elapsed)
+	for _, want := range []string{"queue.q.wait_sec", "queue.q.high_water"} {
+		if gauges[want] != 1 {
+			t.Errorf("report gauge %s has %d samples, want the one end-of-run flush", want, gauges[want])
 		}
 	}
 }

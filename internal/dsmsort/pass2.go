@@ -58,11 +58,6 @@ type MergeResult struct {
 	ASUMergeLevels int
 	HostOps        float64
 	ASUOps         float64
-
-	// Records consumed so far by each merge stage — the ASU local mergers
-	// (read from run storage), the host mergers, the output collectors —
-	// read by the cluster's progress sampler while the pass runs.
-	asuIn, hostIn, collectIn int64
 }
 
 // oneEach is the refill of a merge whose sources are one buffer each:
@@ -126,11 +121,6 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 	res := &MergeResult{}
 	hostN := len(cl.Hosts)
 	d := len(cl.ASUs)
-	// The merge stages' progress, for the cluster's periodic sampler; the
-	// queues below are watched as they are built. Inert when none attached.
-	cl.WatchStage("merge.asu", func() int64 { return res.asuIn })
-	cl.WatchStage("merge.host", func() int64 { return res.hostIn })
-	cl.WatchStage("merge.collect", func() int64 { return res.collectIn })
 
 	// Output collectors: one proc per ASU draining an inbox of final
 	// packets, charging ASU touch (packet reassembly) plus disk write.
@@ -139,7 +129,6 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 	for i, asu := range cl.ASUs {
 		i, asu := i, asu
 		collectors[i] = sim.NewQueue[container.Packet](cl.Sim, fmt.Sprintf("out.collect%d", i), 8)
-		cl.WatchQueue(collectors[i])
 		collectProc := cl.Sim.Spawn(fmt.Sprintf("collect@asu%d", i), func(p *sim.Proc) {
 			pf.Bind(p, "merge.collect", asu.Name, critpath.ClassASUCPU, critpath.ClassASUCPU)
 			touch := cl.Touch(asu)
@@ -149,7 +138,6 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 					break
 				}
 				pf.BeginPacket(p, pk.Prov)
-				res.collectIn += int64(pk.Len())
 				ops := float64(pk.Len()) * touch
 				res.ASUOps += ops
 				asu.Compute(p, ops)
@@ -183,7 +171,6 @@ func MergePass(cl *cluster.Cluster, cfg Config, rs *RunStore) (*OutputStore, *Me
 				continue
 			}
 			q := sim.NewQueue[container.Packet](cl.Sim, fmt.Sprintf("merge.b%d.asu%d", b, asuIdx), 4)
-			cl.WatchQueue(q)
 			queues = append(queues, q)
 			asu := cl.ASUs[asuIdx]
 			srcs = append(srcs, asu)
@@ -277,7 +264,6 @@ func asuLocalMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, asu *cluster.No
 		if !ok {
 			break
 		}
-		res.asuIn += int64(pk.Len())
 		runs = append(runs, pk.Buf)
 		owned = append(owned, false)
 	}
@@ -370,7 +356,6 @@ func hostBucketMerge(cl *cluster.Cluster, cfg Config, p *sim.Proc, host *cluster
 		if !ok {
 			return records.Buffer{}, false
 		}
-		res.hostIn += int64(pk.Len())
 		// Charge the ASU->host hop for the received packet, on its chain.
 		pf.BeginPacket(p, pk.Prov)
 		cl.Net.Stream(p, srcs[i].NIC, host.NIC, pk.Bytes()+64)

@@ -213,7 +213,6 @@ func RunOpenLoop(opt OpenLoopOptions) (*OpenLoopResult, error) {
 	queues := make([]*sim.Queue[openJob], opt.ASUs)
 	for i := range queues {
 		queues[i] = sim.NewQueue[openJob](s, fmt.Sprintf("asu%d.jobs", i), opt.QueueCap)
-		cl.WatchQueue(queues[i])
 	}
 
 	var (

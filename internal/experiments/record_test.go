@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lmas/internal/dsmsort"
 	"lmas/internal/recorder"
-	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 	"lmas/internal/trace"
 )
 
-// recordSpec is a small cell used by the recording tests: big enough to
-// produce several gauge intervals at 2ms, small enough to keep the suite fast.
+// recordSpec is a small cell used by the recording tests, small enough to
+// keep the suite fast.
 func recordSpec(name string) SortRunSpec {
 	return SortRunSpec{
 		Name:          name,
@@ -96,151 +93,6 @@ func TestRecordingNeutrality(t *testing.T) {
 	}
 	if string(c) != string(a) {
 		t.Fatal("report reloaded from the store differs from the original")
-	}
-}
-
-// TestPeriodicGaugeReconciliation pins the gauge sampler's contract: the
-// per-interval node.<n>.cpu.busy_sec samples are cumulative and monotone,
-// and the final sample reconciles with the report's own utilization series —
-// the integral of util over the windows equals the last cumulative busy
-// reading. Queue depth never exceeds its high-water mark.
-func TestPeriodicGaugeReconciliation(t *testing.T) {
-	spec := recordSpec("cell")
-	spec.GaugeInterval = 2 * sim.Millisecond
-	rep, _, err := RunSortReport(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gauges := map[string]telemetry.GaugeReport{}
-	for _, g := range rep.Gauges {
-		gauges[g.Name] = g
-	}
-
-	for _, node := range rep.Nodes {
-		g, ok := gauges["node."+node.Name+".cpu.busy_sec"]
-		if !ok {
-			t.Fatalf("no periodic busy gauge for node %s", node.Name)
-		}
-		if len(g.Samples) < 2 {
-			t.Fatalf("node %s: %d busy samples, want >= 2", node.Name, len(g.Samples))
-		}
-		for i := 1; i < len(g.Samples); i++ {
-			if g.Samples[i].V < g.Samples[i-1].V {
-				t.Fatalf("node %s: cumulative busy_sec not monotone at sample %d: %v -> %v",
-					node.Name, i, g.Samples[i-1].V, g.Samples[i].V)
-			}
-		}
-		if node.CPU == nil {
-			continue
-		}
-		// Integral of the utilization series: util[i] * observed window width.
-		var busy float64
-		for i, u := range node.CPU.Util {
-			winStart := float64(i) * node.CPU.WindowSec
-			busy += u * (node.CPU.TS[i] - winStart)
-		}
-		final := g.Samples[len(g.Samples)-1].V
-		if math.Abs(busy-final) > 1e-3 {
-			t.Fatalf("node %s: util-series integral %.6f vs final busy_sec sample %.6f",
-				node.Name, busy, final)
-		}
-	}
-
-	sawQueue := false
-	for name, g := range gauges {
-		if !strings.HasPrefix(name, "queue.") || !strings.HasSuffix(name, ".depth") {
-			continue
-		}
-		sawQueue = true
-		// The high-water series holds the periodic samples plus possibly one
-		// final value from the end-of-run telemetry flush; the periodic
-		// prefix aligns index-for-index with the depth series.
-		high := gauges[strings.TrimSuffix(name, ".depth")+".high_water"]
-		if len(high.Samples) < len(g.Samples) {
-			t.Fatalf("%s: %d depth vs %d high-water samples", name, len(g.Samples), len(high.Samples))
-		}
-		for i := range g.Samples {
-			if g.Samples[i].V > high.Samples[i].V {
-				t.Fatalf("%s sample %d: depth %v exceeds high water %v",
-					name, i, g.Samples[i].V, high.Samples[i].V)
-			}
-		}
-		for i := 1; i < len(high.Samples); i++ {
-			if high.Samples[i].V < high.Samples[i-1].V {
-				t.Fatalf("%s: high water not monotone at sample %d", name, i)
-			}
-		}
-	}
-	if !sawQueue {
-		t.Fatal("no queue.*.depth gauges in the report — queue probes never registered")
-	}
-
-	// Off by default: the same spec without GaugeInterval has none of these.
-	plain, _, err := RunSortReport(recordSpec("cell"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (queue.*.high_water / .wait_sec exist in the baseline too — the final
-	// telemetry flush writes them — so only the sampler-specific series count.)
-	for _, g := range plain.Gauges {
-		if strings.HasPrefix(g.Name, "node.") || strings.HasSuffix(g.Name, ".depth") {
-			t.Fatalf("gauge %q present without GaugeInterval", g.Name)
-		}
-	}
-}
-
-// TestProgressSamplerNeutrality pins what `dsmsort -progress` rests on: the
-// gauge sampler is a pure observer — the run ends at the same virtual instant
-// and every node's cpu/disk/nic utilization series is the bare run's — and it
-// reports application progress for both passes: each stage's records-in
-// gauge is monotone and its last sample is the whole input.
-func TestProgressSamplerNeutrality(t *testing.T) {
-	bare, _, err := RunSortReport(recordSpec("cell"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := recordSpec("cell")
-	spec.GaugeInterval = 2 * sim.Millisecond
-	rep, _, err := RunSortReport(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RuntimeNs != bare.RuntimeNs {
-		t.Errorf("RuntimeNs %d with the sampler on, %d bare", rep.RuntimeNs, bare.RuntimeNs)
-	}
-	got, _ := json.Marshal(rep.Nodes)
-	want, _ := json.Marshal(bare.Nodes)
-	if !bytes.Equal(got, want) {
-		t.Errorf("node utilization series moved with the sampler on:\n got %s\nwant %s", got, want)
-	}
-	for _, node := range rep.Nodes {
-		if node.CPU == nil || node.NIC == nil || (node.Kind == "asu" && node.Disk == nil) {
-			t.Errorf("node %s lost a utilization series: cpu=%v disk=%v nic=%v",
-				node.Name, node.CPU != nil, node.Disk != nil, node.NIC != nil)
-		}
-	}
-
-	stages := map[string]bool{}
-	for _, g := range rep.Gauges {
-		name, ok := strings.CutPrefix(g.Name, "stage.")
-		if !ok {
-			continue
-		}
-		stages[strings.TrimSuffix(name, ".records_in")] = true
-		for i := 1; i < len(g.Samples); i++ {
-			if g.Samples[i].V < g.Samples[i-1].V {
-				t.Errorf("%s regressed at sample %d: %v -> %v", g.Name, i, g.Samples[i-1].V, g.Samples[i].V)
-			}
-		}
-		if last := g.Samples[len(g.Samples)-1].V; last != float64(spec.N) {
-			t.Errorf("%s ends at %v, want the whole input %d", g.Name, last, spec.N)
-		}
-	}
-	for _, st := range []string{"distribute", "blocksort", "collect", "merge.asu", "merge.host", "merge.collect"} {
-		if !stages[st] {
-			t.Errorf("no stage.%s.records_in gauge: the progress view does not cover that stage", st)
-		}
 	}
 }
 
@@ -434,8 +286,8 @@ func settledGoroutines(want int) int {
 // points, by an error (unknown distribution or routing policy, a sort
 // configuration run formation refuses) or by a panic (a queue the workload
 // cannot build) — still leaves a closed, parseable segment whose last record
-// is a finish with no report, and no goroutine — sampler daemon or segment
-// writer — outlives the call.
+// is a finish with no report, and no goroutine — proc or segment writer —
+// outlives the call.
 func TestEarlyErrorFinishesSegment(t *testing.T) {
 	sortWith := func(edit func(*SortRunSpec)) func(*recorder.Store) error {
 		return func(st *recorder.Store) error {
@@ -443,7 +295,6 @@ func TestEarlyErrorFinishesSegment(t *testing.T) {
 			spec.Record = st
 			spec.Trace = trace.New()
 			spec.Experiment = "early-error"
-			spec.GaugeInterval = 2 * sim.Millisecond // a daemon to stop on the error path
 			edit(&spec)
 			_, _, err := RunSortReport(spec)
 			return err

@@ -7,7 +7,6 @@ import (
 	"lmas/internal/dsmsort"
 	"lmas/internal/recorder"
 	"lmas/internal/route"
-	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 	"lmas/internal/trace"
 )
@@ -42,10 +41,6 @@ type SortRunSpec struct {
 	Trace *trace.Sink
 	// Experiment labels the run's store segment ("" = "adhoc").
 	Experiment string
-	// GaugeInterval, when positive, additionally emits the periodic
-	// observations as report gauges (node.*.cpu.busy_sec, queue.*.depth /
-	// .high_water). Off by default so baseline reports are unchanged.
-	GaugeInterval sim.Duration
 }
 
 // RunSortReport executes spec on an observed cluster and returns the run
@@ -71,7 +66,7 @@ func RunSortReport(spec SortRunSpec) (*telemetry.RunReport, *dsmsort.Result, err
 // tune, when non-nil, adjusts the cluster parameters and sort configuration
 // derived from spec before anything is built; sorted, when non-nil, sees the
 // live cluster and the validated result right after the sort — before the
-// sampler stops, the report is built and any storage is returned. Errors come
+// report is built and any storage is returned. Errors come
 // back unwrapped.
 func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 	sorted func(*cluster.Cluster, *dsmsort.Result)) (*telemetry.RunReport, *dsmsort.Result, error) {
@@ -93,7 +88,6 @@ func RunSortWith(spec SortRunSpec, tune func(*cluster.Params, *dsmsort.Config),
 		critpath:   spec.Critpath,
 		record:     spec.Record,
 		experiment: spec.Experiment,
-		gaugeEvery: spec.GaugeInterval,
 	}, spec.Name, spec.Seed, map[string]any{
 		"program":   "dsmsort",
 		"n":         spec.N,

@@ -24,8 +24,7 @@ type observers struct {
 	trace      *trace.Sink
 	critpath   bool
 	record     *recorder.Store
-	experiment string       // store label for the recorded run
-	gaugeEvery sim.Duration // > 0: periodic node/queue gauges in the report
+	experiment string // store label for the recorded run
 }
 
 // observedRun is the one lifecycle of a reported run; RunSortWith, RunFig10
@@ -33,10 +32,10 @@ type observers struct {
 //
 //	startRun validated params → store header → cluster with every observer
 //	         wired in (cluster.NewObserved), before any workload proc
-//	finish   FinishSampling → BuildReport → workload → Pass1Model → rec.Finish(report)
+//	finish   Finish → BuildReport → workload → Pass1Model → rec.Finish(report)
 //	close    deferred right after startRun: a run that never reached finish
-//	         still stops its sampler and leaves a closed segment ending in a
-//	         nil-report finish, with no writer goroutine behind it
+//	         still leaves a closed segment ending in a nil-report finish, with
+//	         no writer goroutine behind it
 type observedRun struct {
 	cl       *cluster.Cluster
 	name     string
@@ -56,10 +55,9 @@ func startRun(params cluster.Params, obs observers, name string, seed int64, wor
 	}
 	r := &observedRun{name: name, seed: seed, workload: workload}
 	watch := cluster.Observers{
-		Telemetry:  telemetry.NewRegistry(),
-		Trace:      obs.trace,
-		Critpath:   obs.critpath,
-		GaugeEvery: obs.gaugeEvery,
+		Telemetry: telemetry.NewRegistry(),
+		Trace:     obs.trace,
+		Critpath:  obs.critpath,
 	}
 	if obs.record != nil {
 		r.rec = obs.record.NewRun()
@@ -83,7 +81,7 @@ func startRun(params cluster.Params, obs observers, name string, seed int64, wor
 // into a critpath section; extend, when non-nil, completes the report before
 // the recorder stores it.
 func (r *observedRun) finish(elapsed sim.Duration, pass1 *dsmsort.Config, extend func(*telemetry.RunReport)) *telemetry.RunReport {
-	r.cl.FinishSampling()
+	r.cl.Finish()
 	rep := r.cl.BuildReport(r.name, r.seed, elapsed)
 	rep.Workload = r.workload
 	if cp := rep.Critpath; cp != nil && pass1 != nil {
@@ -112,7 +110,7 @@ func (r *observedRun) close() {
 		return
 	}
 	r.finished = true
-	r.cl.FinishSampling()
+	r.cl.Finish()
 	if r.rec != nil {
 		r.rec.Finish(nil)
 	}

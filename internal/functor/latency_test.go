@@ -5,11 +5,48 @@ import (
 	"slices"
 	"testing"
 
+	"lmas/internal/bte"
 	"lmas/internal/cluster"
 	"lmas/internal/container"
+	"lmas/internal/records"
+	"lmas/internal/route"
 	"lmas/internal/sim"
 	"lmas/internal/telemetry"
 )
+
+// distSortRun seeds perASU records on every ASU of cl, in packets of
+// pktRecords, runs a distribute → sort pipeline over them with every stage
+// kernel passed through wrap, and returns the elapsed virtual time.
+func distSortRun(t *testing.T, cl *cluster.Cluster, perASU, pktRecords int, wrap func(stage string, k Kernel) Kernel) sim.Duration {
+	t.Helper()
+	var sets []*container.Set
+	cl.Sim.Spawn("seed", func(p *sim.Proc) {
+		for i, asu := range cl.ASUs {
+			set := container.NewSet("in", bte.NewDisk(asu.Disk), recSize)
+			buf := records.Generate(perASU, recSize, int64(i), records.Uniform{})
+			for off := 0; off < perASU; off += pktRecords {
+				set.Add(p, container.NewPacket(buf.Slice(off, off+pktRecords).Clone()))
+			}
+			sets = append(sets, set)
+		}
+	})
+	if err := cl.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPipeline(cl)
+	dist := pl.AddStage("dist", cl.ASUs, func() Kernel { return wrap("dist", Adapt(NewDistribute(8), recSize, 64)) })
+	srt := pl.AddStage("sort", cl.Hosts, func() Kernel { return wrap("sort", NewBlockSort(64, recSize)) })
+	dist.ConnectTo(srt, &route.RoundRobin{})
+	srt.Terminal()
+	for i, set := range sets {
+		pl.AddSource("r", cl.ASUs[i], set.Scan(0, false), dist, route.Pin(i))
+	}
+	elapsed, err := pl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return elapsed
+}
 
 // exactStage is the per-packet record a stopwatch keeps for one stage, in
 // nanoseconds, beside the stage's three latency histograms.

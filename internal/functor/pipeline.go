@@ -80,15 +80,6 @@ type Stage struct {
 // Instances returns the stage's placed instances (valid once Run starts).
 func (st *Stage) Instances() []*Instance { return st.instances }
 
-// recordsIn reports the records the stage's instances have consumed so far.
-func (st *Stage) recordsIn() int64 {
-	var recs int64
-	for _, inst := range st.instances {
-		recs += inst.RecordsIn
-	}
-	return recs
-}
-
 // output receives packets produced by a stage or source.
 type output interface {
 	deliver(ctx *Ctx, pk container.Packet)
@@ -125,9 +116,8 @@ func (e *Edge) deliver(ctx *Ctx, pk container.Packet) {
 		// Unreachable: inboxes close once every courier, this one too, called producerDone.
 		ctx.Proc.Fail(fmt.Errorf("deliver to closed inbox %s: %w", dest.Label(), err))
 	}
-	// Sparse backlog sampling: a gauge point every 64th delivery, not a
-	// periodic sampler proc — a sampler's trailing wakeups would extend the
-	// simulated run past pipeline completion.
+	// Sparse backlog sampling: a gauge point every 64th delivery, recorded
+	// by the delivering proc — no observer runs as a proc of its own.
 	if reg := e.to.pipeline.cl.Telemetry; reg != nil && e.Packets%64 == 0 {
 		total := 0
 		for _, ep := range e.eps {
@@ -296,12 +286,6 @@ func (p *Pipeline) place() error {
 			in := sim.NewQueue[container.Packet](p.cl.Sim, fmt.Sprintf("%s#%d.in", st.Name, i), cap)
 			st.instances = append(st.instances, &Instance{Stage: st, Node: n, Index: i, In: in, kernel: k})
 		}
-	}
-	for _, st := range p.stages {
-		for _, inst := range st.instances {
-			p.cl.WatchQueue(inst.In)
-		}
-		p.cl.WatchStage(st.Name, st.recordsIn)
 	}
 	// Resolve edge endpoints and producer counts.
 	for _, st := range p.stages {

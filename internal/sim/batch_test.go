@@ -66,7 +66,7 @@ func TestGetNMatchesGetLoop(t *testing.T) {
 
 // TestProcRecycling pins the free-list contract: sequential short-lived
 // procs inside one run reuse pooled shells, the pool drains when Run
-// returns, and neither killed procs, daemons, nor profiled sims recycle.
+// returns, and neither killed procs nor profiled sims recycle.
 func TestProcRecycling(t *testing.T) {
 	s := New()
 	s.Spawn("gen", func(p *Proc) {
@@ -86,39 +86,26 @@ func TestProcRecycling(t *testing.T) {
 	}
 
 	// Killed procs never pool: their queued wakeup may still reference the
-	// pointer.
+	// pointer. Shutdown kills the blocked procs one at a time, and each
+	// one's deferred call sees the pool as its predecessors left it.
 	s2 := New()
-	blocked := s2.Spawn("blocked", func(p *Proc) { p.Sleep(Second) })
+	var pooledAtKill []int
+	for i := 0; i < 3; i++ {
+		s2.Spawn("blocked", func(p *Proc) {
+			defer func() { pooledAtKill = append(pooledAtKill, len(s2.freeProcs)) }()
+			p.Sleep(Second)
+		})
+	}
 	s2.RunFor(Microsecond)
-	s2.Kill(blocked)
+	s2.Shutdown()
+	if fmt.Sprint(pooledAtKill) != "[0 0 0]" {
+		t.Errorf("pool size as each proc was killed = %v, want [0 0 0]", pooledAtKill)
+	}
 	if len(s2.freeProcs) != 0 {
-		t.Errorf("killed proc was pooled")
+		t.Errorf("pool holds %d shells after Shutdown, want 0 (drained)", len(s2.freeProcs))
 	}
 	if st := s2.SchedStats(); st.ProcReuses != 0 {
 		t.Errorf("kill path counted %d reuses", st.ProcReuses)
-	}
-
-	// Daemon spawns bypass the pool in both directions, so recorder
-	// samplers can't perturb the pool state the workload observes.
-	s3 := New()
-	s3.Spawn("seed", func(p *Proc) { p.Sleep(Microsecond) })
-	s3.RunFor(10 * Microsecond) // pool now holds the seed shell
-	if len(s3.freeProcs) != 1 {
-		t.Fatalf("pool = %d shells, want 1", len(s3.freeProcs))
-	}
-	d := s3.SpawnDaemon("sampler", func(p *Proc) {
-		for {
-			p.Sleep(Millisecond)
-		}
-	})
-	if len(s3.freeProcs) != 1 {
-		t.Errorf("daemon spawn consumed a pooled shell")
-	}
-	s3.RunFor(10 * Microsecond)
-	s3.Kill(d)
-	s3.Shutdown()
-	if len(s3.freeProcs) != 0 {
-		t.Errorf("pool not drained by Shutdown")
 	}
 
 	// Profiled sims never pool: critpath keys per-proc state by pointer.

@@ -141,32 +141,32 @@ func TestWaitStatsCountsBufferedResidual(t *testing.T) {
 }
 
 // TestCondWakeOrderFollowsKey: Signal wakes the waiter with the oldest wait
-// — the only wake key the cond keeps — and a waiter killed mid-wait, which
-// purge removes from the wait list, leaves the others' order intact.
+// — the only wake key the cond keeps — and leaves the younger ones waiting
+// in their order.
 func TestCondWakeOrderFollowsKey(t *testing.T) {
 	s := New()
 	c := NewCond(s, "gate")
 	var order []string
-	var procs []*Proc
 	for i, name := range []string{"w0", "w1", "w2"} {
-		procs = append(procs, s.Spawn(name, func(p *Proc) {
+		s.Spawn(name, func(p *Proc) {
 			p.Sleep(Duration(i) * Millisecond)
 			c.Wait(p)
 			order = append(order, name)
-		}))
+		})
 	}
-	s.At(Time(3*Millisecond), func() { s.Kill(procs[1]) })
+	var afterSignal string
 	s.Spawn("sig", func(p *Proc) {
 		p.Sleep(4 * Millisecond)
 		c.Signal()
 		p.Sleep(Millisecond)
+		afterSignal = fmt.Sprint(order)
 		c.Broadcast()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(order) != "[w0 w2]" {
-		t.Fatalf("wake order %v, want wait order [w0 w2]", order)
+	if afterSignal != "[w0]" || fmt.Sprint(order) != "[w0 w1 w2]" {
+		t.Fatalf("woken after Signal %s, after Broadcast %v; want [w0], then wait order [w0 w1 w2]", afterSignal, order)
 	}
 }
 

@@ -35,7 +35,7 @@ func (e event) before(f event) bool {
 }
 
 // Sim is a discrete-event simulator. The zero value is not usable; create
-// one with New. The goroutine that calls Run, Kill or Shutdown is the
+// one with New. The goroutine that calls Run or Shutdown is the
 // scheduler and the only dispatcher: it pops events in (time, seq) order and
 // runs each callback or proc resumption to completion before the next. Procs
 // are runtime coroutines (iter.Pull) that the scheduler switches into and
@@ -67,8 +67,7 @@ type Sim struct {
 	// seq is the tie-break counter: the schedule order of every event.
 	seq uint64
 
-	procs  map[*Proc]bool // all live procs
-	inProc bool           // true while a proc has control
+	procs map[*Proc]bool // all live procs
 
 	err error // the run's first failure (Fail or a proc panic), for Run
 
@@ -84,29 +83,19 @@ type Sim struct {
 	// this sim, so killProcs can purge killed procs from their queues.
 	waitLists []purger
 
-	// liveEvents counts queued events other than daemon-proc resumptions.
-	// Run exits when it reaches zero, leaving daemon wakeups queued: a
-	// periodic observer (see SpawnDaemon) therefore never extends a run's
-	// virtual end time, and a later Run resumes it alongside new work.
-	liveEvents int
-
 	// freeProcs is the pool of exited proc shells whose coroutines are
-	// suspended awaiting reuse; see Proc.run. Daemons and profiled sims never
-	// pool (daemon spawns must not perturb pool state across sampled and
-	// unsampled runs, and the critpath profiler keys state by *Proc).
+	// suspended awaiting reuse; see Proc.run. Profiled sims never pool (the
+	// critpath profiler keys state by *Proc).
 	freeProcs []*Proc
 
-	// stats counts scheduler-tier activity for non-daemon events only, so
-	// the numbers are identical with or without a gauge sampler (daemons
-	// never contribute).
 	stats SchedStats
 }
 
 // SchedStats reports scheduler-tier activity: how many far-future events
 // the timer wheel absorbed, how many of those were spilled into the heap
-// and dispatched, and how many proc spawns reused a pooled shell. Daemon
-// events are excluded throughout, keeping every count a pure function of
-// the non-daemon schedule (byte-identical with or without recording).
+// and dispatched, and how many proc spawns reused a pooled shell. Every
+// count is a pure function of the schedule, so it is byte-identical with
+// or without observers.
 type SchedStats struct {
 	WheelHits  uint64
 	HeapSpills uint64
@@ -169,9 +158,6 @@ func (s *Sim) schedule(t Time, fn func(), p *Proc) {
 		t = s.now
 	}
 	s.seq++
-	if p == nil || !p.daemon {
-		s.liveEvents++
-	}
 	e := event{t: t, seq: s.seq, fn: fn, proc: p}
 	if t == s.now {
 		s.nowq.q = append(s.nowq.q, e)
@@ -192,9 +178,7 @@ func (s *Sim) schedule(t Time, fn func(), p *Proc) {
 		// levels stay tight; with events held, syncTier owns the horizon.
 		w.reset(tickOf(s.now))
 	}
-	if p == nil || !p.daemon {
-		s.stats.WheelHits++
-	}
+	s.stats.WheelHits++
 	w.place(e, s.spill)
 }
 
@@ -349,14 +333,11 @@ func (s *Sim) popNext() (event, bool) {
 	return event{}, false
 }
 
-// countPopped keeps the live-event counter in step with popNext and
-// attributes dispatched wheel-staged events to the scheduler tier.
+// countPopped attributes dispatched wheel-staged events to the scheduler
+// tier.
 func (s *Sim) countPopped(e event) {
-	if e.proc == nil || !e.proc.daemon {
-		s.liveEvents--
-		if e.viaWheel {
-			s.stats.HeapSpills++
-		}
+	if e.viaWheel {
+		s.stats.HeapSpills++
 	}
 }
 
@@ -380,7 +361,6 @@ func (s *Sim) clearEvents() {
 	if s.wheel != nil {
 		s.wheel.clear(tickOf(s.now))
 	}
-	s.liveEvents = 0
 }
 
 // Proc is an emulated thread of control: a coroutine that runs only when the
@@ -396,9 +376,6 @@ type Proc struct {
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
 	killed bool
-	// daemon marks a background observer proc whose queued wakeups never
-	// keep Run alive (see SpawnDaemon).
-	daemon bool
 	// fn is the body of the current incarnation, held on the Proc instead
 	// of closed over so a recycled shell restarts without allocating. It is
 	// nil while the shell sits in the pool.
@@ -454,38 +431,18 @@ func (e *ProcPanicError) Unwrap() error {
 	return err
 }
 
-// Spawn starts a new proc running fn. The proc is scheduled to begin at the
-// current virtual time, after every event already queued for that instant.
-// Spawn may be called before Run or from a running proc or event callback.
-func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(name, fn, false)
-}
-
-// SpawnDaemon starts a background observer proc: its queued wakeups do not
-// count toward Run's exit condition, so a daemon that sleeps on a fixed
-// interval (a periodic sampler) never extends a run's virtual end time — Run
-// returns the instant the last non-daemon event is dispatched, leaving the
-// daemon parked with its next wakeup queued. A later Run on the same sim
-// resumes it. Daemons must only Sleep between observations (never block on
-// queues, conds, or resources, which would deadlock them once real work
-// drains), and they survive a Run that does not fail; terminate one with
-// Kill or Shutdown.
-func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(name, fn, true)
-}
-
 // maxFreeProcs caps the recycling pool so a one-off burst of concurrency
 // doesn't pin its peak goroutine count forever.
 const maxFreeProcs = 4096
 
-func (s *Sim) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+// Spawn starts a new proc running fn. The proc is scheduled to begin at the
+// current virtual time, after every event already queued for that instant.
+// Spawn may be called before Run or from a running proc or event callback.
+func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	// Reuse a pooled shell (and its suspended coroutine) when one is free.
-	// Daemon spawns always allocate: a gauge sampler must not perturb the
-	// pool state the workload's own spawns observe, or sampled and
-	// unsampled runs would diverge in SchedStats. Profiled
-	// sims never reach here (the pool stays empty; see Proc.run).
-	if n := len(s.freeProcs); n > 0 && !daemon {
+	// Profiled sims never reach here (the pool stays empty; see Proc.run).
+	if n := len(s.freeProcs); n > 0 {
 		p = s.freeProcs[n-1]
 		s.freeProcs[n-1] = nil
 		s.freeProcs = s.freeProcs[:n-1]
@@ -496,7 +453,7 @@ func (s *Sim) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		p.fn = fn
 		s.stats.ProcReuses++
 	} else {
-		p = &Proc{sim: s, name: name, daemon: daemon, fn: fn}
+		p = &Proc{sim: s, name: name, fn: fn}
 		p.next, _ = iter.Pull(p.main)
 	}
 	if t := s.tracer; t != nil {
@@ -538,7 +495,7 @@ func (p *Proc) run() (pooled bool) {
 		r := recover()
 		if r == nil {
 			s.tracer.Instant(p.track, int64(s.now), "exit", "proc")
-			if !p.daemon && s.profiler == nil && len(s.freeProcs) < maxFreeProcs {
+			if s.profiler == nil && len(s.freeProcs) < maxFreeProcs {
 				p.fn = nil
 				s.freeProcs = append(s.freeProcs, p)
 				pooled = true
@@ -579,9 +536,7 @@ func (s *Sim) runProc(p *Proc) {
 		return // proc already exited (e.g. killed)
 	}
 	p.blocked = ""
-	s.inProc = true
 	p.next()
-	s.inProc = false
 }
 
 // park suspends the calling proc until the scheduler resumes it. The caller
@@ -650,16 +605,14 @@ func (e *DeadlockError) Error() string {
 		len(e.Blocked), strings.Join(e.Blocked, ", "))
 }
 
-// Run executes events in virtual-time order until no non-daemon events
-// remain (daemon wakeups are left queued; see SpawnDaemon) or a proc fails
-// the run (Fail, or a panic as a *ProcPanicError): then Run kills every proc,
-// daemons included, and returns the first failure. Otherwise, if non-daemon
-// procs are still blocked when the queue drains, Run force-terminates every
-// proc and returns a DeadlockError naming the blocked ones. On success all
-// spawned non-daemon procs have finished; daemons stay parked for a later
-// Run, Kill, or Shutdown.
+// Run executes events in virtual-time order until none remain or a proc
+// fails the run (Fail, or a panic as a *ProcPanicError): then Run kills every
+// proc and returns the first failure. Otherwise, if procs are still blocked
+// when the queue drains, Run force-terminates every proc and returns a
+// DeadlockError naming the blocked ones. On success every spawned proc has
+// finished.
 func (s *Sim) Run() error {
-	for s.liveEvents > 0 {
+	for {
 		ev, ok := s.popNext()
 		if !ok {
 			break
@@ -674,9 +627,7 @@ func (s *Sim) Run() error {
 	}
 	var names []string
 	for p := range s.procs {
-		if !p.daemon {
-			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.blocked))
-		}
+		names = append(names, fmt.Sprintf("%s (%s)", p.name, p.blocked))
 	}
 	if len(names) > 0 {
 		sort.Strings(names)
@@ -694,25 +645,6 @@ func (s *Sim) Run() error {
 // not be called from proc context.
 func (s *Sim) Shutdown() {
 	s.killProcs()
-}
-
-// Kill force-terminates a single proc (typically a daemon sampler once its
-// run is over) without disturbing the rest of the simulation: other procs,
-// queued events, and virtual time are untouched. A stale queued wakeup for
-// the killed proc is ignored when dispatched. Must not be called from proc
-// context; no-op if p already exited.
-func (s *Sim) Kill(p *Proc) {
-	if s.inProc {
-		panic("sim: Kill from proc context")
-	}
-	if !s.procs[p] {
-		return
-	}
-	p.killed = true
-	p.next()
-	for _, wl := range s.waitLists {
-		wl.purge(p)
-	}
 }
 
 func (s *Sim) killProcs() {

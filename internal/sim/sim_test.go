@@ -220,8 +220,8 @@ func TestProcPanicIsAnError(t *testing.T) {
 	if !unwound || c.Waiters() != 0 {
 		t.Errorf("bystander: deferred call ran=%v, cond waiters=%d; want it killed by Run", unwound, c.Waiters())
 	}
-	if len(s.procs) != 0 || s.inProc {
-		t.Errorf("after Run: %d live procs, inProc=%v; want 0 and false", len(s.procs), s.inProc)
+	if len(s.procs) != 0 {
+		t.Errorf("after Run: %d live procs, want 0", len(s.procs))
 	}
 	if got, want := s.Now(), Time(Microsecond); got != want {
 		t.Errorf("Run ended at %v, want the panic's instant %v", got, want)
@@ -251,19 +251,12 @@ func TestProcPanicUnwrapsErrorValue(t *testing.T) {
 // TestFailEndsRun: Fail stops the run at its instant. Run returns exactly the
 // first failure, although the failing proc's own deferred calls fail again
 // and panic, a second proc is due to fail in the same instant and a killed bystander
-// fails from a deferred call; the blocked procs and the parked daemon are
-// killed, not reported as a deadlock; and the sim runs again afterwards.
+// fails from a deferred call; the blocked procs are killed, not reported as
+// a deadlock; and the sim runs again afterwards.
 func TestFailEndsRun(t *testing.T) {
 	errFirst, errSecond, errLate := errors.New("first"), errors.New("second"), errors.New("late")
 	s := New()
 	c := NewCond(s, "never")
-	ticks := 0
-	s.SpawnDaemon("sampler", func(p *Proc) {
-		for {
-			p.Sleep(Microsecond)
-			ticks++
-		}
-	})
 	s.Spawn("bystander", func(p *Proc) {
 		defer p.Fail(errLate)
 		c.Wait(p)
@@ -298,8 +291,8 @@ func TestFailEndsRun(t *testing.T) {
 	if got, want := s.Now(), Time(10*Microsecond); got != want {
 		t.Errorf("Run ended at %v, want the failure's instant %v", got, want)
 	}
-	if ticks > 10 || len(s.procs) != 0 || c.Waiters() != 0 || s.inProc {
-		t.Errorf("after Run: ticks=%d procs=%d waiters=%d inProc=%v", ticks, len(s.procs), c.Waiters(), s.inProc)
+	if len(s.procs) != 0 || c.Waiters() != 0 {
+		t.Errorf("after Run: procs=%d waiters=%d", len(s.procs), c.Waiters())
 	}
 	done := false
 	s.Spawn("next", func(p *Proc) { p.Sleep(Microsecond); done = true })
@@ -312,17 +305,18 @@ func TestFailEndsRun(t *testing.T) {
 	}
 }
 
-// TestKillUnstartedProc: a proc killed between Spawn and its first dispatch
-// never runs its body, and its queued start event is ignored.
+// TestKillUnstartedProc: a proc that Shutdown kills between Spawn and its
+// first dispatch never runs its body, its queued start event is dropped, and
+// the sim runs new work afterwards.
 func TestKillUnstartedProc(t *testing.T) {
 	s := New()
 	ran := false
-	p := s.Spawn("unstarted", func(p *Proc) { ran = true })
-	s.Spawn("worker", func(p *Proc) { p.Sleep(Microsecond) })
-	s.Kill(p)
-	if len(s.procs) != 1 {
-		t.Fatalf("%d live procs after Kill, want 1", len(s.procs))
+	s.Spawn("unstarted", func(p *Proc) { ran = true })
+	s.Shutdown()
+	if len(s.procs) != 0 || s.pending() != 0 {
+		t.Fatalf("%d live procs, %d queued events after Shutdown, want 0 and 0", len(s.procs), s.pending())
 	}
+	s.Spawn("worker", func(p *Proc) { p.Sleep(Microsecond) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +387,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 			c := NewCond(s, "never")
 			q := NewQueue[int](s, "q", 1)
 			r := NewResource(s, "cpu")
-			s.SpawnDaemon("sampler", func(p *Proc) {
-				for {
-					p.Sleep(Microsecond)
-				}
-			})
 			for i := 0; i < 5; i++ {
 				s.Spawn("cond", func(p *Proc) { c.Wait(p) })
 				s.Spawn("get", func(p *Proc) { q.Get(p) })

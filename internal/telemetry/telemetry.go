@@ -7,9 +7,11 @@
 // overall runtime, and resource utilization for each host and ASU in the
 // target (emulated) system" (Section 5), and every figure of Section 6 is a
 // comparison between runs. Package trace covers the event level ("what
-// happened when"); this package covers the aggregate level ("how did this
-// run do"), in a form downstream tools (lmasreport diff, the bench
-// trajectory, CI regression gates) can consume.
+// happened when"), application progress included: its functor packet spans
+// and queue depth counters. This package covers the aggregate level ("how
+// did this run do"): overall runtime and each node's windowed CPU, disk and
+// NIC utilization over time (UtilTrace), in a form downstream tools
+// (lmasreport diff, the bench trajectory, CI regression gates) can consume.
 //
 // Like the trace sink, the registry is nil-by-default: every method no-ops
 // on a nil receiver and on nil instruments, so instrumented code pays one

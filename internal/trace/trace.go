@@ -8,9 +8,12 @@
 // structured form: every emulated node, resource and thread of control gets
 // its own timeline (a track), and the instrumented layers — the sim kernel,
 // disks, network interfaces, and functor pipelines — record spans and
-// instants on it in virtual time. The sink keeps none of them: it hands each
-// event to its consumers at the moment it is recorded, so a run of any
-// length costs the same memory.
+// instants on it in virtual time. Application progress is read here: each
+// functor `packet` span carries the records its stage consumed, and every
+// queue has a depth counter track; overall runtime and per-node utilization
+// are in package telemetry's RunReport. The sink keeps none of the events:
+// it hands each to its consumers at the moment it is recorded, so a run of
+// any length costs the same memory.
 //
 // A Sink is attached to a simulation when its cluster is built
 // (cluster.Observers.Trace, which also pre-registers node tracks in a
