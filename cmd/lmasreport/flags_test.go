@@ -58,7 +58,6 @@ func TestNullRunIsAnError(t *testing.T) {
 	for _, args := range [][]string{
 		{"diff", "../../bench/baseline.json", it},
 		{"show", it},
-		{"query", filepath.Join(dir, "st"), "import", it, "-experiment", "x"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -6,19 +6,18 @@
 //	lmasreport critpath run.json [-svg attr.svg]
 //	lmasreport diff  base.json new.json [-runtime-threshold 0.10] [-p99-threshold T]
 //	lmasreport bench [-quick] [-o FILE] [-seed S] [-record DIR]
-//	lmasreport query STORE {list|show|metric|gate|import|trace|prune} ...
+//	lmasreport query STORE {list|show|trace|prune} ...
 //	lmasreport trend STORE -metric NAME [-svg OUT.svg]
 //
 // show renders paper-style tables (config, runtime, per-node utilization,
 // counters, latency quantiles, the load-manager decision log) and can plot
 // a Figure-10-style utilization-versus-time SVG. diff compares two reports
 // or bench trajectories field by field and exits non-zero when a gated
-// field regresses past its threshold — the CI regression gate. bench runs
+// field regresses past its threshold — the one regression gate. bench runs
 // the standard DSM-Sort matrix and writes one trajectory point; with
 // -record it also streams every cell into a queryable run store. query
-// filters, aggregates, and compares stored runs (gate reproduces the bench
-// regression verdict from store records alone), and trend follows one
-// metric across stored runs.
+// lists, renders, composes and prunes stored runs, and trend follows one
+// metric across them.
 package main
 
 import (
@@ -89,12 +88,6 @@ commands:
                                        optionally record every cell into a run store
   query STORE list   [-experiment E]   enumerate recorded runs
   query STORE show   RUN-ID            render one stored run's report
-  query STORE metric NAME [-experiment E]
-                                       one instrument across stored runs
-  query STORE gate   -base EXP -new EXP [-runtime-threshold R] [-p99-threshold P]
-                                       bench regression gate from store records; exit 1 on regression
-  query STORE import FILE -experiment E
-                                       load a report/trajectory file into the store
   query STORE trace  [RUN-ID ...] [-experiment E] [-o OUT.json]
                                        compose stored trace spans into Perfetto JSON
   query STORE prune  -keep N [-dry-run]

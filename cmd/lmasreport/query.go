@@ -1,31 +1,29 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"lmas/internal/plot"
 	"lmas/internal/recorder"
-	"lmas/internal/telemetry"
 )
 
 // runQuery answers questions against a run store:
 //
-//	lmasreport query STORE list   [-experiment E]
-//	lmasreport query STORE show   RUN-ID
-//	lmasreport query STORE metric NAME [-experiment E]
-//	lmasreport query STORE gate   -base EXP -new EXP [thresholds]
-//	lmasreport query STORE import FILE -experiment E
+//	lmasreport query STORE list  [-experiment E]
+//	lmasreport query STORE show  RUN-ID
+//	lmasreport query STORE trace [RUN-ID ...] [-experiment E] [-o OUT.json]
+//	lmasreport query STORE prune -keep N [-dry-run]
 //
 // list enumerates runs; show renders one stored run with the same tables as
-// `show`; metric pulls one instrument across runs (the "which config
-// regressed MergePass p99?" query); gate reruns the bench regression gate
-// from store records alone; import loads an existing report/trajectory file
-// into the store so committed baselines are queryable.
+// `show`; trace composes stored spans into one Perfetto file; prune applies
+// the retention policy. One metric across stored runs is `trend`; comparing
+// two runs is `diff` on their report files.
 func runQuery(args []string) error {
 	if len(args) < 2 {
-		return fmt.Errorf("query: want STORE and a subcommand (list|show|metric|gate|import|trace|prune)")
+		return fmt.Errorf("query: want STORE and a subcommand (list|show|trace|prune)")
 	}
 	dir, sub, rest := args[0], args[1], args[2:]
 	switch sub {
@@ -33,12 +31,6 @@ func runQuery(args []string) error {
 		return queryList(dir, rest)
 	case "show":
 		return queryShow(dir, rest)
-	case "metric":
-		return queryMetric(dir, rest)
-	case "gate":
-		return queryGate(dir, rest)
-	case "import":
-		return queryImport(dir, rest)
 	case "trace":
 		return queryTrace(dir, rest)
 	case "prune":
@@ -117,74 +109,6 @@ func queryShow(dir string, args []string) error {
 		return nil
 	}
 	return fmt.Errorf("query show: no run %q in %s", pos[0], dir)
-}
-
-func queryMetric(dir string, args []string) error {
-	fs := flag.NewFlagSet("query metric", flag.ExitOnError)
-	exp := fs.String("experiment", "", "only this experiment")
-	pos := parseMixed(fs, args)
-	if len(pos) != 1 {
-		return fmt.Errorf("query metric: want exactly one instrument name")
-	}
-	name := pos[0]
-	st, err := openStoreRead(dir)
-	if err != nil {
-		return err
-	}
-	runs, err := st.Select(*exp)
-	if err = warnSkipped(err); err != nil {
-		return err
-	}
-	t := plot.NewTable(fmt.Sprintf("Metric %s", name),
-		"experiment", "run", "kind", "value", "p50", "p99")
-	shown := 0
-	for _, run := range runs {
-		rep := run.Report()
-		if rep == nil {
-			continue
-		}
-		if kind, v, p50, p99, ok := metricOf(rep, name); ok {
-			p50s, p99s := "-", "-"
-			if kind == "latency" {
-				p50s = fmt.Sprintf("%.6g", p50)
-				p99s = fmt.Sprintf("%.6g", p99)
-			}
-			t.AddRow(run.Header.Experiment, run.Header.Name, kind,
-				fmt.Sprintf("%.6g", v), p50s, p99s)
-			shown++
-		}
-	}
-	if shown == 0 {
-		return fmt.Errorf("query metric: no stored run has an instrument %q", name)
-	}
-	fmt.Println(t)
-	return nil
-}
-
-// metricOf resolves name against a report's instruments: counters report
-// their value, gauges their final sample, latency histograms their count plus
-// p50/p99 in seconds.
-func metricOf(rep *telemetry.RunReport, name string) (kind string, v, p50, p99 float64, ok bool) {
-	if name == "runtime_sec" {
-		return "runtime", rep.RuntimeSec, 0, 0, true
-	}
-	for _, c := range rep.Counters {
-		if c.Name == name {
-			return "counter", float64(c.Value), 0, 0, true
-		}
-	}
-	for _, g := range rep.Gauges {
-		if g.Name == name && len(g.Samples) > 0 {
-			return "gauge", g.Samples[len(g.Samples)-1].V, 0, 0, true
-		}
-	}
-	for _, l := range rep.Latencies {
-		if l.Name == name {
-			return "latency", float64(l.Count),
-				float64(l.P50Ns) / 1e9, float64(l.P99Ns) / 1e9, true
-		}
-	}
-	return "", 0, 0, 0, false
 }
 
 // queryTrace composes the stored trace spans of one or more runs into a
@@ -286,61 +210,30 @@ func queryPrune(dir string, args []string) error {
 	return nil
 }
 
-// queryGate is the store-backed `diff`: BASE and NEW are experiments named
-// by flag, and the verdict is computed by the same code as the file-based CI
-// gate.
-func queryGate(dir string, args []string) error {
-	fs := flag.NewFlagSet("query gate", flag.ExitOnError)
-	base := fs.String("base", "", "baseline experiment name")
-	next := fs.String("new", "", "candidate experiment name")
-	cmp := bindComparison(fs)
-	if pos := parseMixed(fs, args); len(pos) != 0 {
-		return fmt.Errorf("query gate: unexpected argument %q", pos[0])
-	}
-	if *base == "" || *next == "" {
-		return fmt.Errorf("query gate: -base and -new experiment names are required")
-	}
-	st, err := openStoreRead(dir)
+// openStoreRead opens an existing run store without creating it — reads
+// against a mistyped path should fail loudly, not conjure an empty store.
+func openStoreRead(dir string) (*recorder.Store, error) {
+	info, err := os.Stat(dir)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("run store %s: %w", dir, err)
 	}
-	return cmp.run("query gate", st, *base, *next)
+	if !info.IsDir() {
+		return nil, fmt.Errorf("run store %s: not a directory", dir)
+	}
+	return &recorder.Store{Dir: dir}, nil
 }
 
-func queryImport(dir string, args []string) error {
-	fs := flag.NewFlagSet("query import", flag.ExitOnError)
-	exp := fs.String("experiment", "", "experiment name for the imported runs (required)")
-	pos := parseMixed(fs, args)
-	if len(pos) != 1 {
-		return fmt.Errorf("query import: want exactly one report/trajectory file")
-	}
-	if *exp == "" {
-		return fmt.Errorf("query import: -experiment is required")
-	}
-	tr, err := telemetry.ReadFile(pos[0])
-	if err != nil {
+// warnSkipped downgrades a store read's unreadable segments to a warning on
+// stderr, one line per segment: the readable runs came back beside the error,
+// and a listing or a plot is still worth having without the ones a killed
+// process left behind. Anything else is returned unchanged.
+func warnSkipped(err error) error {
+	var skipped *recorder.SkippedError
+	if !errors.As(err, &skipped) {
 		return err
 	}
-	st, err := recorder.OpenStore(dir)
-	if err != nil {
-		return err
+	for _, e := range skipped.Skipped {
+		fmt.Fprintln(os.Stderr, "lmasreport: skipping unreadable segment:", e)
 	}
-	for _, rep := range tr.Runs {
-		rec := st.NewRun()
-		rec.Begin(&recorder.Header{
-			Experiment: *exp,
-			Name:       rep.Name,
-			ConfigHash: recorder.ConfigHash(rep.Config, rep.Workload, rep.Seed),
-			Seed:       rep.Seed,
-			Config:     rep.Config,
-			Workload:   rep.Workload,
-		})
-		rec.Finish(rep)
-	}
-	if err := st.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("query import: %d run(s) from %s -> %s as experiment %q\n",
-		len(tr.Runs), pos[0], dir, *exp)
 	return nil
 }

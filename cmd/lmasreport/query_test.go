@@ -16,8 +16,7 @@ import (
 // TestQueryToleratesUnreadableSegments: a store holding a good run, a run that
 // failed after Begin and the zero-byte file a killed process leaves behind.
 // `query list` shows both readable runs — the failed one as finished without
-// a report — and succeeds; `query gate`, whose verdict could hinge on the
-// missing run, refuses the store.
+// a report — and succeeds.
 func TestQueryToleratesUnreadableSegments(t *testing.T) {
 	dir := t.TempDir()
 	st, err := recorder.OpenStore(dir)
@@ -53,25 +52,35 @@ func TestQueryToleratesUnreadableSegments(t *testing.T) {
 	if strings.Contains(out, "exp-killed-0000") {
 		t.Errorf("query list shows the unreadable segment as a run:\n%s", out)
 	}
-	err = runQuery([]string{dir, "gate", "-base", "exp", "-new", "exp"})
-	if err == nil || !strings.Contains(err.Error(), "exp-killed-0000.jsonl") {
-		t.Errorf("query gate = %v, want an error naming the unreadable segment", err)
-	}
 }
 
-// TestQueryGateVerdicts: `query STORE gate -base A -new B` is the one
-// store-backed gate — exit 0 and "no regressions" when nothing moved past
-// threshold, exit 1 and a REGRESSED row when something did. The runs are
-// shaped like openloop reports: the p99 gate reads latencies[], so a tail that
-// grows while the runtime holds fails it (and only when it is on). `diff`
-// reads report files only: it refuses -store.
+// runMain runs the test binary as the command with args and returns its
+// stdout, its stderr and its exit code.
+func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("%v: %v", args, err)
+	}
+	if exit != nil {
+		stderr = string(exit.Stderr)
+	}
+	return string(out), stderr, cmd.ProcessState.ExitCode()
+}
+
+// TestQueryGateVerdicts: `diff BASE NEW` is the one regression gate — exit 0 and
+// "no regressions" when nothing moved past threshold, exit 1 and a REGRESSED
+// row when something did. The reports are shaped like openloop reports: the
+// p99 gate reads latencies[], so a tail that grows while the runtime holds
+// fails it (and only when it is on). `diff` reads report files only: it
+// refuses -store.
 func TestQueryGateVerdicts(t *testing.T) {
 	dir := t.TempDir()
-	st, err := recorder.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for exp, r := range map[string]struct{ elapsed, p99 sim.Duration }{
+	file := func(name string) string { return filepath.Join(dir, name+".json") }
+	for name, r := range map[string]struct{ elapsed, p99 sim.Duration }{
 		"base": {100 * sim.Millisecond, 271 * sim.Microsecond},
 		"same": {100 * sim.Millisecond, 271 * sim.Microsecond},
 		"slow": {150 * sim.Millisecond, 271 * sim.Microsecond},
@@ -79,25 +88,9 @@ func TestQueryGateVerdicts(t *testing.T) {
 	} {
 		rep := telemetry.NewRunReport("cell", 1, r.elapsed)
 		rep.Latencies = []telemetry.LatencyReport{{Name: "openloop.job.latency", Count: 1000, P99Ns: int64(r.p99)}}
-		rec := st.NewRun()
-		rec.Begin(&recorder.Header{Experiment: exp, Name: "cell"})
-		rec.Finish(rep)
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-	run := func(args ...string) (stdout, stderr string, code int) {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		out, err := cmd.Output()
-		var exit *exec.ExitError
-		if err != nil && !errors.As(err, &exit) {
-			t.Fatalf("%v: %v", args, err)
+		if err := telemetry.WriteJSON(file(name), rep); err != nil {
+			t.Fatal(err)
 		}
-		if exit != nil {
-			stderr = string(exit.Stderr)
-		}
-		return string(out), stderr, cmd.ProcessState.ExitCode()
 	}
 	p99Gate := []string{"-p99-threshold", "0.1"}
 	for _, tc := range []struct {
@@ -112,7 +105,7 @@ func TestQueryGateVerdicts(t *testing.T) {
 		{"tail", nil, 0, "openloop.job.latency.p99"},
 		{"tail", p99Gate, 1, "REGRESSED"},
 	} {
-		out, _, code := run(append([]string{"query", dir, "gate", "-base", "base", "-new", tc.next}, tc.flags...)...)
+		out, _, code := runMain(t, append([]string{"diff", file("base"), file(tc.next)}, tc.flags...)...)
 		if code != tc.code {
 			t.Errorf("base vs %s %v: exit %d, want %d", tc.next, tc.flags, code, tc.code)
 		}
@@ -120,8 +113,22 @@ func TestQueryGateVerdicts(t *testing.T) {
 			t.Errorf("base vs %s %v: stdout lacks %q:\n%s", tc.next, tc.flags, tc.want, out)
 		}
 	}
-	if _, stderr, code := run("diff", "-store", dir, "base", "same"); code != 2 ||
+	if _, stderr, code := runMain(t, "diff", "-store", dir, "base", "same"); code != 2 ||
 		!strings.Contains(stderr, "flag provided but not defined: -store") {
 		t.Errorf("diff -store: exit %d, stderr %q; want exit 2 refusing the flag", code, stderr)
+	}
+}
+
+// TestStoreGateAndMetricAreGone: `diff` is the one regression gate and
+// `trend` the one cross-run metric walk, so the run store's copies of them
+// — and `import`, which only loaded a baseline for the gate — are unknown
+// subcommands.
+func TestStoreGateAndMetricAreGone(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"gate", "metric", "import"} {
+		_, stderr, code := runMain(t, "query", dir, sub)
+		if code != 1 || !strings.Contains(stderr, "query: unknown subcommand") {
+			t.Errorf("query %s: exit %d, stderr %q; want exit 1 with query: unknown subcommand", sub, code, stderr)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"lmas/internal/plot"
 	"lmas/internal/recorder"
+	"lmas/internal/telemetry"
 )
 
 // runTrend answers "how has this metric moved across revisions":
@@ -16,9 +17,9 @@ import (
 //
 // It walks the store's finished runs in (start time, run ID) order, groups
 // them by the git_rev header key (groups ordered by each revision's first
-// appearance), and prints one row per run with the metric resolved the same
-// way `query metric` resolves it — runtime_sec, a counter's value, a gauge's
-// final sample, or a latency histogram's count with p50/p99. With -svg it
+// appearance), and prints one row per run with the metric resolved by
+// metricOf — runtime_sec, a counter's value, a gauge's final sample, or a
+// latency histogram's count with p50/p99. With -svg it
 // also renders the cross-run trend as a sparkline with revision boundaries
 // marked.
 func runTrend(args []string) error {
@@ -107,6 +108,32 @@ func runTrend(args []string) error {
 		fmt.Printf("trend: sparkline -> %s\n", *svgOut)
 	}
 	return nil
+}
+
+// metricOf resolves name against a report's instruments: counters report
+// their value, gauges their final sample, latency histograms their count plus
+// p50/p99 in seconds.
+func metricOf(rep *telemetry.RunReport, name string) (kind string, v, p50, p99 float64, ok bool) {
+	if name == "runtime_sec" {
+		return "runtime", rep.RuntimeSec, 0, 0, true
+	}
+	for _, c := range rep.Counters {
+		if c.Name == name {
+			return "counter", float64(c.Value), 0, 0, true
+		}
+	}
+	for _, g := range rep.Gauges {
+		if g.Name == name && len(g.Samples) > 0 {
+			return "gauge", g.Samples[len(g.Samples)-1].V, 0, 0, true
+		}
+	}
+	for _, l := range rep.Latencies {
+		if l.Name == name {
+			return "latency", float64(l.Count),
+				float64(l.P50Ns) / 1e9, float64(l.P99Ns) / 1e9, true
+		}
+	}
+	return "", 0, 0, 0, false
 }
 
 // trendSVG renders the cross-run series as one sparkline with a vertical

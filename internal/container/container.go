@@ -1,9 +1,10 @@
 // Package container implements the stored-data collection types of the
-// extended TPIE model (Section 3.2): Streams (ordered scanning), Sets
+// extended TPIE model (Section 3.2): Streams (ordered scanning) and Sets
 // (unordered scanning with pending/completed marks and optional destructive
-// scans), and Arrays (random access), together with the Packet grouping
-// mechanism that preserves intermediate structure — such as sortedness —
-// inside a collection (Section 3.2, Figure 4).
+// scans), together with the Packet grouping mechanism that preserves
+// intermediate structure — such as sortedness — inside a collection
+// (Section 3.2, Figure 4). The model's third type, the random-access Array,
+// is not built: no workload here reads packets by index.
 //
 // Containers store Packets as blocks on a bte.Engine, so scanning a
 // container charges the virtual-time I/O costs of the node that owns it.
@@ -85,7 +86,7 @@ type meta struct {
 	freed    bool
 }
 
-// Collection is the common implementation of Stream, Set and Array.
+// Collection is the common implementation of Stream and Set.
 type Collection struct {
 	name    string
 	eng     bte.Engine
@@ -289,34 +290,6 @@ func (s *Set) Scan(rotate int, destructive bool) *Scan {
 	}
 	return &Scan{c: &s.Collection, order: order, destructive: destructive, pending: s.live}
 }
-
-// Array supports random access to packets by index, the container type
-// backing external index structures such as the R-trees of Section 4.2.
-type Array struct{ Collection }
-
-// NewArray creates an empty array on eng.
-func NewArray(name string, eng bte.Engine, recSize int) *Array {
-	return &Array{newCollection(name, eng, recSize)}
-}
-
-// Append adds pk and returns its index.
-func (a *Array) Append(p *sim.Proc, pk Packet) int {
-	a.append(p, pk)
-	return len(a.pks) - 1
-}
-
-// Get reads packet i. Random accesses end any sequential read run on the
-// backing engine first, so they never benefit from read-ahead.
-func (a *Array) Get(p *sim.Proc, i int) Packet {
-	if i < 0 || i >= len(a.pks) {
-		panic(fmt.Sprintf("container %s: index %d out of range [0,%d)", a.name, i, len(a.pks)))
-	}
-	a.eng.EndReadRun()
-	return a.load(p, i)
-}
-
-// Len reports the number of packets ever appended (freed slots included).
-func (a *Array) Len() int { return len(a.pks) }
 
 // Scan iterates a collection's packets. The paper's model scans collections
 // "in their entirety: records contained in a set or stream are marked as

@@ -174,37 +174,6 @@ func TestPacketMetadataSurvivesStorage(t *testing.T) {
 	})
 }
 
-func TestArrayRandomAccess(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		a := NewArray("a", bte.NewMemory(), recSize)
-		var idx []int
-		for i := 0; i < 5; i++ {
-			idx = append(idx, a.Append(p, mkPacket(records.Key(i*7))))
-		}
-		if a.Len() != 5 {
-			t.Fatalf("Len = %d", a.Len())
-		}
-		for i := 4; i >= 0; i-- {
-			pk := a.Get(p, idx[i])
-			if pk.Buf.Key(0) != records.Key(i*7) {
-				t.Fatalf("Get(%d) wrong packet", i)
-			}
-		}
-	})
-}
-
-func TestArrayOutOfRangePanics(t *testing.T) {
-	run(t, func(p *sim.Proc) {
-		a := NewArray("a", bte.NewMemory(), recSize)
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic for out-of-range Get")
-			}
-		}()
-		a.Get(p, 0)
-	})
-}
-
 func TestRecordSizeMismatchPanics(t *testing.T) {
 	run(t, func(p *sim.Proc) {
 		st := NewStream("s", bte.NewMemory(), recSize)

@@ -9,13 +9,10 @@
 package loadmgr
 
 import (
-	"fmt"
 	"math"
 
 	"lmas/internal/cluster"
 	"lmas/internal/critpath"
-	"lmas/internal/sim"
-	"lmas/internal/telemetry"
 )
 
 // Pass1Model predicts the throughput of DSM-Sort's run-formation pass from
@@ -133,44 +130,17 @@ func (m Pass1Model) PredictSpeedup(alpha, beta int) float64 {
 // use of available processing power". Ties go to the smaller alpha (less
 // ASU buffer pressure).
 func ChooseAlpha(p cluster.Params, candidates []int, beta int) int {
-	return ChooseAlphaAudited(nil, 0, p, candidates, beta)
-}
-
-// ChooseAlphaAudited is ChooseAlpha with a decision-log entry: each
-// candidate's predicted speedup lands as a reading, and the chosen alpha as
-// the detail, timestamped at now. A nil registry makes it plain ChooseAlpha.
-func ChooseAlphaAudited(reg *telemetry.Registry, now sim.Time, p cluster.Params, candidates []int, beta int) int {
 	if len(candidates) == 0 {
 		panic("loadmgr: no alpha candidates")
 	}
 	m := Pass1Model{Params: p}
 	best, bestSp := candidates[0], math.Inf(-1)
-	readings := make([]telemetry.Reading, 0, len(candidates))
 	for _, a := range candidates {
-		sp := m.PredictSpeedup(a, beta)
-		readings = append(readings, telemetry.Reading{
-			Key: fmt.Sprintf("predicted-speedup.alpha=%d", a), Value: sp,
-		})
-		if sp > bestSp+1e-12 {
+		if sp := m.PredictSpeedup(a, beta); sp > bestSp+1e-12 {
 			best, bestSp = a, sp
 		}
 	}
-	reg.Decide(now, "loadmgr.choose-alpha", "select-parameter",
-		fmt.Sprintf("alpha=%d (beta=%d)", best, beta), readings...)
 	return best
-}
-
-// SaturationASUs predicts the number of ASUs at which the hosts saturate
-// for a given configuration: beyond this point adding ASUs stops helping
-// ("This experiment uses one host, which saturates at 16 ASUs").
-func SaturationASUs(p cluster.Params, alpha, beta int) int {
-	touchH := p.Costs.Touch(cluster.Host, p.RecordSize)
-	touchA := p.Costs.Touch(cluster.ASU, p.RecordSize)
-	asuOps := p.HostOpsPerSec / p.C
-	asuPerRec := (touchA + cluster.Log2(alpha)*p.Costs.CompareOps) + touchA
-	hostRate := float64(p.Hosts) * p.HostOpsPerSec / (touchH + cluster.Log2(beta)*p.Costs.CompareOps)
-	perASU := asuOps / asuPerRec
-	return int(math.Ceil(hostRate / perASU))
 }
 
 // ImbalanceSeries summarizes how unevenly a set of nodes was loaded, from one

@@ -11,7 +11,7 @@ import (
 // omitempty of Span included — without reflection or allocation. It must
 // track encoding/json byte for byte, not merely produce equal JSON: segments
 // of one run recorded by two builds are compared with cmp (CI's neutrality
-// and round-trip gates, TestGoldenSegmentAndTrace). TestSpanLineMatchesJSON
+// gates, TestGoldenSegmentAndTrace). TestSpanLineMatchesJSON
 // and FuzzSpanLine hold it to that, against an encoding/json mirror with
 // any-valued args.
 func appendSpanLine(dst []byte, sp *Span) []byte {

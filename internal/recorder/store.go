@@ -294,10 +294,10 @@ func readRun(path string, r io.Reader) (*RunRecord, error) {
 }
 
 // SkippedError lists the segments Runs could not read. It is the only error
-// Runs, Select and Prune return together with usable runs: every readable
-// segment is in the result, so a caller that can do without the skipped ones
-// (a listing) reports the error and carries on, and one whose verdict could
-// hinge on them (a gate) treats it like any other.
+// Runs and Prune return together with usable runs: every readable segment is
+// in the result, so a caller that can do without the skipped ones (a listing)
+// reports the error and carries on, and one that cannot treats it like any
+// other.
 type SkippedError struct {
 	// Skipped holds one error per unreadable segment, each naming its path.
 	Skipped []error
@@ -345,35 +345,6 @@ func (st *Store) Runs() ([]*RunRecord, error) {
 	return runs, nil
 }
 
-// Select returns the runs belonging to experiment (all experiments when
-// experiment is ""), keeping only the latest run per (experiment, cell name)
-// so re-recorded cells supersede older attempts. Order follows each cell's
-// first appearance. Unreadable segments are reported as Runs reports them.
-func (st *Store) Select(experiment string) ([]*RunRecord, error) {
-	runs, err := st.Runs()
-	if fatal(err) {
-		return nil, err
-	}
-	type key struct{ exp, name string }
-	latest := make(map[key]*RunRecord)
-	var order []key
-	for _, run := range runs {
-		if experiment != "" && run.Header.Experiment != experiment {
-			continue
-		}
-		k := key{run.Header.Experiment, run.Header.Name}
-		if _, ok := latest[k]; !ok {
-			order = append(order, k)
-		}
-		latest[k] = run
-	}
-	out := make([]*RunRecord, 0, len(order))
-	for _, k := range order {
-		out = append(out, latest[k])
-	}
-	return out, err
-}
-
 // Prune deletes the oldest segments beyond the newest keep runs, ordered by
 // (header start time, run ID) — the retention policy for long-lived stores,
 // whose runs/ directory otherwise grows one segment per run forever. It
@@ -402,18 +373,4 @@ func (st *Store) Prune(keep int, dryRun bool) ([]*RunRecord, error) {
 		}
 	}
 	return victims, err
-}
-
-// TrajectoryOf rebuilds a bench trajectory from stored runs' embedded
-// reports, skipping unfinished runs. The result feeds telemetry.Diff
-// directly, which is how `lmasreport query gate` reproduces the bench gate
-// verdict from store records alone.
-func TrajectoryOf(runs []*RunRecord) *telemetry.Trajectory {
-	tr := &telemetry.Trajectory{Schema: telemetry.TrajectorySchema}
-	for _, run := range runs {
-		if rep := run.Report(); rep != nil {
-			tr.Runs = append(tr.Runs, rep)
-		}
-	}
-	return tr
 }

@@ -204,45 +204,6 @@ func TestLoadRunRejectsNonCanonicalRecords(t *testing.T) {
 	}
 }
 
-// TestSelectLatestPerCell: re-recorded cells supersede older segments; other
-// experiments stay invisible.
-func TestSelectLatestPerCell(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add := func(exp, name string, runtime float64) {
-		rec := st.NewRun()
-		h := testHeader(exp, name)
-		rec.Begin(h)
-		rep := testReport(name)
-		rep.RuntimeSec = runtime
-		rec.Finish(rep)
-	}
-	add("bench", "cell-a", 1.0)
-	add("bench", "cell-b", 2.0)
-	add("bench", "cell-a", 3.0) // supersedes the first cell-a
-	add("other", "cell-a", 9.0)
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := st.Select("bench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("selected %d runs, want 2", len(runs))
-	}
-	tr := TrajectoryOf(runs)
-	if len(tr.Runs) != 2 || tr.Runs[0].Name != "cell-a" || tr.Runs[0].RuntimeSec != 3.0 {
-		t.Fatalf("trajectory runs: %+v", tr.Runs)
-	}
-	if tr.Runs[1].Name != "cell-b" {
-		t.Fatalf("second run %q, want cell-b", tr.Runs[1].Name)
-	}
-}
-
 // TestHeaderOnlyVolatileFields pins the determinism contract of the segment
 // format: identical record streams produce byte-identical segments below
 // line one, because run IDs and wall-clock fields live only in the header.
@@ -362,7 +323,7 @@ func TestStorePrune(t *testing.T) {
 
 // TestRunsSkipsUnreadableSegments: what a killed writer leaves behind — the
 // zero-byte file of the O_EXCL claim, a segment cut mid-line — must not hide
-// the store's other runs. Runs, Select and Prune return every readable run
+// the store's other runs. Runs and Prune return every readable run
 // beside a *SkippedError naming each bad path; Prune never deletes what it
 // could not read.
 func TestRunsSkipsUnreadableSegments(t *testing.T) {
@@ -429,8 +390,6 @@ func TestRunsSkipsUnreadableSegments(t *testing.T) {
 	if !runs[1].Finished() || runs[1].Report() != nil {
 		t.Errorf("failed run: Finished=%v Report=%v, want finished without a report", runs[1].Finished(), runs[1].Report())
 	}
-	runs, err = st.Select("exp")
-	check("Select", runs, err, ids[1], ids[2])
 	runs, err = st.Prune(1, false)
 	check("Prune", runs, err, ids[1])
 	for _, p := range []string{empty, cut} {

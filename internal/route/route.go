@@ -114,43 +114,6 @@ func (LoadAware) Pick(pk PacketInfo, eps []Endpoint) int {
 	return best
 }
 
-// Weighted routes packets proportionally to static endpoint weights,
-// "consider[ing] static information about node capacity to handle
-// heterogeneous processing rates". A weight of 2 receives twice the packets
-// of a weight of 1. Weights must be positive; missing weights default to 1.
-type Weighted struct {
-	Weights []float64
-	acc     []float64 // deficit counters (smooth weighted round-robin)
-}
-
-func (*Weighted) Name() string { return "weighted" }
-
-func (w *Weighted) Pick(pk PacketInfo, eps []Endpoint) int {
-	n := len(eps)
-	if len(w.acc) < n {
-		w.acc = append(w.acc, make([]float64, n-len(w.acc))...)
-	}
-	weight := func(i int) float64 {
-		if i < len(w.Weights) && w.Weights[i] > 0 {
-			return w.Weights[i]
-		}
-		return 1
-	}
-	best := 0
-	for i := 0; i < n; i++ {
-		w.acc[i] += weight(i)
-		if w.acc[i] > w.acc[best] {
-			best = i
-		}
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		total += weight(i)
-	}
-	w.acc[best] -= total
-	return best
-}
-
 // ByName constructs the named policy with the given parameters; it is the
 // single point the CLI uses to select routing for ablations.
 func ByName(name string, buckets int, seed int64) (Policy, error) {

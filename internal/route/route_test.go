@@ -132,32 +132,6 @@ func TestLoadAwarePicksShortest(t *testing.T) {
 	}
 }
 
-func TestWeightedProportions(t *testing.T) {
-	w := &Weighted{Weights: []float64{3, 1}}
-	e := eps(0, 0)
-	counts := make([]int, 2)
-	for i := 0; i < 4000; i++ {
-		counts[w.Pick(PacketInfo{}, e)]++
-	}
-	if counts[0] != 3000 || counts[1] != 1000 {
-		t.Fatalf("weighted counts = %v, want [3000 1000]", counts)
-	}
-}
-
-func TestWeightedDefaultsToEqual(t *testing.T) {
-	w := &Weighted{}
-	e := eps(0, 0, 0)
-	counts := make([]int, 3)
-	for i := 0; i < 3000; i++ {
-		counts[w.Pick(PacketInfo{}, e)]++
-	}
-	for i, c := range counts {
-		if c != 1000 {
-			t.Fatalf("endpoint %d got %d, want 1000", i, c)
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"static", "round-robin", "rr", "sr", "random", "load-aware", "jsq"} {
 		p, err := ByName(name, 8, 1)
@@ -174,7 +148,7 @@ func TestByName(t *testing.T) {
 // inputs.
 func TestAllPoliciesInRange(t *testing.T) {
 	policies := []Policy{
-		Static{Buckets: 8}, &RoundRobin{}, NewSR(3), LoadAware{}, &Weighted{Weights: []float64{1, 2}},
+		Static{Buckets: 8}, &RoundRobin{}, NewSR(3), LoadAware{},
 	}
 	f := func(bucket int8, nRaw, pRaw uint8) bool {
 		ne := int(nRaw%6) + 1

@@ -530,11 +530,10 @@ func (s *Sim) drainPool() {
 }
 
 // runProc switches into p and returns when it parks or exits. Must be called
-// from scheduler context (inside an event callback).
+// from scheduler context (inside an event callback). p is live: an exited
+// proc has no queued resumption (Fail and killProcs empty the queue, and a
+// pooled shell holds none), so no event reaches it.
 func (s *Sim) runProc(p *Proc) {
-	if !s.procs[p] {
-		return // proc already exited (e.g. killed)
-	}
 	p.blocked = ""
 	p.next()
 }

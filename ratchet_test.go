@@ -12,7 +12,7 @@ import (
 // internal/. Input a caller can get wrong is an error, not a panic, so this
 // number only goes down: lower it when a change removes sites, and raise it
 // only with the reason the new site is unreachable from input.
-const maxPanics = 42
+const maxPanics = 41
 
 func TestPanicSitesDoNotGrow(t *testing.T) {
 	n := 0
